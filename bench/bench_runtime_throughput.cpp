@@ -75,7 +75,7 @@ double now_seconds() {
 }
 
 /// CPU seconds consumed by the calling thread. The publish-path contract
-/// is about what FrameServer::publish costs the stitcher thread, so the
+/// is about what FrameServer::publish costs the publishing thread, so the
 /// measurement excludes scheduler noise by construction.
 double thread_cpu_seconds() {
   timespec ts{};
@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
   }
   // Publish-path admission overhead: the gateway's overload protection
   // (per-class token bucket, quota bookkeeping, budget hooks) rides on
-  // every FrameServer::publish — it must cost the stitcher thread almost
+  // every FrameServer::publish — it must cost the publishing thread almost
   // nothing when nothing is being shed. Clamped at 0 because the gate's
   // extractor reads non-negative numbers, and a negative overhead is just
   // measurement noise anyway.
@@ -325,7 +325,7 @@ int main(int argc, char** argv) {
   }
   // Control-plane sensing overhead: a serving gateway with --control taps
   // the frame bus and folds every published frame into the FleetTracker on
-  // this same stitcher thread. Same interleaved-pairs / min-over-pairs
+  // this same publishing thread. Same interleaved-pairs / min-over-pairs
   // methodology as the admission stanza; the regression gate caps the
   // result absolutely (≤2%) — sensing must be nearly free, the scheduling
   // work happens off the publish path at epoch boundaries.

@@ -11,7 +11,7 @@
 #     below the baseline;
 #   - publish-path admission overhead (publish_admission_overhead_pct,
 #     admission on vs off) is capped absolutely at 2% — overload
-#     protection must cost the stitcher thread almost nothing when
+#     protection must cost the publishing thread almost nothing when
 #     nothing is shed;
 #   - publish-path control-plane overhead (publish_control_overhead_pct,
 #     the FleetTracker bus tap on vs off) is likewise capped absolutely

@@ -284,6 +284,81 @@ DecodeResult WindowedDecoder::decode_window(const signal::SampleBuffer& slice,
   return LfDecoder(dc).decode(slice);
 }
 
+DecodeResult WindowedDecoder::decode_job(const WindowJob& job) const {
+  if (job.whole_capture) return LfDecoder(config_.decoder).decode(job.samples);
+  return decode_window(job.samples, job.index);
+}
+
+WindowSlicer::WindowSlicer(const WindowedDecoder& decoder, SampleRate fs)
+    : decoder_(decoder), fs_(fs), window_samples_(decoder.window_samples(fs)) {
+  window_.reserve(window_samples_);
+}
+
+void WindowSlicer::push(std::uint64_t first_sample,
+                        std::span<const Complex> samples, const Emit& emit) {
+  if (first_sample > next_expected_) {
+    const std::uint64_t gap = first_sample - next_expected_;
+    samples_gap_ += gap;
+    append(nullptr, gap, emit);
+  }
+  const auto skip = static_cast<std::size_t>(std::min<std::uint64_t>(
+      next_expected_ - first_sample, samples.size()));
+  append(samples.data() + skip, samples.size() - skip, emit);
+  samples_in_ += samples.size() - skip;
+  if (!known_long_ && !decoder_.is_short_capture(
+                          static_cast<std::size_t>(next_expected_), fs_)) {
+    known_long_ = true;
+    for (WindowJob& job : held_) emit(std::move(job));
+    held_.clear();
+  }
+}
+
+void WindowSlicer::finish(const Emit& emit) {
+  if (known_long_) {
+    if (window_.size() >= window_samples_ / 4) emit(take_window());
+    return;
+  }
+  std::vector<Complex> all;
+  for (const WindowJob& job : held_) {
+    const auto view = job.samples.span();
+    all.insert(all.end(), view.begin(), view.end());
+  }
+  held_.clear();
+  all.insert(all.end(), window_.begin(), window_.end());
+  window_.clear();
+  emit(WindowJob{0, true, signal::SampleBuffer(fs_, std::move(all))});
+}
+
+void WindowSlicer::append(const Complex* data, std::uint64_t n,
+                          const Emit& emit) {
+  next_expected_ += n;
+  while (n > 0) {
+    const auto take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(n, window_samples_ - window_.size()));
+    if (data != nullptr) {
+      window_.insert(window_.end(), data, data + take);
+      data += take;
+    } else {
+      window_.resize(window_.size() + take);
+    }
+    n -= take;
+    if (window_.size() < window_samples_) continue;
+    if (known_long_) {
+      emit(take_window());
+    } else {
+      held_.push_back(take_window());
+    }
+  }
+}
+
+WindowJob WindowSlicer::take_window() {
+  WindowJob job{next_index_++, false,
+                signal::SampleBuffer(fs_, std::move(window_))};
+  window_ = {};
+  window_.reserve(window_samples_);
+  return job;
+}
+
 DecodeResult WindowedDecoder::decode(const signal::SampleBuffer& buffer) const {
   if (buffer.empty() ||
       is_short_capture(buffer.size(), buffer.sample_rate())) {

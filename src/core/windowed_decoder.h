@@ -1,6 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
+#include <vector>
 
 #include "core/lf_decoder.h"
 
@@ -29,10 +32,12 @@ namespace lfbs::core {
 /// bits falls out of the boundary positions, and their value is the
 /// thread's last level.
 ///
-/// The two phases are exposed separately so the concurrent runtime
-/// (src/runtime) can decode windows on a worker pool and stitch on a single
-/// thread: decode_window() is pure and safe to call from any thread, while
-/// a WindowStitcher consumes window results strictly in window order.
+/// The phases are exposed separately so the streaming runtime (src/runtime)
+/// can cut a chunked stream with a WindowSlicer, decode the resulting jobs
+/// anywhere — worker threads or remote shard processes — with decode_job(),
+/// which is pure and safe to call from any thread, and stitch on a single
+/// thread: a WindowStitcher consumes window results strictly in window
+/// order.
 struct WindowedDecoderConfig {
   DecoderConfig decoder;
   /// Processing window. Must be long enough that the slowest expected tag
@@ -50,7 +55,7 @@ struct WindowedDecoderConfig {
 /// Serial half of the windowed decode: consumes per-window DecodeResults
 /// strictly in window order and assembles end-to-end threads via the three
 /// continuity keys. Not thread-safe; the runtime funnels all worker output
-/// through one stitcher thread.
+/// through the one thread that drives the run.
 class WindowStitcher {
  public:
   WindowStitcher(const WindowedDecoderConfig& config, SampleRate sample_rate);
@@ -100,6 +105,14 @@ class WindowStitcher {
   std::vector<Thread> threads_;
 };
 
+/// One unit of decode work cut from a capture: lattice window `index`, or —
+/// for a capture of at most 1.5 windows — the whole capture.
+struct WindowJob {
+  std::size_t index = 0;
+  bool whole_capture = false;
+  signal::SampleBuffer samples;
+};
+
 class WindowedDecoder {
  public:
   explicit WindowedDecoder(WindowedDecoderConfig config);
@@ -107,10 +120,20 @@ class WindowedDecoder {
   const WindowedDecoderConfig& config() const { return config_; }
 
   /// Decodes a capture of any length. Short captures (≤ 1.5 windows) fall
-  /// through to the plain decoder. Equivalent to decode_window() over every
-  /// window followed by a WindowStitcher — the runtime's parallel path
-  /// produces bit-identical output.
+  /// through to the plain decoder. This serial loop is the reference every
+  /// streaming path is tested against, and it slices the buffer itself
+  /// rather than through a WindowSlicer so that a slicer defect cannot
+  /// reach both sides of that comparison. Equivalent to decode_job() over
+  /// every WindowSlicer job followed by a WindowStitcher, with the one
+  /// exception runtime.h states (the whole-capture re-decode when the
+  /// stitch yields no CRC-valid frame).
   DecodeResult decode(const signal::SampleBuffer& buffer) const;
+
+  /// Decodes one slicer job: a window through decode_window(), a whole
+  /// capture through the plain decoder exactly as decode() does. Pure and
+  /// thread-safe; every executor (worker threads, shard processes) decodes
+  /// through here, so where a job runs cannot change its bits.
+  DecodeResult decode_job(const WindowJob& job) const;
 
   /// Window length in samples at the given rate.
   std::size_t window_samples(SampleRate fs) const;
@@ -134,6 +157,53 @@ class WindowedDecoder {
 
  private:
   WindowedDecoderConfig config_;
+};
+
+/// The window lattice over a chunked sample stream, emitting exactly the
+/// jobs WindowedDecoder::decode slices from the same capture:
+///   - gap zero-fill: a chunk starting past the samples seen so far (a
+///     chunk lost to ring overflow or a dropout) is preceded by zeros, so
+///     surviving samples keep their absolute window positions;
+///   - overlap skip: samples before that point (a rewinding source) are
+///     ignored;
+///   - short-capture hold-back: full windows are held until the stream is
+///     known to be longer than 1.5 windows; a stream that never gets there
+///     becomes one whole-capture job at finish();
+///   - quarter-window tail: a final partial window shorter than a quarter
+///     window is dropped.
+/// Jobs are emitted in index order. Not thread-safe.
+class WindowSlicer {
+ public:
+  using Emit = std::function<void(WindowJob)>;
+
+  WindowSlicer(const WindowedDecoder& decoder, SampleRate fs);
+
+  /// Folds in a chunk whose first sample sits at absolute position
+  /// `first_sample`; emits every job the chunk completes.
+  void push(std::uint64_t first_sample, std::span<const Complex> samples,
+            const Emit& emit);
+
+  /// End of stream: emits the tail window or the whole-capture job.
+  void finish(const Emit& emit);
+
+  std::uint64_t samples_in() const { return samples_in_; }    ///< real
+  std::uint64_t samples_gap() const { return samples_gap_; }  ///< zeros
+
+ private:
+  /// Appends `n` samples from `data`, or `n` zeros when `data` is null.
+  void append(const Complex* data, std::uint64_t n, const Emit& emit);
+  WindowJob take_window();
+
+  const WindowedDecoder& decoder_;
+  SampleRate fs_;
+  std::size_t window_samples_;
+  std::vector<Complex> window_;
+  std::vector<WindowJob> held_;
+  std::uint64_t next_expected_ = 0;
+  std::uint64_t samples_in_ = 0;
+  std::uint64_t samples_gap_ = 0;
+  std::size_t next_index_ = 0;
+  bool known_long_ = false;
 };
 
 }  // namespace lfbs::core

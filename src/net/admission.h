@@ -185,7 +185,7 @@ class TokenBucket {
 };
 
 /// Global byte ceiling shared by every component that queues memory on
-/// behalf of remote peers. Atomic, so the stitcher thread (publish), the
+/// behalf of remote peers. Atomic, so the runtime's publishing thread, the
 /// server loop thread (drain/close) and a shard coordinator can charge
 /// and release concurrently without sharing a lock.
 ///

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <deque>
 #include <map>
-#include <memory>
-#include <optional>
 
 #include "common/check.h"
 #include "net/federation/shard_wire.h"
@@ -21,24 +19,13 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kIqChunkSamples = 1 << 16;
 
-/// A dispatched window retained (failover mode) until its result lands, so
-/// a dead worker's in-flight work can be replayed to a survivor.
-struct PendingWindow {
-  bool short_capture = false;
-  std::vector<Complex> samples;
-};
-
-}  // namespace
-
 /// One worker connection plus its in-flight bookkeeping.
-struct ShardedDecoder::WorkerLink {
+struct WorkerLink {
   TcpConnection conn;
   MessageReader reader;
   std::size_t index = 0;  ///< position in the pool, for accounting
-  bool acked = false;
   bool got_bye = false;
   bool dead = false;  ///< failed over; conn closed, never touched again
-  std::size_t assigned = 0;
   std::map<std::uint64_t, Clock::time_point> dispatched_at;
   Clock::time_point end_sent_at{};  ///< when kIqEnd went out (bye deadline)
   bool end_sent = false;
@@ -47,102 +34,84 @@ struct ShardedDecoder::WorkerLink {
       : conn(std::move(connection)) {}
 };
 
-ShardedDecoder::ShardedDecoder(ShardConfig config)
-    : config_(std::move(config)) {
-  LFBS_CHECK_MSG(!config_.workers.empty(),
-                 "sharded decode requires at least one worker");
-  LFBS_CHECK(config_.windowed.window > 0.0);
+std::size_t job_bytes(const core::WindowJob& job) {
+  return job.samples.size() * sizeof(Complex);
 }
 
-ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
-  static obs::Counter& windows_counter =
-      obs::metrics().counter("federation.shard_windows");
-  static obs::HistogramMetric& latency_hist =
-      obs::metrics().histogram("federation.shard_latency_ms");
-  static obs::Counter& workers_lost_counter =
-      obs::metrics().counter("net.failover_workers_lost");
-  static obs::Counter& reassigned_counter =
-      obs::metrics().counter("net.failover_windows_reassigned");
-  static obs::Counter& budget_throttles_counter =
-      obs::metrics().counter("net.shard_budget_throttles");
+}  // namespace
 
-  const SampleRate fs = source.sample_rate();
-  LFBS_CHECK_MSG(fs > 0.0, "sample source must declare a sample rate");
-  const core::WindowedDecoder decoder(config_.windowed);
-  const std::size_t window_samples = decoder.window_samples(fs);
-
-  const auto t0 = Clock::now();
-
-  // Results arrive in whatever order workers finish; the merge below
-  // consumes them strictly by window index.
-  std::map<std::uint64_t, ShardResult> results;
-  runtime::LatencyRecorder latency;
-
-  // --- pool connect + handshake ------------------------------------------
-  // Deliberately strict even in failover mode: a pool that starts broken
-  // is a configuration error, not a runtime fault to ride out.
+/// One run's pool state: the connected links, the windows in flight, and
+/// every routine that moves them. Lives from begin() to finish()/cancel(),
+/// all of it on the thread that called DecodeRuntime::run.
+struct ShardPool::Session {
+  const ShardConfig& config;
+  const runtime::WindowRun& run;
   std::vector<std::unique_ptr<WorkerLink>> links;
-  links.reserve(config_.workers.size());
-  for (const auto& endpoint : config_.workers) {
-    auto link = std::make_unique<WorkerLink>(TcpConnection::connect(
-        endpoint.host, endpoint.port, config_.connect_timeout));
-    link->index = links.size();
-    std::vector<std::uint8_t> hello_bytes;
-    Hello hello;
-    hello.role = PeerRole::kShardCoordinator;
-    hello.sample_rate = fs;
-    hello.name = config_.name;
-    encode_hello(hello, hello_bytes);
-    std::size_t sent = 0;
-    while (sent < hello_bytes.size()) {
-      const std::ptrdiff_t n = link->conn.write_some(
-          hello_bytes.data() + sent, hello_bytes.size() - sent);
-      if (n > 0) {
-        sent += static_cast<std::size_t>(n);
-      } else if (n == -1) {
-        std::vector<PollItem> items{{link->conn.fd(), false, true}};
-        poll_fds(items, 100);
-      } else {
-        throw SocketError("shard worker closed during handshake");
+  /// Failover mode: dispatched jobs retained until their result lands, so
+  /// a dead worker's in-flight work can be replayed to a survivor.
+  std::map<std::uint64_t, core::WindowJob> pending;
+  /// Window indices harvested from dead links awaiting re-dispatch.
+  std::deque<std::uint64_t> reassign_queue;
+  std::size_t rr_cursor = 0;
+  std::size_t submitted = 0;
+  std::size_t delivered = 0;
+
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  // Pool connect + handshake. Deliberately strict even in failover mode: a
+  // pool that starts broken is a configuration error, not a runtime fault to
+  // ride out.
+  Session(const ShardConfig& config_in, const runtime::WindowRun& run_in)
+      : config(config_in), run(run_in) {
+    links.reserve(config.workers.size());
+    for (const auto& endpoint : config.workers) {
+      auto link = std::make_unique<WorkerLink>(TcpConnection::connect(
+          endpoint.host, endpoint.port, config.connect_timeout));
+      link->index = links.size();
+      std::vector<std::uint8_t> hello_bytes;
+      Hello hello;
+      hello.role = PeerRole::kShardCoordinator;
+      hello.sample_rate = run.sample_rate;
+      hello.name = config.name;
+      encode_hello(hello, hello_bytes);
+      std::size_t sent = 0;
+      while (sent < hello_bytes.size()) {
+        const std::ptrdiff_t n = link->conn.write_some(
+            hello_bytes.data() + sent, hello_bytes.size() - sent);
+        if (n > 0) {
+          sent += static_cast<std::size_t>(n);
+        } else if (n == -1) {
+          std::vector<PollItem> items{{link->conn.fd(), false, true}};
+          poll_fds(items, 100);
+        } else {
+          throw SocketError("shard worker closed during handshake");
+        }
       }
+      links.push_back(std::move(link));
     }
-    links.push_back(std::move(link));
   }
 
-  ShardStats stats;
-  // Failover state: retained in-flight windows, and window indices
-  // harvested from dead links awaiting re-dispatch.
-  std::map<std::uint64_t, PendingWindow> pending;
-  std::deque<std::uint64_t> reassign_queue;
-
-  // Budget accounting (failover mode): every retained window's sample
-  // bytes are charged against the shared pool while the window is in
-  // flight and released when its result lands. The guard squares the
-  // books on every exit path — including the throws below — so a failed
-  // run never leaks its in-flight bytes into the gateway's pool.
-  const auto pending_bytes = [](const PendingWindow& w) {
-    return w.samples.size() * sizeof(Complex);
-  };
-  struct PendingBudgetGuard {
-    ResourceBudget* budget;
-    const std::map<std::uint64_t, PendingWindow>& pending;
-    ~PendingBudgetGuard() {
-      if (budget == nullptr) return;
-      for (const auto& [index, w] : pending) {
-        (void)index;
-        budget->release(w.samples.size() * sizeof(Complex));
-      }
+  // Squares the budget books on every exit path — including a failed run —
+  // so the gateway's pool never leaks the bytes of windows still in flight.
+  ~Session() {
+    if (config.budget == nullptr) return;
+    for (const auto& [index, job] : pending) {
+      (void)index;
+      config.budget->release(job_bytes(job));
     }
-  } budget_guard{config_.failover ? config_.budget : nullptr, pending};
+  }
 
-  // Declares a link dead: close it, harvest its outstanding windows into
-  // the reassign queue, count the loss. Never called in strict mode — the
-  // call sites throw instead.
-  const auto fail_link = [&](WorkerLink& link, const char* reason) {
+  // Declares a link dead: close it, harvest its outstanding windows into the
+  // reassign queue, count the loss. Never called in strict mode — the call
+  // sites throw instead.
+  void fail_link(WorkerLink& link, const char* reason) {
+    static obs::Counter& workers_lost_counter =
+        obs::metrics().counter("net.failover_workers_lost");
     if (link.dead) return;
     link.dead = true;
     link.conn.close();
-    ++stats.workers_lost;
+    run.supervisor.record_worker_lost(link.dispatched_at.size());
     workers_lost_counter.add();
     for (const auto& [window_index, at] : link.dispatched_at) {
       (void)at;
@@ -159,13 +128,15 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
                                          link.dispatched_at.size()))});
     }
     link.dispatched_at.clear();
-  };
+  }
 
-  // Drains whatever a worker has sent, recording results. Called
+  // Drains whatever a worker has sent, delivering results. Called
   // opportunistically while writing (deadlock avoidance: a worker blocked
   // sending us a result must never stall our IQ send forever) and in the
   // final collection loop.
-  const auto drain_incoming = [&](WorkerLink& link) {
+  void drain_incoming(WorkerLink& link) {
+    static obs::HistogramMetric& latency_hist =
+        obs::metrics().histogram("federation.shard_latency_ms");
     if (link.dead) return;
     for (;;) {
       std::uint8_t buf[65536];
@@ -173,7 +144,7 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
       if (n == -1) return;  // nothing pending
       if (n == 0) {
         if (!link.got_bye) {
-          if (!config_.failover) {
+          if (!config.failover) {
             throw SocketError("shard worker died mid-run");
           }
           fail_link(link, "died");
@@ -185,37 +156,38 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
         while (auto message = link.reader.next()) {
           switch (message->type) {
             case MsgType::kAck:
-              link.acked = true;
+            case MsgType::kStats:  // informational; workers don't send these
               break;
             case MsgType::kShardFrame: {
               ShardResult result = decode_shard_result(message->body);
+              // Only a window outstanding on this link counts; anything else
+              // is stale or bogus, and the deadline catches a worker that
+              // never answers its real assignments.
               const auto it = link.dispatched_at.find(result.window_index);
-              if (it != link.dispatched_at.end()) {
-                const double ms =
-                    std::chrono::duration<double, std::milli>(Clock::now() -
-                                                              it->second)
-                        .count();
-                latency_hist.record(ms);
-                latency.record(ms / 1e3);
-                link.dispatched_at.erase(it);
-              }
+              if (it == link.dispatched_at.end()) break;
+              const double ms = std::chrono::duration<double, std::milli>(
+                                    Clock::now() - it->second)
+                                    .count();
+              latency_hist.record(ms);
+              run.latency.record(ms / 1e3);
+              link.dispatched_at.erase(it);
               const auto pit = pending.find(result.window_index);
               if (pit != pending.end()) {
-                if (config_.budget != nullptr) {
-                  config_.budget->release(pending_bytes(pit->second));
+                if (config.budget != nullptr) {
+                  config.budget->release(job_bytes(pit->second));
                 }
                 pending.erase(pit);
               }
-              results.emplace(result.window_index, std::move(result));
+              ++delivered;
+              run.deliver(static_cast<std::size_t>(result.window_index),
+                          std::move(result.result));
               break;
             }
-            case MsgType::kStats:
-              break;  // informational; workers don't send these today
             case MsgType::kBye: {
               const Bye bye = decode_bye(message->body);
               link.got_bye = true;
               if (bye.reason != ByeReason::kEndOfStream) {
-                if (!config_.failover) {
+                if (!config.failover) {
                   throw SocketError("shard worker closed: " +
                                     std::string(to_string(bye.reason)));
                 }
@@ -232,45 +204,37 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
       } catch (const WireFormatError&) {
         // A worker speaking garbage is as lost as a dead one: its results
         // cannot be trusted past this point.
-        if (!config_.failover) throw;
+        if (!config.failover) throw;
         fail_link(link, "garbage");
         return;
       }
     }
-  };
+  }
 
-  // Deadline sweep (failover mode): a link whose oldest in-flight window
-  // (or pending Bye) is older than worker_deadline is wedged — fail it so
-  // its work moves to the survivors instead of stalling the run.
-  const auto check_deadlines = [&] {
-    if (!config_.failover) return;
+  // Deadline sweep (failover mode): a link whose oldest in-flight window (or
+  // pending Bye) is older than worker_deadline is wedged — fail it so its
+  // work moves to the survivors instead of stalling the run.
+  void check_deadlines() {
+    if (!config.failover) return;
     const auto now = Clock::now();
-    const auto deadline =
-        std::chrono::duration<double>(config_.worker_deadline);
+    const auto deadline = std::chrono::duration<double>(config.worker_deadline);
     for (auto& link : links) {
       if (link->dead) continue;
-      bool overdue = false;
-      for (const auto& [window_index, at] : link->dispatched_at) {
-        (void)window_index;
-        if (now - at > deadline) {
-          overdue = true;
-          break;
-        }
-      }
+      bool overdue = std::any_of(
+          link->dispatched_at.begin(), link->dispatched_at.end(),
+          [&](const auto& entry) { return now - entry.second > deadline; });
       if (!overdue && link->end_sent && !link->got_bye &&
           now - link->end_sent_at > deadline) {
         overdue = true;
       }
       if (overdue) fail_link(*link, "deadline");
     }
-  };
+  }
 
-  // Fully writes `bytes` to a worker, draining every link's reads while
-  // the send buffer is full. False when the link died under the write
-  // (failover mode; its outstanding windows are already queued for
-  // reassignment).
-  const auto send_all = [&](WorkerLink& link,
-                            const std::vector<std::uint8_t>& bytes) -> bool {
+  // Fully writes `bytes` to a worker, draining every link's reads while the
+  // send buffer is full. False when the link died under the write (failover
+  // mode; its outstanding windows are already queued for reassignment).
+  bool send_all(WorkerLink& link, const std::vector<std::uint8_t>& bytes) {
     std::size_t sent = 0;
     while (sent < bytes.size()) {
       if (link.dead) return false;
@@ -281,7 +245,7 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
         continue;
       }
       if (n == 0) {
-        if (!config_.failover) {
+        if (!config.failover) {
           throw SocketError("shard worker died mid-send");
         }
         fail_link(link, "died mid-send");
@@ -293,65 +257,61 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
       check_deadlines();
     }
     return true;
-  };
+  }
 
   // Encodes one assignment (+ its f64 IQ) and writes it to `link`.
-  const auto transmit = [&](WorkerLink& link, std::uint64_t window_index,
-                            bool short_capture,
-                            const std::vector<Complex>& samples) {
+  void transmit(WorkerLink& link, const core::WindowJob& job) {
+    const core::WindowedDecoderConfig& wc = run.decoder.config();
     ShardAssign assign;
-    assign.window_index = window_index;
-    assign.short_capture = short_capture;
-    assign.sample_count = samples.size();
-    assign.sample_rate = fs;
-    assign.window_seconds = config_.windowed.window;
-    assign.phase_tolerance = config_.windowed.phase_tolerance;
-    assign.vector_tolerance = config_.windowed.vector_tolerance;
-    assign.seed = config_.windowed.decoder.seed;
-    assign.payload_bits = static_cast<std::uint32_t>(
-        config_.windowed.decoder.frame.payload_bits);
-    assign.crc_kind =
-        static_cast<std::uint8_t>(config_.windowed.decoder.frame.crc);
+    assign.window_index = job.index;
+    assign.short_capture = job.whole_capture;
+    assign.sample_count = job.samples.size();
+    assign.sample_rate = run.sample_rate;
+    assign.window_seconds = wc.window;
+    assign.phase_tolerance = wc.phase_tolerance;
+    assign.vector_tolerance = wc.vector_tolerance;
+    assign.seed = wc.decoder.seed;
+    assign.payload_bits =
+        static_cast<std::uint32_t>(wc.decoder.frame.payload_bits);
+    assign.crc_kind = static_cast<std::uint8_t>(wc.decoder.frame.crc);
     std::vector<std::uint8_t> bytes;
     encode_shard_assign(assign, bytes);
     // The window's samples, window-local offsets, always f64: the worker
     // must decode the coordinator's exact bit patterns.
+    const auto samples = job.samples.span();
     for (std::size_t off = 0; off < samples.size(); off += kIqChunkSamples) {
-      const std::size_t take =
-          std::min(kIqChunkSamples, samples.size() - off);
+      const auto part =
+          samples.subspan(off, std::min(kIqChunkSamples, samples.size() - off));
       runtime::SampleChunk chunk;
       chunk.first_sample = off;
-      chunk.samples.assign(samples.begin() + static_cast<std::ptrdiff_t>(off),
-                           samples.begin() +
-                               static_cast<std::ptrdiff_t>(off + take));
+      chunk.samples.assign(part.begin(), part.end());
       encode_iq_chunk(chunk, /*f64=*/true, bytes);
     }
     // Bookkeep before the write: if the link dies mid-send, fail_link
     // harvests this window into the reassign queue with the rest.
-    link.dispatched_at.emplace(window_index, Clock::now());
-    ++link.assigned;
+    link.dispatched_at.emplace(job.index, Clock::now());
     if (!send_all(link, bytes)) return;
     drain_incoming(link);
-  };
+  }
 
   // Round-robin over the surviving links, nullptr when none remain.
-  std::size_t rr_cursor = 0;
-  const auto pick_alive = [&]() -> WorkerLink* {
+  WorkerLink* pick_alive() {
     for (std::size_t tries = 0; tries < links.size(); ++tries) {
       WorkerLink* link = links[rr_cursor++ % links.size()].get();
       if (!link->dead) return link;
     }
     return nullptr;
-  };
+  }
 
   // Re-dispatches windows harvested from dead links. Each iteration either
   // lands a window on a survivor or kills another link, so it terminates;
   // zero survivors with work outstanding is the loud failure.
-  const auto pump_reassign = [&] {
+  void pump_reassign() {
+    static obs::Counter& reassigned_counter =
+        obs::metrics().counter("net.failover_windows_reassigned");
     while (!reassign_queue.empty()) {
       const std::uint64_t window_index = reassign_queue.front();
       reassign_queue.pop_front();
-      if (results.find(window_index) != results.end()) continue;
       const auto it = pending.find(window_index);
       if (it == pending.end()) continue;  // result landed before the death
       WorkerLink* target = pick_alive();
@@ -359,248 +319,146 @@ ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
         throw SocketError("shard failover: no workers left (window " +
                           std::to_string(window_index) + " outstanding)");
       }
-      ++stats.windows_reassigned;
       reassigned_counter.add();
       if (obs::EventLog* log = obs::event_log()) {
         log->emit("federation",
                   {obs::Field::str("action", "reassign"),
-                   obs::Field::integer(
-                       "window", static_cast<std::int64_t>(window_index)),
+                   obs::Field::integer("window",
+                                       static_cast<std::int64_t>(window_index)),
                    obs::Field::integer(
                        "worker", static_cast<std::int64_t>(target->index))});
       }
-      transmit(*target, window_index, it->second.short_capture,
-               it->second.samples);
-    }
-  };
-
-  // Dispatches one window (or the short-capture whole buffer) to a worker.
-  const auto dispatch = [&](std::uint64_t window_index, bool short_capture,
-                            std::vector<Complex> samples) {
-    ++stats.windows_assigned;
-    windows_counter.add();
-    WorkerLink* link =
-        links[static_cast<std::size_t>(window_index) % links.size()].get();
-    if (link->dead) link = pick_alive();
-    if (link == nullptr) {
-      throw SocketError("shard failover: no workers left to assign window " +
-                        std::to_string(window_index));
-    }
-    if (config_.failover) {
-      const std::size_t bytes = samples.size() * sizeof(Complex);
-      if (config_.budget != nullptr && bytes > 0) {
-        // Bounded saturation throttle: while the shared pool is full,
-        // drain results (a landing result frees its window's bytes)
-        // instead of growing the overshoot. Past the deadline charge
-        // unconditionally — dispatch must make progress even when the
-        // gateway's subscribers hold the pool at its limit, and the
-        // overshoot is bounded by one window.
-        bool charged = config_.budget->try_charge(bytes);
-        if (!charged) {
-          budget_throttles_counter.add();
-          const auto throttle_deadline =
-              Clock::now() + std::chrono::seconds(2);
-          while (!charged && Clock::now() < throttle_deadline) {
-            std::vector<PollItem> items;
-            for (const auto& l : links) {
-              if (!l->dead) items.push_back({l->conn.fd(), true, false});
-            }
-            if (items.empty()) break;
-            poll_fds(items, 50);
-            for (auto& l : links) drain_incoming(*l);
-            check_deadlines();
-            charged = config_.budget->try_charge(bytes);
-          }
-          if (!charged) config_.budget->charge(bytes);
-        }
-      }
-      const auto it =
-          pending
-              .emplace(window_index,
-                       PendingWindow{short_capture, std::move(samples)})
-              .first;
-      transmit(*link, window_index, short_capture, it->second.samples);
-    } else {
-      transmit(*link, window_index, short_capture, samples);
-    }
-    pump_reassign();
-  };
-
-  // --- IqSharder: the runtime assembler's slicing, verbatim --------------
-  // Same lattice rules: zero-fill gaps so absolute positions hold, hold
-  // early windows back until the capture is known long (short captures
-  // take the whole-buffer plain-decode path), drop a tail shorter than a
-  // quarter window.
-  std::vector<Complex> window;
-  window.reserve(window_samples);
-  std::vector<std::vector<Complex>> held;
-  std::uint64_t next_expected = 0;
-  std::uint64_t next_window_index = 0;
-  bool known_long = false;
-
-  const auto close_full_window = [&] {
-    if (known_long) {
-      dispatch(next_window_index++, /*short_capture=*/false,
-               std::move(window));
-    } else {
-      held.push_back(std::move(window));
-      ++next_window_index;
-    }
-    window = {};
-    window.reserve(window_samples);
-  };
-  const auto append = [&](const Complex* data, std::size_t n) {
-    std::size_t done = 0;
-    while (done < n) {
-      const std::size_t take =
-          std::min(n - done, window_samples - window.size());
-      window.insert(window.end(), data + done, data + done + take);
-      done += take;
-      if (window.size() == window_samples) close_full_window();
-    }
-  };
-
-  while (auto chunk = source.next_chunk()) {
-    if (chunk->first_sample > next_expected) {
-      std::uint64_t gap = chunk->first_sample - next_expected;
-      const std::vector<Complex> zeros(
-          std::min<std::uint64_t>(gap, window_samples), Complex{});
-      while (gap > 0) {
-        const auto take = std::min<std::uint64_t>(gap, zeros.size());
-        append(zeros.data(), static_cast<std::size_t>(take));
-        gap -= take;
-      }
-      next_expected = chunk->first_sample;
-    }
-    std::size_t skip = 0;
-    if (chunk->first_sample < next_expected) {
-      skip = static_cast<std::size_t>(std::min<std::uint64_t>(
-          next_expected - chunk->first_sample, chunk->size()));
-    }
-    const std::size_t fresh = chunk->size() - skip;
-    append(chunk->samples.data() + skip, fresh);
-    stats.samples_in += fresh;
-    next_expected += fresh;
-    if (!known_long &&
-        !decoder.is_short_capture(static_cast<std::size_t>(next_expected),
-                                  fs)) {
-      known_long = true;
-      std::uint64_t index = 0;
-      for (auto& held_window : held) {
-        dispatch(index++, /*short_capture=*/false, std::move(held_window));
-      }
-      held.clear();
+      transmit(*target, it->second);
     }
   }
 
-  std::uint64_t expected_windows = 0;
-  bool is_short = false;
-  if (!known_long) {
-    // Short capture: one whole-buffer assignment, plain-decoder path.
-    std::vector<Complex> all;
-    for (auto& held_window : held) {
-      all.insert(all.end(), held_window.begin(), held_window.end());
-    }
-    all.insert(all.end(), window.begin(), window.end());
-    dispatch(0, /*short_capture=*/true, std::move(all));
-    expected_windows = 1;
-    is_short = true;
-  } else {
-    if (window.size() >= window_samples / 4) {
-      dispatch(next_window_index++, /*short_capture=*/false,
-               std::move(window));
-    }
-    expected_windows = next_window_index;
-  }
-
-  // --- end of input: collect every window, then close the links ----------
-  // iq_end is deferred until every result is in hand: a survivor may still
-  // be needed to take over a dead worker's outstanding windows.
-  pump_reassign();
-  while (results.size() < expected_windows) {
-    std::vector<PollItem> items;
-    for (const auto& link : links) {
-      if (!link->dead) items.push_back({link->conn.fd(), true, false});
-    }
-    if (items.empty()) {
-      throw SocketError(
-          "shard failover: no workers left with " +
-          std::to_string(expected_windows - results.size()) +
-          " window(s) outstanding");
-    }
-    poll_fds(items, 250);
-    for (auto& link : links) drain_incoming(*link);
-    check_deadlines();
-    pump_reassign();
-  }
-  for (auto& link : links) {
-    if (link->dead) continue;
-    std::vector<std::uint8_t> end_bytes;
-    encode_iq_end({0, false}, end_bytes);
-    link->end_sent = true;
-    link->end_sent_at = Clock::now();
-    send_all(*link, end_bytes);
-  }
-  while (std::any_of(links.begin(), links.end(), [](const auto& l) {
-    return !l->dead && !l->got_bye;
-  })) {
+  // Polls every link still owing results or a Bye, drains what arrived, and
+  // sweeps the deadlines. A link past its Bye is left out: its closed socket
+  // would read as ready forever.
+  void poll_and_drain(int timeout_ms) {
     std::vector<PollItem> items;
     for (const auto& link : links) {
       if (!link->dead && !link->got_bye) {
         items.push_back({link->conn.fd(), true, false});
       }
     }
-    poll_fds(items, 250);
+    poll_fds(items, timeout_ms);
     for (auto& link : links) {
-      if (!link->dead && !link->got_bye) drain_incoming(*link);
+      if (!link->got_bye) drain_incoming(*link);
     }
     check_deadlines();
   }
 
-  // Strict completeness: every window must have come back.
-  LFBS_CHECK_MSG(results.size() == expected_windows,
-                 "sharded decode is missing window results");
-
-  // --- ShardMerger: the runtime stitcher, re-used verbatim ---------------
-  Result out;
-  if (is_short) {
-    out.decode = std::move(results.begin()->second.result);
-  } else {
-    core::WindowStitcher stitcher(config_.windowed, fs);
-    for (std::uint64_t index = 0; index < expected_windows; ++index) {
-      const auto it = results.find(index);
-      LFBS_CHECK_MSG(it != results.end(),
-                     "sharded decode is missing a window");
-      stitcher.add_window(std::move(it->second.result),
-                          static_cast<std::size_t>(index) * window_samples);
+  // Bounded saturation throttle: while the shared pool is full, drain
+  // results (a landing result frees its window's bytes) instead of growing
+  // the overshoot. Past the deadline charge unconditionally — dispatch must
+  // make progress even when the gateway's subscribers hold the pool at its
+  // limit, and the overshoot is bounded by one window.
+  void charge_budget(std::size_t bytes) {
+    static obs::Counter& budget_throttles_counter =
+        obs::metrics().counter("net.shard_budget_throttles");
+    if (config.budget == nullptr || bytes == 0) return;
+    if (config.budget->try_charge(bytes)) return;
+    budget_throttles_counter.add();
+    const auto throttle_deadline = Clock::now() + std::chrono::seconds(2);
+    while (Clock::now() < throttle_deadline) {
+      if (std::all_of(links.begin(), links.end(),
+                      [](const auto& l) { return l->dead; })) {
+        break;
+      }
+      poll_and_drain(50);
+      if (config.budget->try_charge(bytes)) return;
     }
-    out.decode = stitcher.finish();
+    config.budget->charge(bytes);
   }
 
-  stats.windows_decoded = results.size();
-  stats.frames_published = runtime::publish_frames(
-      bus_, out.decode, config_.epoch_index, window_samples);
-  stats.streams = out.decode.streams.size();
-  stats.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  runtime::RuntimeStats latency_digest;
-  latency.summarize(latency_digest);
-  stats.shard_latency_p50_ms = latency_digest.window_latency_p50_ms;
-  stats.shard_latency_p99_ms = latency_digest.window_latency_p99_ms;
-  if (obs::EventLog* log = obs::event_log()) {
-    log->emit("federation",
-              {obs::Field::str("action", "shard-run"),
-               obs::Field::integer(
-                   "windows", static_cast<std::int64_t>(stats.windows_decoded)),
-               obs::Field::integer(
-                   "workers", static_cast<std::int64_t>(links.size())),
-               obs::Field::integer(
-                   "frames",
-                   static_cast<std::int64_t>(stats.frames_published)),
-               obs::Field::num("latency_p99_ms", stats.shard_latency_p99_ms)});
+  // Dispatches one job to its round-robin worker (or a survivor).
+  void submit(core::WindowJob job) {
+    static obs::Counter& windows_counter =
+        obs::metrics().counter("federation.shard_windows");
+    ++submitted;
+    windows_counter.add();
+    WorkerLink* link = links[job.index % links.size()].get();
+    if (link->dead) link = pick_alive();
+    if (link == nullptr) {
+      throw SocketError("shard failover: no workers left to assign window " +
+                        std::to_string(job.index));
+    }
+    if (config.failover) {
+      charge_budget(job_bytes(job));
+      const std::uint64_t index = job.index;
+      const auto it = pending.emplace(index, std::move(job)).first;
+      transmit(*link, it->second);
+    } else {
+      transmit(*link, job);
+    }
+    pump_reassign();
   }
-  out.stats = stats;
-  return out;
+
+  // Collects every outstanding window, then closes the links. kIqEnd is
+  // deferred until every result is in hand: a survivor may still be needed
+  // to take over a dead worker's outstanding windows.
+  void finish() {
+    pump_reassign();
+    while (delivered < submitted) {
+      if (std::all_of(links.begin(), links.end(),
+                      [](const auto& l) { return l->dead; })) {
+        throw SocketError("shard failover: no workers left with " +
+                          std::to_string(submitted - delivered) +
+                          " window(s) outstanding");
+      }
+      poll_and_drain(250);
+      pump_reassign();
+    }
+    for (auto& link : links) {
+      if (link->dead) continue;
+      std::vector<std::uint8_t> end_bytes;
+      encode_iq_end({0, false}, end_bytes);
+      link->end_sent = true;
+      link->end_sent_at = Clock::now();
+      send_all(*link, end_bytes);
+    }
+    while (std::any_of(links.begin(), links.end(), [](const auto& l) {
+      return !l->dead && !l->got_bye;
+    })) {
+      poll_and_drain(250);
+    }
+  }
+};
+
+ShardPool::ShardPool(ShardConfig config) : config_(std::move(config)) {
+  LFBS_CHECK_MSG(!config_.workers.empty(),
+                 "sharded decode requires at least one worker");
+}
+
+ShardPool::~ShardPool() = default;
+
+void ShardPool::begin(const runtime::WindowRun& run) {
+  session_ = std::make_unique<Session>(config_, run);
+}
+
+void ShardPool::submit(core::WindowJob job) {
+  session_->submit(std::move(job));
+}
+
+void ShardPool::finish() {
+  session_->finish();
+  session_.reset();
+}
+
+void ShardPool::cancel() noexcept { session_.reset(); }
+
+// The pool's retained in-flight windows already buffer the stream; a
+// deeper chunk ring would hold the capture a second time and hand the
+// source out further ahead of its decode.
+ShardedDecoder::ShardedDecoder(ShardConfig config)
+    : runtime_({.windowed = config.windowed,
+                .ring_capacity = 1,
+                .epoch_index = config.epoch_index}),
+      pool_(std::move(config)) {}
+
+ShardedDecoder::Result ShardedDecoder::run(runtime::SampleSource& source) {
+  return runtime_.run(source, pool_);
 }
 
 }  // namespace lfbs::net::federation

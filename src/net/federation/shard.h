@@ -1,15 +1,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/windowed_decoder.h"
 #include "net/admission.h"
 #include "net/socket.h"
-#include "runtime/frame_bus.h"
-#include "runtime/sample_source.h"
-#include "runtime/stats.h"
+#include "runtime/runtime.h"
 
 namespace lfbs::net::federation {
 
@@ -18,6 +17,9 @@ struct ShardWorkerEndpoint {
   std::uint16_t port = 0;
 };
 
+/// `windowed` and `epoch_index` configure ShardedDecoder's runtime; a
+/// ShardPool handed to a DecodeRuntime directly takes both from the
+/// runtime's own config.
 struct ShardConfig {
   core::WindowedDecoderConfig windowed{};
   std::vector<ShardWorkerEndpoint> workers;
@@ -52,68 +54,62 @@ struct ShardConfig {
   ResourceBudget* budget = nullptr;
 };
 
-struct ShardStats {
-  std::uint64_t samples_in = 0;
-  std::size_t windows_assigned = 0;
-  std::size_t windows_decoded = 0;
-  std::size_t streams = 0;
-  std::size_t frames_published = 0;
-  double wall_seconds = 0.0;
-  /// Dispatch-to-result latency per window, aggregated across workers.
-  double shard_latency_p50_ms = 0.0;
-  double shard_latency_p99_ms = 0.0;
-  /// Failover accounting: links declared dead mid-run and the outstanding
-  /// windows re-dispatched to survivors (0/0 on a healthy pool).
-  std::size_t workers_lost = 0;
-  std::size_t windows_reassigned = 0;
-};
-
-/// Cross-process sharded decode: the IqSharder half slices a sample source
-/// into WindowedDecoder windows — replicating the runtime assembler's
-/// lattice exactly (gap zero-fill, short-capture hold-back, quarter-window
-/// tail rule) — and round-robins each window to a pool of ShardWorker
-/// processes over LFBW1 (kShardAssign + f64 kIqChunks). The ShardMerger
-/// half collects kShardFrame results as workers finish, re-orders them,
-/// folds them through the same serial WindowStitcher the runtime uses, and
-/// publishes the stitched frames on this coordinator's FrameBus via the
-/// shared runtime::publish_frames helper.
-///
-/// Bit-identity contract: because windows decode under index-mixed seeds,
-/// samples transit as f64 bit patterns, and the stitch is the same code in
-/// the same order, run() over N worker processes returns (and publishes) a
-/// DecodeResult bit-identical to core::WindowedDecoder::decode on the same
-/// capture — the tests enforce it across real processes.
+/// The remote WindowExecutor: decodes a DecodeRuntime run's window jobs on
+/// a pool of ShardWorker processes over LFBW1. Each job goes round-robin
+/// to a worker as kShardAssign plus its samples as f64 kIqChunks; the
+/// worker decodes it with WindowedDecoder::decode_job and answers with
+/// kShardFrame, which the pool delivers to the runtime's stitcher. Because
+/// window seeds are index-mixed and samples cross the wire as f64 bit
+/// patterns, the run is bit-identical to the in-process worker threads —
+/// and to the serial core::WindowedDecoder — with frames included; the
+/// tests enforce it across real processes.
 ///
 /// Failure stance: strict about *results*, resilient about *workers*. With
 /// ShardConfig::failover (the default) a worker that dies, stalls past
 /// worker_deadline, or speaks garbage mid-run is dropped and its
-/// outstanding windows are re-dispatched to the survivors; the completed
-/// run is still bit-identical to the serial decode, and ShardStats records
-/// workers_lost / windows_reassigned. Only zero surviving workers (or a
-/// pool that fails its initial connect — that is a configuration error)
-/// fails the run with SocketError. failover=false restores the strict
-/// stance: any mid-run death throws, no silent holes, caller re-runs.
+/// outstanding windows are re-dispatched to the survivors; the run still
+/// completes bit-identically, and its FaultCounters record workers_lost /
+/// windows_reassigned. The run fails with SocketError when the pool fails
+/// its initial connect (a configuration error), when zero workers
+/// survive, or on any mid-run death with failover off.
+///
+/// Reusable across runs; one run at a time.
+class ShardPool final : public runtime::WindowExecutor {
+ public:
+  explicit ShardPool(ShardConfig config);
+  ~ShardPool() override;
+
+  void begin(const runtime::WindowRun& run) override;
+  void submit(core::WindowJob job) override;
+  void finish() override;
+  void cancel() noexcept override;
+
+ private:
+  struct Session;
+
+  ShardConfig config_;
+  std::unique_ptr<Session> session_;
+};
+
+/// Cross-process sharded decode: the DecodeRuntime driver over a
+/// ShardPool, configured from one ShardConfig. run() returns — and
+/// publishes on bus() — what DecodeRuntime::run does.
 class ShardedDecoder {
  public:
-  struct Result {
-    core::DecodeResult decode;
-    ShardStats stats;
-  };
+  using Result = runtime::RuntimeResult;
 
   explicit ShardedDecoder(ShardConfig config);
 
-  /// Frames publish here (on the calling thread of run()).
-  runtime::FrameBus& bus() { return bus_; }
+  /// Frames publish here, on the thread that called run().
+  runtime::FrameBus& bus() { return runtime_.bus(); }
 
   /// Blocking: drains `source`, shards, merges, publishes. Throws
   /// SocketError / WireFormatError / CheckError when the pool misbehaves.
   Result run(runtime::SampleSource& source);
 
  private:
-  struct WorkerLink;
-
-  ShardConfig config_;
-  runtime::FrameBus bus_;
+  runtime::DecodeRuntime runtime_;
+  ShardPool pool_;
 };
 
 }  // namespace lfbs::net::federation

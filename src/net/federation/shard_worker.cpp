@@ -89,15 +89,9 @@ std::size_t ShardWorker::serve() {
     ShardResult result;
     result.window_index = assign.window_index;
     result.short_capture = assign.short_capture;
-    // Mirror the in-process worker pool exactly: short captures take the
-    // plain decoder (fallback ladder on, base seed); windows take
-    // decode_window, which mixes the seed with the window index and pins
-    // the fallback ladder off per window.
-    result.result =
-        assign.short_capture
-            ? core::LfDecoder(wc.decoder).decode(buffer)
-            : core::WindowedDecoder(wc).decode_window(
-                  buffer, static_cast<std::size_t>(assign.window_index));
+    result.result = core::WindowedDecoder(wc).decode_job(
+        {static_cast<std::size_t>(assign.window_index), assign.short_capture,
+         std::move(buffer)});
     std::vector<std::uint8_t> reply;
     encode_shard_result(result, reply);
     write_all(conn, reply, stop_);

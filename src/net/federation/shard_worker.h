@@ -24,11 +24,10 @@ struct ShardWorkerConfig {
 /// until the coordinator's kIqEnd, and closes with Bye(kEndOfStream).
 ///
 /// The decode is exactly the in-process worker pool's:
-/// WindowedDecoder::decode_window under the assign's parameters (the seed
-/// is mixed with the window index inside decode_window, so which worker
-/// decodes a window cannot change the bits), or the plain LfDecoder for a
-/// short-capture assign. Workers are stateless between assignments — kill
-/// one mid-run and a fresh one can take its place with no handoff.
+/// WindowedDecoder::decode_job under the assign's parameters (the seed is
+/// mixed with the window index, so which worker decodes a window cannot
+/// change the bits). Workers are stateless between assignments — kill one
+/// mid-run and a fresh one can take its place with no handoff.
 class ShardWorker {
  public:
   /// Binds and listens immediately (so the port is known before serve()).

@@ -21,7 +21,7 @@
 namespace lfbs::net {
 
 /// What to do with a subscriber that cannot keep up with the frame stream
-/// once its bounded send queue fills. Either way the stitcher thread never
+/// once its bounded send queue fills. Either way the publishing thread never
 /// blocks on a stalled socket — the policies only choose what the slow
 /// client loses.
 enum class SlowConsumerPolicy {
@@ -97,11 +97,11 @@ struct FrameServerConfig {
 /// publish() calls) to N concurrent LFBW1 subscribers.
 ///
 /// Threading: one event-loop thread owns every socket. publish() — called
-/// on the stitcher thread via the attached FrameBus handler — only encodes
-/// the frame, appends it to each eligible client's bounded queue under the
-/// mutex, and wakes the loop; it never touches a socket, so one stalled
-/// client can never block frame delivery to the bus's other subscribers or
-/// to healthy network clients.
+/// on the runtime's publishing thread via the attached FrameBus handler —
+/// only encodes the frame, appends it to each eligible client's bounded
+/// queue under the mutex, and wakes the loop; it never touches a socket,
+/// so one stalled client can never block frame delivery to the bus's
+/// other subscribers or to healthy network clients.
 ///
 /// Per-subscription filters (SubscribeFilter) run server-side at publish
 /// time, so a narrow consumer costs only the frames it will actually see.

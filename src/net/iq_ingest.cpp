@@ -98,6 +98,13 @@ std::optional<runtime::SampleChunk> RemoteIqSource::next_chunk() {
         switch (message->type) {
           case MsgType::kIqChunk: {
             runtime::SampleChunk chunk = decode_iq_chunk(message->body);
+            // Positions come from outside: a forward jump would have the
+            // runtime zero-fill and decode the whole gap.
+            if (chunk.first_sample != total_samples_) {
+              fail_protocol("chunk at sample " +
+                            std::to_string(chunk.first_sample) +
+                            ", expected " + std::to_string(total_samples_));
+            }
             total_samples_ += chunk.samples.size();
             obs::metrics()
                 .counter("net.iq_samples_in")

@@ -28,6 +28,8 @@ struct IqIngestConfig {
 ///
 ///   - kIqEnd (clean close)            → std::nullopt, end of stream
 ///   - connection dies mid-stream      → SourceError, non-transient
+///   - chunk not contiguous with the   → SourceError, non-transient
+///     samples received so far
 ///   - read stalls past read_timeout   → SourceError, transient (retried)
 ///   - unparseable bytes               → SourceError, non-transient
 ///

@@ -8,9 +8,9 @@
 namespace lfbs::runtime {
 
 /// One block of contiguous IQ samples in flight between a SampleSource and
-/// the window assembler. `first_sample` is the chunk's absolute position in
+/// the window slicer. `first_sample` is the chunk's absolute position in
 /// the capture, so a consumer can detect (and account for) chunks lost to
-/// ring overflow: a jump in `first_sample` is a gap, which the assembler
+/// ring overflow: a jump in `first_sample` is a gap, which the slicer
 /// zero-fills to keep the window lattice aligned with absolute time.
 struct SampleChunk {
   std::uint64_t first_sample = 0;

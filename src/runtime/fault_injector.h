@@ -19,7 +19,7 @@ struct FaultPlan {
   std::uint64_t seed = 1;
   /// P(a chunk read from the inner source is discarded whole) — models a
   /// carrier dropout or a lost USB/network transfer. The position gap is
-  /// visible downstream, so the assembler zero-fills it.
+  /// visible downstream, so the slicer zero-fills it.
   double drop_chunk = 0.0;
   /// P(a chunk is cut short at a random point) — a transfer that died
   /// mid-buffer. The tail becomes a gap, like a partial drop.

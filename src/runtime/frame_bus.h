@@ -75,7 +75,8 @@ struct FrameIdentity {
 FrameIdentity frame_identity(const FrameEvent& event);
 
 /// Fan-out of decoded frames to registered callbacks. Handlers run on the
-/// runtime's stitcher thread, synchronously and in subscription order, so
+/// runtime's publishing thread (the one that called DecodeRuntime::run),
+/// synchronously and in subscription order, so
 /// a handler that blocks stalls delivery (by design: it is the natural
 /// place for an application to apply its own backpressure).
 ///

@@ -57,8 +57,8 @@ class BackpressureGate {
 };
 
 /// Bounded queue with explicit backpressure. The decode runtime uses one
-/// instance as the SPSC chunk ring (source thread → window assembler) and
-/// one as the single-producer / multi-consumer window job queue (assembler
+/// instance as the SPSC chunk ring (ingest thread → window slicer) and
+/// one as the single-producer / multi-consumer window job queue (slicer
 /// → worker pool); the mutex implementation is safe for both shapes.
 /// The producer picks the overflow policy per call:
 ///

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -20,64 +19,90 @@ namespace lfbs::runtime {
 
 namespace {
 
-/// One window's worth of samples, ready to decode. `short_capture` marks
-/// the whole-capture fallback job (capture ≤ 1.5 windows), which decodes
-/// with the plain decoder exactly like WindowedDecoder::decode.
-struct WindowJob {
-  std::size_t index = 0;
-  bool short_capture = false;
-  signal::SampleBuffer samples;
-};
-
-struct WindowOutcome {
-  bool short_capture = false;
-  core::DecodeResult result;
-};
-
-/// Handoff from the worker pool back into window order: workers deliver
-/// results as they finish, the stitcher awaits them strictly in sequence.
+/// Handoff from the executor back into window order: results arrive from
+/// any thread in any order, the driver takes them strictly in sequence.
 class ReorderInbox {
  public:
-  void deliver(std::size_t index, WindowOutcome outcome) {
-    {
-      std::lock_guard lock(mutex_);
-      ready_.emplace(index, std::move(outcome));
-    }
-    cv_.notify_all();
+  void deliver(std::size_t index, core::DecodeResult result) {
+    std::lock_guard lock(mutex_);
+    ready_.emplace(index, std::move(result));
   }
 
-  /// Announces the total number of windows (known only once the source is
-  /// drained); unblocks the stitcher's final await.
-  void set_expected(std::size_t n) {
-    {
-      std::lock_guard lock(mutex_);
-      expected_ = n;
-      has_expected_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  /// Blocks until window `index` arrives; std::nullopt once the run is
-  /// known to hold no window `index`.
-  std::optional<WindowOutcome> await(std::size_t index) {
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [&] {
-      return ready_.count(index) != 0 ||
-             (has_expected_ && index >= expected_);
-    });
+  /// Window `index`'s result if it has arrived.
+  std::optional<core::DecodeResult> take(std::size_t index) {
+    std::lock_guard lock(mutex_);
     const auto it = ready_.find(index);
     if (it == ready_.end()) return std::nullopt;
-    WindowOutcome outcome = std::move(it->second);
+    core::DecodeResult result = std::move(it->second);
     ready_.erase(it);
-    return outcome;
+    return result;
   }
 
  private:
   std::mutex mutex_;
-  std::condition_variable cv_;
-  std::map<std::size_t, WindowOutcome> ready_;
-  std::size_t expected_ = 0;
-  bool has_expected_ = false;
+  std::map<std::size_t, core::DecodeResult> ready_;
+};
+
+/// The in-process executor: `workers` threads decode jobs off a bounded
+/// queue, independently and in any order — each window's decoder seed is
+/// keyed by window index, so results do not depend on which worker ran
+/// it. One run per instance.
+class WorkerPool final : public WindowExecutor {
+ public:
+  explicit WorkerPool(std::size_t workers)
+      : workers_(workers), jobs_(std::max<std::size_t>(2 * workers, 4)) {}
+  ~WorkerPool() override { cancel(); }
+
+  void begin(const WindowRun& run) override {
+    threads_.reserve(workers_);
+    for (std::size_t w = 0; w < workers_; ++w) {
+      threads_.emplace_back([this, &run, w] { work(run, w); });
+    }
+  }
+
+  void submit(core::WindowJob job) override { jobs_.push(std::move(job)); }
+
+  void finish() override { cancel(); }
+
+  void cancel() noexcept override {
+    jobs_.close();
+    for (auto& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+ private:
+  void work(const WindowRun& run, std::size_t w) {
+    while (auto job = jobs_.pop()) {
+      const auto start = std::chrono::steady_clock::now();
+      LFBS_OBS_SPAN(window_span, "window", "runtime");
+      window_span.attr("index", static_cast<double>(job->index));
+      window_span.attr("worker", static_cast<double>(w));
+      // Exception containment: a throwing window decode yields an empty
+      // (zero-filled) window result, exactly what a silent window would
+      // produce — the stitcher carries surviving threads across it — and
+      // the run degrades instead of terminating the process.
+      core::DecodeResult result;
+      try {
+        const auto activity = run.supervisor.track_worker(w);
+        if (run.supervisor.config().decode_fault_hook) {
+          run.supervisor.config().decode_fault_hook(job->index);
+        }
+        result = run.decoder.decode_job(*job);
+      } catch (const std::exception&) {
+        result = core::DecodeResult{};
+        run.supervisor.record_worker_exception();
+      }
+      run.latency.record(std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+      run.deliver(job->index, std::move(result));
+    }
+  }
+
+  std::size_t workers_;
+  BoundedRing<core::WindowJob> jobs_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace
@@ -88,6 +113,12 @@ DecodeRuntime::DecodeRuntime(RuntimeConfig config)
 }
 
 RuntimeResult DecodeRuntime::run(SampleSource& source) {
+  WorkerPool pool(std::max<std::size_t>(1, config_.workers));
+  return run(source, pool);
+}
+
+RuntimeResult DecodeRuntime::run(SampleSource& source,
+                                 WindowExecutor& executor) {
   LFBS_OBS_SPAN(run_span, "run", "runtime");
   static obs::Counter& runs = obs::metrics().counter("runtime.runs");
   static obs::Counter& windows_counter =
@@ -99,246 +130,132 @@ RuntimeResult DecodeRuntime::run(SampleSource& source) {
   LFBS_CHECK_MSG(fs > 0.0, "sample source must declare a sample rate");
   const core::WindowedDecoder decoder(config_.windowed);
   const std::size_t window_samples = decoder.window_samples(fs);
-  const std::size_t num_workers = std::max<std::size_t>(1, config_.workers);
 
   BoundedRing<SampleChunk> ring(
       std::max<std::size_t>(1, config_.ring_capacity));
-  BoundedRing<WindowJob> jobs(std::max<std::size_t>(2 * num_workers, 4));
   ReorderInbox inbox;
   LatencyRecorder latency;
-  Supervisor supervisor(config_.supervision, num_workers);
-  supervisor.start();
+  Supervisor supervisor(config_.supervision,
+                        std::max<std::size_t>(1, config_.workers));
   const std::size_t bus_exceptions_before = bus_.handler_exceptions();
-  std::atomic<std::size_t> windows_dispatched{0};
   std::atomic<std::size_t> windows_decoded{0};
-  std::uint64_t samples_in = 0;   // written by assembler, read after join
-  std::uint64_t samples_gap = 0;
-  std::size_t frames_published = 0;  // written by stitcher, read after join
+  const WindowRun window_run{
+      decoder, fs, supervisor, latency,
+      [&](std::size_t index, core::DecodeResult result) {
+        ++windows_decoded;
+        windows_counter.add();
+        inbox.deliver(index, std::move(result));
+      }};
   RuntimeResult out;
 
   const auto t0 = std::chrono::steady_clock::now();
+  executor.begin(window_run);
+  supervisor.start();
 
-  // Assembler: chunk stream → window-sized jobs. Holds early windows back
-  // until the capture is known to be longer than 1.5 windows, so a short
-  // capture takes the same whole-buffer plain-decoder path as the serial
-  // WindowedDecoder.
-  std::thread assembler([&] {
-    std::vector<Complex> window;
-    window.reserve(window_samples);
-    std::vector<WindowJob> held;
-    std::uint64_t next_expected = 0;
-    std::size_t next_window_index = 0;
-    bool known_long = false;
-
-    const auto dispatch = [&](WindowJob job) {
-      ++windows_dispatched;
-      jobs.push(std::move(job));
-    };
-    const auto close_full_window = [&] {
-      WindowJob job;
-      job.index = next_window_index++;
-      job.samples = signal::SampleBuffer(fs, std::move(window));
-      window = {};
-      window.reserve(window_samples);
-      if (known_long) {
-        dispatch(std::move(job));
+  // The publishing thread (this one): chunk ring → slicer → executor,
+  // folding results back in window order as they arrive.
+  core::WindowSlicer slicer(decoder, fs);
+  core::WindowStitcher stitcher(config_.windowed, fs);
+  std::size_t windows_dispatched = 0;
+  std::size_t stitched = 0;
+  bool whole_capture = false;
+  const core::WindowSlicer::Emit submit = [&](core::WindowJob job) {
+    ++windows_dispatched;
+    whole_capture = job.whole_capture;
+    executor.submit(std::move(job));
+  };
+  const auto stitch_ready = [&] {
+    while (auto result = inbox.take(stitched)) {
+      if (whole_capture) {
+        out.decode = std::move(*result);
       } else {
-        held.push_back(std::move(job));
+        stitcher.add_window(std::move(*result), stitched * window_samples);
       }
-    };
-    const auto append = [&](const Complex* data, std::size_t n) {
-      std::size_t done = 0;
-      while (done < n) {
-        const std::size_t take =
-            std::min(n - done, window_samples - window.size());
-        window.insert(window.end(), data + done, data + done + take);
-        done += take;
-        if (window.size() == window_samples) close_full_window();
-      }
-    };
-
-    while (auto chunk = ring.pop()) {
-      // A jump in first_sample is a chunk lost to ring overflow: zero-fill
-      // so the surviving samples keep their absolute window positions.
-      if (chunk->first_sample > next_expected) {
-        std::uint64_t gap = chunk->first_sample - next_expected;
-        samples_gap += gap;
-        const std::vector<Complex> zeros(
-            std::min<std::uint64_t>(gap, window_samples), Complex{});
-        while (gap > 0) {
-          const auto take = std::min<std::uint64_t>(gap, zeros.size());
-          append(zeros.data(), static_cast<std::size_t>(take));
-          gap -= take;
-        }
-        next_expected = chunk->first_sample;
-      }
-      // Skip any overlap (defensive; the bundled sources never rewind).
-      std::size_t skip = 0;
-      if (chunk->first_sample < next_expected) {
-        skip = static_cast<std::size_t>(std::min<std::uint64_t>(
-            next_expected - chunk->first_sample, chunk->size()));
-      }
-      const std::size_t fresh = chunk->size() - skip;
-      append(chunk->samples.data() + skip, fresh);
-      samples_in += fresh;
-      next_expected += fresh;
-      if (!known_long &&
-          !decoder.is_short_capture(
-              static_cast<std::size_t>(next_expected), fs)) {
-        known_long = true;
-        for (auto& job : held) dispatch(std::move(job));
-        held.clear();
-      }
+      ++stitched;
     }
+  };
 
-    std::size_t expected = 0;
-    if (!known_long) {
-      // Short capture: reassemble everything and decode it in one piece
-      // with the plain decoder, exactly like the serial fall-through.
-      std::vector<Complex> all;
-      for (auto& job : held) {
-        const auto view = job.samples.span();
-        all.insert(all.end(), view.begin(), view.end());
-      }
-      all.insert(all.end(), window.begin(), window.end());
-      WindowJob job;
-      job.index = 0;
-      job.short_capture = true;
-      job.samples = signal::SampleBuffer(fs, std::move(all));
-      dispatch(std::move(job));
-      expected = 1;
-    } else {
-      // Serial parity: a tail shorter than a quarter window is ignored.
-      if (window.size() >= window_samples / 4) {
-        WindowJob job;
-        job.index = next_window_index++;
-        job.samples = signal::SampleBuffer(fs, std::move(window));
-        dispatch(std::move(job));
-      }
-      expected = next_window_index;
-    }
-    inbox.set_expected(expected);
-    jobs.close();
-  });
-
-  // Worker pool: windows decode independently and in any order; each
-  // window's decoder seed is keyed by window index (WindowedDecoder::
-  // decode_window), so results do not depend on which worker ran it.
-  std::vector<std::thread> pool;
-  pool.reserve(num_workers);
-  for (std::size_t w = 0; w < num_workers; ++w) {
-    pool.emplace_back([&, w] {
-      while (auto job = jobs.pop()) {
-        const auto start = std::chrono::steady_clock::now();
-        LFBS_OBS_SPAN(window_span, "window", "runtime");
-        window_span.attr("index", static_cast<double>(job->index));
-        window_span.attr("worker", static_cast<double>(w));
-        WindowOutcome outcome;
-        outcome.short_capture = job->short_capture;
-        // Exception containment: a throwing window decode yields an empty
-        // (zero-filled) window result, exactly what a silent window would
-        // produce — the stitcher carries surviving threads across it — and
-        // the run degrades instead of terminating the process.
-        try {
-          const auto activity = supervisor.track_worker(w);
-          if (supervisor.config().decode_fault_hook) {
-            supervisor.config().decode_fault_hook(job->index);
-          }
-          outcome.result =
-              job->short_capture
-                  ? core::LfDecoder(config_.windowed.decoder)
-                        .decode(job->samples)
-                  : decoder.decode_window(job->samples, job->index);
-        } catch (const std::exception&) {
-          outcome.result = core::DecodeResult{};
-          supervisor.record_worker_exception();
-        }
-        latency.record(std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count());
-        ++windows_decoded;
-        windows_counter.add();
-        inbox.deliver(job->index, std::move(outcome));
-      }
-    });
-  }
-
-  // Stitcher: folds windows back together strictly in order, then fans
-  // the decoded frames out on the bus.
-  std::thread stitcher_thread([&] {
-    core::WindowStitcher stitcher(config_.windowed, fs);
-    std::size_t next = 0;
-    bool is_short = false;
-    while (auto outcome = inbox.await(next)) {
-      if (outcome->short_capture) {
-        out.decode = std::move(outcome->result);
-        is_short = true;
-      } else {
-        stitcher.add_window(std::move(outcome->result),
-                            next * window_samples);
-      }
-      ++next;
-    }
-    if (!is_short) out.decode = stitcher.finish();
-    const std::size_t published = publish_frames(
-        bus_, out.decode, config_.epoch_index, window_samples);
-    frames_published += published;
-    frames_counter.add(published);
-  });
-
-  // Ingest on the caller's thread: source → chunk ring, with the
-  // configured overflow policy. Reads go through the supervisor — retry
-  // with backoff on transient errors, scrub non-finite samples — so a
-  // flaky source degrades the run instead of wedging or killing it. A
-  // stop request (signal handler flag or request_stop) ends ingest early
-  // but everything already in flight still drains and publishes.
+  // Ingest thread: source → chunk ring, with the configured overflow
+  // policy. Reads go through the supervisor — retry with backoff on
+  // transient errors, scrub non-finite samples — so a flaky source
+  // degrades the run instead of wedging or killing it. A stop request
+  // (signal handler flag or request_stop) ends ingest early but everything
+  // already ingested still decodes and publishes. Its locals are read only
+  // after it joins.
   const auto stop_requested = [&] {
     return stop_requested_.load(std::memory_order_relaxed) ||
            (config_.stop_flag != nullptr &&
             config_.stop_flag->load(std::memory_order_relaxed));
   };
+  std::atomic<bool> failed{false};
   bool stopped_early = false;
   std::size_t backpressure_waits = 0;
   Seconds backpressure_seconds = 0.0;
-  for (;;) {
-    if (stop_requested()) {
-      stopped_early = true;
-      break;
-    }
-    auto chunk = supervisor.next_chunk(source);
-    if (!chunk) break;
-    supervisor.scrub(*chunk);
-    // Downstream backpressure: when the serving side's budget saturates,
-    // pause (bounded) before admitting the chunk. A delay, never a drop —
-    // the chunk goes into the ring either way.
-    if (config_.backpressure != nullptr &&
-        config_.backpressure->engaged()) {
-      const auto wait_start = std::chrono::steady_clock::now();
-      if (config_.backpressure->wait(std::chrono::duration<double>(
-              config_.backpressure_max_wait))) {
-        ++backpressure_waits;
-        backpressure_seconds +=
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - wait_start)
-                .count();
+  std::thread ingest([&] {
+    while (!failed.load()) {
+      if (stop_requested()) {
+        stopped_early = true;
+        break;
+      }
+      auto chunk = supervisor.next_chunk(source);
+      if (!chunk) break;
+      supervisor.scrub(*chunk);
+      // Downstream backpressure: when the serving side's budget saturates,
+      // pause (bounded) before admitting the chunk. A delay, never a drop
+      // — the chunk goes into the ring either way.
+      if (config_.backpressure != nullptr &&
+          config_.backpressure->engaged()) {
+        const auto wait_start = std::chrono::steady_clock::now();
+        if (config_.backpressure->wait(std::chrono::duration<double>(
+                config_.backpressure_max_wait))) {
+          ++backpressure_waits;
+          backpressure_seconds +=
+              std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - wait_start)
+                  .count();
+        }
+      }
+      if (config_.drop_when_full) {
+        ring.offer(std::move(*chunk));
+      } else {
+        ring.push(std::move(*chunk));
       }
     }
-    if (config_.drop_when_full) {
-      ring.offer(std::move(*chunk));
-    } else {
-      ring.push(std::move(*chunk));
-    }
-  }
-  ring.close();
+    ring.close();
+  });
 
-  assembler.join();
-  for (auto& t : pool) t.join();
-  stitcher_thread.join();
+  try {
+    while (auto chunk = ring.pop()) {
+      slicer.push(chunk->first_sample, chunk->samples, submit);
+      stitch_ready();
+    }
+    slicer.finish(submit);
+    executor.finish();
+  } catch (...) {
+    // The executor cannot go on: stop ingest, drop outstanding work, and
+    // fail the run without publishing.
+    failed.store(true);
+    ring.close();
+    executor.cancel();
+    ingest.join();
+    supervisor.stop();
+    throw;
+  }
+  ingest.join();
+  stitch_ready();
+  LFBS_CHECK_MSG(stitched == windows_dispatched,
+                 "window executor finished without every result");
+  if (!whole_capture) out.decode = stitcher.finish();
+  const std::size_t frames_published =
+      publish_frames(bus_, out.decode, config_.epoch_index, window_samples);
+  frames_counter.add(frames_published);
   supervisor.stop();
 
   // Data lost in flight (ring overflow, zero-filled gaps) is a contained
   // fault: the output is no longer the full capture's decode.
-  if (ring.dropped() > 0 || samples_gap > 0) supervisor.record_data_loss();
+  if (ring.dropped() > 0 || slicer.samples_gap() > 0) {
+    supervisor.record_data_loss();
+  }
   supervisor.record_subscriber_exceptions(bus_.handler_exceptions() -
                                           bus_exceptions_before);
 
@@ -348,11 +265,11 @@ RuntimeResult DecodeRuntime::run(SampleSource& source) {
   out.stats.chunks_in = ring.pushed();
   out.stats.chunks_dropped = ring.dropped();
   out.stats.ring_high_watermark = ring.high_watermark();
-  out.stats.samples_in = samples_in;
-  out.stats.samples_gap = samples_gap;
+  out.stats.samples_in = slicer.samples_in();
+  out.stats.samples_gap = slicer.samples_gap();
   out.stats.backpressure_waits = backpressure_waits;
   out.stats.backpressure_seconds = backpressure_seconds;
-  out.stats.windows_dispatched = windows_dispatched.load();
+  out.stats.windows_dispatched = windows_dispatched;
   out.stats.windows_decoded = windows_decoded.load();
   out.stats.streams = out.decode.streams.size();
   out.stats.frames_published = frames_published;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 
 #include "core/windowed_decoder.h"
 #include "runtime/frame_bus.h"
@@ -13,30 +14,42 @@
 
 namespace lfbs::runtime {
 
-/// Concurrent streaming decode pipeline:
+/// The streaming decode driver — the one place a chunked sample stream is
+/// cut into windows, decoded, stitched and published:
 ///
-///   SampleSource → [chunk ring] → assembler → [job queue] → worker pool
-///                                                               │
-///            FrameBus ← stitcher thread ← [in-order reorder] ←──┘
+///   SampleSource → ingest thread → [chunk ring] → core::WindowSlicer
+///     → WindowExecutor → [reorder by window index] → WindowStitcher
+///     → publish_frames → FrameBus, RuntimeStats
 ///
-/// The source is drained on the caller's thread into a bounded chunk ring
-/// (blocking or drop-on-overflow per `drop_when_full`). The assembler
-/// thread slices the sample stream into WindowedDecoder windows and feeds
-/// a bounded job queue; `workers` threads decode windows independently
-/// (each window's decoder draws from its own Rng stream, keyed by window
-/// index); a single stitcher thread reorders results back into window
-/// order and runs the serial continuity-key stitch, so the output is
-/// bit-identical to core::WindowedDecoder::decode on the same samples.
-/// Decoded frames fan out through the FrameBus (on the stitcher thread)
-/// before run() returns the stitched DecodeResult and a stats snapshot.
+/// An ingest thread reads the source through the Supervisor (transient
+/// errors retried with backoff, non-finite samples scrubbed, stalls
+/// counted), honours the stop flag and the backpressure gate, and feeds a
+/// bounded chunk ring (blocking, or drop-on-overflow per
+/// `drop_when_full`). The thread that called run() — the publishing
+/// thread — cuts the stream on the window lattice and hands each job to a
+/// WindowExecutor, which decodes it with
+/// core::WindowedDecoder::decode_job wherever it likes and delivers the
+/// result in any order. The caller picks the executor by the object it
+/// passes: run(source) uses an in-process pool of `workers` threads;
+/// net::federation::ShardPool decodes on remote ShardWorker processes.
+/// The publishing thread folds results back in window order as they
+/// arrive and publishes the frames once the last window is in.
 ///
-/// A Supervisor wraps the whole pipeline (see supervisor.h): transient
-/// source errors are retried with backoff, stalled reads and decodes are
-/// detected by a watchdog, a throwing window decode is zero-filled instead
-/// of killing the run, subscriber exceptions are isolated on the bus, and
-/// the run's health (healthy / degraded / failed) plus per-fault counters
-/// come back in RuntimeStats. run() completes and returns on every fault
-/// path — it degrades, it never crashes or deadlocks.
+/// Bit-identity: window decoders draw from Rng streams keyed by window
+/// index and the stitch runs in window order, so on a fault-free run the
+/// output equals core::WindowedDecoder::decode on the same samples, for
+/// every executor and worker count. One exception: when the stitched
+/// windows hold no CRC-valid frame, the serial decoder re-decodes the
+/// whole capture with the fallback ladder; the driver does not keep the
+/// capture, so it returns the stitched result as is.
+///
+/// Failure: decode faults are contained — a throwing window decode is
+/// zero-filled, a lost shard worker's windows move to the survivors, a
+/// throwing subscriber is isolated — and the run's health plus per-fault
+/// counters come back in RuntimeStats. Only an executor that cannot go on
+/// (a shard pool that fails to connect or loses every worker, or any
+/// worker with failover off) fails the run: run() then joins every
+/// pipeline thread, publishes nothing, and rethrows its error.
 struct RuntimeConfig {
   core::WindowedDecoderConfig windowed{};
   /// Window decode threads. 0 is clamped to 1.
@@ -46,7 +59,7 @@ struct RuntimeConfig {
   /// Overflow policy when the decode side falls behind the source: false
   /// blocks the producer (lossless — replay and in-memory decode); true
   /// drops whole chunks and counts them (live capture can't wait), and the
-  /// assembler zero-fills the gap to keep the window lattice aligned.
+  /// slicer zero-fills the gap to keep the window lattice aligned.
   bool drop_when_full = false;
   /// Fault supervision: source retry/backoff, stall watchdog, worker
   /// exception containment, non-finite scrubbing, health accounting. The
@@ -85,6 +98,41 @@ struct RuntimeResult {
   RuntimeStats stats;
 };
 
+/// What a WindowExecutor needs from the run it serves. Valid from begin()
+/// until finish() or cancel() returns.
+struct WindowRun {
+  const core::WindowedDecoder& decoder;
+  SampleRate sample_rate;
+  Supervisor& supervisor;
+  /// Per-window latency, summarised into RuntimeStats. Thread-safe.
+  LatencyRecorder& latency;
+  /// Hands a window's result to the stitcher. Thread-safe; any order.
+  std::function<void(std::size_t index, core::DecodeResult)> deliver;
+};
+
+/// Where a run's window jobs are decoded. DecodeRuntime::run calls, from
+/// its publishing thread, begin() once, submit() per job in index order,
+/// then finish() — or cancel() after a failure.
+class WindowExecutor {
+ public:
+  WindowExecutor() = default;
+  WindowExecutor(const WindowExecutor&) = delete;
+  WindowExecutor& operator=(const WindowExecutor&) = delete;
+  virtual ~WindowExecutor() = default;
+
+  /// Opens a run before any sample is read. Throws when the executor
+  /// cannot start, which fails the run.
+  virtual void begin(const WindowRun& run) = 0;
+  /// Decodes `job` now or later and delivers its result exactly once. May
+  /// block (backpressure) or throw (the run fails).
+  virtual void submit(core::WindowJob job) = 0;
+  /// No more jobs: returns once every submitted job is delivered.
+  virtual void finish() = 0;
+  /// Abandons the run: releases what begin() acquired; outstanding jobs
+  /// need not be delivered.
+  virtual void cancel() noexcept = 0;
+};
+
 class DecodeRuntime {
  public:
   explicit DecodeRuntime(RuntimeConfig config);
@@ -92,12 +140,16 @@ class DecodeRuntime {
   const RuntimeConfig& config() const { return config_; }
 
   /// Subscribers registered here see every decoded frame of subsequent
-  /// run() calls; handlers fire on the stitcher thread.
+  /// run() calls; handlers fire on the thread that called run().
   FrameBus& bus() { return bus_; }
 
-  /// Blocking: drains `source` to end-of-stream through the pipeline and
-  /// returns the stitched result. One run at a time per runtime.
+  /// Blocking: drains `source` to end-of-stream through the pipeline,
+  /// decoding on `config().workers` threads, and returns the stitched
+  /// result. One run at a time per runtime.
   RuntimeResult run(SampleSource& source);
+
+  /// As run(source), decoding on `executor`.
+  RuntimeResult run(SampleSource& source, WindowExecutor& executor);
 
   /// Convenience: streams an in-memory capture through the pipeline.
   RuntimeResult decode(const signal::SampleBuffer& buffer,

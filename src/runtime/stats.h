@@ -42,14 +42,21 @@ struct FaultCounters {
   /// fault — the channel went bad — but the run is no longer delivering
   /// full-trust output, so it degrades health like any contained fault.
   std::size_t low_confidence_streams = 0;
+  /// Shard workers declared dead mid-run (died, stalled past the worker
+  /// deadline, or spoke garbage), and the windows they had outstanding,
+  /// which are re-dispatched to the survivors.
+  std::size_t workers_lost = 0;
+  std::size_t windows_reassigned = 0;
 
   /// Total contained faults (stall detections excluded from double counts).
   std::size_t total() const {
     return source_transient_errors + source_failures + source_stalls +
            worker_stalls + worker_exceptions + subscriber_exceptions +
-           low_confidence_streams +
+           low_confidence_streams + workers_lost +
            static_cast<std::size_t>(samples_scrubbed > 0 ? 1 : 0);
   }
+
+  bool operator==(const FaultCounters&) const = default;
 };
 
 /// Snapshot of one runtime run, taken after the pipeline drains (or on
@@ -71,7 +78,9 @@ struct RuntimeStats {
   // Decode.
   std::size_t windows_dispatched = 0;
   std::size_t windows_decoded = 0;
-  double window_latency_p50_ms = 0.0;  ///< per-window decode latency
+  /// Per-window latency: decode time on worker threads, dispatch to
+  /// result on a shard pool.
+  double window_latency_p50_ms = 0.0;
   double window_latency_p90_ms = 0.0;
   double window_latency_p99_ms = 0.0;
   double window_latency_max_ms = 0.0;

@@ -165,6 +165,12 @@ void Supervisor::record_low_confidence(std::size_t count) {
   degrade();
 }
 
+void Supervisor::record_worker_lost(std::size_t outstanding) {
+  workers_lost_.fetch_add(1, std::memory_order_relaxed);
+  windows_reassigned_.fetch_add(outstanding, std::memory_order_relaxed);
+  degrade();
+}
+
 void Supervisor::degrade() {
   int expected = static_cast<int>(HealthState::kHealthy);
   // Emit the transition event only when this call actually moved the
@@ -203,6 +209,8 @@ FaultCounters Supervisor::counters() const {
   out.subscriber_exceptions = subscriber_exceptions_.load();
   out.samples_scrubbed = samples_scrubbed_.load();
   out.low_confidence_streams = low_confidence_streams_.load();
+  out.workers_lost = workers_lost_.load();
+  out.windows_reassigned = windows_reassigned_.load();
   return out;
 }
 

@@ -94,6 +94,9 @@ class Supervisor {
   /// degraded fallback stage). Degrades health when count > 0: the output
   /// is complete but no longer full-trust.
   void record_low_confidence(std::size_t count);
+  /// A shard worker lost mid-run with `outstanding` windows, which move to
+  /// the survivors.
+  void record_worker_lost(std::size_t outstanding);
 
   HealthState health() const {
     return static_cast<HealthState>(health_.load());
@@ -127,6 +130,8 @@ class Supervisor {
   std::atomic<std::size_t> subscriber_exceptions_{0};
   std::atomic<std::uint64_t> samples_scrubbed_{0};
   std::atomic<std::size_t> low_confidence_streams_{0};
+  std::atomic<std::size_t> workers_lost_{0};
+  std::atomic<std::size_t> windows_reassigned_{0};
 
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;

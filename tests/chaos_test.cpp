@@ -665,7 +665,7 @@ TEST(ChaosShard, TruncatedAndDelayedLinksStayBitIdentical) {
   t2.join();
 
   expect_results_identical(serial, result.decode);
-  EXPECT_EQ(result.stats.workers_lost, 0u);
+  EXPECT_EQ(result.stats.faults.workers_lost, 0u);
   EXPECT_GT(engine.stats().truncations, 0u);
 }
 
@@ -712,7 +712,7 @@ TEST(ChaosShard, DeterministicResetKillsOneWorkerAndFailsOverBitIdentically) {
   t2.join();
 
   expect_results_identical(serial, result.decode);
-  EXPECT_EQ(result.stats.workers_lost, 1u);
+  EXPECT_EQ(result.stats.faults.workers_lost, 1u);
   EXPECT_EQ(engine.stats().resets, 1u);
 }
 
@@ -745,6 +745,45 @@ TEST(ChaosShard, ZeroSurvivingWorkersFailLoudly) {
         << e.what();
   }
   t1.join();
+}
+
+TEST(ChaosShard, StrictPoolFailsOnWorkerDeathAndPublishesNothing) {
+  // failover = false: the first mid-run death fails the run with a
+  // SocketError out of run(), after the driver has cancelled the pool and
+  // joined its threads — and no partial capture reaches a subscriber.
+  const LongCapture cap = make_capture(2, 70e-3, 7);
+  ChaosEngine engine(
+      parse_chaos_config("reset=1,reset-skip=2,reset-limit=1"));
+  ChaosScope scope(engine);
+  federation::ShardWorker worker_1({"127.0.0.1", 0, "worker-1"});
+  federation::ShardWorker worker_2({"127.0.0.1", 0, "worker-2"});
+  std::thread t1([&] {
+    try {
+      worker_1.serve();
+    } catch (...) {
+    }
+  });
+  std::thread t2([&] {
+    try {
+      worker_2.serve();
+    } catch (...) {
+    }
+  });
+
+  federation::ShardConfig sc;
+  sc.workers = {{"127.0.0.1", worker_1.port()},
+                {"127.0.0.1", worker_2.port()}};
+  sc.failover = false;
+  federation::ShardedDecoder sharded(sc);
+  std::size_t published = 0;
+  sharded.bus().subscribe([&](const runtime::FrameEvent&) { ++published; });
+  runtime::MemorySource source(cap.buffer, 8192);
+  EXPECT_THROW(sharded.run(source), SocketError);
+  t1.join();
+  t2.join();
+
+  EXPECT_EQ(published, 0u);
+  EXPECT_EQ(engine.stats().resets, 1u);
 }
 
 TEST(ShardFailover, SigkilledWorkerProcessFailsOverBitIdentically) {
@@ -811,8 +850,8 @@ TEST(ShardFailover, SigkilledWorkerProcessFailsOverBitIdentically) {
   EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
   expect_results_identical(serial, result.decode);
-  EXPECT_EQ(result.stats.workers_lost, 1u);
-  EXPECT_GE(result.stats.windows_reassigned, 1u);
+  EXPECT_EQ(result.stats.faults.workers_lost, 1u);
+  EXPECT_GE(result.stats.faults.windows_reassigned, 1u);
 }
 
 // --- relay partition recovery --------------------------------------------

@@ -115,6 +115,97 @@ TEST(WindowedDecoder, BoundedMemoryEquivalence) {
   EXPECT_GE(win_n + cap.payloads.size() / 5, plain_n);
 }
 
+/// The jobs WindowedDecoder::decode's serial loop cuts from `buffer`: the
+/// whole capture when it is short, else every window at least a quarter
+/// window long.
+std::vector<WindowJob> serial_jobs(const WindowedDecoder& decoder,
+                                   const signal::SampleBuffer& buffer) {
+  const SampleRate fs = buffer.sample_rate();
+  if (buffer.empty() || decoder.is_short_capture(buffer.size(), fs)) {
+    return {WindowJob{0, true, buffer}};
+  }
+  const std::size_t w = decoder.window_samples(fs);
+  std::vector<WindowJob> jobs;
+  for (std::size_t offset = 0; offset < buffer.size(); offset += w) {
+    const std::size_t end = std::min(buffer.size(), offset + w);
+    if (end - offset < w / 4) break;
+    const auto view = buffer.slice(offset, end);
+    jobs.push_back({jobs.size(), false,
+                    signal::SampleBuffer(
+                        fs, std::vector<Complex>(view.begin(), view.end()))});
+  }
+  return jobs;
+}
+
+TEST(WindowSlicer, EmitsTheSerialLatticeUnderAnyChunking) {
+  // 16 ms windows at 1 kHz: 16-sample windows, so the 1.5-window
+  // hold-back (24 samples) and the quarter-window tail (4 samples) are
+  // crossed from both sides many times over the random lengths below.
+  WindowedDecoderConfig wc;
+  wc.window = 16e-3;
+  const WindowedDecoder decoder(wc);
+  const SampleRate fs = 1e3;
+  ASSERT_EQ(decoder.window_samples(fs), 16u);
+
+  Rng rng(2024);
+  for (int trial = 0; trial < 3000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const auto length = static_cast<std::size_t>(rng.uniform_int(0, 90));
+    // The chunk stream, and the zero-filled capture it describes: a gap
+    // is zeros, an overlapping head is dropped in favour of what came
+    // first.
+    std::vector<std::pair<std::uint64_t, std::vector<Complex>>> chunks;
+    std::vector<Complex> capture;
+    std::uint64_t real = 0;
+    while (capture.size() < length) {
+      std::uint64_t first = capture.size();
+      const double kind = rng.uniform();
+      if (kind < 0.2) {
+        first += static_cast<std::uint64_t>(rng.uniform_int(1, 20));
+      } else if (kind < 0.4 && !capture.empty()) {
+        first -= static_cast<std::uint64_t>(rng.uniform_int(
+            1, static_cast<std::int64_t>(std::min<std::size_t>(
+                   capture.size(), 12))));
+      }
+      std::vector<Complex> samples;
+      const auto n = rng.uniform_int(0, 25);
+      for (std::int64_t i = 0; i < n; ++i) {
+        samples.emplace_back(rng.gaussian(), rng.gaussian());
+      }
+      capture.resize(std::max<std::size_t>(capture.size(), first));
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        if (first + i < capture.size()) continue;
+        capture.push_back(samples[i]);
+        ++real;
+      }
+      chunks.emplace_back(first, std::move(samples));
+    }
+
+    WindowSlicer slicer(decoder, fs);
+    std::vector<WindowJob> jobs;
+    const auto collect = [&](WindowJob job) { jobs.push_back(std::move(job)); };
+    for (const auto& [first, samples] : chunks) {
+      slicer.push(first, samples, collect);
+    }
+    slicer.finish(collect);
+
+    EXPECT_EQ(slicer.samples_in(), real);
+    EXPECT_EQ(slicer.samples_gap(), capture.size() - real);
+    const auto expected =
+        serial_jobs(decoder, signal::SampleBuffer(fs, capture));
+    ASSERT_EQ(jobs.size(), expected.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      EXPECT_EQ(jobs[j].index, expected[j].index);
+      EXPECT_EQ(jobs[j].whole_capture, expected[j].whole_capture);
+      EXPECT_EQ(jobs[j].samples.sample_rate(), fs);
+      const auto got = jobs[j].samples.span();
+      const auto want = expected[j].samples.span();
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "job " << j;
+    }
+  }
+}
+
 TEST(ScanFrames, ResynchronizesAfterBitSlip) {
   Rng rng(15);
   protocol::FrameConfig fc;

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <set>
 #include <thread>
@@ -24,7 +25,9 @@
 #include "net/wire.h"
 #include "protocol/frame.h"
 #include "reader/receiver.h"
+#include "runtime/fault_injector.h"
 #include "runtime/frame_bus.h"
+#include "runtime/runtime.h"
 #include "runtime/sample_source.h"
 #include "tag/tag.h"
 
@@ -515,7 +518,7 @@ TEST(ShardedDecode, MatchesSerialWindowedDecodeAcrossWorkerProcesses) {
   expect_results_identical(local, result.decode);
 
   // Both workers must actually have decoded: 4 windows round-robin over 2.
-  EXPECT_EQ(result.stats.windows_assigned, 4u);
+  EXPECT_EQ(result.stats.windows_dispatched, 4u);
   EXPECT_EQ(result.stats.windows_decoded, 4u);
   EXPECT_EQ(result.stats.samples_in, cap.buffer.size());
 
@@ -556,7 +559,7 @@ TEST(ShardedDecode, ShortCaptureTakesThePlainPathBitIdentically) {
   t2.join();
 
   expect_results_identical(local, result.decode);
-  EXPECT_EQ(result.stats.windows_assigned, 1u);
+  EXPECT_EQ(result.stats.windows_dispatched, 1u);
 }
 
 TEST(ShardedDecode, DeadWorkerPoolFailsStrictly) {
@@ -574,6 +577,184 @@ TEST(ShardedDecode, DeadWorkerPoolFailsStrictly) {
   const LongCapture cap = make_capture(1, 2e-3, 3);
   runtime::MemorySource source(cap.buffer, 1024);
   EXPECT_THROW(sharded.run(source), SocketError);
+}
+
+// --- one driver, two executors -------------------------------------------
+
+/// Two in-process ShardWorkers, each serving one coordinator session.
+struct WorkerPair {
+  ShardWorker one{{"127.0.0.1", 0, "worker-1"}};
+  ShardWorker two{{"127.0.0.1", 0, "worker-2"}};
+  std::thread t1{[this] { serve(one); }};
+  std::thread t2{[this] { serve(two); }};
+
+  ~WorkerPair() {
+    one.stop();
+    two.stop();
+    t1.join();
+    t2.join();
+  }
+
+  static void serve(ShardWorker& worker) {
+    try {
+      worker.serve();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "shard worker: " << e.what();
+    }
+  }
+
+  std::vector<ShardWorkerEndpoint> endpoints() const {
+    return {{"127.0.0.1", one.port()}, {"127.0.0.1", two.port()}};
+  }
+};
+
+void expect_events_identical(const std::vector<runtime::FrameEvent>& a,
+                             const std::vector<runtime::FrameEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(runtime::frame_identity(a[i]), runtime::frame_identity(b[i]))
+        << "event " << i;
+    EXPECT_EQ(a[i].frame.payload, b[i].frame.payload) << "event " << i;
+    EXPECT_EQ(a[i].frame.crc_ok, b[i].frame.crc_ok) << "event " << i;
+    EXPECT_EQ(a[i].confidence, b[i].confidence) << "event " << i;
+  }
+}
+
+TEST(ShardedDecode, ThreadAndShardExecutorsAgreeUnderSourceFaults) {
+  // One seeded fault plan — dropped and truncated chunks, corrupt samples
+  // (NaN and Inf among them), transient read errors; no stalls, whose
+  // effect depends on timing — replayed through the worker-thread pool
+  // and through a two-process-style shard pool. Both sit behind the same
+  // supervised driver, so retries, scrubbing, gap zero-fill and the fault
+  // ledger must come out the same, and so must every decoded bit.
+  const LongCapture cap = make_capture(3, 70e-3, 7);
+  runtime::FaultPlan plan;
+  plan.seed = 11;
+  plan.drop_chunk = 0.08;
+  plan.truncate_chunk = 0.08;
+  plan.corrupt_sample = 2e-4;
+  plan.transient_error = 0.15;
+
+  runtime::RuntimeConfig rc;
+  rc.workers = 2;
+  runtime::DecodeRuntime threads(rc);
+  std::vector<runtime::FrameEvent> thread_events;
+  threads.bus().subscribe([&](const runtime::FrameEvent& event) {
+    thread_events.push_back(event);
+  });
+  runtime::MemorySource thread_inner(cap.buffer, 8192);
+  runtime::FaultInjectingSource thread_source(thread_inner, plan);
+  const runtime::RuntimeResult by_threads = threads.run(thread_source);
+
+  WorkerPair workers;
+  ShardConfig sc;
+  sc.workers = workers.endpoints();
+  ShardedDecoder sharded(sc);
+  std::vector<runtime::FrameEvent> shard_events;
+  sharded.bus().subscribe([&](const runtime::FrameEvent& event) {
+    shard_events.push_back(event);
+  });
+  runtime::MemorySource shard_inner(cap.buffer, 8192);
+  runtime::FaultInjectingSource shard_source(shard_inner, plan);
+  const ShardedDecoder::Result by_shards = sharded.run(shard_source);
+
+  // The plan must actually have bitten, on every fault class it carries.
+  const runtime::FaultInjectionStats& injected = shard_source.injected();
+  EXPECT_GT(injected.chunks_dropped + injected.chunks_truncated, 0u);
+  EXPECT_GT(injected.samples_non_finite, 0u);
+  EXPECT_GT(injected.errors_thrown, 0u);
+  EXPECT_GT(by_shards.stats.samples_gap, 0u);
+  EXPECT_GT(by_shards.stats.faults.samples_scrubbed, 0u);
+  EXPECT_GT(by_shards.stats.faults.source_retries, 0u);
+
+  expect_results_identical(by_threads.decode, by_shards.decode);
+  expect_events_identical(thread_events, shard_events);
+  EXPECT_EQ(by_threads.stats.faults, by_shards.stats.faults);
+  EXPECT_EQ(by_threads.stats.health, by_shards.stats.health);
+  EXPECT_EQ(by_threads.stats.samples_in, by_shards.stats.samples_in);
+  EXPECT_EQ(by_threads.stats.samples_gap, by_shards.stats.samples_gap);
+  EXPECT_EQ(by_threads.stats.frames_published, thread_events.size());
+  EXPECT_EQ(by_shards.stats.frames_published, shard_events.size());
+}
+
+/// Serves `buffer` in fixed chunks and calls `stop` inside its
+/// `stop_at`-th read, the way a signal handler flips a flag mid-capture.
+class StoppingSource : public runtime::SampleSource {
+ public:
+  StoppingSource(const signal::SampleBuffer& buffer, std::size_t chunk,
+                 std::size_t stop_at, std::function<void()> stop)
+      : inner_(buffer, chunk), stop_at_(stop_at), stop_(std::move(stop)) {}
+
+  SampleRate sample_rate() const override { return inner_.sample_rate(); }
+
+  std::optional<runtime::SampleChunk> next_chunk() override {
+    auto chunk = inner_.next_chunk();
+    if (++reads_ == stop_at_) stop_();
+    return chunk;
+  }
+
+ private:
+  runtime::MemorySource inner_;
+  std::size_t stop_at_;
+  std::function<void()> stop_;
+  std::size_t reads_ = 0;
+};
+
+TEST(ShardedDecode, StopRequestDrainsTheIngestedPrefixOnBothExecutors) {
+  // A stop mid-capture ends ingest after the chunk in hand; what was
+  // ingested still decodes, stitches and publishes exactly as the serial
+  // decoder would decode that prefix — on either executor, through either
+  // stop mechanism.
+  const LongCapture cap = make_capture(3, 70e-3, 9);
+  constexpr std::size_t kChunk = 8192;
+  constexpr std::size_t kStopAt = 20;  // 32.8 ms: one window plus a tail
+  const auto head = cap.buffer.slice(0, kChunk * kStopAt);
+  const core::DecodeResult serial =
+      core::WindowedDecoder(core::WindowedDecoderConfig{})
+          .decode(signal::SampleBuffer(
+              cap.buffer.sample_rate(),
+              std::vector<Complex>(head.begin(), head.end())));
+  std::size_t serial_frames = 0;
+  for (const auto& stream : serial.streams) {
+    serial_frames += stream.frames.size();
+  }
+  ASSERT_GT(serial_frames, 0u);
+
+  for (const bool sharded : {false, true}) {
+    for (const bool via_flag : {true, false}) {
+      SCOPED_TRACE(std::string(sharded ? "shard pool" : "worker threads") +
+                   (via_flag ? ", stop_flag" : ", request_stop"));
+      std::atomic<bool> flag{false};
+      runtime::RuntimeConfig rc;
+      rc.workers = 2;
+      rc.stop_flag = &flag;
+      runtime::DecodeRuntime rt(rc);
+      std::size_t published = 0;
+      rt.bus().subscribe([&](const runtime::FrameEvent&) { ++published; });
+      StoppingSource source(cap.buffer, kChunk, kStopAt, [&] {
+        if (via_flag) {
+          flag.store(true);
+        } else {
+          rt.request_stop();
+        }
+      });
+      runtime::RuntimeResult run;
+      if (sharded) {
+        WorkerPair workers;
+        ShardConfig sc;
+        sc.workers = workers.endpoints();
+        ShardPool pool(sc);
+        run = rt.run(source, pool);
+      } else {
+        run = rt.run(source);
+      }
+      EXPECT_TRUE(run.stats.stopped_early);
+      EXPECT_EQ(run.stats.samples_in, kChunk * kStopAt);
+      expect_results_identical(serial, run.decode);
+      EXPECT_EQ(run.stats.frames_published, serial_frames);
+      EXPECT_EQ(published, serial_frames);
+    }
+  }
 }
 
 }  // namespace

@@ -981,6 +981,53 @@ TEST(RemoteIqSource, PusherDeathMidStreamIsNonTransient) {
   pusher.join();
 }
 
+TEST(RemoteIqSource, ChunkSkippingAheadIsRejected) {
+  // Chunk positions come from the pusher. One that claims first_sample =
+  // 2^40 would have the runtime zero-fill and decode some 10^7 empty
+  // windows, so the source refuses it as a protocol error instead.
+  IqIngestConfig ic;
+  RemoteIqSource source(ic);
+  std::thread pusher([&] {
+    TcpConnection conn =
+        TcpConnection::connect("127.0.0.1", source.port(), 5.0);
+    std::vector<std::uint8_t> bytes;
+    encode_hello({PeerRole::kIqPusher, 1e6, "skipping"}, bytes);
+    runtime::SampleChunk chunk;
+    chunk.samples.assign(100, Complex{0.5, -0.5});
+    encode_iq_chunk(chunk, true, bytes);
+    chunk.first_sample = std::uint64_t{1} << 40;
+    encode_iq_chunk(chunk, true, bytes);
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const std::ptrdiff_t n =
+          conn.write_some(bytes.data() + sent, bytes.size() - sent);
+      if (n > 0) sent += static_cast<std::size_t>(n);
+    }
+    // Hold the link open until the source hangs up on us.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < deadline) {
+      std::uint8_t buf[256];
+      if (conn.read_some(buf, sizeof(buf)) == 0) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  source.wait_for_pusher();
+  const auto first = source.next_chunk();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->first_sample, 0u);
+  try {
+    source.next_chunk();
+    FAIL() << "a chunk past the samples received must be rejected";
+  } catch (const runtime::SourceError& e) {
+    EXPECT_FALSE(e.transient());
+    EXPECT_NE(std::string(e.what()).find("expected 100"), std::string::npos)
+        << e.what();
+  }
+  pusher.join();
+}
+
 TEST(RemoteIqSource, WrongRolePeerIsRejected) {
   IqIngestConfig ic;
   RemoteIqSource source(ic);

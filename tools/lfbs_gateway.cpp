@@ -812,42 +812,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "gateway: control plane on (policy=%s%s)\n",
                    loop->policy_name(), loop->frozen() ? ", frozen" : "");
     }
-    // Feed every published frame to the tracker; step the loop in the
-    // background only when the spec asks (period-ms). Either way a final
-    // deterministic step after the run drains closes the last epoch and
-    // broadcasts the plan before the stats digest, so a tail always sees
-    // control → stats → bye.
-    const auto control_attach =
-        [&](runtime::FrameBus& bus) -> runtime::FrameBus::SubscriberId {
-      if (!control_loop) return 0;
-      const auto id = bus.subscribe([&](const runtime::FrameEvent& event) {
-        control_loop->tracker().observe_frame(event);
-      });
-      if (control_cfg->period > 0.0) control_loop->start(control_cfg->period);
-      return id;
-    };
-    const auto control_finish = [&](runtime::FrameBus& bus,
-                                    runtime::FrameBus::SubscriberId id) {
-      if (!control_loop) return;
-      control_loop->stop();
-      if (id != 0) bus.unsubscribe(id);
-      const control::EpochPlan plan = control_loop->step();
-      server.publish_control(control_loop->wire_state());
-      std::fprintf(stderr,
-                   "gateway: control epoch=%llu policy=%s tags=%zu "
-                   "predicted=%.6g b/s\n",
-                   static_cast<unsigned long long>(plan.epoch),
-                   plan.policy.c_str(), plan.assignments.size(),
-                   plan.predicted_goodput_bps);
-    };
-
-    runtime::RuntimeStats stats;
-    core::DecodeResult decode;
+    // One serve path: the runtime decodes on its worker threads, or on
+    // remote worker processes when --shard names a pool; the sharded
+    // result is bit-identical to the local one.
+    std::optional<net::federation::ShardPool> shards;
     if (!shard_specs.empty()) {
-      // Sharded decode: fan windows out to remote worker processes; the
-      // merged result is bit-identical to the local windowed path.
       net::federation::ShardConfig shc;
-      shc.windowed = rc.windowed;
       shc.name = "lfbs_gateway --shard";
       if (budget.has_value()) shc.budget = &*budget;
       for (const auto& spec : shard_specs) {
@@ -859,46 +829,50 @@ int main(int argc, char** argv) {
         }
         shc.workers.push_back(endpoint);
       }
-      net::federation::ShardedDecoder sharded(shc);
-      server.attach(sharded.bus());
-      const auto control_tap = control_attach(sharded.bus());
-      if (wait_subscriber > 0.0 &&
-          !server.wait_for_subscriber(wait_subscriber)) {
-        std::fprintf(stderr,
-                     "gateway: no subscriber within %.1fs, serving anyway\n",
-                     wait_subscriber);
-      }
-      const auto result = sharded.run(*source);
-      control_finish(sharded.bus(), control_tap);
-      server.detach();
-      decode = result.decode;
-      stats.frames_published = result.stats.frames_published;
-      stats.samples_in = result.stats.samples_in;
-      stats.windows_decoded = result.stats.windows_decoded;
-      stats.streams = result.stats.streams;
-      stats.wall_seconds = result.stats.wall_seconds;
-      stats.window_latency_p50_ms = result.stats.shard_latency_p50_ms;
-      stats.window_latency_p99_ms = result.stats.shard_latency_p99_ms;
+      shards.emplace(std::move(shc));
+    }
+    runtime::DecodeRuntime rt(rc);
+    server.attach(rt.bus());
+    // Feed every published frame to the tracker; step the loop in the
+    // background only when the spec asks (period-ms). Either way a final
+    // deterministic step after the run drains closes the last epoch and
+    // broadcasts the plan before the stats digest, so a tail always sees
+    // control → stats → bye.
+    runtime::FrameBus::SubscriberId control_tap = 0;
+    if (control_loop) {
+      control_tap = rt.bus().subscribe([&](const runtime::FrameEvent& event) {
+        control_loop->tracker().observe_frame(event);
+      });
+      if (control_cfg->period > 0.0) control_loop->start(control_cfg->period);
+    }
+    if (wait_subscriber > 0.0 &&
+        !server.wait_for_subscriber(wait_subscriber)) {
+      std::fprintf(stderr,
+                   "gateway: no subscriber within %.1fs, serving anyway\n",
+                   wait_subscriber);
+    }
+    const runtime::RuntimeResult run =
+        shards ? rt.run(*source, *shards) : rt.run(*source);
+    if (control_loop) {
+      control_loop->stop();
+      rt.bus().unsubscribe(control_tap);
+      const control::EpochPlan plan = control_loop->step();
+      server.publish_control(control_loop->wire_state());
+      std::fprintf(stderr,
+                   "gateway: control epoch=%llu policy=%s tags=%zu "
+                   "predicted=%.6g b/s\n",
+                   static_cast<unsigned long long>(plan.epoch),
+                   plan.policy.c_str(), plan.assignments.size(),
+                   plan.predicted_goodput_bps);
+    }
+    server.detach();
+    const runtime::RuntimeStats& stats = run.stats;
+    if (shards) {
       std::fprintf(stderr,
                    "gateway: sharded %zu windows over %zu workers "
                    "(p99 %.2f ms)\n",
-                   result.stats.windows_decoded, shc.workers.size(),
-                   result.stats.shard_latency_p99_ms);
-    } else {
-      runtime::DecodeRuntime rt(rc);
-      server.attach(rt.bus());
-      const auto control_tap = control_attach(rt.bus());
-      if (wait_subscriber > 0.0 &&
-          !server.wait_for_subscriber(wait_subscriber)) {
-        std::fprintf(stderr,
-                     "gateway: no subscriber within %.1fs, serving anyway\n",
-                     wait_subscriber);
-      }
-      const runtime::RuntimeResult run = rt.run(*source);
-      control_finish(rt.bus(), control_tap);
-      server.detach();
-      decode = run.decode;
-      stats = run.stats;
+                   stats.windows_decoded, shard_specs.size(),
+                   stats.window_latency_p99_ms);
     }
     // Final digest first, then a drained Bye(end-of-stream): a tail can
     // check frames_received against frames_published from the stream.
@@ -916,7 +890,7 @@ int main(int argc, char** argv) {
         stats.stopped_early ? ", interrupted" : "");
 
     std::size_t crc_valid = 0;
-    for (const auto& stream : decode.streams) {
+    for (const auto& stream : run.decode.streams) {
       for (const auto& frame : stream.frames) {
         if (frame.valid()) ++crc_valid;
       }

@@ -188,19 +188,6 @@ int main(int argc, char** argv) {
         relay_max_hops =
             std::max(relay_max_hops,
                      static_cast<std::int64_t>(v.member_num("hops", 0.0)));
-      } else if (action == "shard-run") {
-        federation_log.push_back(
-            "shard run: " +
-            std::to_string(
-                static_cast<std::int64_t>(v.member_num("windows", 0.0))) +
-            " windows over " +
-            std::to_string(
-                static_cast<std::int64_t>(v.member_num("workers", 0.0))) +
-            " workers, " +
-            std::to_string(
-                static_cast<std::int64_t>(v.member_num("frames", 0.0))) +
-            " frames, p99 " +
-            sim::fmt(v.member_num("latency_p99_ms", 0.0), 2) + " ms");
       }
     } else if (type == "chaos") {
       ++chaos_faults[std::string(v.member_str("fault", "?"))];

@@ -243,8 +243,8 @@ AttemptOutcome run_attempt(const signal::SampleBuffer& capture,
     runtime::MemorySource source(capture, 1 << 14);
     const auto result = sharded.run(source);
     stats.frames_published = result.stats.frames_published;
-    out.workers_lost = result.stats.workers_lost;
-    out.windows_reassigned = result.stats.windows_reassigned;
+    out.workers_lost = result.stats.faults.workers_lost;
+    out.windows_reassigned = result.stats.faults.windows_reassigned;
   } catch (const std::exception& e) {
     run_error = e.what();
   }

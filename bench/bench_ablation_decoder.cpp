@@ -3,7 +3,8 @@
 // as per-epoch frame recovery over 20 random deployments.
 //
 // Ablated knobs (see DESIGN.md §4):
-//   - interference cancellation (stage 7, transient-crossing repair)
+//   - interference cancellation (cancel_interference, transient-crossing
+//     repair)
 //   - three-way collision separation (27-cluster grid extension)
 //   - joint Viterbi (error_correction; hard decisions otherwise)
 //   - IQ collision recovery entirely (paper's Fig 9 "Edge" mode)

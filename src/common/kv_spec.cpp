@@ -1,7 +1,8 @@
 #include "common/kv_spec.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
-#include <stdexcept>
 
 #include "common/check.h"
 
@@ -24,24 +25,33 @@ std::vector<KvField> parse_kv_spec(const std::string& spec) {
   return fields;
 }
 
+namespace {
+
+/// std::from_chars over the whole value: true only when every character
+/// was consumed and the result is in range.
+template <typename T>
+bool parse_whole(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 double kv_number(const KvField& field) {
-  try {
-    return std::stod(field.value);
-  } catch (const std::exception&) {
-    LFBS_CHECK_MSG(false, "spec key '" + field.key +
-                              "' needs a number, got: " + field.value);
-  }
-  return 0.0;  // unreachable
+  double value = 0.0;
+  LFBS_CHECK_MSG(parse_whole(field.value, value) && std::isfinite(value),
+                 "spec key '" + field.key +
+                     "' needs a finite number, got: " + field.value);
+  return value;
 }
 
 std::uint64_t kv_u64(const KvField& field) {
-  try {
-    return std::stoull(field.value);
-  } catch (const std::exception&) {
-    LFBS_CHECK_MSG(false, "spec key '" + field.key +
-                              "' needs an integer, got: " + field.value);
-  }
-  return 0;  // unreachable
+  std::uint64_t value = 0;
+  LFBS_CHECK_MSG(parse_whole(field.value, value),
+                 "spec key '" + field.key +
+                     "' needs an unsigned integer, got: " + field.value);
+  return value;
 }
 
 }  // namespace lfbs

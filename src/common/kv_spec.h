@@ -14,17 +14,21 @@ struct KvField {
 };
 
 /// Splits a comma-separated "key=value" spec — the grammar shared by
-/// `--inject-faults` (runtime::parse_fault_plan) and `--chaos`
-/// (net::parse_chaos_config) — into ordered fields. Empty fields between
-/// commas are skipped; a field without '=' throws CheckError so the CLIs
-/// can report it as a usage error. Key interpretation is the caller's job.
+/// `--inject-faults` (runtime::parse_fault_plan), `--chaos`
+/// (net::parse_chaos_config), `--control` (control::parse_control_spec)
+/// and `--quota` (net::parse_quota_spec) — into ordered fields. Empty
+/// fields between commas are skipped; a field without '=' throws
+/// CheckError so the CLIs can report it as a usage error. Key
+/// interpretation is the caller's job.
 std::vector<KvField> parse_kv_spec(const std::string& spec);
 
-/// std::stod with a typed error naming the offending key (std::stod alone
-/// throws std::invalid_argument with no context).
+/// The field's value as a finite number. The whole value must parse (no
+/// trailing characters, no leading whitespace or '+'); anything else, and
+/// nan or inf, throws CheckError naming the key.
 double kv_number(const KvField& field);
 
-/// std::stoull with the same typed-error contract as kv_number.
+/// The field's value as an unsigned integer: digits only, no sign, within
+/// 64 bits; otherwise throws CheckError naming the key, like kv_number.
 std::uint64_t kv_u64(const KvField& field);
 
 }  // namespace lfbs

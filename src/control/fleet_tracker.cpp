@@ -1,25 +1,20 @@
 #include "control/fleet_tracker.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "core/tag_identity.h"
 
 namespace lfbs::control {
 
 FleetTracker::FleetTracker(FleetTrackerConfig config) : config_(config) {}
 
-double FleetTracker::vector_distance(Complex a, Complex b) const {
-  const double scale = std::max(std::abs(b), 1e-12);
-  // Polarity-tolerant: a decode can recover the same tag with flipped
-  // levels, negating the vector (same convention as HealthLedger).
-  return std::min(std::abs(a - b), std::abs(a + b)) / scale;
-}
-
 std::uint64_t FleetTracker::key_for_vector_locked(Complex edge_vector) {
   std::uint64_t best_key = 0;
-  double best_dist = config_.vector_tolerance;
+  double best_dist = reader::kLedgerVectorTolerance;
   for (const auto& [key, tag] : tags_) {
     if (tag.edge_vector == Complex{}) continue;
-    const double dist = vector_distance(edge_vector, tag.edge_vector);
+    const double dist =
+        core::TagIdentity::compare(edge_vector, tag.edge_vector).distance;
     if (dist < best_dist) {
       best_dist = dist;
       best_key = key;
@@ -29,7 +24,8 @@ std::uint64_t FleetTracker::key_for_vector_locked(Complex edge_vector) {
   // accumulators too, so two streams of one tag merge instead of forking.
   for (const auto& [key, acc] : pending_) {
     if (!acc.has_vector) continue;
-    const double dist = vector_distance(edge_vector, acc.edge_vector);
+    const double dist =
+        core::TagIdentity::compare(edge_vector, acc.edge_vector).distance;
     if (dist < best_dist) {
       best_dist = dist;
       best_key = key;
@@ -79,10 +75,12 @@ void FleetTracker::observe_health(const reader::HealthLedger& ledger) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const reader::HealthEntry& entry : ledger.entries()) {
     std::uint64_t best_key = 0;
-    double best_dist = config_.vector_tolerance;
+    double best_dist = reader::kLedgerVectorTolerance;
     for (const auto& [key, tag] : tags_) {
       if (tag.edge_vector == Complex{}) continue;
-      const double dist = vector_distance(entry.edge_vector, tag.edge_vector);
+      const double dist =
+          core::TagIdentity::compare(entry.edge_vector, tag.edge_vector)
+              .distance;
       if (dist < best_dist) {
         best_dist = dist;
         best_key = key;

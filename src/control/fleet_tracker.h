@@ -23,9 +23,6 @@ struct FleetTrackerConfig {
   double alpha = 0.35;
   /// Epochs a tag may go unseen before it is forgotten (left range).
   std::uint64_t forget_after = 16;
-  /// Edge-vector matching tolerance for the session path — the same
-  /// polarity-tolerant identity metric reader::HealthLedger uses.
-  double vector_tolerance = 0.35;
 };
 
 struct TagState {
@@ -60,8 +57,9 @@ struct FleetSnapshot {
 ///    run — the gateway's planning horizon.
 ///  - Reader session: observe_decode() once per epoch with the session's
 ///    DecodeResult (plus observe_health() to stamp ledger status). Tags
-///    are keyed by polarity-tolerant edge-vector matching, stable across
-///    epochs even as decode order shifts.
+///    are keyed by core::TagIdentity within the ledger's tolerance
+///    (reader::kLedgerVectorTolerance), stable across epochs even as
+///    decode order shifts.
 ///
 /// end_epoch() closes the open epoch: per-epoch accumulators roll into
 /// the EWMA state and tags unseen for forget_after epochs are dropped.
@@ -101,8 +99,6 @@ class FleetTracker {
     Complex edge_vector{};
   };
 
-  /// Polarity-tolerant relative distance between two edge vectors.
-  double vector_distance(Complex a, Complex b) const;
   /// Finds the tag whose stored edge vector matches, or allocates a key.
   std::uint64_t key_for_vector_locked(Complex edge_vector);
 

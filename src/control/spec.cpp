@@ -1,7 +1,5 @@
 #include "control/spec.h"
 
-#include <stdexcept>
-
 #include "common/kv_spec.h"
 #include "control/scheduler.h"
 
@@ -123,21 +121,7 @@ std::string parse_policy_name(const std::string& name) {
 }
 
 double parse_epoch_budget(const std::string& value) {
-  double parsed = 0.0;
-  try {
-    std::size_t used = 0;
-    parsed = std::stod(value, &used);
-    if (used != value.size()) {
-      throw ControlParseError(ControlError::kBadValue,
-                              "epoch budget '" + value +
-                                  "' has trailing characters");
-    }
-  } catch (const ControlParseError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw ControlParseError(ControlError::kBadValue,
-                            "epoch budget '" + value + "' is not a number");
-  }
+  const double parsed = control_number({"epoch-budget", value});
   if (!(parsed > 0.0)) {
     throw ControlParseError(ControlError::kBadValue,
                             "epoch budget must be > 0, got '" + value + "'");

@@ -1,7 +1,9 @@
 #include "core/error_corrector.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.h"
 #include "dsp/gaussian.h"
@@ -33,6 +35,90 @@ dsp::Gaussian2D fit_or_default(std::span<const Complex> pts, Complex centroid,
   g.sigma_q = g.sigma_i;
   g.rho = 0.0;
   return g;
+}
+
+/// The 2^K-state joint Viterbi behind ErrorCorrector::correct_joint. The
+/// emission sits on the transition, so this is a bespoke loop rather than
+/// the per-state dsp::Viterbi.
+template <std::size_t K>
+ErrorCorrector::JointResult joint_viterbi(
+    std::span<const Complex> points, const std::vector<Complex>& e,
+    const std::vector<std::vector<bool>>& toggles, double sigma,
+    double log_edge, double log_hold) {
+  constexpr std::size_t kStates = std::size_t{1} << K;
+  const auto level = [](std::size_t state, std::size_t t) {
+    return static_cast<int>((state >> t) & 1u);
+  };
+  // The differential a transition emits depends only on the level steps.
+  std::array<std::array<Complex, kStates>, kStates> expected;
+  for (std::size_t from = 0; from < kStates; ++from) {
+    for (std::size_t to = 0; to < kStates; ++to) {
+      Complex x = static_cast<double>(level(to, 0) - level(from, 0)) * e[0];
+      for (std::size_t t = 1; t < K; ++t) {
+        x += static_cast<double>(level(to, t) - level(from, t)) * e[t];
+      }
+      expected[from][to] = x;
+    }
+  }
+  const double inv_two_sigma2 = 1.0 / (2.0 * std::max(sigma * sigma, 1e-18));
+  const std::size_t n = points.size();
+  std::array<double, kStates> score;
+  score.fill(-1e300);
+  score[0] = 0.0;  // every tag idle at level 0 before its anchor
+  std::vector<std::uint8_t> backptr(n * kStates, 0);
+  std::array<double, kStates> next;
+
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t can = 0;  // bit t: tag t may toggle at boundary k
+    for (std::size_t t = 0; t < K; ++t) {
+      if (toggles[t][k]) can |= std::size_t{1} << t;
+    }
+    for (std::size_t to = 0; to < kStates; ++to) {
+      double best = -1e300;
+      std::uint8_t arg = 0;
+      for (std::size_t from = 0; from < kStates; ++from) {
+        const std::size_t moved = from ^ to;
+        if ((moved & ~can) != 0) continue;
+        const Complex residual = points[k] - expected[from][to];
+        double cand = score[from] - std::norm(residual) * inv_two_sigma2;
+        // Each tag's transition prior, added after the emission term one
+        // tag at a time: the scores, and so the decoded levels, depend on
+        // this summation order.
+        for (std::size_t t = 0; t < K; ++t) {
+          if (((can >> t) & 1u) == 0) continue;
+          cand += ((moved >> t) & 1u) ? log_edge : log_hold;
+        }
+        if (cand > best) {
+          best = cand;
+          arg = static_cast<std::uint8_t>(from);
+        }
+      }
+      next[to] = best;
+      backptr[k * kStates + to] = arg;
+    }
+    score = next;
+  }
+
+  std::size_t state = 0;
+  double best = score[0];
+  double second = -1e300;
+  for (std::size_t s = 1; s < kStates; ++s) {
+    if (score[s] > best) {
+      second = best;
+      best = score[s];
+      state = s;
+    } else if (score[s] > second) {
+      second = score[s];
+    }
+  }
+  ErrorCorrector::JointResult out;
+  out.margin = (second > -1e299) ? best - second : 0.0;
+  out.levels.assign(K, std::vector<bool>(n));
+  for (std::size_t k = n; k-- > 0;) {
+    for (std::size_t t = 0; t < K; ++t) out.levels[t][k] = level(state, t) != 0;
+    state = backptr[k * kStates + state];
+  }
+  return out;
 }
 
 }  // namespace
@@ -77,157 +163,25 @@ std::vector<bool> ErrorCorrector::correct_component(
 }
 
 ErrorCorrector::JointResult ErrorCorrector::correct_joint(
-    std::span<const Complex> points, Complex e1, Complex e2,
-    const std::vector<bool>& toggle1, const std::vector<bool>& toggle2,
-    double sigma) const {
+    std::span<const Complex> points, const std::vector<Complex>& edge_vectors,
+    const std::vector<std::vector<bool>>& toggles, double sigma) const {
   LFBS_CHECK(!points.empty());
-  LFBS_CHECK(points.size() == toggle1.size());
-  LFBS_CHECK(points.size() == toggle2.size());
-  const double inv_two_sigma2 = 1.0 / (2.0 * std::max(sigma * sigma, 1e-18));
+  LFBS_CHECK(toggles.size() == edge_vectors.size());
+  for (const std::vector<bool>& t : toggles) {
+    LFBS_CHECK(t.size() == points.size());
+  }
   const double log_edge = std::log(config_.edge_probability);
   const double log_hold = std::log(1.0 - config_.edge_probability);
-
-  // State = l1 + 2*l2; DP over boundaries. Emission sits on the transition,
-  // so this is a bespoke loop rather than the per-state dsp::Viterbi.
-  constexpr std::size_t kStates = 4;
-  const std::size_t n = points.size();
-  std::vector<double> score(kStates, -1e300);
-  score[0] = 0.0;  // both tags idle at level 0 before their anchors
-  std::vector<std::vector<std::uint8_t>> backptr(
-      n, std::vector<std::uint8_t>(kStates, 0));
-  std::vector<double> next(kStates);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t to = 0; to < kStates; ++to) {
-      const int l1p = static_cast<int>(to & 1u);
-      const int l2p = static_cast<int>((to >> 1) & 1u);
-      double best = -1e300;
-      std::uint8_t arg = 0;
-      for (std::size_t from = 0; from < kStates; ++from) {
-        const int l1 = static_cast<int>(from & 1u);
-        const int l2 = static_cast<int>((from >> 1) & 1u);
-        if (l1 != l1p && !toggle1[k]) continue;
-        if (l2 != l2p && !toggle2[k]) continue;
-        const Complex expected = static_cast<double>(l1p - l1) * e1 +
-                                 static_cast<double>(l2p - l2) * e2;
-        double cand = score[from] - std::norm(points[k] - expected) *
-                                        inv_two_sigma2;
-        if (toggle1[k]) cand += (l1 != l1p) ? log_edge : log_hold;
-        if (toggle2[k]) cand += (l2 != l2p) ? log_edge : log_hold;
-        if (cand > best) {
-          best = cand;
-          arg = static_cast<std::uint8_t>(from);
-        }
-      }
-      next[to] = best;
-      backptr[k][to] = arg;
-    }
-    score.swap(next);
+  switch (edge_vectors.size()) {
+    case 2:
+      return joint_viterbi<2>(points, edge_vectors, toggles, sigma, log_edge,
+                              log_hold);
+    case 3:
+      return joint_viterbi<3>(points, edge_vectors, toggles, sigma, log_edge,
+                              log_hold);
   }
-
-  std::size_t state = 0;
-  double best = score[0];
-  double second = -1e300;
-  for (std::size_t s = 1; s < kStates; ++s) {
-    if (score[s] > best) {
-      second = best;
-      best = score[s];
-      state = s;
-    } else if (score[s] > second) {
-      second = score[s];
-    }
-  }
-  JointResult out;
-  out.margin = (second > -1e299) ? best - second : 0.0;
-  out.levels1.resize(n);
-  out.levels2.resize(n);
-  for (std::size_t k = n; k-- > 0;) {
-    out.levels1[k] = (state & 1u) != 0;
-    out.levels2[k] = (state & 2u) != 0;
-    state = backptr[k][state];
-  }
-  return out;
-}
-
-ErrorCorrector::Joint3Result ErrorCorrector::correct_joint3(
-    std::span<const Complex> points, Complex e1, Complex e2, Complex e3,
-    const std::vector<bool>& toggle1, const std::vector<bool>& toggle2,
-    const std::vector<bool>& toggle3, double sigma) const {
-  LFBS_CHECK(!points.empty());
-  LFBS_CHECK(points.size() == toggle1.size());
-  LFBS_CHECK(points.size() == toggle2.size());
-  LFBS_CHECK(points.size() == toggle3.size());
-  const double inv_two_sigma2 = 1.0 / (2.0 * std::max(sigma * sigma, 1e-18));
-  const double log_edge = std::log(config_.edge_probability);
-  const double log_hold = std::log(1.0 - config_.edge_probability);
-  const Complex evec[3] = {e1, e2, e3};
-
-  constexpr std::size_t kStates = 8;  // l1 + 2*l2 + 4*l3
-  const std::size_t n = points.size();
-  std::vector<double> score(kStates, -1e300);
-  score[0] = 0.0;
-  std::vector<std::vector<std::uint8_t>> backptr(
-      n, std::vector<std::uint8_t>(kStates, 0));
-  std::vector<double> next(kStates);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    const bool can[3] = {toggle1[k], toggle2[k], toggle3[k]};
-    for (std::size_t to = 0; to < kStates; ++to) {
-      double best = -1e300;
-      std::uint8_t arg = 0;
-      for (std::size_t from = 0; from < kStates; ++from) {
-        Complex expected{};
-        double prior = 0.0;
-        bool feasible = true;
-        for (std::size_t t = 0; t < 3; ++t) {
-          const int l = static_cast<int>((from >> t) & 1u);
-          const int lp = static_cast<int>((to >> t) & 1u);
-          if (l != lp && !can[t]) {
-            feasible = false;
-            break;
-          }
-          expected += static_cast<double>(lp - l) * evec[t];
-          if (can[t]) prior += (l != lp) ? log_edge : log_hold;
-        }
-        if (!feasible) continue;
-        const double cand =
-            score[from] + prior -
-            std::norm(points[k] - expected) * inv_two_sigma2;
-        if (cand > best) {
-          best = cand;
-          arg = static_cast<std::uint8_t>(from);
-        }
-      }
-      next[to] = best;
-      backptr[k][to] = arg;
-    }
-    score.swap(next);
-  }
-
-  std::size_t state = 0;
-  double best = score[0];
-  double second = -1e300;
-  for (std::size_t s2 = 1; s2 < kStates; ++s2) {
-    if (score[s2] > best) {
-      second = best;
-      best = score[s2];
-      state = s2;
-    } else if (score[s2] > second) {
-      second = score[s2];
-    }
-  }
-  Joint3Result out;
-  out.margin = (second > -1e299) ? best - second : 0.0;
-  out.levels1.resize(n);
-  out.levels2.resize(n);
-  out.levels3.resize(n);
-  for (std::size_t k = n; k-- > 0;) {
-    out.levels1[k] = (state & 1u) != 0;
-    out.levels2[k] = (state & 2u) != 0;
-    out.levels3[k] = (state & 4u) != 0;
-    state = backptr[k][state];
-  }
-  return out;
+  LFBS_CHECK_MSG(false, "joint decode takes 2 or 3 tags");
+  return {};
 }
 
 ErrorCorrector::SoftResult ErrorCorrector::run(

@@ -85,39 +85,27 @@ class ErrorCorrector {
   std::vector<bool> correct_component(std::span<const Complex> points,
                                       Complex edge_vector) const;
 
-  /// Joint decode of a two-tag collision: a 4-state Viterbi over the level
-  /// pair (l1, l2) whose transition from (l1,l2) to (l1',l2') emits
-  /// (l1'-l1)·e1 + (l2'-l2)·e2 at each shared boundary. Strictly better
-  /// than decoding each component against the other's hard decisions.
+  /// Joint decode of a K-tag collision, K ∈ {2, 3}: a 2^K-state Viterbi
+  /// over the tags' level tuple (bit t of a state is tag t's level) whose
+  /// transition emits Σ_t (l_t' − l_t)·e_t at each shared boundary.
+  /// Strictly better than decoding each component against the others'
+  /// hard decisions.
   ///
-  /// `toggle1[k]` / `toggle2[k]` say whether the tag may change level at
-  /// boundary k (false before its anchor slot and off its bit lattice, for
-  /// mixed-rate collisions). `sigma` is the isotropic noise level of the
+  /// `toggles[t][k]` says whether tag t may change level at boundary k
+  /// (false before its anchor slot and off its bit lattice, for mixed-rate
+  /// collisions). `sigma` is the isotropic noise level of the
   /// differentials.
   struct JointResult {
-    std::vector<bool> levels1;  ///< tag 1 level after each boundary
-    std::vector<bool> levels2;
+    /// levels[t][k]: tag t's level after boundary k.
+    std::vector<std::vector<bool>> levels;
     /// Terminal Viterbi margin: winning path score minus the best
     /// alternative ending (0 when nothing else survives).
     double margin = 0.0;
   };
-  JointResult correct_joint(std::span<const Complex> points, Complex e1,
-                            Complex e2, const std::vector<bool>& toggle1,
-                            const std::vector<bool>& toggle2,
+  JointResult correct_joint(std::span<const Complex> points,
+                            const std::vector<Complex>& edge_vectors,
+                            const std::vector<std::vector<bool>>& toggles,
                             double sigma) const;
-
-  /// Three-tag extension of correct_joint: an 8-state Viterbi over the
-  /// level triple (l1, l2, l3).
-  struct Joint3Result {
-    std::vector<bool> levels1, levels2, levels3;
-    double margin = 0.0;  ///< terminal Viterbi margin, as in JointResult
-  };
-  Joint3Result correct_joint3(std::span<const Complex> points, Complex e1,
-                              Complex e2, Complex e3,
-                              const std::vector<bool>& toggle1,
-                              const std::vector<bool>& toggle2,
-                              const std::vector<bool>& toggle3,
-                              double sigma) const;
 
  private:
   SoftResult run(std::span<const Complex> points, Complex rising,

@@ -49,9 +49,9 @@ struct DecoderConfig {
   ///  - error_correction on too → "Edge+IQ+Error"
   bool collision_recovery = true;
   bool error_correction = true;
-  /// Stage 7 (extension): subtract CRC-confident streams' contributions
-  /// from failed streams at transiently-contaminated boundaries and
-  /// re-decode. Only active when both stages above are on.
+  /// cancel_interference (extension): subtract CRC-confident streams'
+  /// contributions from failed streams at transiently-contaminated
+  /// boundaries and re-decode. Only active when both stages above are on.
   bool interference_cancellation = true;
 
   /// Edge detection; when auto_scale_edge is set the window/guard are
@@ -78,9 +78,6 @@ struct DecoderConfig {
 
   /// Soft-decision confidence + degraded-mode fallback (see above).
   RobustnessConfig robustness{};
-
-  /// Dump per-stage diagnostics to stderr (development aid).
-  bool trace = false;
 };
 
 /// One decoded tag stream.
@@ -102,6 +99,9 @@ struct DecodedStream {
   /// separation, erasures, and which fallback rung produced this stream.
   /// Only meaningful when DecoderConfig::robustness.enabled.
   DecodeConfidence confidence{};
+
+  /// Number of CRC-valid frames.
+  std::size_t valid_frames() const;
 };
 
 struct DecodeDiagnostics {
@@ -122,10 +122,16 @@ struct DecodeResult {
   std::vector<std::vector<bool>> valid_payloads() const;
   std::size_t frames_attempted() const;
   std::size_t frames_failed() const;
+  /// Number of CRC-valid frames across streams.
+  std::size_t valid_frames() const;
 };
 
-/// The LF-Backscatter decoder: edges → streams → collision separation →
-/// Viterbi correction → frames. See DESIGN.md §4 for the stage walk-through.
+/// The LF-Backscatter decoder, the reader's Fig 9 chain. One pass runs the
+/// stage functions of core/decode_stages.h in order: detect_edges →
+/// group_streams → extract_slots → decode_group (collision assessment, then
+/// the single-stream path or the joint path with the K-tag joint Viterbi)
+/// → frame_stream → cancel_interference. decode() adds the degradation
+/// ladder when a pass frames nothing. See DESIGN.md §4.
 class LfDecoder {
  public:
   explicit LfDecoder(DecoderConfig config);
@@ -135,7 +141,7 @@ class LfDecoder {
   DecodeResult decode(const signal::SampleBuffer& buffer) const;
 
  private:
-  /// One pass of the stage pipeline under a (possibly degraded) config.
+  /// One pass of the stage functions under a (possibly degraded) config.
   DecodeResult decode_pass(const signal::SampleBuffer& buffer,
                            const DecoderConfig& cfg) const;
 

@@ -434,8 +434,7 @@ std::vector<StreamDetector::SubStream> StreamDetector::split_streams(
 std::pair<std::int64_t, std::int64_t> StreamDetector::estimate_step(
     std::span<const std::int64_t> indices) const {
   LFBS_CHECK(!indices.empty());
-  std::vector<std::int64_t> steps = config_.valid_steps;
-  if (steps.empty()) {
+  if (config_.valid_steps.empty()) {
     // Free-form: gcd of index differences.
     std::int64_t g = 0;
     for (std::size_t i = 1; i < indices.size(); ++i) {
@@ -444,21 +443,31 @@ std::pair<std::int64_t, std::int64_t> StreamDetector::estimate_step(
     const std::int64_t step = std::max<std::int64_t>(g, 1);
     return {step, indices.front() % step};
   }
+  return consensus_step(indices, config_.valid_steps, config_.step_consensus);
+}
+
+std::pair<std::int64_t, std::int64_t> consensus_step(
+    std::span<const std::int64_t> indices, std::vector<std::int64_t> steps,
+    double consensus, std::int64_t max_step) {
   std::sort(steps.begin(), steps.end(), std::greater<>());
   for (std::int64_t step : steps) {
+    if (step > max_step) continue;
     // Largest valid step with residue-class consensus wins: a slower lattice
     // explains the data with fewer free slots, so prefer it when consistent.
     std::map<std::int64_t, std::size_t> residues;
-    for (std::int64_t n : indices) ++residues[((n % step) + step) % step];
+    const auto residue = [step](std::int64_t n) {
+      return ((n % step) + step) % step;
+    };
+    for (std::int64_t n : indices) ++residues[residue(n)];
     const auto dominant = std::max_element(
         residues.begin(), residues.end(),
         [](const auto& a, const auto& b) { return a.second < b.second; });
     const double share = static_cast<double>(dominant->second) /
                          static_cast<double>(indices.size());
-    if (share >= config_.step_consensus) {
+    if (share >= consensus) {
       // Anchor the lattice at the first index in the dominant class.
       for (std::int64_t n : indices) {
-        if (((n % step) + step) % step == dominant->first) return {step, n};
+        if (residue(n) == dominant->first) return {step, n};
       }
     }
   }

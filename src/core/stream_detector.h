@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -92,13 +93,23 @@ class StreamDetector {
 
   /// Estimates the bit-period step for a set of lattice indices: the largest
   /// valid step such that at least `step_consensus` of the indices share a
-  /// residue class. Exposed for the collision separator, which re-runs it on
-  /// each separated component. Returns {step, residue}.
+  /// residue class (consensus_step over `valid_steps`; free-form gcd when
+  /// there are none). Returns {step, residue}.
   std::pair<std::int64_t, std::int64_t> estimate_step(
       std::span<const std::int64_t> indices) const;
 
  private:
   StreamDetectorConfig config_;
 };
+
+/// Residue-consensus step search, shared by grouping (estimate_step) and
+/// the collision path's per-component lattices: the largest of `steps`, at
+/// most `max_step`, on which at least `consensus` of the (non-empty)
+/// `indices` share a residue class. Returns {step, first index of that
+/// class}, or {1, indices.front()} when no step qualifies.
+std::pair<std::int64_t, std::int64_t> consensus_step(
+    std::span<const std::int64_t> indices, std::vector<std::int64_t> steps,
+    double consensus,
+    std::int64_t max_step = std::numeric_limits<std::int64_t>::max());
 
 }  // namespace lfbs::core

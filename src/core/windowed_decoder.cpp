@@ -5,26 +5,12 @@
 #include <limits>
 
 #include "common/check.h"
+#include "core/decode_stages.h"
+#include "core/tag_identity.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace lfbs::core {
-
-namespace {
-
-/// Drops trailing all-zero frames (decoded idle level), same convention as
-/// the base decoder.
-void trim_trailing_zeros(std::vector<bool>& bits, std::size_t frame_bits) {
-  while (bits.size() >= frame_bits) {
-    const bool all_zero =
-        std::none_of(bits.end() - static_cast<std::ptrdiff_t>(frame_bits),
-                     bits.end(), [](bool b) { return b; });
-    if (!all_zero) break;
-    bits.resize(bits.size() - frame_bits);
-  }
-}
-
-}  // namespace
 
 WindowStitcher::WindowStitcher(const WindowedDecoderConfig& config,
                                SampleRate sample_rate)
@@ -115,19 +101,15 @@ void WindowStitcher::add_window(DecodeResult window,
           std::abs(std::remainder(gap, period));
       if (residual > tol) continue;
       // Edge-vector continuity, allowing a polarity flip.
-      const double direct = std::abs(s.edge_vector - thread.edge_vector);
-      const double flipped = std::abs(s.edge_vector + thread.edge_vector);
-      const double scale = std::max(std::abs(thread.edge_vector), 1e-12);
-      const bool flip = flipped < direct;
-      if (std::min(direct, flipped) > config_.vector_tolerance * scale) {
-        continue;
-      }
-      double score = residual / tol + std::min(direct, flipped) / scale;
+      const TagIdentity id =
+          TagIdentity::compare(s.edge_vector, thread.edge_vector);
+      if (id.distance > config_.vector_tolerance) continue;
+      double score = residual / tol + id.distance;
       if (expand > 1) score += 0.5;  // prefer exact-rate matches
       if (score < best_score) {
         best_score = score;
         best_thread = t;
-        best_flip = flip;
+        best_flip = id.flipped;
         best_expand = expand;
       }
     }
@@ -385,19 +367,9 @@ DecodeResult WindowedDecoder::decode(const signal::SampleBuffer& buffer) const {
   // a shot at the full buffer (the per-window ladder is disabled, see
   // decode_window).
   if (config_.decoder.robustness.enabled &&
-      config_.decoder.robustness.fallback) {
-    std::size_t valid = 0;
-    for (const auto& s : result.streams) {
-      for (const auto& f : s.frames) valid += f.valid();
-    }
-    if (valid == 0) {
-      DecodeResult whole = LfDecoder(config_.decoder).decode(buffer);
-      std::size_t whole_valid = 0;
-      for (const auto& s : whole.streams) {
-        for (const auto& f : s.frames) whole_valid += f.valid();
-      }
-      if (whole_valid > 0) return whole;
-    }
+      config_.decoder.robustness.fallback && result.valid_frames() == 0) {
+    DecodeResult whole = LfDecoder(config_.decoder).decode(buffer);
+    if (whole.valid_frames() > 0) return whole;
   }
   return result;
 }

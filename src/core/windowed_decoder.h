@@ -47,8 +47,8 @@ struct WindowedDecoderConfig {
   /// Lattice-phase continuity tolerance at a stitch, in samples, plus a
   /// drift allowance proportional to the gap.
   double phase_tolerance = 8.0;
-  /// Edge-vector continuity: |e_s - (+/-)e_t| must be below this fraction
-  /// of |e_t|.
+  /// Edge-vector continuity: the core::TagIdentity distance
+  /// min(|e_s - e_t|, |e_s + e_t|) / |e_t| must not exceed this.
   double vector_tolerance = 0.4;
 };
 

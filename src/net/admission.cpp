@@ -1,6 +1,8 @@
 #include "net/admission.h"
 
-#include <cstdlib>
+#include <limits>
+
+#include "common/kv_spec.h"
 
 namespace lfbs::net {
 
@@ -18,19 +20,37 @@ const char* to_string(QuotaError code) {
 
 namespace {
 
-double parse_number(const std::string& key, const std::string& value) {
-  if (value.empty()) {
-    throw QuotaParseError(QuotaError::kBadValue,
-                          "quota clause '" + key + "' has no value");
+[[noreturn]] void bad_value(const KvField& field, const char* wants) {
+  throw QuotaParseError(QuotaError::kBadValue,
+                        "quota clause '" + field.key + "=" + field.value +
+                            "' wants " + wants);
+}
+
+std::size_t quota_count(const KvField& field) {
+  try {
+    return kv_u64(field);
+  } catch (const CheckError&) {
+    bad_value(field, "a non-negative integer");
   }
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == nullptr || *end != '\0' || parsed < 0.0) {
-    throw QuotaParseError(QuotaError::kBadValue,
-                          "quota clause '" + key + "=" + value +
-                              "' wants a non-negative number");
+}
+
+std::size_t quota_bytes(const KvField& field) {
+  const std::size_t kb = quota_count(field);
+  if (kb > std::numeric_limits<std::size_t>::max() / 1024) {
+    bad_value(field, "a size that fits in bytes");
   }
-  return parsed;
+  return kb * 1024;
+}
+
+double quota_number(const KvField& field) {
+  double value = 0.0;
+  try {
+    value = kv_number(field);
+  } catch (const CheckError&) {
+    bad_value(field, "a non-negative number");
+  }
+  if (value < 0.0) bad_value(field, "a non-negative number");
+  return value;
 }
 
 }  // namespace
@@ -39,46 +59,40 @@ AdmissionConfig parse_quota_spec(const std::string& spec) {
   if (spec.empty()) {
     throw QuotaParseError(QuotaError::kEmpty, "empty quota spec");
   }
+  // parse_kv_spec skips empty clauses; this grammar rejects them.
+  if (spec.front() == ',' || spec.back() == ',' ||
+      spec.find(",,") != std::string::npos) {
+    throw QuotaParseError(QuotaError::kEmpty,
+                          "empty clause in quota spec '" + spec + "'");
+  }
+  std::vector<KvField> fields;
+  try {
+    fields = parse_kv_spec(spec);
+  } catch (const CheckError& e) {
+    throw QuotaParseError(QuotaError::kBadValue, e.what());
+  }
   AdmissionConfig config;
   config.enabled = true;
-  std::size_t at = 0;
-  while (at <= spec.size()) {
-    const std::size_t comma = std::min(spec.find(',', at), spec.size());
-    const std::string clause = spec.substr(at, comma - at);
-    at = comma + 1;
-    if (clause.empty()) {
-      throw QuotaParseError(QuotaError::kEmpty,
-                            "empty clause in quota spec '" + spec + "'");
-    }
-    const std::size_t eq = clause.find('=');
-    if (eq == std::string::npos) {
-      throw QuotaParseError(QuotaError::kBadValue,
-                            "quota clause '" + clause + "' is not key=value");
-    }
-    const std::string key = clause.substr(0, eq);
-    const std::string value = clause.substr(eq + 1);
-    const double parsed = parse_number(key, value);
-    if (key == "conns") {
-      config.max_connections = static_cast<std::size_t>(parsed);
-    } else if (key == "retry-after") {
-      config.retry_after = parsed;
-    } else if (key == "be-clients") {
-      config.best_effort.max_clients = static_cast<std::size_t>(parsed);
-    } else if (key == "be-fps") {
-      config.best_effort.max_frames_per_sec = parsed;
-    } else if (key == "be-queue-kb") {
-      config.best_effort.max_queue_bytes =
-          static_cast<std::size_t>(parsed) * 1024;
-    } else if (key == "prio-clients") {
-      config.priority.max_clients = static_cast<std::size_t>(parsed);
-    } else if (key == "prio-fps") {
-      config.priority.max_frames_per_sec = parsed;
-    } else if (key == "prio-queue-kb") {
-      config.priority.max_queue_bytes =
-          static_cast<std::size_t>(parsed) * 1024;
+  for (const KvField& field : fields) {
+    if (field.key == "conns") {
+      config.max_connections = quota_count(field);
+    } else if (field.key == "retry-after") {
+      config.retry_after = quota_number(field);
+    } else if (field.key == "be-clients") {
+      config.best_effort.max_clients = quota_count(field);
+    } else if (field.key == "be-fps") {
+      config.best_effort.max_frames_per_sec = quota_number(field);
+    } else if (field.key == "be-queue-kb") {
+      config.best_effort.max_queue_bytes = quota_bytes(field);
+    } else if (field.key == "prio-clients") {
+      config.priority.max_clients = quota_count(field);
+    } else if (field.key == "prio-fps") {
+      config.priority.max_frames_per_sec = quota_number(field);
+    } else if (field.key == "prio-queue-kb") {
+      config.priority.max_queue_bytes = quota_bytes(field);
     } else {
       throw QuotaParseError(QuotaError::kBadKey,
-                            "unknown quota key '" + key + "'");
+                            "unknown quota key '" + field.key + "'");
     }
   }
   return config;

@@ -98,7 +98,8 @@ class QuotaParseError : public CheckError {
 ///   prio-fps=X       priority frames/sec per client
 ///   prio-queue-kb=N  priority queued bytes per client, KiB
 ///
-/// The returned config has enabled=true. Throws QuotaParseError (typed)
+/// N is an unsigned integer, S and X finite non-negative numbers (the
+/// common/kv_spec parsers). The returned config has enabled=true. Throws QuotaParseError (typed)
 /// on anything else.
 AdmissionConfig parse_quota_spec(const std::string& spec);
 

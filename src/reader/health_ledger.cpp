@@ -1,8 +1,6 @@
 #include "reader/health_ledger.h"
 
-#include <algorithm>
-#include <cmath>
-
+#include "core/tag_identity.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 
@@ -44,14 +42,10 @@ HealthLedger::HealthLedger(HealthLedgerConfig config) : config_(config) {}
 
 HealthEntry* HealthLedger::match(Complex edge_vector) {
   HealthEntry* best = nullptr;
-  double best_dist = config_.vector_tolerance;
+  double best_dist = kLedgerVectorTolerance;
   for (HealthEntry& e : entries_) {
-    const double scale = std::max(std::abs(e.edge_vector), 1e-12);
-    // Polarity-tolerant: a decode can recover the same tag with flipped
-    // levels, negating the vector (same convention as the stitcher).
-    const double dist = std::min(std::abs(edge_vector - e.edge_vector),
-                                 std::abs(edge_vector + e.edge_vector)) /
-                        scale;
+    const double dist =
+        core::TagIdentity::compare(edge_vector, e.edge_vector).distance;
     if (dist < best_dist) {
       best_dist = dist;
       best = &e;
@@ -74,12 +68,11 @@ EpochHealth HealthLedger::observe(const core::DecodeResult& result) {
   std::size_t conf_n = 0;
 
   for (const core::DecodedStream& s : result.streams) {
-    std::size_t valid = 0;
-    for (const auto& f : s.frames) valid += f.valid();
     const double conf = s.confidence.score();
     conf_sum += conf;
     ++conf_n;
-    const bool failed = valid == 0 || conf < config_.min_confidence;
+    const bool failed =
+        s.valid_frames() == 0 || conf < config_.min_confidence;
 
     HealthEntry* e = match(s.edge_vector);
     if (e == nullptr) {

@@ -12,9 +12,9 @@ namespace lfbs::reader {
 /// The decoder reports per-stream confidence (edge SNR, Viterbi margin,
 /// cluster separation) but has no memory between epochs; the session needs
 /// memory to tell a one-epoch fade from a chronically failing tag. The
-/// ledger identifies streams across epochs by their channel edge vector
-/// (the same polarity-tolerant identity the window stitcher uses — tags
-/// move slowly relative to an epoch, so the vector is the stable
+/// ledger identifies streams across epochs by core::TagIdentity (the
+/// polarity-tolerant edge vector the window stitcher also matches on —
+/// tags move slowly relative to an epoch, so the vector is the stable
 /// fingerprint) and tracks consecutive all-failed epochs per entry.
 ///
 /// State machine per entry:
@@ -36,11 +36,14 @@ struct HealthLedgerConfig {
   std::size_t probation_epochs = 2;
   /// Confidence score below which even a CRC-clean epoch counts as failed.
   double min_confidence = 0.15;
-  /// Edge-vector matching tolerance, relative to the stored vector.
-  double vector_tolerance = 0.35;
   /// Entries unseen for this many epochs are forgotten (tag left range).
   std::size_t forget_after = 8;
 };
+
+/// Tag-identity tolerance of the ledger (core::TagIdentity distance).
+/// control::FleetTracker matches the ledger's entries to its tags with the
+/// same value.
+inline constexpr double kLedgerVectorTolerance = 0.35;
 
 enum class HealthState { kHealthy, kQuarantined, kProbation };
 

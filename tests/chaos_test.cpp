@@ -121,6 +121,10 @@ TEST(ChaosSpec, GrammarParsesEveryKey) {
 TEST(ChaosSpec, UnknownKeyAndBadScopeThrowTyped) {
   EXPECT_THROW(parse_chaos_config("bogus=1"), CheckError);
   EXPECT_THROW(parse_chaos_config("scope=sideways"), CheckError);
+  // Numbers parse whole: no sign on integers, no trailing characters.
+  EXPECT_THROW(parse_chaos_config("refuse-first=-1"), CheckError);
+  EXPECT_THROW(parse_chaos_config("reset=0.5oops"), CheckError);
+  EXPECT_THROW(parse_chaos_config("delay=nan"), CheckError);
 }
 
 // --- engine determinism & corruption shape -------------------------------

@@ -167,12 +167,12 @@ TEST(ErrorCorrector, Joint3SeparatesThreeTags) {
   const auto data = synthesize({e1, e2, e3}, 400, 0.008, rng);
   const std::vector<bool> all(400, true);
   const ErrorCorrector corrector;
-  const auto joint = corrector.correct_joint3(data.points, e1, e2, e3, all,
-                                              all, all, 0.008);
+  const auto joint = corrector.correct_joint(data.points, {e1, e2, e3},
+                                             {all, all, all}, 0.008);
   int l[3] = {0, 0, 0};
   std::size_t ok[3] = {0, 0, 0};
-  const std::vector<bool>* levels[3] = {&joint.levels1, &joint.levels2,
-                                        &joint.levels3};
+  const std::vector<bool>* levels[3] = {&joint.levels[0], &joint.levels[1],
+                                        &joint.levels[2]};
   for (std::size_t k = 0; k < 400; ++k) {
     for (int t = 0; t < 3; ++t) {
       l[t] += data.states[t][k];
@@ -350,15 +350,15 @@ TEST(ErrorCorrector, JointDecodeSeparatesBothTags) {
   const std::vector<bool> toggles(300, true);
   const ErrorCorrector corrector;
   const auto joint =
-      corrector.correct_joint(data.points, e1, e2, toggles, toggles, 0.01);
+      corrector.correct_joint(data.points, {e1, e2}, {toggles, toggles}, 0.01);
   // Reconstruct levels from the true states.
   std::size_t ok1 = 0, ok2 = 0;
   int l1 = 0, l2 = 0;
   for (std::size_t k = 0; k < 300; ++k) {
     l1 += data.states[0][k];
     l2 += data.states[1][k];
-    if (joint.levels1[k] == (l1 != 0)) ++ok1;
-    if (joint.levels2[k] == (l2 != 0)) ++ok2;
+    if (joint.levels[0][k] == (l1 != 0)) ++ok1;
+    if (joint.levels[1][k] == (l2 != 0)) ++ok2;
   }
   EXPECT_GT(ok1, 295u);
   EXPECT_GT(ok2, 295u);
@@ -371,10 +371,10 @@ TEST(ErrorCorrector, JointRespectsToggleMask) {
   std::vector<bool> t1 = {true, true, true, true};
   std::vector<bool> t2 = {true, false, true, false};
   const ErrorCorrector corrector;
-  const auto joint = corrector.correct_joint(points, e1, e2, t1, t2, 0.01);
+  const auto joint = corrector.correct_joint(points, {e1, e2}, {t1, t2}, 0.01);
   // Tag 2's level can only change at boundaries 0 and 2.
-  EXPECT_EQ(joint.levels2[0], joint.levels2[1]);
-  EXPECT_EQ(joint.levels2[2], joint.levels2[3]);
+  EXPECT_EQ(joint.levels[1][0], joint.levels[1][1]);
+  EXPECT_EQ(joint.levels[1][2], joint.levels[1][3]);
 }
 
 }  // namespace

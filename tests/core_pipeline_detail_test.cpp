@@ -1,13 +1,26 @@
 // Focused tests for decode-pipeline internals that the end-to-end suites
 // exercise only indirectly: weak-anchor trimming, outlier pruning, the
-// collision ladder's goodness-of-fit thresholds, and Viterbi priors.
+// collision ladder's goodness-of-fit thresholds, Viterbi priors, the
+// decode_group branches (three-tag joint path, over-merge split),
+// cancel_interference, the fallback ladder's identity rules, and the one
+// tag identity every matcher shares.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "channel/channel_model.h"
+#include "control/fleet_tracker.h"
 #include "core/collision_detector.h"
+#include "core/decode_stages.h"
 #include "core/error_corrector.h"
 #include "core/stream_detector.h"
+#include "core/tag_identity.h"
+#include "core/windowed_decoder.h"
+#include "reader/health_ledger.h"
+#include "reader/receiver.h"
+#include "signal/waveform.h"
+#include "sim/scenario.h"
 
 namespace lfbs::core {
 namespace {
@@ -142,6 +155,263 @@ TEST(ErrorCorrectorDetail, EdgeProbabilityPriorBiasesHolds) {
   // observation is exactly between "stay 1" and "fall to 0 then rise").
   EXPECT_TRUE(hold_bits[1]);
   EXPECT_FALSE(edge_bits[1]);
+}
+
+// --- decode_group, cancel_interference and the ladder ----------------------
+
+/// Sorted payloads, for order-free comparison.
+std::vector<std::vector<bool>> sorted(std::vector<std::vector<bool>> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+/// A 16-tag 1.5 ms epoch at 25 Msps, one random frame per tag.
+struct Epoch {
+  signal::SampleBuffer buffer;
+  DecoderConfig decoder;
+  std::vector<std::vector<bool>> payloads;
+};
+
+Epoch sixteen_tag_epoch(std::uint64_t seed) {
+  Rng rng(seed);
+  sim::ScenarioConfig sc;
+  sc.num_tags = 16;
+  sim::Scenario scenario(sc, rng);
+  std::vector<std::vector<std::vector<bool>>> per_tag(sc.num_tags);
+  Epoch e;
+  for (auto& p : per_tag) {
+    p.push_back(rng.bits(96));
+    e.payloads.push_back(p.back());
+  }
+  e.buffer = scenario.capture_epoch(per_tag, rng);
+  e.decoder = scenario.default_decoder();
+  e.decoder.robustness.fallback = false;
+  return e;
+}
+
+TEST(DecodeGroupDetail, ThreeTagGroupTakesTheJointPath) {
+  // Three tags on one lattice, anchors three bit periods apart: one
+  // collision group whose 27-cluster geometry separates, decoded by the
+  // 8-state joint Viterbi into three CRC-valid streams.
+  Rng rng(5);
+  reader::ReceiverConfig rc;
+  channel::ChannelModel ch;
+  ch.add_tag({0.11, 0.01});
+  ch.add_tag({-0.02, 0.09});
+  ch.add_tag({-0.07, -0.06});
+  const protocol::FrameConfig fc;
+  std::vector<std::vector<bool>> payloads;
+  std::vector<signal::StateTimeline> timelines;
+  for (int t = 0; t < 3; ++t) {
+    payloads.push_back(rng.bits(fc.payload_bits));
+    timelines.push_back(signal::nrz_timeline(
+        protocol::build_frame(payloads.back(), fc), 100.4e-6 + t * 30e-6,
+        10e-6));
+  }
+  const auto buffer =
+      reader::Receiver(rc, ch).receive_epoch(timelines, 1.5e-3, rng);
+  DecoderConfig dc;
+  dc.robustness.fallback = false;
+  const DecodeResult r = LfDecoder(dc).decode(buffer);
+  EXPECT_EQ(r.diagnostics.groups, 1u);
+  EXPECT_EQ(r.diagnostics.collision_groups, 1u);
+  EXPECT_EQ(r.diagnostics.unresolved_groups, 0u);
+  ASSERT_EQ(r.streams.size(), 3u);
+  for (const DecodedStream& s : r.streams) EXPECT_TRUE(s.collided);
+  EXPECT_EQ(sorted(r.valid_payloads()), sorted(payloads));
+}
+
+TEST(DecodeGroupDetail, OverMergedGroupSplitsIntoTwoStreams) {
+  // In this epoch one group fuses two tags whose lattice phases nearly
+  // coincide and resists IQ separation; its bimodal edge-position
+  // residuals split it into two streams over two new slot sets.
+  const Epoch e = sixteen_tag_epoch(118);
+  const PassContext ctx(e.buffer, e.decoder);
+  const Edges edges = detect_edges(ctx);
+  const Groups groups = group_streams(ctx, edges);
+  std::vector<BoundarySlots> store;
+  for (const StreamGroup& g : groups) {
+    store.push_back(extract_slots(ctx, edges, g));
+  }
+  Rng rng(e.decoder.seed);
+  std::vector<PendingStream> pending;
+  DecodeDiagnostics diag;
+  std::size_t splits = 0;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    const std::size_t slots_before = store.size();
+    const std::size_t pending_before = pending.size();
+    const std::size_t collisions_before = diag.collision_groups;
+    decode_group(ctx, edges, groups[gi], gi, store, rng, pending, diag);
+    if (store.size() == slots_before) continue;
+    ++splits;
+    ASSERT_EQ(store.size(), slots_before + 2);
+    ASSERT_EQ(pending.size(), pending_before + 2);
+    EXPECT_EQ(diag.collision_groups, collisions_before + 1);
+    for (std::size_t h = 0; h < 2; ++h) {
+      const PendingStream& ps = pending[pending_before + h];
+      EXPECT_TRUE(ps.collided);
+      EXPECT_EQ(ps.slots_ref, slots_before + h);
+      EXPECT_FALSE(store[ps.slots_ref].diffs.empty());
+    }
+  }
+  EXPECT_GE(splits, 1u);
+}
+
+TEST(CancelInterferenceDetail, RepairsACrcFailedStream) {
+  // In this epoch a stream fails its CRC because another tag's edges sit
+  // inside its boundary measurements; subtracting the CRC-valid streams'
+  // contributions and re-decoding recovers its frame.
+  const Epoch e = sixteen_tag_epoch(277);
+  DecoderConfig off = e.decoder;
+  off.interference_cancellation = false;
+  const DecodeResult with = LfDecoder(e.decoder).decode(e.buffer);
+  const DecodeResult without = LfDecoder(off).decode(e.buffer);
+  EXPECT_GT(with.valid_frames(), without.valid_frames());
+  // Everything recovered was transmitted.
+  for (const auto& p : with.valid_payloads()) {
+    EXPECT_NE(std::find(e.payloads.begin(), e.payloads.end(), p),
+              e.payloads.end());
+  }
+}
+
+/// A 100 kbps stream at 25 Msps holding one frame of `payload`, whose
+/// frames are parsed (so CRC-valid) or all marked CRC-failed.
+DecodedStream framed_stream(const std::vector<bool>& payload, Complex vec,
+                            bool valid) {
+  const protocol::FrameConfig fc;
+  DecodedStream s;
+  s.start_sample = 1000.0;
+  s.rate = 100e3;
+  s.edge_vector = vec;
+  s.bits = protocol::build_frame(payload, fc);
+  s.frames = protocol::parse_stream(s.bits, fc);
+  if (!valid) {
+    for (protocol::ParsedFrame& f : s.frames) f.crc_ok = false;
+  }
+  return s;
+}
+
+/// merge_fallback of one candidate into a primary result holding one
+/// CRC-failed stream with edge vector `primary`.
+DecodeResult merge_one(Complex primary, Complex candidate) {
+  Rng rng(3);
+  const std::vector<bool> payload = rng.bits(96);
+  DecodeResult result;
+  result.streams.push_back(framed_stream(payload, primary, false));
+  DecodeResult alt;
+  alt.streams.push_back(framed_stream(payload, candidate, true));
+  merge_fallback(result, std::move(alt), FallbackStage::kEdgeOnly, 25e6,
+                 protocol::FrameConfig{});
+  return result;
+}
+
+TEST(FallbackLadderDetail, PolarityFlippedCandidateReplacesItsMatch) {
+  const Complex v{0.1, 0.05};
+  const DecodeResult r = merge_one(v, -v);
+  ASSERT_EQ(r.streams.size(), 1u);
+  EXPECT_EQ(r.streams[0].valid_frames(), 1u);
+  EXPECT_EQ(r.streams[0].confidence.stage, FallbackStage::kEdgeOnly);
+  EXPECT_EQ(r.diagnostics.fallback_recoveries, 1u);
+}
+
+TEST(FallbackLadderDetail, OverlappingUnmatchedCandidateIsDropped) {
+  // Overlaps the primary stream in time but carries another channel
+  // vector: most likely the unseparated mixture, never published.
+  const DecodeResult r = merge_one({0.1, 0.0}, {0.0, 0.1});
+  ASSERT_EQ(r.streams.size(), 1u);
+  EXPECT_EQ(r.streams[0].valid_frames(), 0u);
+  EXPECT_EQ(r.diagnostics.fallback_recoveries, 0u);
+}
+
+// --- TagIdentity -------------------------------------------------------------
+
+TEST(TagIdentity, PolarityFlipMatchesExactly) {
+  const Complex v{0.08, -0.03};
+  const TagIdentity same = TagIdentity::compare(v, v);
+  EXPECT_DOUBLE_EQ(same.distance, 0.0);
+  EXPECT_FALSE(same.flipped);
+  const TagIdentity flipped = TagIdentity::compare(-v, v);
+  EXPECT_DOUBLE_EQ(flipped.distance, 0.0);
+  EXPECT_TRUE(flipped.flipped);
+}
+
+TEST(TagIdentity, DistanceIsRelativeToTheReference) {
+  const Complex ref{0.1, 0.0};
+  const Complex off{0.0, 0.02};
+  EXPECT_NEAR(TagIdentity::compare(ref + off, ref).distance, 0.2, 1e-12);
+  // Scaling both vectors leaves the distance alone; scaling only the
+  // reference scales it.
+  EXPECT_NEAR(TagIdentity::compare(10.0 * (ref + off), 10.0 * ref).distance,
+              0.2, 1e-12);
+  EXPECT_NEAR(TagIdentity::compare(ref + off, 2.0 * ref).distance,
+              std::abs(ref + off - 2.0 * ref) / std::abs(2.0 * ref), 1e-12);
+}
+
+/// `reference` scaled by 1 + `delta`: TagIdentity distance `delta`.
+Complex stretched(Complex reference, double delta) {
+  return (1.0 + delta) * reference;
+}
+
+TEST(TagIdentity, StitcherToleranceIsFourTenths) {
+  // Two windows whose streams continue in rate and phase; only the edge
+  // vector decides whether they stitch into one thread.
+  const Complex v{0.1, 0.04};
+  const auto threads = [&](double delta) {
+    WindowedDecoderConfig wc;
+    WindowStitcher stitcher(wc, 25e6);
+    const auto window = [](Complex vec) {
+      DecodeResult r;
+      DecodedStream s;
+      s.start_sample = 100.0;
+      s.rate = 100e3;
+      s.edge_vector = vec;
+      s.bits.assign(40, true);
+      r.streams.push_back(s);
+      return r;
+    };
+    stitcher.add_window(window(v), 0);
+    stitcher.add_window(window(stretched(v, delta)), 10000);
+    return stitcher.finish().streams.size();
+  };
+  EXPECT_EQ(threads(0.38), 1u);
+  EXPECT_EQ(threads(0.42), 2u);
+}
+
+TEST(TagIdentity, LadderToleranceIsOneHalf) {
+  const Complex v{0.1, 0.04};
+  EXPECT_EQ(merge_one(v, stretched(v, 0.48)).diagnostics.fallback_recoveries,
+            1u);
+  EXPECT_EQ(merge_one(v, stretched(v, 0.52)).diagnostics.fallback_recoveries,
+            0u);
+}
+
+/// One decode result holding a single stream with edge vector `vec`.
+DecodeResult one_stream(Complex vec) {
+  DecodeResult r;
+  DecodedStream s;
+  s.rate = 100e3;
+  s.edge_vector = vec;
+  r.streams.push_back(s);
+  return r;
+}
+
+TEST(TagIdentity, LedgerAndTrackerShareOneTolerance) {
+  const Complex v{0.1, 0.04};
+  const double tol = reader::kLedgerVectorTolerance;
+  for (const auto& [delta, tags] :
+       {std::pair{tol - 0.02, 1u}, std::pair{tol + 0.02, 2u}}) {
+    reader::HealthLedger ledger;
+    ledger.observe(one_stream(v));
+    ledger.observe(one_stream(stretched(v, delta)));
+    EXPECT_EQ(ledger.entries().size(), tags) << delta;
+
+    control::FleetTracker tracker;
+    tracker.observe_decode(one_stream(v));
+    tracker.end_epoch(0, 1.5e-3);
+    tracker.observe_decode(one_stream(stretched(v, delta)));
+    tracker.end_epoch(1, 1.5e-3);
+    EXPECT_EQ(tracker.tags_tracked(), tags) << delta;
+  }
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "reader/session.h"
 #include "tag/tag.h"
 #include "protocol/rate_control.h"
-#include "signal/eye_pattern.h"
 #include "sim/table.h"
 
 namespace lfbs {
@@ -78,13 +77,6 @@ TEST(Gen2Timings, CommandDurationsOrdered) {
   EXPECT_LT(t.ack(), t.query());
   // An EPC reply dominates a whole singleton exchange's tag side.
   EXPECT_GT(t.epc_reply(), 5.0 * t.rn16() / 2.0);
-}
-
-TEST(EyePatternDetail, BinWidth) {
-  const signal::EyePattern eye(250.0, 125);
-  EXPECT_DOUBLE_EQ(eye.bin_width(), 2.0);
-  EXPECT_EQ(eye.bins(), 125u);
-  EXPECT_DOUBLE_EQ(eye.period_samples(), 250.0);
 }
 
 TEST(KMeansDetail, BicPrefersSeparatedOverMerged) {

@@ -138,6 +138,13 @@ TEST(QuotaSpec, ErrorsAreTyped) {
   EXPECT_EQ(code_of("conns"), QuotaError::kBadValue);  // key with no '='
   EXPECT_EQ(code_of("conns=abc"), QuotaError::kBadValue);
   EXPECT_EQ(code_of("retry-after=-1"), QuotaError::kBadValue);
+  // Counts are integers, numbers finite, byte sizes within size_t.
+  EXPECT_EQ(code_of("conns=nan"), QuotaError::kBadValue);
+  EXPECT_EQ(code_of("be-queue-kb=1e30"), QuotaError::kBadValue);
+  EXPECT_EQ(code_of("prio-clients=inf"), QuotaError::kBadValue);
+  EXPECT_EQ(code_of("conns=4.5"), QuotaError::kBadValue);
+  EXPECT_EQ(code_of("be-queue-kb=18446744073709551615"), QuotaError::kBadValue);
+  EXPECT_EQ(code_of("be-fps=inf"), QuotaError::kBadValue);
   // QuotaParseError stays catchable as the generic CheckError.
   EXPECT_THROW(parse_quota_spec("nope=1"), CheckError);
 }

@@ -430,6 +430,10 @@ TEST(FaultPlanSpec, EmptySpecIsDisabled) {
 TEST(FaultPlanSpec, RejectsUnknownKeyAndBareWord) {
   EXPECT_THROW(parse_fault_plan("drop=0.1,bogus=1"), CheckError);
   EXPECT_THROW(parse_fault_plan("drop"), CheckError);
+  // Numbers parse whole: no sign on integers, no trailing characters.
+  EXPECT_THROW(parse_fault_plan("seed=-1"), CheckError);
+  EXPECT_THROW(parse_fault_plan("drop=0.1x"), CheckError);
+  EXPECT_THROW(parse_fault_plan("drop=inf"), CheckError);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "signal/edge_detector.h"
-#include "signal/eye_pattern.h"
 #include "signal/noise_tracker.h"
 #include "signal/iq_io.h"
 #include "signal/sample_buffer.h"
@@ -255,56 +254,6 @@ TEST(EdgeConfidence, MonotoneAndCalibrated) {
   }
   EXPECT_GT(edge_confidence(15.6), 0.8);
   EXPECT_LT(edge_confidence(8.0), 0.35);
-}
-
-TEST(EyePattern, FoldsPeriodicEdgesToOneOffset) {
-  std::vector<Edge> edges;
-  for (int k = 0; k < 40; ++k) {
-    edges.push_back({.position = 37.0 + 250.0 * k, .differential = {}, .strength = 1.0});
-  }
-  EyePattern eye(250.0, 125);
-  eye.fold_edges(edges);
-  const auto offsets = eye.peak_offsets(5.0, 10.0);
-  ASSERT_GE(offsets.size(), 1u);
-  EXPECT_NEAR(offsets[0], 37.0, 3.0);
-}
-
-TEST(EyePattern, SeparatesTwoStreams) {
-  std::vector<Edge> edges;
-  for (int k = 0; k < 40; ++k) {
-    edges.push_back({.position = 30.0 + 250.0 * k, .differential = {}, .strength = 1.0});
-    edges.push_back({.position = 130.0 + 250.0 * k, .differential = {}, .strength = 1.0});
-  }
-  EyePattern eye(250.0, 125);
-  eye.fold_edges(edges);
-  const auto offsets = eye.peak_offsets(5.0, 20.0);
-  ASSERT_EQ(offsets.size(), 2u);
-  const double lo = std::min(offsets[0], offsets[1]);
-  const double hi = std::max(offsets[0], offsets[1]);
-  EXPECT_NEAR(lo, 30.0, 3.0);
-  EXPECT_NEAR(hi, 130.0, 3.0);
-}
-
-TEST(EyePattern, SeriesFoldingSmoothsNoise) {
-  Rng rng(6);
-  std::vector<double> series(250 * 50, 0.0);
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    series[i] = std::abs(rng.gaussian(0.0, 0.1));
-    if (i % 250 == 60) series[i] += 1.0;  // periodic pulse
-  }
-  EyePattern eye(250.0, 250);
-  eye.fold_series(series);
-  const auto offsets = eye.peak_offsets(3.0, 10.0);
-  ASSERT_GE(offsets.size(), 1u);
-  EXPECT_NEAR(offsets[0], 60.5, 2.0);
-}
-
-TEST(EyePattern, ResetClearsAccumulator) {
-  EyePattern eye(100.0, 50);
-  std::vector<Edge> edges = {{.position = 10.0, .differential = {}, .strength = 5.0}};
-  eye.fold_edges(edges);
-  eye.reset();
-  for (double v : eye.histogram()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(IqIo, RoundTripPreservesSamples) {

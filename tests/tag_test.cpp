@@ -6,7 +6,6 @@
 
 #include "dsp/stats.h"
 #include "tag/clock_model.h"
-#include "tag/datapath.h"
 #include "tag/modulator.h"
 #include "tag/sensor.h"
 #include "tag/start_trigger.h"
@@ -175,55 +174,6 @@ TEST(Tag, StartTimeVariesAcrossEpochs) {
   const auto a = tag.transmit_epoch({frame}, 1e-3, rng);
   const auto b = tag.transmit_epoch({frame}, 1e-3, rng);
   EXPECT_NE(a.start_time, b.start_time);
-}
-
-TEST(TagDatapath, SampledBitsDriveAntennaWithUnitLatency) {
-  Rng rng(20);
-  TagDatapath dp;
-  const auto bits = rng.bits(64);
-  // Wake: carrier appears; two cycles of sleep/settling.
-  dp.clock(true, false);
-  dp.clock(true, false);
-  for (bool b : bits) dp.clock(true, b);
-  dp.clock(true, false);  // flush the last pending bit
-  // Antenna history after settling must equal the sensor bits, delayed by
-  // exactly one cycle — sample in, bit out, nothing stored.
-  const auto& hist = dp.antenna_history();
-  ASSERT_GE(hist.size(), bits.size() + 3);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    EXPECT_DOUBLE_EQ(hist[3 + i], bits[i] ? 1.0 : 0.0) << i;
-  }
-}
-
-TEST(TagDatapath, NeverBuffersMoreThanOneBit) {
-  Rng rng(21);
-  TagDatapath dp;
-  for (int i = 0; i < 500; ++i) {
-    dp.clock(i > 3, rng.bernoulli(0.5));
-  }
-  EXPECT_LE(dp.max_bits_in_flight(), 1u);
-  EXPECT_GT(dp.bits_transmitted(), 400u);
-}
-
-TEST(TagDatapath, SleepsWithoutCarrier) {
-  TagDatapath dp;
-  for (int i = 0; i < 10; ++i) dp.clock(false, true);
-  EXPECT_EQ(dp.state(), TagDatapath::State::kSleep);
-  EXPECT_EQ(dp.cycles_active(), 0u);
-  EXPECT_EQ(dp.cycles_sleep(), 10u);
-  EXPECT_DOUBLE_EQ(dp.antenna_level(), 0.0);
-}
-
-TEST(TagDatapath, CarrierLossDropsToIdleImmediately) {
-  Rng rng(22);
-  TagDatapath dp;
-  dp.clock(true, false);
-  dp.clock(true, false);
-  for (int i = 0; i < 20; ++i) dp.clock(true, true);
-  EXPECT_EQ(dp.state(), TagDatapath::State::kActive);
-  dp.clock(false, true);
-  EXPECT_EQ(dp.state(), TagDatapath::State::kSleep);
-  EXPECT_DOUBLE_EQ(dp.antenna_level(), 0.0);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 //
 // Usage:
 //   lfbs_decode <capture.lfbsiq> [--crc5] [--payload N] [--max-rate KBPS]
-//               [--windowed MS] [--workers N] [--edge-only]
-//               [--resample MSPS] [--inject-faults SPEC] [--trace]
+//               [--windowed MS] [--workers N] [--edge-only] [--no-fallback]
+//               [--min-confidence X] [--resample MSPS] [--inject-faults SPEC]
+//               [--trace-out PATH] [--trace-chrome PATH] [--metrics-out PATH]
+//               [--stats-interval SEC] [--stats-json PATH]
 //
 // --workers N streams the file through the concurrent decode runtime
 // (src/runtime) with N window workers instead of the serial decoder; the
@@ -68,7 +70,7 @@ void usage() {
                "usage: lfbs_decode <capture.lfbsiq> [--crc5] [--payload N] "
                "[--max-rate KBPS] [--windowed MS] [--workers N] "
                "[--edge-only] [--no-fallback] [--min-confidence X] "
-               "[--resample MSPS] [--inject-faults SPEC] [--trace]\n"
+               "[--resample MSPS] [--inject-faults SPEC]\n"
                "               [--trace-out PATH] [--trace-chrome PATH] "
                "[--metrics-out PATH] [--stats-interval SEC] "
                "[--stats-json PATH]\n"
@@ -235,8 +237,6 @@ int main(int argc, char** argv) {
       dc.robustness.fallback = false;
     } else if (arg == "--min-confidence" && i + 1 < argc) {
       min_confidence = atof(argv[++i]);
-    } else if (arg == "--trace") {
-      dc.trace = true;
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (arg == "--trace-chrome" && i + 1 < argc) {

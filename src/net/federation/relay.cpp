@@ -52,9 +52,7 @@ struct FrameRelay::Link {
 };
 
 FrameRelay::FrameRelay(RelayConfig config, FrameServer& server)
-    : config_(std::move(config)),
-      server_(server),
-      deduper_(config_.dedup_capacity) {
+    : config_(std::move(config)), server_(server) {
   LFBS_CHECK_MSG(config_.gateway_id != 0,
                  "relay requires a non-zero gateway id");
 }
@@ -78,10 +76,10 @@ void FrameRelay::start() {
     cc.port = upstream.port;
     cc.name = config_.name;
     cc.filter = config_.filter;
-    cc.filter.replay_recent = config_.replay_on_reconnect;
+    cc.filter.replay_recent = true;
     cc.connect_timeout = config_.connect_timeout;
     cc.reconnect_on_evict = true;  // relay links heal themselves
-    cc.reconnect_on_protocol_error = config_.reconnect_on_protocol_error;
+    cc.reconnect_on_protocol_error = true;
     cc.relay_hello = {config_.gateway_id, config_.hop_limit, config_.name};
     // Federation links are infrastructure: an overloaded upstream sheds
     // best-effort tailers and backpressures its decoder before it drops a
@@ -170,18 +168,6 @@ void FrameRelay::on_upstream_frame(const runtime::FrameEvent& event) {
                obs::Field::integer("window", static_cast<std::int64_t>(
                                                  event.window_index))});
   }
-}
-
-void FrameRelay::publish_local(const runtime::FrameEvent& event) {
-  runtime::FrameEvent stamped = event;
-  if (stamped.origin == 0) stamped.origin = config_.gateway_id;
-  // Seed the dedup before the frame leaves: if a cycle brings it back, the
-  // origin check catches it first, but a *renamed* copy (another gateway
-  // decoding the same window identically) still collides on identity.
-  deduper_.insert(runtime::frame_identity(stamped).key());
-  server_.publish(stamped);
-  std::lock_guard lock(mutex_);
-  ++counters_.local_published;
 }
 
 FrameRelay::Counters FrameRelay::counters() const {

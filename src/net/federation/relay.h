@@ -20,8 +20,8 @@ namespace lfbs::net::federation {
 /// no matter how long the gateway runs. Capacity only needs to cover the
 /// frames that can plausibly still be circling (path length × in-flight
 /// frames); re-admitting a frame older than that costs a duplicate
-/// delivery, never a loss. Thread-safe: every upstream link thread and the
-/// local publish path insert concurrently.
+/// delivery, never a loss. Thread-safe: every upstream link thread inserts
+/// concurrently.
 class FrameDeduper {
  public:
   explicit FrameDeduper(std::size_t capacity = 4096);
@@ -52,20 +52,10 @@ struct RelayConfig {
   std::uint8_t hop_limit = 4;
   std::string name = "lfbs-relay";
   std::vector<RelayUpstream> upstreams;
-  /// Filter sent to every upstream subscription.
+  /// Filter sent to every upstream subscription, with replay_recent
+  /// always set (see FrameRelay).
   SubscribeFilter filter;
-  std::size_t dedup_capacity = 4096;
   Seconds connect_timeout = 5.0;
-  /// Partition recovery: set replay_recent on every upstream subscription,
-  /// so a (re)connecting link asks for the upstream's recent-frame ring
-  /// (FrameServerConfig::replay_frames) and heals frames missed while the
-  /// link was down. The relay's deduper suppresses the overlap — a healed
-  /// partition costs duplicate transfers, never duplicate deliveries.
-  bool replay_on_reconnect = true;
-  /// Ride out wire corruption on an upstream link by dropping and
-  /// redialing it (FrameClientConfig::reconnect_on_protocol_error) instead
-  /// of abandoning the upstream. Relay links are infrastructure.
-  bool reconnect_on_protocol_error = true;
 };
 
 /// Relay mode: subscribes to one or more upstream gateways and republishes
@@ -83,8 +73,12 @@ struct RelayConfig {
 /// origin untouched, so every subscriber anywhere in the mesh sees each
 /// frame exactly once (per dedup window).
 ///
-/// Each upstream gets its own FrameClient thread with the reconnect-on-
-/// evict policy: a relay link is infrastructure and should heal itself.
+/// Each upstream gets its own FrameClient thread. A relay link is
+/// infrastructure and heals itself: it redials after an eviction or a
+/// garbled stream, and every (re)subscription asks for the upstream's
+/// replay ring (FrameServerConfig::replay_frames) so frames missed while
+/// the link was down are healed. The deduper suppresses the overlap — a
+/// healed partition costs duplicate transfers, never duplicate deliveries.
 class FrameRelay {
  public:
   struct Counters {
@@ -92,7 +86,6 @@ class FrameRelay {
     std::size_t dup_drops = 0;    ///< dropped: identity already seen
     std::size_t loop_drops = 0;   ///< dropped: own origin came back
     std::size_t hop_drops = 0;    ///< dropped: hop limit reached
-    std::size_t local_published = 0;  ///< frames entered via publish_local
     std::size_t upstream_ends = 0;    ///< upstreams that drained cleanly
     std::size_t upstream_failures = 0;  ///< upstreams lost for good
   };
@@ -113,13 +106,6 @@ class FrameRelay {
 
   /// Asks every upstream link to stop; join() then returns promptly.
   void stop();
-
-  /// Routes a *locally decoded* frame through the relay: stamps this
-  /// gateway as origin, seeds the dedup (so the frame is dropped if it
-  /// ever comes back), and publishes. A gateway that both decodes and
-  /// relays feeds its FrameBus through this instead of straight into the
-  /// server.
-  void publish_local(const runtime::FrameEvent& event);
 
   Counters counters() const;
 

@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "net/federation/shard_wire.h"
+#include "net/peer.h"
 #include "net/wire.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -21,8 +22,7 @@ constexpr std::size_t kIqChunkSamples = 1 << 16;
 
 /// One worker connection plus its in-flight bookkeeping.
 struct WorkerLink {
-  TcpConnection conn;
-  MessageReader reader;
+  Peer peer;
   std::size_t index = 0;  ///< position in the pool, for accounting
   bool got_bye = false;
   bool dead = false;  ///< failed over; conn closed, never touched again
@@ -31,7 +31,7 @@ struct WorkerLink {
   bool end_sent = false;
 
   explicit WorkerLink(TcpConnection connection)
-      : conn(std::move(connection)) {}
+      : peer(std::move(connection)) {}
 };
 
 std::size_t job_bytes(const core::WindowJob& job) {
@@ -47,8 +47,8 @@ struct ShardPool::Session {
   const ShardConfig& config;
   const runtime::WindowRun& run;
   std::vector<std::unique_ptr<WorkerLink>> links;
-  /// Failover mode: dispatched jobs retained until their result lands, so
-  /// a dead worker's in-flight work can be replayed to a survivor.
+  /// Dispatched jobs retained until their result lands, so a dead
+  /// worker's in-flight work can be replayed to a survivor.
   std::map<std::uint64_t, core::WindowJob> pending;
   /// Window indices harvested from dead links awaiting re-dispatch.
   std::deque<std::uint64_t> reassign_queue;
@@ -59,9 +59,9 @@ struct ShardPool::Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  // Pool connect + handshake. Deliberately strict even in failover mode: a
-  // pool that starts broken is a configuration error, not a runtime fault to
-  // ride out.
+  // Pool connect + handshake. Deliberately strict: a pool that starts
+  // broken is a configuration error, not a runtime fault to ride out. No
+  // ack is read here; drain_incoming skips it once the run is under way.
   Session(const ShardConfig& config_in, const runtime::WindowRun& run_in)
       : config(config_in), run(run_in) {
     links.reserve(config.workers.size());
@@ -75,19 +75,7 @@ struct ShardPool::Session {
       hello.sample_rate = run.sample_rate;
       hello.name = config.name;
       encode_hello(hello, hello_bytes);
-      std::size_t sent = 0;
-      while (sent < hello_bytes.size()) {
-        const std::ptrdiff_t n = link->conn.write_some(
-            hello_bytes.data() + sent, hello_bytes.size() - sent);
-        if (n > 0) {
-          sent += static_cast<std::size_t>(n);
-        } else if (n == -1) {
-          std::vector<PollItem> items{{link->conn.fd(), false, true}};
-          poll_fds(items, 100);
-        } else {
-          throw SocketError("shard worker closed during handshake");
-        }
-      }
+      link->peer.send(hello_bytes);
       links.push_back(std::move(link));
     }
   }
@@ -103,14 +91,13 @@ struct ShardPool::Session {
   }
 
   // Declares a link dead: close it, harvest its outstanding windows into the
-  // reassign queue, count the loss. Never called in strict mode — the call
-  // sites throw instead.
+  // reassign queue, count the loss.
   void fail_link(WorkerLink& link, const char* reason) {
     static obs::Counter& workers_lost_counter =
         obs::metrics().counter("net.failover_workers_lost");
     if (link.dead) return;
     link.dead = true;
-    link.conn.close();
+    link.peer.connection().close();
     run.supervisor.record_worker_lost(link.dispatched_at.size());
     workers_lost_counter.add();
     for (const auto& [window_index, at] : link.dispatched_at) {
@@ -138,84 +125,72 @@ struct ShardPool::Session {
     static obs::HistogramMetric& latency_hist =
         obs::metrics().histogram("federation.shard_latency_ms");
     if (link.dead) return;
-    for (;;) {
-      std::uint8_t buf[65536];
-      const std::ptrdiff_t n = link.conn.read_some(buf, sizeof(buf));
-      if (n == -1) return;  // nothing pending
-      if (n == 0) {
-        if (!link.got_bye) {
-          if (!config.failover) {
-            throw SocketError("shard worker died mid-run");
-          }
-          fail_link(link, "died");
+    try {
+      for (;;) {
+        // Read until the socket would block, as a partial message does not
+        // end the drain.
+        const std::size_t buffered = link.peer.buffered();
+        const auto message = link.peer.receive(0);
+        if (!message) {
+          if (link.peer.closed() || link.peer.buffered() == buffered) break;
+          continue;
         }
-        return;
-      }
-      try {
-        link.reader.feed(buf, static_cast<std::size_t>(n));
-        while (auto message = link.reader.next()) {
-          switch (message->type) {
-            case MsgType::kAck:
-            case MsgType::kStats:  // informational; workers don't send these
-              break;
-            case MsgType::kShardFrame: {
-              ShardResult result = decode_shard_result(message->body);
-              // Only a window outstanding on this link counts; anything else
-              // is stale or bogus, and the deadline catches a worker that
-              // never answers its real assignments.
-              const auto it = link.dispatched_at.find(result.window_index);
-              if (it == link.dispatched_at.end()) break;
-              const double ms = std::chrono::duration<double, std::milli>(
-                                    Clock::now() - it->second)
-                                    .count();
-              latency_hist.record(ms);
-              run.latency.record(ms / 1e3);
-              link.dispatched_at.erase(it);
-              const auto pit = pending.find(result.window_index);
-              if (pit != pending.end()) {
-                if (config.budget != nullptr) {
-                  config.budget->release(job_bytes(pit->second));
-                }
-                pending.erase(pit);
+        switch (message->type) {
+          case MsgType::kAck:
+          case MsgType::kStats:  // informational; workers don't send these
+            break;
+          case MsgType::kShardFrame: {
+            ShardResult result = decode_shard_result(message->body);
+            // Only a window outstanding on this link counts; anything else
+            // is stale or bogus, and the deadline catches a worker that
+            // never answers its real assignments.
+            const auto it = link.dispatched_at.find(result.window_index);
+            if (it == link.dispatched_at.end()) break;
+            const double ms = std::chrono::duration<double, std::milli>(
+                                  Clock::now() - it->second)
+                                  .count();
+            latency_hist.record(ms);
+            run.latency.record(ms / 1e3);
+            link.dispatched_at.erase(it);
+            const auto pit = pending.find(result.window_index);
+            if (pit != pending.end()) {
+              if (config.budget != nullptr) {
+                config.budget->release(job_bytes(pit->second));
               }
-              ++delivered;
-              run.deliver(static_cast<std::size_t>(result.window_index),
-                          std::move(result.result));
-              break;
+              pending.erase(pit);
             }
-            case MsgType::kBye: {
-              const Bye bye = decode_bye(message->body);
-              link.got_bye = true;
-              if (bye.reason != ByeReason::kEndOfStream) {
-                if (!config.failover) {
-                  throw SocketError("shard worker closed: " +
-                                    std::string(to_string(bye.reason)));
-                }
-                fail_link(link, "refused");
-                return;
-              }
-              break;
-            }
-            default:
-              throw WireFormatError(WireError::kMalformed,
-                                    "unexpected message from shard worker");
+            ++delivered;
+            run.deliver(static_cast<std::size_t>(result.window_index),
+                        std::move(result.result));
+            break;
           }
+          case MsgType::kBye: {
+            const Bye bye = decode_bye(message->body);
+            link.got_bye = true;
+            if (bye.reason != ByeReason::kEndOfStream) {
+              fail_link(link, "refused");
+              return;
+            }
+            break;
+          }
+          default:
+            throw WireFormatError(WireError::kMalformed,
+                                  "unexpected message from shard worker");
         }
-      } catch (const WireFormatError&) {
-        // A worker speaking garbage is as lost as a dead one: its results
-        // cannot be trusted past this point.
-        if (!config.failover) throw;
-        fail_link(link, "garbage");
-        return;
       }
+    } catch (const WireFormatError&) {
+      // A worker speaking garbage is as lost as a dead one: its results
+      // cannot be trusted past this point.
+      fail_link(link, "garbage");
+      return;
     }
+    if (link.peer.closed() && !link.got_bye) fail_link(link, "died");
   }
 
-  // Deadline sweep (failover mode): a link whose oldest in-flight window (or
-  // pending Bye) is older than worker_deadline is wedged — fail it so its
-  // work moves to the survivors instead of stalling the run.
+  // Deadline sweep: a link whose oldest in-flight window (or pending Bye) is
+  // older than worker_deadline is wedged — fail it so its work moves to the
+  // survivors instead of stalling the run.
   void check_deadlines() {
-    if (!config.failover) return;
     const auto now = Clock::now();
     const auto deadline = std::chrono::duration<double>(config.worker_deadline);
     for (auto& link : links) {
@@ -232,26 +207,24 @@ struct ShardPool::Session {
   }
 
   // Fully writes `bytes` to a worker, draining every link's reads while the
-  // send buffer is full. False when the link died under the write (failover
-  // mode; its outstanding windows are already queued for reassignment).
+  // send buffer is full. False when the link died under the write (its
+  // outstanding windows are already queued for reassignment).
   bool send_all(WorkerLink& link, const std::vector<std::uint8_t>& bytes) {
+    TcpConnection& conn = link.peer.connection();
     std::size_t sent = 0;
     while (sent < bytes.size()) {
       if (link.dead) return false;
       const std::ptrdiff_t n =
-          link.conn.write_some(bytes.data() + sent, bytes.size() - sent);
+          conn.write_some(bytes.data() + sent, bytes.size() - sent);
       if (n > 0) {
         sent += static_cast<std::size_t>(n);
         continue;
       }
       if (n == 0) {
-        if (!config.failover) {
-          throw SocketError("shard worker died mid-send");
-        }
         fail_link(link, "died mid-send");
         return false;
       }
-      std::vector<PollItem> items{{link.conn.fd(), true, true}};
+      std::vector<PollItem> items{{conn.fd(), true, true}};
       poll_fds(items, 100);
       for (auto& other : links) drain_incoming(*other);
       check_deadlines();
@@ -339,7 +312,7 @@ struct ShardPool::Session {
     std::vector<PollItem> items;
     for (const auto& link : links) {
       if (!link->dead && !link->got_bye) {
-        items.push_back({link->conn.fd(), true, false});
+        items.push_back({link->peer.connection().fd(), true, false});
       }
     }
     poll_fds(items, timeout_ms);
@@ -384,14 +357,10 @@ struct ShardPool::Session {
       throw SocketError("shard failover: no workers left to assign window " +
                         std::to_string(job.index));
     }
-    if (config.failover) {
-      charge_budget(job_bytes(job));
-      const std::uint64_t index = job.index;
-      const auto it = pending.emplace(index, std::move(job)).first;
-      transmit(*link, it->second);
-    } else {
-      transmit(*link, job);
-    }
+    charge_budget(job_bytes(job));
+    const std::uint64_t index = job.index;
+    const auto it = pending.emplace(index, std::move(job)).first;
+    transmit(*link, it->second);
     pump_reassign();
   }
 

@@ -27,30 +27,20 @@ struct ShardConfig {
   Seconds connect_timeout = 5.0;
   /// Epoch stamped on published frames, like RuntimeConfig::epoch_index.
   std::uint64_t epoch_index = 0;
-  /// Worker failover (default on): a link that dies mid-run, speaks
-  /// garbage, or blows worker_deadline is closed and its outstanding
-  /// windows are reassigned to surviving workers — the run completes
-  /// bit-identical to serial WindowedDecoder (window seeds are index-
-  /// mixed, so *which* worker decodes a window cannot change its bits).
-  /// The run still fails loudly when zero workers remain, and the initial
-  /// pool connect stays strict either way (a pool that starts broken is a
-  /// configuration error, not a fault to ride out). false restores the
-  /// pre-failover stance: any mid-run death throws SocketError.
-  bool failover = true;
   /// Per-link stall deadline: a worker whose *oldest* outstanding window
-  /// has been in flight this long is declared dead (failover mode only).
-  /// Also bounds the post-run wait for a worker's Bye. Generous default —
-  /// a window decode is milliseconds; 30 s means genuinely wedged.
+  /// has been in flight this long is declared dead and failed over. Also
+  /// bounds the post-run wait for a worker's Bye. Generous default — a
+  /// window decode is milliseconds; 30 s means genuinely wedged.
   Seconds worker_deadline = 30.0;
   /// Optional overload budget, usually the same pool the gateway's
-  /// FrameServer charges its send queues against. In failover mode every
-  /// retained in-flight window's sample bytes are charged while the
-  /// window is outstanding and released when its result lands (or the run
-  /// ends), so a gateway coordinating shards sees its true memory
-  /// footprint in one number. While the pool is saturated, dispatch
-  /// throttles (bounded — it drains results to free budget, then
-  /// proceeds regardless; results must flow or nothing ever frees).
-  /// Caller-owned; must outlive run(). nullptr = unbudgeted.
+  /// FrameServer charges its send queues against. Every retained in-flight
+  /// window's sample bytes are charged while the window is outstanding and
+  /// released when its result lands (or the run ends), so a gateway
+  /// coordinating shards sees its true memory footprint in one number.
+  /// While the pool is saturated, dispatch throttles (bounded — it drains
+  /// results to free budget, then proceeds regardless; results must flow
+  /// or nothing ever frees). Caller-owned; must outlive run(). nullptr =
+  /// unbudgeted.
   ResourceBudget* budget = nullptr;
 };
 
@@ -64,14 +54,15 @@ struct ShardConfig {
 /// and to the serial core::WindowedDecoder — with frames included; the
 /// tests enforce it across real processes.
 ///
-/// Failure stance: strict about *results*, resilient about *workers*. With
-/// ShardConfig::failover (the default) a worker that dies, stalls past
-/// worker_deadline, or speaks garbage mid-run is dropped and its
-/// outstanding windows are re-dispatched to the survivors; the run still
-/// completes bit-identically, and its FaultCounters record workers_lost /
+/// Failure stance: strict about *results*, resilient about *workers*. A
+/// worker that dies, stalls past worker_deadline, or speaks garbage
+/// mid-run is dropped and its outstanding windows are re-dispatched to the
+/// survivors (failover); the run still completes bit-identically — window
+/// seeds are index-mixed, so *which* worker decodes a window cannot change
+/// its bits — and its FaultCounters record workers_lost /
 /// windows_reassigned. The run fails with SocketError when the pool fails
-/// its initial connect (a configuration error), when zero workers
-/// survive, or on any mid-run death with failover off.
+/// its initial connect (a configuration error, not a fault to ride out) or
+/// when zero workers survive.
 ///
 /// Reusable across runs; one run at a time.
 class ShardPool final : public runtime::WindowExecutor {

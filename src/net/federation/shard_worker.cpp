@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "core/windowed_decoder.h"
 #include "net/federation/shard_wire.h"
+#include "net/peer.h"
 #include "net/wire.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -14,28 +15,6 @@
 namespace lfbs::net::federation {
 
 namespace {
-
-/// Blocking full write against the non-blocking connection: polls for
-/// writability between partial writes. Worker → coordinator messages are
-/// small (one window's streams), so this cannot deadlock against the
-/// coordinator's much larger IQ sends — the coordinator drains reads while
-/// it writes.
-void write_all(TcpConnection& conn, const std::vector<std::uint8_t>& bytes,
-               const std::atomic<bool>& stop) {
-  std::size_t sent = 0;
-  while (sent < bytes.size() && !stop.load(std::memory_order_relaxed)) {
-    const std::ptrdiff_t n =
-        conn.write_some(bytes.data() + sent, bytes.size() - sent);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-    } else if (n == -1) {
-      std::vector<PollItem> items{{conn.fd(), false, true}};
-      poll_fds(items, 100);
-    } else {
-      throw SocketError("coordinator closed mid-write");
-    }
-  }
-}
 
 core::WindowedDecoderConfig config_from_assign(const ShardAssign& assign) {
   core::WindowedDecoderConfig wc;
@@ -67,9 +46,10 @@ std::size_t ShardWorker::serve() {
     poll_fds(items, 100);
   }
   if (!fd.valid()) return 0;
-  TcpConnection conn(std::move(fd));
-
-  MessageReader reader;
+  // Worker → coordinator messages are small (one window's streams), so a
+  // blocking send cannot deadlock against the coordinator's much larger IQ
+  // sends — the coordinator drains reads while it writes.
+  Peer peer{TcpConnection(std::move(fd))};
   bool greeted = false;
   std::size_t windows_decoded = 0;
 
@@ -94,7 +74,7 @@ std::size_t ShardWorker::serve() {
          std::move(buffer)});
     std::vector<std::uint8_t> reply;
     encode_shard_result(result, reply);
-    write_all(conn, reply, stop_);
+    peer.send(reply, &stop_);
     ++windows_decoded;
     windows_counter.add();
     if (obs::EventLog* log = obs::event_log()) {
@@ -109,83 +89,70 @@ std::size_t ShardWorker::serve() {
     }
   };
 
-  std::uint8_t buf[65536];
   bool done = false;
   while (!done && !stop_.load(std::memory_order_relaxed)) {
-    std::vector<PollItem> items{{conn.fd(), true, false}};
-    poll_fds(items, 100);
-    if (!items[0].readable && !items[0].error) continue;
-    const std::ptrdiff_t n = conn.read_some(buf, sizeof(buf));
-    if (n == -1) continue;
-    if (n == 0) break;  // coordinator gone; nothing left to reply to
-    reader.feed(buf, static_cast<std::size_t>(n));
-    while (auto message = reader.next()) {
-      if (!greeted) {
-        if (message->type != MsgType::kHello) {
-          throw WireFormatError(WireError::kMalformed, "expected hello first");
-        }
-        const Hello hello = decode_hello(message->body);
-        if (hello.role != PeerRole::kShardCoordinator) {
+    const std::optional<Message> message = peer.receive(100);
+    if (!message) {
+      if (peer.closed()) break;  // coordinator gone; nothing to reply to
+      continue;
+    }
+    if (!greeted) {
+      expect_hello(*message, PeerRole::kShardCoordinator);
+      greeted = true;
+      std::vector<std::uint8_t> ack;
+      encode_ack({0, config_.name}, ack);
+      peer.send(ack, &stop_);
+      continue;
+    }
+    switch (message->type) {
+      case MsgType::kShardAssign: {
+        if (pending.has_value()) {
           throw WireFormatError(WireError::kMalformed,
-                                "shard worker requires a coordinator peer");
+                                "assign while a window is in flight");
         }
-        greeted = true;
-        std::vector<std::uint8_t> ack;
-        encode_ack({0, config_.name}, ack);
-        write_all(conn, ack, stop_);
-        continue;
+        pending = decode_shard_assign(message->body);
+        samples.clear();
+        samples.reserve(static_cast<std::size_t>(pending->sample_count));
+        received = 0;
+        if (pending->sample_count == 0) decode_and_reply();
+        break;
       }
-      switch (message->type) {
-        case MsgType::kShardAssign: {
-          if (pending.has_value()) {
-            throw WireFormatError(WireError::kMalformed,
-                                  "assign while a window is in flight");
-          }
-          pending = decode_shard_assign(message->body);
-          samples.clear();
-          samples.reserve(static_cast<std::size_t>(pending->sample_count));
-          received = 0;
-          if (pending->sample_count == 0) decode_and_reply();
-          break;
-        }
-        case MsgType::kIqChunk: {
-          if (!pending.has_value()) {
-            throw WireFormatError(WireError::kMalformed,
-                                  "IQ chunk without an assignment");
-          }
-          const runtime::SampleChunk chunk = decode_iq_chunk(message->body);
-          // first_sample is the window-local offset; chunks arrive in
-          // order, so it must equal what we have.
-          if (chunk.first_sample != received) {
-            throw WireFormatError(WireError::kMalformed,
-                                  "out-of-order shard IQ chunk");
-          }
-          samples.insert(samples.end(), chunk.samples.begin(),
-                         chunk.samples.end());
-          received += chunk.samples.size();
-          if (received > pending->sample_count) {
-            throw WireFormatError(WireError::kMalformed,
-                                  "more samples than the assign declared");
-          }
-          if (received == pending->sample_count) decode_and_reply();
-          break;
-        }
-        case MsgType::kIqEnd: {
-          // Session complete; acknowledge with a clean close.
-          std::vector<std::uint8_t> bye;
-          encode_bye({ByeReason::kEndOfStream, "shards complete"}, bye);
-          write_all(conn, bye, stop_);
-          done = true;
-          break;
-        }
-        case MsgType::kBye:
-          done = true;
-          break;
-        default:
+      case MsgType::kIqChunk: {
+        if (!pending.has_value()) {
           throw WireFormatError(WireError::kMalformed,
-                                "unexpected message from coordinator");
+                                "IQ chunk without an assignment");
+        }
+        const runtime::SampleChunk chunk = decode_iq_chunk(message->body);
+        // first_sample is the window-local offset; chunks arrive in
+        // order, so it must equal what we have.
+        if (chunk.first_sample != received) {
+          throw WireFormatError(WireError::kMalformed,
+                                "out-of-order shard IQ chunk");
+        }
+        samples.insert(samples.end(), chunk.samples.begin(),
+                       chunk.samples.end());
+        received += chunk.samples.size();
+        if (received > pending->sample_count) {
+          throw WireFormatError(WireError::kMalformed,
+                                "more samples than the assign declared");
+        }
+        if (received == pending->sample_count) decode_and_reply();
+        break;
       }
-      if (done) break;
+      case MsgType::kIqEnd: {
+        // Session complete; acknowledge with a clean close.
+        std::vector<std::uint8_t> bye;
+        encode_bye({ByeReason::kEndOfStream, "shards complete"}, bye);
+        peer.send(bye, &stop_);
+        done = true;
+        break;
+      }
+      case MsgType::kBye:
+        done = true;
+        break;
+      default:
+        throw WireFormatError(WireError::kMalformed,
+                              "unexpected message from coordinator");
     }
   }
   return windows_decoded;

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <thread>
 
+#include "net/peer.h"
 #include "obs/metrics.h"
 
 namespace lfbs::net {
@@ -58,23 +59,24 @@ TcpConnection FrameClient::connect_with_backoff() {
     } catch (const SocketError&) {
       if (attempt >= config_.max_connect_attempts) throw;
       ++attempt;
-      const Seconds wait = config_.backoff_jitter
-                               ? backoff_jitter_delay(backoff_rng_, cap)
-                               : cap;
-      std::this_thread::sleep_for(std::chrono::duration<double>(wait));
+      std::this_thread::sleep_for(std::chrono::duration<double>(
+          backoff_jitter_delay(backoff_rng_, cap)));
       cap = std::min(cap * 2.0, config_.backoff_max);
     }
   }
 }
 
 Bye FrameClient::run(const Callbacks& callbacks) {
+  using Clock = std::chrono::steady_clock;
+  const auto connect_timeout = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(config_.connect_timeout));
   bool ever_connected = false;
   std::size_t admission_retries_left = config_.max_admission_retries;
   for (;;) {
     if (stop_.load(std::memory_order_relaxed)) {
       return {ByeReason::kShuttingDown, "client stopped"};
     }
-    TcpConnection conn = connect_with_backoff();
+    Peer peer(connect_with_backoff(), 4096);
 
     // Every (re)connect rebuilds the full handshake — hello, the optional
     // relay announcement, and the *current* subscribe filter — so every
@@ -93,105 +95,102 @@ Bye FrameClient::run(const Callbacks& callbacks) {
       ++counters_.resubscribes;
       obs::metrics().counter("net.client_resubscribes").add();
     }
-    std::size_t sent = 0;
-    while (sent < handshake.size()) {
-      const std::ptrdiff_t n =
-          conn.write_some(handshake.data() + sent, handshake.size() - sent);
-      if (n > 0) {
-        sent += static_cast<std::size_t>(n);
-      } else if (n == -1) {
-        std::vector<PollItem> items{{conn.fd(), false, true}};
-        poll_fds(items, 100);
-      } else {
-        break;  // dead before the handshake finished; reconnect below
-      }
+    bool connection_alive = true;
+    try {
+      peer.send(handshake);
+    } catch (const SocketError&) {
+      connection_alive = false;  // dead before the handshake finished
     }
 
-    MessageReader reader;
     SessionEnd end;
-    bool connection_alive = sent == handshake.size();
     // hello ack + subscribe ack (+ relay-hello ack when announcing)
     std::size_t acks_pending = is_relay ? 3 : 2;
-    const auto session_start = std::chrono::steady_clock::now();
-    const auto handshake_deadline =
-        session_start +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(config_.connect_timeout));
+    const auto session_start = Clock::now();
+    // When the message now arriving may have begun: the last handled
+    // message, or the last moment nothing was buffered.
+    auto message_start = session_start;
     while (connection_alive && !end.got_bye &&
            !stop_.load(std::memory_order_relaxed)) {
       // A server that accepted the dial but never answers the handshake
       // (e.g. a dying gateway whose backlog completed our connect) is a
       // dead connection, not a quiet one — without this a client could
       // poll a silent socket forever.
-      if (acks_pending > 0 &&
-          std::chrono::steady_clock::now() > handshake_deadline) {
-        connection_alive = false;
-        break;
-      }
-      std::vector<PollItem> items{{conn.fd(), true, false}};
-      poll_fds(items, 100);
-      if (!items[0].readable && !items[0].error) continue;
-      std::uint8_t buf[4096];
-      const std::ptrdiff_t n = conn.read_some(buf, sizeof(buf));
-      if (n == -1) continue;
-      if (n == 0) {
+      if (acks_pending > 0 && Clock::now() - session_start > connect_timeout) {
         connection_alive = false;
         break;
       }
       try {
-        reader.feed(buf, static_cast<std::size_t>(n));
-        while (auto message = reader.next()) {
-          switch (message->type) {
-            case MsgType::kAck: {
-              const Ack ack = decode_ack(message->body);
-              if (ack.status != 0) {
-                throw WireFormatError(WireError::kMalformed,
-                                      "server refused: " + ack.text);
-              }
-              if (ack.replay_shortfall > 0) {
-                counters_.replay_shortfall += ack.replay_shortfall;
-                obs::metrics()
-                    .counter("net.client_replay_shortfall")
-                    .add(ack.replay_shortfall);
-              }
-              if (acks_pending > 0 && --acks_pending == 0) {
-                ++counters_.connects;
-                if (ever_connected) {
-                  ++counters_.reconnects;
-                  obs::metrics().counter("net.client_reconnects").add();
-                }
-                ever_connected = true;
-              }
-              break;
-            }
-            case MsgType::kFrame: {
-              const runtime::FrameEvent event = decode_frame(message->body);
-              ++counters_.frames_received;
-              if (callbacks.on_frame) callbacks.on_frame(event);
-              break;
-            }
-            case MsgType::kStats: {
-              const WireStats stats = decode_stats(message->body);
-              ++counters_.stats_received;
-              if (callbacks.on_stats) callbacks.on_stats(stats);
-              break;
-            }
-            case MsgType::kControlPlan: {
-              const ControlPlanMsg plan = decode_control_plan(message->body);
-              ++counters_.control_plans_received;
-              if (callbacks.on_control) callbacks.on_control(plan);
-              break;
-            }
-            case MsgType::kBye:
-              end.got_bye = true;
-              end.bye = decode_bye(message->body);
-              break;
-            default:
-              throw WireFormatError(WireError::kMalformed,
-                                    "unexpected message from server");
-          }
-          if (end.got_bye) break;
+        // The same rule for every later message: one still incomplete
+        // connect_timeout after its first bytes arrived means the stream
+        // lost its framing (a corrupted length prefix would otherwise
+        // swallow every later byte as one body that never completes).
+        if (peer.buffered() > 0 &&
+            Clock::now() - message_start > connect_timeout) {
+          throw WireFormatError(WireError::kTruncated,
+                                "message stalled incomplete past the "
+                                "connect timeout");
         }
+        const std::optional<Message> message = peer.receive(100);
+        if (!message) {
+          if (peer.closed()) {
+            connection_alive = false;
+            break;
+          }
+          if (peer.buffered() == 0) message_start = Clock::now();
+          continue;
+        }
+        switch (message->type) {
+          case MsgType::kAck: {
+            const Ack ack = decode_ack(message->body);
+            if (ack.status != 0) {
+              throw WireFormatError(WireError::kMalformed,
+                                    "server refused: " + ack.text);
+            }
+            if (ack.replay_shortfall > 0) {
+              counters_.replay_shortfall += ack.replay_shortfall;
+              obs::metrics()
+                  .counter("net.client_replay_shortfall")
+                  .add(ack.replay_shortfall);
+            }
+            if (acks_pending > 0 && --acks_pending == 0) {
+              ++counters_.connects;
+              if (ever_connected) {
+                ++counters_.reconnects;
+                obs::metrics().counter("net.client_reconnects").add();
+              }
+              ever_connected = true;
+            }
+            break;
+          }
+          case MsgType::kFrame: {
+            const runtime::FrameEvent event = decode_frame(message->body);
+            ++counters_.frames_received;
+            if (callbacks.on_frame) callbacks.on_frame(event);
+            break;
+          }
+          case MsgType::kStats: {
+            const WireStats stats = decode_stats(message->body);
+            ++counters_.stats_received;
+            if (callbacks.on_stats) callbacks.on_stats(stats);
+            break;
+          }
+          case MsgType::kControlPlan: {
+            const ControlPlanMsg plan = decode_control_plan(message->body);
+            ++counters_.control_plans_received;
+            if (callbacks.on_control) callbacks.on_control(plan);
+            break;
+          }
+          case MsgType::kBye:
+            end.got_bye = true;
+            end.bye = decode_bye(message->body);
+            break;
+          default:
+            throw WireFormatError(WireError::kMalformed,
+                                  "unexpected message from server");
+        }
+        // After the callbacks: time a slow consumer spends in them is not
+        // time the wire kept a message incomplete.
+        message_start = Clock::now();
       } catch (const WireFormatError&) {
         // Corrupted bytes (or a hostile peer). Under the reconnect flag a
         // garbled stream is just another dead connection: drop it and let
@@ -220,11 +219,9 @@ Bye FrameClient::run(const Callbacks& callbacks) {
                              : config_.backoff_initial;
           wait = std::min(wait, config_.backoff_max);
           const auto deadline =
-              std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<
-                  std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(wait));
-          while (std::chrono::steady_clock::now() < deadline &&
+              Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                 std::chrono::duration<double>(wait));
+          while (Clock::now() < deadline &&
                  !stop_.load(std::memory_order_relaxed)) {
             std::this_thread::sleep_for(std::chrono::milliseconds(10));
           }
@@ -261,71 +258,51 @@ namespace {
 ControlPlanMsg control_exchange(const std::string& host, std::uint16_t port,
                                 const std::vector<std::uint8_t>& request,
                                 Seconds timeout) {
-  TcpConnection conn = TcpConnection::connect(host, port, timeout);
+  Peer peer(TcpConnection::connect(host, port, timeout), 4096);
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(timeout));
   std::vector<std::uint8_t> out;
   Hello hello;
   hello.role = PeerRole::kFrameSubscriber;
   hello.name = "lfbs-control";
   encode_hello(hello, out);
   out.insert(out.end(), request.begin(), request.end());
+  // A few dozen bytes into a fresh connection's send buffer: the write
+  // cannot block past the deadline checked below.
+  peer.send(out);
 
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout));
-  std::size_t sent = 0;
-  while (sent < out.size()) {
-    if (std::chrono::steady_clock::now() > deadline) {
-      throw SocketError("control exchange timed out mid-send");
-    }
-    const std::ptrdiff_t n =
-        conn.write_some(out.data() + sent, out.size() - sent);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-    } else if (n == -1) {
-      std::vector<PollItem> items{{conn.fd(), false, true}};
-      poll_fds(items, 100);
-    } else {
-      throw SocketError("connection died during control exchange");
-    }
-  }
-
-  MessageReader reader;
   for (;;) {
     if (std::chrono::steady_clock::now() > deadline) {
       throw SocketError("control exchange timed out awaiting reply");
     }
-    std::vector<PollItem> items{{conn.fd(), true, false}};
-    poll_fds(items, 100);
-    if (!items[0].readable && !items[0].error) continue;
-    std::uint8_t buf[4096];
-    const std::ptrdiff_t n = conn.read_some(buf, sizeof(buf));
-    if (n == -1) continue;
-    if (n == 0) {
-      throw SocketError("connection closed before the control reply");
-    }
-    reader.feed(buf, static_cast<std::size_t>(n));
-    while (auto message = reader.next()) {
-      switch (message->type) {
-        case MsgType::kAck: {
-          const Ack ack = decode_ack(message->body);
-          if (ack.status != 0) {
-            throw WireFormatError(WireError::kMalformed,
-                                  "server refused: " + ack.text);
-          }
-          break;
-        }
-        case MsgType::kControlPlan:
-          return decode_control_plan(message->body);
-        case MsgType::kBye: {
-          const Bye bye = decode_bye(message->body);
-          throw SocketError("server closed the control exchange: " +
-                            std::string(to_string(bye.reason)));
-        }
-        default:
-          // Stats or stray frames can interleave on a busy server.
-          break;
+    const std::optional<Message> message = peer.receive(100);
+    if (!message) {
+      if (peer.closed()) {
+        throw SocketError("connection closed before the control reply");
       }
+      continue;
+    }
+    switch (message->type) {
+      case MsgType::kAck: {
+        const Ack ack = decode_ack(message->body);
+        if (ack.status != 0) {
+          throw WireFormatError(WireError::kMalformed,
+                                "server refused: " + ack.text);
+        }
+        break;
+      }
+      case MsgType::kControlPlan:
+        return decode_control_plan(message->body);
+      case MsgType::kBye: {
+        const Bye bye = decode_bye(message->body);
+        throw SocketError("server closed the control exchange: " +
+                          std::string(to_string(bye.reason)));
+      }
+      default:
+        // Stats or stray frames can interleave on a busy server.
+        break;
     }
   }
 }

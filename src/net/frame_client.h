@@ -22,7 +22,10 @@ struct FrameClientConfig {
   SubscribeFilter filter;
   /// Bounds each dial AND the handshake that follows it: a server that
   /// accepts the connection but never acks within this window counts as a
-  /// dead connection (reconnect path, not a hang).
+  /// dead connection (reconnect path, not a hang). It also bounds every
+  /// later message: one still incomplete this long after its first bytes
+  /// arrived means the stream lost its framing (WireFormatError kTruncated,
+  /// see reconnect_on_protocol_error).
   Seconds connect_timeout = 5.0;
   /// Reconnect policy. The defaults are literally the Supervisor's source
   /// retry policy — a lost gateway link is the same kind of transient fault
@@ -31,21 +34,19 @@ struct FrameClientConfig {
       runtime::SupervisorConfig{}.max_source_retries;
   Seconds backoff_initial = runtime::SupervisorConfig{}.retry_backoff_initial;
   Seconds backoff_max = runtime::SupervisorConfig{}.retry_backoff_max;
-  /// Full-jitter backoff (sleep = U[0, cap), cap doubling up to
-  /// backoff_max). Without jitter every client evicted by the same server
-  /// death retries on the same deterministic schedule — a thundering herd
-  /// that re-arrives in lockstep forever. Seeded, so a given client's
-  /// schedule is still reproducible.
-  bool backoff_jitter = true;
-  /// Seed for the jitter Rng; 0 (default) derives a per-client seed from
-  /// the client name and a process-wide construction counter, so N tailers
-  /// built in one process spread out deterministically but differently.
+  /// Seed for the full-jitter backoff (sleep = U[0, cap), cap doubling up
+  /// to backoff_max); without jitter every client evicted by one server
+  /// death would redial in lockstep forever. 0 (default) derives a
+  /// per-client seed from the client name and a process-wide construction
+  /// counter, so N tailers built in one process spread out
+  /// deterministically but differently.
   std::uint64_t backoff_seed = 0;
   /// Treat a WireFormatError mid-stream (corrupted bytes, a peer speaking
-  /// garbage) like a dead connection: drop it, reconnect, resubscribe —
-  /// counted in protocol_resets. Default off: a plain tail should fail
-  /// loudly on a malformed server rather than retry it forever. The relay
-  /// and the soak harness turn it on to ride out wire corruption.
+  /// garbage, a message stalled past connect_timeout) like a dead
+  /// connection: drop it, reconnect, resubscribe — counted in
+  /// protocol_resets. Default off: a plain tail should fail loudly on a
+  /// malformed server rather than retry it forever. The relay and the soak
+  /// harness turn it on to ride out wire corruption.
   bool reconnect_on_protocol_error = false;
   /// Treat Bye(kEvicted) like a dead connection: reconnect (and
   /// resubscribe, with the current filter) instead of returning. What the

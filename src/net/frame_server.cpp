@@ -104,9 +104,7 @@ FrameServer::FrameServer(FrameServerConfig config)
           config_.bind_address, config_.port,
           // A storm of dials must reach the typed deny path, not rot in
           // SYN retries, so admission widens the kernel backlog.
-          config_.admission.enabled
-              ? std::max(config_.listen_backlog, 128)
-              : config_.listen_backlog)) {
+          config_.admission.enabled ? 128 : 16)) {
   if (obs::EventLog* log = obs::event_log()) {
     log->emit("net",
               {obs::Field::str("action", "listen"),
@@ -212,20 +210,16 @@ void FrameServer::publish(const runtime::FrameEvent& event) {
 void FrameServer::publish_stats(const runtime::RuntimeStats& stats) {
   std::vector<std::uint8_t> bytes;
   encode_stats(to_wire_stats(stats), bytes);
-  {
-    std::lock_guard lock(mutex_);
-    for (const auto& client : clients_) {
-      if (client->dead || client->closing || client->evict) continue;
-      if (!client->subscribed) continue;
-      enqueue_locked(*client, bytes, /*is_frame=*/false);
-    }
-  }
-  impl_->wake.wake();
+  broadcast(bytes);
 }
 
 void FrameServer::publish_control(const ControlPlanMsg& plan) {
   std::vector<std::uint8_t> bytes;
   encode_control_plan(plan, bytes);
+  broadcast(bytes);
+}
+
+void FrameServer::broadcast(const std::vector<std::uint8_t>& bytes) {
   {
     std::lock_guard lock(mutex_);
     for (const auto& client : clients_) {
@@ -261,6 +255,25 @@ void FrameServer::drop_ring_front_locked() {
   if (config_.budget != nullptr) config_.budget->release(bytes);
 }
 
+bool FrameServer::drop_oldest_frame_locked(Client& client) {
+  // Only frames go: control messages (acks, byes) are part of the protocol
+  // and must survive the squeeze.
+  for (auto it = client.queue.begin(); it != client.queue.end(); ++it) {
+    if (!it->frame) continue;
+    const std::size_t bytes = it->bytes.size();
+    client.queue.erase(it);
+    --client.queued_frames;
+    note_queue_bytes_locked(client, -static_cast<std::ptrdiff_t>(bytes));
+    if (config_.budget != nullptr) {
+      config_.budget->release(bytes);
+      client.budget_bytes -= bytes;
+    }
+    ++client.drops;
+    return true;
+  }
+  return false;
+}
+
 bool FrameServer::shed_one_best_effort_locked() {
   Client* worst = nullptr;
   for (const auto& client : clients_) {
@@ -270,23 +283,10 @@ bool FrameServer::shed_one_best_effort_locked() {
       worst = client.get();
     }
   }
-  if (worst == nullptr) return false;
-  for (auto it = worst->queue.begin(); it != worst->queue.end(); ++it) {
-    if (!it->frame) continue;
-    const std::size_t bytes = it->bytes.size();
-    worst->queue.erase(it);
-    --worst->queued_frames;
-    note_queue_bytes_locked(*worst, -static_cast<std::ptrdiff_t>(bytes));
-    if (config_.budget != nullptr) {
-      config_.budget->release(bytes);
-      worst->budget_bytes -= bytes;
-    }
-    ++worst->drops;
-    ++counters_.budget_sheds;
-    net_metrics().budget_sheds.add();
-    return true;
-  }
-  return false;
+  if (worst == nullptr || !drop_oldest_frame_locked(*worst)) return false;
+  ++counters_.budget_sheds;
+  net_metrics().budget_sheds.add();
+  return true;
 }
 
 bool FrameServer::shed_for_budget_locked(std::size_t need) {
@@ -344,37 +344,16 @@ void FrameServer::enqueue_locked(Client& client,
           admission_.enabled() && quota.max_queue_bytes > 0 &&
           client.queue_bytes + need > quota.max_queue_bytes;
       if (over_messages || over_bytes) {
-        if (config_.slow_consumer == SlowConsumerPolicy::kEvict) {
+        if (config_.slow_consumer == SlowConsumerPolicy::kEvict ||
+            !drop_oldest_frame_locked(client)) {
+          // Evict by policy, or because nothing is sheddable (a
+          // control-only queue the peer is not draining): a stalled
+          // consumer.
           client.evict = true;
           return;
         }
-        // Drop the oldest queued *frame*: control messages (acks, byes)
-        // are part of the protocol and must survive the squeeze.
-        bool dropped = false;
-        for (auto it = client.queue.begin(); it != client.queue.end();
-             ++it) {
-          if (!it->frame) continue;
-          const std::size_t old_bytes = it->bytes.size();
-          client.queue.erase(it);
-          --client.queued_frames;
-          note_queue_bytes_locked(
-              client, -static_cast<std::ptrdiff_t>(old_bytes));
-          if (config_.budget != nullptr) {
-            config_.budget->release(old_bytes);
-            client.budget_bytes -= old_bytes;
-          }
-          ++client.drops;
-          ++counters_.queue_drops;
-          net_metrics().queue_drops.add();
-          dropped = true;
-          break;
-        }
-        if (!dropped) {
-          // Nothing sheddable (a control-only queue the peer is not
-          // draining): that is a stalled consumer, evict it.
-          client.evict = true;
-          return;
-        }
+        ++counters_.queue_drops;
+        net_metrics().queue_drops.add();
       }
     }
   }
@@ -439,10 +418,8 @@ void FrameServer::shutdown(bool drain) {
       // accounts every discarded frame).
       for (auto& client : clients_) {
         if (!client->dead) {
-          std::vector<std::uint8_t> bye;
-          encode_bye({ByeReason::kShuttingDown, "server stopping"}, bye);
-          client->conn.write_some(bye.data(), bye.size());
-          close_client_locked(*client, "shutdown");
+          bye_and_close_locked(*client, ByeReason::kShuttingDown,
+                               "server stopping", "shutdown");
         }
       }
     }
@@ -576,6 +553,14 @@ void FrameServer::close_client_locked(Client& client, const char* cause) {
   emit_event(cause, client.id, client.frames_sent, client.drops);
 }
 
+void FrameServer::bye_and_close_locked(Client& client, ByeReason reason,
+                                       const char* text, const char* cause) {
+  std::vector<std::uint8_t> bye;
+  encode_bye({reason, text}, bye);
+  client.conn.write_some(bye.data(), bye.size());
+  close_client_locked(client, cause);
+}
+
 void FrameServer::handle_incoming(Client& client) {
   std::uint8_t buf[4096];
   for (;;) {
@@ -591,15 +576,8 @@ void FrameServer::handle_incoming(Client& client) {
       while (auto message = client.reader.next()) {
         if (client.closing) break;  // deny already queued; ignore the rest
         if (!client.greeted) {
-          if (message->type != MsgType::kHello) {
-            throw WireFormatError(WireError::kMalformed,
-                                  "expected hello first");
-          }
-          const Hello hello = decode_hello(message->body);
-          if (hello.role != PeerRole::kFrameSubscriber) {
-            throw WireFormatError(WireError::kMalformed,
-                                  "frame port requires a subscriber peer");
-          }
+          const Hello hello =
+              expect_hello(*message, PeerRole::kFrameSubscriber);
           client.greeted = true;
           client.name = hello.name;
           client.cls = hello.client_class;
@@ -739,10 +717,8 @@ void FrameServer::handle_incoming(Client& client) {
     } catch (const WireFormatError&) {
       ++counters_.protocol_errors;
       net_metrics().protocol_errors.add();
-      std::vector<std::uint8_t> bye;
-      encode_bye({ByeReason::kProtocolError, "unparseable input"}, bye);
-      client.conn.write_some(bye.data(), bye.size());
-      close_client_locked(client, "protocol-error");
+      bye_and_close_locked(client, ByeReason::kProtocolError,
+                           "unparseable input", "protocol-error");
       return;
     }
   }
@@ -886,10 +862,8 @@ void FrameServer::loop() {
         if (client->evict && !client->dead) {
           ++counters_.evictions;
           net_metrics().evictions.add();
-          std::vector<std::uint8_t> bye;
-          encode_bye({ByeReason::kEvicted, "send queue overflow"}, bye);
-          client->conn.write_some(bye.data(), bye.size());
-          close_client_locked(*client, "evict");
+          bye_and_close_locked(*client, ByeReason::kEvicted,
+                               "send queue overflow", "evict");
         }
       }
       if (draining_) {

@@ -61,10 +61,6 @@ struct FrameServerConfig {
   /// and dedups the overlap by frame identity. 0 (default) keeps no
   /// history and replays nothing.
   std::size_t replay_frames = 0;
-  /// Kernel listen backlog. Raised automatically when admission is on so
-  /// a connection storm reaches the typed deny path instead of timing out
-  /// in SYN retries.
-  int listen_backlog = 16;
   /// Admission control: connection budget, per-class subscriber counts
   /// and quotas, typed Bye(kAdmissionDenied) with a retry-after hint.
   /// Disabled (default) keeps the pre-admission behaviour: the server
@@ -194,6 +190,11 @@ class FrameServer {
   void enqueue_locked(Client& client, const std::vector<std::uint8_t>& bytes,
                       bool is_frame);
   void close_client_locked(Client& client, const char* cause);
+  /// Writes one best-effort Bye(reason), then closes the client.
+  void bye_and_close_locked(Client& client, ByeReason reason,
+                            const char* text, const char* cause);
+  /// Queues `bytes` (a non-frame message) to every subscribed client.
+  void broadcast(const std::vector<std::uint8_t>& bytes);
   void emit_event(const char* action, std::uint64_t client_id,
                   std::size_t a = 0, std::size_t b = 0);
   /// Queues a typed admission deny and marks the client to close once the
@@ -207,6 +208,9 @@ class FrameServer {
   /// holding the most queued bytes. False when no best-effort frame is
   /// queued anywhere (only priority traffic remains — never shed).
   bool shed_one_best_effort_locked();
+  /// Drops the client's oldest queued frame, releasing its budget. False
+  /// when the client has no frame queued.
+  bool drop_oldest_frame_locked(Client& client);
   void note_queue_bytes_locked(Client& client, std::ptrdiff_t delta);
   void drop_ring_front_locked();
   /// Engages the backpressure gate while the budget is saturated and

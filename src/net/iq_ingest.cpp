@@ -1,5 +1,8 @@
 #include "net/iq_ingest.h"
 
+#include <algorithm>
+#include <chrono>
+
 #include "obs/events.h"
 #include "obs/metrics.h"
 
@@ -7,22 +10,18 @@ namespace lfbs::net {
 
 namespace {
 
-/// Blocking full write over a non-blocking connection. Throws SocketError
-/// when the peer goes away mid-write.
-void write_all(TcpConnection& conn, const std::vector<std::uint8_t>& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const std::ptrdiff_t n =
-        conn.write_some(bytes.data() + sent, bytes.size() - sent);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-    } else if (n == -1) {
-      std::vector<PollItem> items{{conn.fd(), false, true}};
-      poll_fds(items, 100);
-    } else {
-      throw SocketError("peer closed during write");
-    }
-  }
+using Clock = std::chrono::steady_clock;
+
+Clock::time_point deadline_after(Seconds timeout) {
+  return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(timeout));
+}
+
+/// Milliseconds left before `deadline`, as a poll timeout (0 once past).
+int ms_until(Clock::time_point deadline) {
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
+  return static_cast<int>(std::max<std::int64_t>(0, left.count()));
 }
 
 }  // namespace
@@ -32,14 +31,13 @@ RemoteIqSource::RemoteIqSource(IqIngestConfig config)
       listener_(config_.bind_address, config_.port) {}
 
 void RemoteIqSource::fail_protocol(const std::string& what) {
-  conn_.close();
+  peer_.reset();
   throw runtime::SourceError("remote iq: " + what, /*transient=*/false);
 }
 
 SampleRate RemoteIqSource::wait_for_pusher() {
-  const int timeout_ms = static_cast<int>(config_.accept_timeout * 1e3);
   std::vector<PollItem> items{{listener_.fd(), true, false}};
-  poll_fds(items, timeout_ms);
+  poll_fds(items, static_cast<int>(config_.accept_timeout * 1e3));
   FdHandle fd = listener_.accept();
   if (!fd.valid()) {
     throw runtime::SourceError("remote iq: no pusher connected within " +
@@ -47,54 +45,43 @@ SampleRate RemoteIqSource::wait_for_pusher() {
                                    "s",
                                /*transient=*/false);
   }
-  conn_ = TcpConnection(std::move(fd));
+  peer_.emplace(TcpConnection(std::move(fd)));
   obs::metrics().counter("net.connects").add();
 
   // Read until the hello arrives; anything else first is a protocol error.
+  const auto deadline = deadline_after(config_.accept_timeout);
   for (;;) {
     try {
-      if (auto message = reader_.next()) {
-        if (message->type != MsgType::kHello) {
-          fail_protocol("expected hello first");
-        }
-        const Hello hello = decode_hello(message->body);
-        if (hello.role != PeerRole::kIqPusher) {
-          fail_protocol("ingest port requires an iq-pusher peer");
-        }
+      if (const auto message = peer_->receive(ms_until(deadline))) {
+        const Hello hello = expect_hello(*message, PeerRole::kIqPusher);
         if (!(hello.sample_rate > 0.0)) {
           fail_protocol("pusher declared no sample rate");
         }
         rate_ = hello.sample_rate;
         std::vector<std::uint8_t> ack;
         encode_ack({0, "lfbs-ingest"}, ack);
-        write_all(conn_, ack);
+        peer_->send(ack);
         return rate_;
       }
     } catch (const WireFormatError& error) {
       fail_protocol(error.what());
     }
-    std::vector<PollItem> poll{{conn_.fd(), true, false}};
-    poll_fds(poll, timeout_ms);
-    if (!poll[0].readable && !poll[0].error) {
-      fail_protocol("handshake timed out");
-    }
-    std::uint8_t buf[4096];
-    const std::ptrdiff_t n = conn_.read_some(buf, sizeof(buf));
-    if (n == 0) fail_protocol("pusher disconnected during handshake");
-    if (n > 0) reader_.feed(buf, static_cast<std::size_t>(n));
+    if (peer_->closed()) fail_protocol("pusher disconnected during handshake");
+    if (Clock::now() >= deadline) fail_protocol("handshake timed out");
   }
 }
 
 std::optional<runtime::SampleChunk> RemoteIqSource::next_chunk() {
   if (ended_) return std::nullopt;
-  if (!conn_.valid()) {
+  if (!peer_) {
     throw runtime::SourceError("remote iq: no pusher (wait_for_pusher not "
                                "run or handshake failed)",
                                /*transient=*/false);
   }
+  const auto deadline = deadline_after(config_.read_timeout);
   for (;;) {
     try {
-      while (auto message = reader_.next()) {
+      if (const auto message = peer_->receive(ms_until(deadline))) {
         switch (message->type) {
           case MsgType::kIqChunk: {
             runtime::SampleChunk chunk = decode_iq_chunk(message->body);
@@ -117,7 +104,7 @@ std::optional<runtime::SampleChunk> RemoteIqSource::next_chunk() {
             truncated_ =
                 end.truncated || (end.total_samples != 0 &&
                                   end.total_samples != total_samples_);
-            conn_.close();
+            peer_.reset();
             return std::nullopt;
           }
           default:
@@ -127,33 +114,28 @@ std::optional<runtime::SampleChunk> RemoteIqSource::next_chunk() {
     } catch (const WireFormatError& error) {
       fail_protocol(error.what());
     }
-    std::vector<PollItem> items{{conn_.fd(), true, false}};
-    poll_fds(items, static_cast<int>(config_.read_timeout * 1e3));
-    if (!items[0].readable && !items[0].error) {
+    if (peer_->closed()) {
+      // EOF with no IqEnd: the capture process died. Retrying cannot help.
+      peer_.reset();
+      throw runtime::SourceError(
+          "remote iq: pusher disconnected mid-stream after " +
+              std::to_string(total_samples_) + " samples",
+          /*transient=*/false);
+    }
+    if (Clock::now() >= deadline) {
       // Stalled, not dead: let the supervisor retry with backoff.
       throw runtime::SourceError("remote iq: read stalled for " +
                                      std::to_string(config_.read_timeout) +
                                      "s",
                                  /*transient=*/true);
     }
-    std::uint8_t buf[1 << 16];
-    const std::ptrdiff_t n = conn_.read_some(buf, sizeof(buf));
-    if (n == 0) {
-      // EOF with no IqEnd: the capture process died. Retrying cannot help.
-      conn_.close();
-      throw runtime::SourceError(
-          "remote iq: pusher disconnected mid-stream after " +
-              std::to_string(total_samples_) + " samples",
-          /*transient=*/false);
-    }
-    if (n > 0) reader_.feed(buf, static_cast<std::size_t>(n));
   }
 }
 
 std::uint64_t push_iq(const std::string& host, std::uint16_t port,
                       runtime::SampleSource& source, bool f64,
                       Seconds connect_timeout, const std::string& name) {
-  TcpConnection conn = TcpConnection::connect(host, port, connect_timeout);
+  Peer peer(TcpConnection::connect(host, port, connect_timeout), 4096);
 
   Hello hello;
   hello.role = PeerRole::kIqPusher;
@@ -161,34 +143,29 @@ std::uint64_t push_iq(const std::string& host, std::uint16_t port,
   hello.name = name;
   std::vector<std::uint8_t> bytes;
   encode_hello(hello, bytes);
-  write_all(conn, bytes);
+  peer.send(bytes);
 
   // Wait for the ingest side's ack before streaming.
-  MessageReader reader;
-  bool acked = false;
-  while (!acked) {
-    std::vector<PollItem> items{{conn.fd(), true, false}};
-    poll_fds(items, static_cast<int>(connect_timeout * 1e3));
-    if (!items[0].readable && !items[0].error) {
-      throw SocketError("iq push: handshake timed out");
-    }
-    std::uint8_t buf[4096];
-    const std::ptrdiff_t n = conn.read_some(buf, sizeof(buf));
-    if (n == 0) throw SocketError("iq push: receiver closed during handshake");
-    if (n < 0) continue;
-    reader.feed(buf, static_cast<std::size_t>(n));
-    while (auto message = reader.next()) {
-      if (message->type == MsgType::kAck) {
-        const Ack ack = decode_ack(message->body);
-        if (ack.status != 0) {
-          throw SocketError("iq push: receiver refused: " + ack.text);
-        }
-        acked = true;
-      } else if (message->type == MsgType::kBye) {
-        const Bye bye = decode_bye(message->body);
-        throw SocketError(std::string("iq push: receiver said bye: ") +
-                          to_string(bye.reason));
+  const auto deadline = deadline_after(connect_timeout);
+  for (bool acked = false; !acked;) {
+    const auto message = peer.receive(ms_until(deadline));
+    if (!message) {
+      if (peer.closed()) {
+        throw SocketError("iq push: receiver closed during handshake");
       }
+      if (Clock::now() >= deadline) {
+        throw SocketError("iq push: handshake timed out");
+      }
+    } else if (message->type == MsgType::kAck) {
+      const Ack ack = decode_ack(message->body);
+      if (ack.status != 0) {
+        throw SocketError("iq push: receiver refused: " + ack.text);
+      }
+      acked = true;
+    } else if (message->type == MsgType::kBye) {
+      const Bye bye = decode_bye(message->body);
+      throw SocketError(std::string("iq push: receiver said bye: ") +
+                        to_string(bye.reason));
     }
   }
 
@@ -197,12 +174,12 @@ std::uint64_t push_iq(const std::string& host, std::uint16_t port,
     while (auto chunk = source.next_chunk()) {
       bytes.clear();
       encode_iq_chunk(*chunk, f64, bytes);
-      write_all(conn, bytes);
+      peer.send(bytes);
       total += chunk->samples.size();
     }
     bytes.clear();
     encode_iq_end({total, false}, bytes);
-    write_all(conn, bytes);
+    peer.send(bytes);
   } catch (const SocketError& error) {
     // Past the ack the receiver owns part of the stream; surface the death
     // as the typed mid-stream abort so callers can tell it from a failed

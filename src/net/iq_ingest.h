@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/units.h"
+#include "net/peer.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "runtime/sample_source.h"
@@ -15,8 +17,8 @@ struct IqIngestConfig {
   std::uint16_t port = 0;  ///< 0 = ephemeral; RemoteIqSource::port() reports
   /// How long wait_for_pusher blocks for a capture process to appear.
   Seconds accept_timeout = 30.0;
-  /// A mid-stream read silent for longer than this is a stalled link:
-  /// next_chunk throws a *transient* SourceError so the runtime supervisor
+  /// A next_chunk that waits longer than this for its message is a stalled
+  /// link: it throws a *transient* SourceError so the runtime supervisor
   /// applies its usual retry-with-backoff policy before failing the run.
   Seconds read_timeout = 30.0;
 };
@@ -30,7 +32,7 @@ struct IqIngestConfig {
 ///   - connection dies mid-stream      → SourceError, non-transient
 ///   - chunk not contiguous with the   → SourceError, non-transient
 ///     samples received so far
-///   - read stalls past read_timeout   → SourceError, transient (retried)
+///   - no message within read_timeout  → SourceError, transient (retried)
 ///   - unparseable bytes               → SourceError, non-transient
 ///
 /// Pull-model like every other source: all socket work happens inside
@@ -55,12 +57,11 @@ class RemoteIqSource : public runtime::SampleSource {
   bool truncated() const { return truncated_; }
 
  private:
-  void fail_protocol(const std::string& what);
+  [[noreturn]] void fail_protocol(const std::string& what);
 
   IqIngestConfig config_;
   TcpListener listener_;
-  TcpConnection conn_{FdHandle{}};
-  MessageReader reader_;
+  std::optional<Peer> peer_;  ///< the pusher; empty before and after it
   SampleRate rate_ = 0.0;
   std::uint64_t total_samples_ = 0;
   bool ended_ = false;

@@ -118,6 +118,22 @@ Hello decode_hello(std::span<const std::uint8_t> body) {
   return hello;
 }
 
+Hello expect_hello(const Message& message, PeerRole role) {
+  if (message.type != MsgType::kHello) {
+    throw WireFormatError(WireError::kMalformed, "expected hello first");
+  }
+  Hello hello = decode_hello(message.body);
+  if (hello.role != role) {
+    throw WireFormatError(
+        WireError::kMalformed,
+        "hello from peer role " +
+            std::to_string(static_cast<int>(hello.role)) +
+            ", this endpoint requires role " +
+            std::to_string(static_cast<int>(role)));
+  }
+  return hello;
+}
+
 void encode_subscribe(const SubscribeFilter& filter,
                       std::vector<std::uint8_t>& out) {
   const std::size_t at = begin_message(out, MsgType::kSubscribe);

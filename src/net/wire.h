@@ -288,6 +288,11 @@ RelayHello decode_relay_hello(std::span<const std::uint8_t> body);
 ControlSet decode_control_set(std::span<const std::uint8_t> body);
 ControlPlanMsg decode_control_plan(std::span<const std::uint8_t> body);
 
+/// The accept-side handshake rule: a connection's first message must be a
+/// kHello from a peer in `role`. Returns the decoded hello; throws
+/// WireFormatError otherwise.
+Hello expect_hello(const Message& message, PeerRole role);
+
 /// Incremental de-framer: feed() raw bytes as they arrive off a socket,
 /// next() hands back complete messages in order. Tolerates any fragmenta-
 /// tion (TCP gives no record boundaries); throws WireFormatError::

@@ -19,6 +19,12 @@ namespace lfbs::runtime {
 
 namespace {
 
+/// Streams whose composite decode confidence lands below this floor (or
+/// that needed a degraded fallback stage) are reported to the supervisor
+/// and degrade run health — the channel, not the software, is the fault,
+/// but the operator should see it in the same place.
+constexpr double kConfidenceFloor = 0.2;
+
 /// Handoff from the executor back into window order: results arrive from
 /// any thread in any order, the driver takes them strictly in sequence.
 class ReorderInbox {
@@ -291,7 +297,7 @@ RuntimeResult DecodeRuntime::run(SampleSource& source,
       const bool degraded =
           stream.confidence.stage != core::FallbackStage::kPrimary;
       if (degraded) ++out.stats.degraded_streams;
-      if (score < config_.confidence_floor || degraded) ++low;
+      if (score < kConfidenceFloor || degraded) ++low;
     }
     out.stats.mean_confidence =
         sum / static_cast<double>(out.decode.streams.size());

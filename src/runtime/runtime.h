@@ -47,9 +47,9 @@ namespace lfbs::runtime {
 /// zero-filled, a lost shard worker's windows move to the survivors, a
 /// throwing subscriber is isolated — and the run's health plus per-fault
 /// counters come back in RuntimeStats. Only an executor that cannot go on
-/// (a shard pool that fails to connect or loses every worker, or any
-/// worker with failover off) fails the run: run() then joins every
-/// pipeline thread, publishes nothing, and rethrows its error.
+/// (a shard pool that fails to connect or loses every worker) fails the
+/// run: run() then joins every pipeline thread, publishes nothing, and
+/// rethrows its error.
 struct RuntimeConfig {
   core::WindowedDecoderConfig windowed{};
   /// Window decode threads. 0 is clamped to 1.
@@ -65,11 +65,6 @@ struct RuntimeConfig {
   /// exception containment, non-finite scrubbing, health accounting. The
   /// defaults are inert on fault-free runs (bit-identical output).
   SupervisorConfig supervision{};
-  /// Streams whose composite decode confidence lands below this floor (or
-  /// that needed a degraded fallback stage) are reported to the supervisor
-  /// and degrade run health — the channel, not the software, is the fault,
-  /// but the operator should see it in the same place.
-  double confidence_floor = 0.2;
   /// Optional external stop flag (e.g. a signal handler's atomic). When it
   /// becomes true the ingest loop stops pulling from the source; every
   /// chunk already ingested still decodes, stitches, and publishes before

@@ -38,7 +38,6 @@ Supervisor::ScopedActivity::~ScopedActivity() {
 }
 
 void Supervisor::start() {
-  if (!config_.watchdog) return;
   watchdog_ = std::thread([this] { watch(); });
 }
 
@@ -123,7 +122,6 @@ std::optional<SampleChunk> Supervisor::next_chunk(SampleSource& source) {
 }
 
 void Supervisor::scrub(SampleChunk& chunk) {
-  if (!config_.scrub_non_finite) return;
   std::uint64_t scrubbed = 0;
   for (auto& sample : chunk.samples) {
     if (std::isfinite(sample.real()) && std::isfinite(sample.imag()))

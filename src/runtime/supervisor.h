@@ -16,10 +16,11 @@
 namespace lfbs::runtime {
 
 /// Supervision policy for one DecodeRuntime run. Defaults are production-
-/// shaped: a handful of retries with millisecond backoff, watchdog timeouts
-/// far above any healthy window decode, and non-finite sample scrubbing on.
-/// All of it is inert on a fault-free run — supervision never changes the
-/// decoded output unless a fault actually fires.
+/// shaped: a handful of retries with millisecond backoff and watchdog
+/// timeouts far above any healthy window decode. The stall watchdog and
+/// non-finite sample scrubbing are always on. All of it is inert on a
+/// fault-free run — supervision never changes the decoded output unless a
+/// fault actually fires.
 struct SupervisorConfig {
   /// Retry budget per next_chunk call for transient SourceErrors.
   std::size_t max_source_retries = 3;
@@ -30,12 +31,8 @@ struct SupervisorConfig {
   /// timeout is counted as a stall and degrades health. The watchdog only
   /// observes — it cannot interrupt a wedged read — but it turns a silent
   /// hang into a counted, visible fault.
-  bool watchdog = true;
   Seconds source_stall_timeout = 10.0;
   Seconds worker_stall_timeout = 10.0;
-  /// Replace non-finite (NaN/Inf) samples with zeros before decode, so a
-  /// corrupt chunk degrades one window instead of poisoning cluster math.
-  bool scrub_non_finite = true;
   /// Fault-drill hook, called with the window index before each window
   /// decode; a throwing hook exercises worker exception containment
   /// exactly like a throwing decoder would. Unset in production.
@@ -54,7 +51,7 @@ class Supervisor {
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  /// Starts the watchdog thread (no-op when disabled).
+  /// Starts the watchdog thread.
   void start();
   /// Stops the watchdog; called automatically by the destructor.
   void stop();
@@ -83,7 +80,8 @@ class Supervisor {
   /// stream with std::nullopt so the pipeline drains cleanly.
   std::optional<SampleChunk> next_chunk(SampleSource& source);
 
-  /// Zeroes non-finite samples in place (when enabled) and counts them.
+  /// Zeroes non-finite (NaN/Inf) samples in place and counts them, so a
+  /// corrupt chunk degrades one window instead of poisoning cluster math.
   void scrub(SampleChunk& chunk);
 
   // Contained-fault records; each degrades health.

@@ -30,6 +30,7 @@
 #include "net/frame_client.h"
 #include "net/frame_server.h"
 #include "net/iq_ingest.h"
+#include "net/peer.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -86,6 +87,17 @@ TcpConnection accept_one(TcpListener& listener) {
     poll_fds(items, 50);
   }
   throw SocketError("peer never connected");
+}
+
+/// Writes every byte unless the peer hangs up first.
+void write_all(TcpConnection& conn, const std::vector<std::uint8_t>& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const std::ptrdiff_t n =
+        conn.write_some(bytes.data() + sent, bytes.size() - sent);
+    if (n == 0) return;
+    if (n > 0) sent += static_cast<std::size_t>(n);
+  }
 }
 
 // --- spec grammar --------------------------------------------------------
@@ -239,6 +251,21 @@ TEST(ChaosEngine, CorruptionFlipsExactlyOneBitPerRead) {
   EXPECT_EQ(engine.stats().corruptions, reads);
 }
 
+TEST(ChaosEngine, ZeroTimeoutReceiveReadsAndDraws) {
+  // ShardPool drains its links with receive(0), which must read even when
+  // nothing is pending: the engine draws on every read, would-block ones
+  // included, so skipping them would shift every seeded schedule on the
+  // coordinator's links.
+  ChaosEngine engine(parse_chaos_config("reset=1,reset-limit=1"));
+  ChaosScope scope(engine);
+  TcpListener listener("127.0.0.1", 0);
+  Peer peer(TcpConnection::connect("127.0.0.1", listener.port(), 5.0));
+  TcpConnection server = accept_one(listener);
+  EXPECT_FALSE(peer.receive(0).has_value());
+  EXPECT_EQ(engine.stats().resets, 1u);
+  EXPECT_TRUE(peer.closed());
+}
+
 // --- FrameClient under chaos ---------------------------------------------
 
 TEST(ChaosFrameClient, RefusedDialsBackOffThenConnectAndDeliver) {
@@ -348,6 +375,7 @@ TEST(ChaosFrameClient, CorruptionIsRiddenOutUnderTheReconnectFlag) {
   scope.emplace(engine);
 
   std::vector<runtime::FrameEvent> received;
+  std::atomic<std::size_t> stats_seen{0};
   FrameClientConfig cc;
   cc.port = server.port();
   cc.reconnect_on_protocol_error = true;
@@ -360,8 +388,13 @@ TEST(ChaosFrameClient, CorruptionIsRiddenOutUnderTheReconnectFlag) {
     callbacks.on_frame = [&](const runtime::FrameEvent& event) {
       received.push_back(event);
     };
-    const Bye bye = client.run(callbacks);
-    EXPECT_EQ(bye.reason, ByeReason::kEndOfStream);
+    callbacks.on_stats = [&](const WireStats&) { ++stats_seen; };
+    try {
+      const Bye bye = client.run(callbacks);
+      EXPECT_EQ(bye.reason, ByeReason::kEndOfStream);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "tail: " << e.what();
+    }
   });
 
   const auto deadline =
@@ -377,7 +410,21 @@ TEST(ChaosFrameClient, CorruptionIsRiddenOutUnderTheReconnectFlag) {
       metric("net.client_reconnects") > reconnects_before;
   scope.reset();  // end of the drill: the wire is clean again
 
-  ASSERT_TRUE(server.wait_for_subscriber(10.0));
+  // wait_for_subscriber can return on a subscription the client already
+  // abandoned; a heartbeat the client receives after the drill proves its
+  // current subscription is live. A failed wait fails the test below (no
+  // ASSERT while the tail thread runs).
+  EXPECT_TRUE(server.wait_for_subscriber(10.0));
+  const std::size_t stats_before = stats_seen.load();
+  const auto live_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (stats_seen.load() == stats_before &&
+         std::chrono::steady_clock::now() < live_deadline) {
+    server.publish_stats(runtime::RuntimeStats{});
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool live = stats_seen.load() > stats_before;
+  if (!live) client.stop();
   std::vector<runtime::FrameEvent> sent;
   for (std::uint64_t i = 0; i < 16; ++i) {
     sent.push_back(make_event(static_cast<std::size_t>(i), i * 9 + 4));
@@ -386,6 +433,7 @@ TEST(ChaosFrameClient, CorruptionIsRiddenOutUnderTheReconnectFlag) {
   server.shutdown(/*drain=*/true);
   tail.join();
 
+  EXPECT_TRUE(live) << "no heartbeat reached the client after the drill";
   EXPECT_TRUE(corruption_bit) << "corruption never bit before the deadline";
   EXPECT_GT(engine.stats().corruptions, 0u);
   ASSERT_EQ(received.size(), sent.size());
@@ -419,6 +467,139 @@ TEST(FrameClient, GarbageStreamWithoutTheFlagThrowsTyped) {
   FrameClient client(cc);
   EXPECT_THROW(client.run({}), WireFormatError);
   script.join();
+}
+
+TEST(FrameClient, StalledMessageIsADeadConnection) {
+  // What a corrupted length prefix looks like from the client: a message
+  // that claims far more body than will ever arrive. Scripted: acks, then a
+  // kStats header claiming 1 MiB, then a trickle of single bytes. The
+  // message must count as a dead connection connect_timeout after its
+  // first bytes — a protocol reset and a reconnect under the flag, a typed
+  // WireFormatError without it — instead of buffering the trickle forever.
+  for (const bool reconnect : {true, false}) {
+    SCOPED_TRACE(reconnect ? "reconnect flag" : "no flag");
+    TcpListener listener("127.0.0.1", 0);
+    FrameClientConfig cc;
+    cc.port = listener.port();
+    cc.connect_timeout = 0.3;
+    cc.backoff_initial = 0.01;
+    cc.backoff_max = 0.02;
+    cc.reconnect_on_protocol_error = reconnect;
+    FrameClient client(cc);
+    std::optional<Bye> bye;
+    std::optional<WireError> wire_error;
+    std::thread tail([&] {
+      try {
+        bye = client.run({});
+      } catch (const WireFormatError& e) {
+        wire_error = e.code();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "tail: " << e.what();
+      }
+    });
+
+    bool hung_up = false;
+    {
+      TcpConnection conn = accept_one(listener);
+      std::vector<std::uint8_t> out;
+      encode_ack({0, "hello"}, out);
+      encode_ack({0, "subscribed"}, out);
+      out.insert(out.end(), {static_cast<std::uint8_t>(MsgType::kStats),
+                             0x00, 0x00, 0x10, 0x00});  // 1 MiB body
+      write_all(conn, out);
+      // Bounded: a client that never gives up fails the test, not hangs it.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!hung_up && std::chrono::steady_clock::now() < deadline) {
+        const std::uint8_t byte = 0;
+        conn.write_some(&byte, 1);
+        std::uint8_t buf[256];
+        std::ptrdiff_t n;
+        while ((n = conn.read_some(buf, sizeof(buf))) > 0) {
+        }
+        hung_up = n == 0;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+    }
+    EXPECT_TRUE(hung_up) << "the client kept buffering the stalled message";
+    if (hung_up && reconnect) {
+      try {
+        TcpConnection conn = accept_one(listener);
+        std::vector<std::uint8_t> out;
+        encode_ack({0, "hello"}, out);
+        encode_ack({0, "subscribed"}, out);
+        encode_bye({ByeReason::kEndOfStream, "done"}, out);
+        write_all(conn, out);
+        tail.join();
+      } catch (const SocketError& e) {
+        ADD_FAILURE() << "no reconnect: " << e.what();
+      }
+    }
+    client.stop();
+    if (tail.joinable()) tail.join();
+
+    if (reconnect) {
+      ASSERT_TRUE(bye.has_value());
+      EXPECT_EQ(bye->reason, ByeReason::kEndOfStream);
+      EXPECT_EQ(client.counters().protocol_resets, 1u);
+      EXPECT_EQ(client.counters().reconnects, 1u);
+    } else {
+      ASSERT_TRUE(wire_error.has_value());
+      EXPECT_EQ(*wire_error, WireError::kTruncated);
+    }
+  }
+}
+
+TEST(FrameClient, SlowCallbackIsNotAStalledMessage) {
+  // The stalled-message clock measures the wire, not the consumer: a frame
+  // callback that blocks past connect_timeout (a tail printing into a full
+  // pipe) while the next message is half-read is not a stalled stream.
+  TcpListener listener("127.0.0.1", 0);
+  FrameClientConfig cc;
+  cc.port = listener.port();
+  cc.connect_timeout = 0.5;
+  FrameClient client(cc);
+  std::atomic<bool> callback_done{false};
+  std::size_t frames = 0;
+  std::optional<Bye> bye;
+  std::thread tail([&] {
+    FrameClient::Callbacks callbacks;
+    callbacks.on_frame = [&](const runtime::FrameEvent&) {
+      if (++frames > 1) return;
+      std::this_thread::sleep_for(std::chrono::seconds(1));
+      callback_done = true;
+    };
+    try {
+      bye = client.run(callbacks);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "tail: " << e.what();
+    }
+  });
+
+  TcpConnection conn = accept_one(listener);
+  std::vector<std::uint8_t> rest;
+  encode_frame(make_event(1, 2), rest);
+  encode_bye({ByeReason::kEndOfStream, "done"}, rest);
+  std::vector<std::uint8_t> out;
+  encode_ack({0, "hello"}, out);
+  encode_ack({0, "subscribed"}, out);
+  encode_frame(make_event(0, 1), out);
+  // The second frame's header and first body bytes arrive with the first.
+  out.insert(out.end(), rest.begin(), rest.begin() + 8);
+  rest.erase(rest.begin(), rest.begin() + 8);
+  write_all(conn, out);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!callback_done && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  write_all(conn, rest);
+  tail.join();
+
+  ASSERT_TRUE(bye.has_value());
+  EXPECT_EQ(bye->reason, ByeReason::kEndOfStream);
+  EXPECT_EQ(frames, 2u);
 }
 
 TEST(ChaosFrameClient, TruncationStallsAndDelaysAreTransparent) {
@@ -723,7 +904,8 @@ TEST(ChaosShard, DeterministicResetKillsOneWorkerAndFailsOverBitIdentically) {
 TEST(ChaosShard, ZeroSurvivingWorkersFailLoudly) {
   // One worker, killed mid-run: failover has nowhere to go and must throw
   // the documented "no workers left" SocketError — never hang, never
-  // return a partial decode.
+  // return a partial decode. The driver cancels the pool and joins its
+  // threads first, so no partial capture reaches a subscriber.
   const LongCapture cap = make_capture(1, 50e-3, 3);
   ChaosEngine engine(parse_chaos_config("reset=1,reset-skip=1,reset-limit=1"));
   ChaosScope scope(engine);
@@ -739,6 +921,8 @@ TEST(ChaosShard, ZeroSurvivingWorkersFailLoudly) {
   sc.workers = {{"127.0.0.1", worker_1.port()}};
   sc.worker_deadline = 10.0;
   federation::ShardedDecoder sharded(sc);
+  std::size_t published = 0;
+  sharded.bus().subscribe([&](const runtime::FrameEvent&) { ++published; });
   runtime::MemorySource source(cap.buffer, 8192);
   try {
     sharded.run(source);
@@ -749,45 +933,7 @@ TEST(ChaosShard, ZeroSurvivingWorkersFailLoudly) {
         << e.what();
   }
   t1.join();
-}
-
-TEST(ChaosShard, StrictPoolFailsOnWorkerDeathAndPublishesNothing) {
-  // failover = false: the first mid-run death fails the run with a
-  // SocketError out of run(), after the driver has cancelled the pool and
-  // joined its threads — and no partial capture reaches a subscriber.
-  const LongCapture cap = make_capture(2, 70e-3, 7);
-  ChaosEngine engine(
-      parse_chaos_config("reset=1,reset-skip=2,reset-limit=1"));
-  ChaosScope scope(engine);
-  federation::ShardWorker worker_1({"127.0.0.1", 0, "worker-1"});
-  federation::ShardWorker worker_2({"127.0.0.1", 0, "worker-2"});
-  std::thread t1([&] {
-    try {
-      worker_1.serve();
-    } catch (...) {
-    }
-  });
-  std::thread t2([&] {
-    try {
-      worker_2.serve();
-    } catch (...) {
-    }
-  });
-
-  federation::ShardConfig sc;
-  sc.workers = {{"127.0.0.1", worker_1.port()},
-                {"127.0.0.1", worker_2.port()}};
-  sc.failover = false;
-  federation::ShardedDecoder sharded(sc);
-  std::size_t published = 0;
-  sharded.bus().subscribe([&](const runtime::FrameEvent&) { ++published; });
-  runtime::MemorySource source(cap.buffer, 8192);
-  EXPECT_THROW(sharded.run(source), SocketError);
-  t1.join();
-  t2.join();
-
   EXPECT_EQ(published, 0u);
-  EXPECT_EQ(engine.stats().resets, 1u);
 }
 
 TEST(ShardFailover, SigkilledWorkerProcessFailsOverBitIdentically) {

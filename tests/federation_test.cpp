@@ -216,10 +216,12 @@ TEST(FrameRelay, ChainRelaysBitIdenticalWithHopIncrement) {
 
 TEST(FrameRelay, CycleDeliversEachFrameExactlyOnce) {
   // R1 (gateway 2, serves A) ⇄ R2 (gateway 3, serves B): each relays the
-  // other's server — a true 2-hop loop. Frames injected at R1 must reach
-  // a subscriber of B exactly once, and the copies R2 sends back around
-  // the cycle must die at R1's origin check.
-  FrameServer server_a{FrameServerConfig{}};
+  // other's server — a true 2-hop loop. Frames decoded at gateway 2 (A
+  // stamps its origin) must reach a subscriber of B exactly once, and the
+  // copies R2 sends back around the cycle must die at R1's origin check.
+  FrameServerConfig config_a;
+  config_a.origin_id = 2;
+  FrameServer server_a(config_a);
   FrameServer server_b{FrameServerConfig{}};
 
   RelayConfig c1;
@@ -242,7 +244,7 @@ TEST(FrameRelay, CycleDeliversEachFrameExactlyOnce) {
 
   constexpr std::size_t kFrames = 24;
   for (std::uint64_t i = 0; i < kFrames; ++i) {
-    relay_1.publish_local(make_event(i));
+    server_a.publish(make_event(i));
   }
 
   // The loop is live until every injected frame has come back around and
@@ -272,7 +274,6 @@ TEST(FrameRelay, CycleDeliversEachFrameExactlyOnce) {
 
   const auto r1 = relay_1.counters();
   const auto r2 = relay_2.counters();
-  EXPECT_EQ(r1.local_published, kFrames);
   EXPECT_EQ(r2.relayed, kFrames);
   EXPECT_EQ(r1.loop_drops, kFrames)
       << "every frame must come back around and die at the origin check";

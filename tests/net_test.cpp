@@ -1,22 +1,27 @@
 // Tests for the network gateway (src/net): the LFBW1 wire codec, the
 // poll-driven frame server and its slow-consumer policies, the
-// reconnecting frame client, and remote IQ ingest. The load-bearing
-// properties: frames received over a loopback TCP hop are bit-identical
-// to a direct FrameBus subscription, a stalled subscriber can never delay
-// a healthy one, and a remotely-ingested capture decodes bit-identically
-// to a local one.
+// reconnecting frame client, the blocking Peer endpoint, and remote IQ
+// ingest. The load-bearing properties: frames received over a loopback TCP
+// hop are bit-identical to a direct FrameBus subscription, a stalled
+// subscriber can never delay a healthy one, and a remotely-ingested
+// capture decodes bit-identically to a local one.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "channel/channel_model.h"
 #include "core/windowed_decoder.h"
 #include "net/frame_client.h"
 #include "net/frame_server.h"
 #include "net/iq_ingest.h"
+#include "net/peer.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -844,6 +849,153 @@ TEST(FrameClient, ConnectFailureExhaustsSupervisorStyleBackoff) {
   EXPECT_EQ(cc.backoff_initial,
             runtime::SupervisorConfig{}.retry_backoff_initial);
   EXPECT_EQ(cc.backoff_max, runtime::SupervisorConfig{}.retry_backoff_max);
+}
+
+// --- Peer: the one blocking LFBW1 endpoint -------------------------------
+
+/// A connected loopback pair: {accepted end, dialing end}.
+std::pair<TcpConnection, TcpConnection> loopback_pair() {
+  TcpListener listener("127.0.0.1", 0);
+  TcpConnection dialed =
+      TcpConnection::connect("127.0.0.1", listener.port(), 5.0);
+  std::vector<PollItem> items{{listener.fd(), true, false}};
+  poll_fds(items, 5000);
+  FdHandle fd = listener.accept();
+  if (!fd.valid()) throw SocketError("loopback accept failed");
+  return {TcpConnection(std::move(fd)), std::move(dialed)};
+}
+
+/// Runs `action` on its own thread after `delay`, unless destroyed first;
+/// joins either way.
+class After {
+ public:
+  After(std::chrono::milliseconds delay, std::function<void()> action)
+      : thread_([this, delay, action = std::move(action)] {
+          std::unique_lock lock(mutex_);
+          if (!cv_.wait_for(lock, delay, [this] { return cancelled_; })) {
+            action();
+          }
+        }) {}
+  ~After() {
+    {
+      std::lock_guard lock(mutex_);
+      cancelled_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+  After(const After&) = delete;
+  After& operator=(const After&) = delete;
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool cancelled_ = false;
+  std::thread thread_;
+};
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(Peer, MessageSplitAcrossOneByteWritesArrivesWhole) {
+  auto [accepted, dialed] = loopback_pair();
+  Peer peer(std::move(accepted));
+  std::vector<std::uint8_t> bytes;
+  encode_frame(make_event(3, 5), bytes);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    ASSERT_EQ(dialed.write_some(&bytes[i], 1), 1);
+    const std::optional<Message> message = peer.receive(1000);
+    if (i + 1 < bytes.size()) {
+      ASSERT_FALSE(message.has_value()) << "byte " << i;
+      ASSERT_EQ(peer.buffered(), i + 1);
+    } else {
+      ASSERT_TRUE(message.has_value());
+      ASSERT_EQ(message->type, MsgType::kFrame);
+      expect_event_identical(decode_frame(message->body), make_event(3, 5));
+    }
+  }
+  EXPECT_EQ(peer.buffered(), 0u);
+  EXPECT_FALSE(peer.closed());
+}
+
+TEST(Peer, ReceiveOnAQuietPeerReturnsNothingAfterItsTimeout) {
+  auto [accepted, dialed] = loopback_pair();
+  Peer peer(std::move(accepted));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(peer.receive(150).has_value());
+  const double waited = seconds_since(start);
+  EXPECT_GE(waited, 0.14);
+  EXPECT_LT(waited, 2.0);
+  EXPECT_FALSE(peer.closed());
+}
+
+TEST(Peer, EofSetsClosed) {
+  auto [accepted, dialed] = loopback_pair();
+  Peer peer(std::move(accepted));
+  dialed.close();
+  EXPECT_FALSE(peer.receive(1000).has_value());
+  EXPECT_TRUE(peer.closed());
+}
+
+TEST(Peer, LargeSendThroughATinySendBufferCompletesWhileThePeerDrains) {
+  auto [accepted, dialed] = loopback_pair();
+  dialed.set_send_buffer(2048);
+  Peer sender(std::move(dialed));
+  Peer receiver(std::move(accepted));
+  runtime::SampleChunk chunk;
+  for (std::size_t i = 0; i < 65536; ++i) {  // 1 MiB of f64 IQ
+    chunk.samples.emplace_back(static_cast<double>(i), -0.5 * i);
+  }
+  std::vector<std::uint8_t> bytes;
+  encode_iq_chunk(chunk, /*f64=*/true, bytes);
+  std::optional<Message> got;
+  std::thread drain([&] {
+    const auto start = std::chrono::steady_clock::now();
+    while (!got && !receiver.closed() && seconds_since(start) < 5.0) {
+      got = receiver.receive(100);
+    }
+  });
+  EXPECT_NO_THROW(sender.send(bytes));
+  drain.join();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(decode_iq_chunk(got->body).samples, chunk.samples);
+}
+
+TEST(Peer, SendToAClosedPeerThrowsSocketError) {
+  auto [accepted, dialed] = loopback_pair();
+  dialed.set_send_buffer(2048);
+  Peer sender(std::move(dialed));
+  accepted.close();
+  const std::vector<std::uint8_t> bytes(1 << 20, 0x5A);
+  // Bounded: a send that never noticed the dead peer gives up on the flag
+  // instead of spinning, and the expectation fails.
+  std::atomic<bool> give_up{false};
+  After bound(std::chrono::seconds(5), [&] { give_up = true; });
+  EXPECT_THROW(sender.send(bytes, &give_up), SocketError);
+}
+
+TEST(Peer, SendBlockedOnAFullBufferReturnsOnceStopIsSet) {
+  // ShardWorker::stop()'s path: the far end reads nothing, the send blocks
+  // on a full buffer, and it must give up once the flag is set. Should it
+  // ignore the flag, the far end hanging up later ends the send with a
+  // SocketError instead of a hang.
+  auto [accepted, dialed] = loopback_pair();
+  dialed.set_send_buffer(2048);
+  Peer sender(std::move(dialed));
+  const std::vector<std::uint8_t> bytes(1 << 20, 0x5A);
+  std::atomic<bool> stop{false};
+  const auto start = std::chrono::steady_clock::now();
+  {
+    After stopper(std::chrono::milliseconds(200), [&] { stop = true; });
+    After hang_up(std::chrono::seconds(3), [&] { accepted.close(); });
+    EXPECT_NO_THROW(sender.send(bytes, &stop));
+  }
+  const double waited = seconds_since(start);
+  EXPECT_GE(waited, 0.19) << "the send should have blocked until the stop";
+  EXPECT_LT(waited, 2.5);
 }
 
 // --- remote IQ ingest ----------------------------------------------------

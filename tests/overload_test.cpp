@@ -317,8 +317,12 @@ TEST(Admission, DeniedClientHonorsRetryAfterAndGetsInWhenSlotFrees) {
   rc.max_admission_retries = 50;  // plenty; one freed slot ends the loop
   FrameClient patient(rc);
   std::thread patient_thread([&] {
-    const Bye bye = patient.run({});
-    EXPECT_EQ(bye.reason, ByeReason::kEndOfStream);
+    try {
+      const Bye bye = patient.run({});
+      EXPECT_EQ(bye.reason, ByeReason::kEndOfStream);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "patient: " << e.what();
+    }
   });
 
   // Let the patient client absorb at least one typed deny, then free the
@@ -328,12 +332,20 @@ TEST(Admission, DeniedClientHonorsRetryAfterAndGetsInWhenSlotFrees) {
          Clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  ASSERT_GT(server.counters().admission_denies, 0u);
+  EXPECT_GT(server.counters().admission_denies, 0u);
   holder.stop();
   holder_thread.join();
 
+  // The holder's subscription counts until the server loop reads its EOF:
+  // wait for that disconnect (plus one per closed deny) and for the
+  // patient to be the one subscriber left, so shutdown cannot catch the
+  // patient mid-redial.
+  const auto patient_in = [&] {
+    const auto c = server.counters();
+    return c.subscribers == 1 && c.disconnects == c.admission_denies + 1;
+  };
   const auto sub_deadline = Clock::now() + std::chrono::seconds(5);
-  while (server.counters().subscribers < 1 && Clock::now() < sub_deadline) {
+  while (!patient_in() && Clock::now() < sub_deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_EQ(server.counters().subscribers, 1u);

@@ -30,11 +30,9 @@
 //   --port-file PATH    write the bound frame port to PATH (for scripts)
 //   --wait-subscriber S wait up to S seconds for a subscriber before
 //                       decoding starts (so a tail sees the whole stream)
-//   --client-queue N    per-client send queue bound, messages (default 256;
-//                       --queue-frames is the older spelling, same knob)
+//   --client-queue N    per-client send queue bound, messages (default 256)
 //   --slow-policy P     drop | evict: what a slow consumer loses (drop =
-//                       oldest queued frame, evict = the connection; the
-//                       old --evict-slow flag is shorthand for evict)
+//                       oldest queued frame, evict = the connection)
 //   --send-buffer N     kernel send-buffer bytes per client (testing)
 //   --workers N         decode worker threads (default 4)
 //   --crc5 / --payload N / --windowed MS   decoder knobs (as lfbs_decode)
@@ -96,6 +94,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -300,11 +299,39 @@ int run_push(const std::string& spec, const std::string& capture, bool f64) {
   }
 }
 
-bool write_port_file(const std::string& path, std::uint16_t port) {
+/// Writes a bound port to `path` for scripts; no-op when `path` is empty.
+/// False, with the error printed, when the file cannot be written.
+bool write_port_file(const char* flag, const std::string& path,
+                     std::uint16_t port) {
+  if (path.empty()) return true;
   std::ofstream os(path);
   os << port << "\n";
-  return os.good();
+  if (os.good()) return true;
+  std::fprintf(stderr, "error: cannot write %s %s\n", flag, path.c_str());
+  return false;
 }
+
+/// Calls `stop` when SIGINT/SIGTERM arrives, for as long as it lives.
+class ShutdownWatcher {
+ public:
+  explicit ShutdownWatcher(std::function<void()> stop)
+      : thread_([this, stop = std::move(stop)] {
+          while (!done_.load() && !shutdown_flag().load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          }
+          if (!done_.load()) stop();
+        }) {}
+  ~ShutdownWatcher() {
+    done_.store(true);
+    thread_.join();
+  }
+  ShutdownWatcher(const ShutdownWatcher&) = delete;
+  ShutdownWatcher& operator=(const ShutdownWatcher&) = delete;
+
+ private:
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
 
 }  // namespace
 
@@ -382,11 +409,8 @@ int main(int argc, char** argv) {
       iq_port_file = argv[++i];
     } else if (arg == "--wait-subscriber" && i + 1 < argc) {
       wait_subscriber = atof(argv[++i]);
-    } else if ((arg == "--queue-frames" || arg == "--client-queue") &&
-               i + 1 < argc) {
+    } else if (arg == "--client-queue" && i + 1 < argc) {
       queue_frames = static_cast<std::size_t>(atoi(argv[++i]));
-    } else if (arg == "--evict-slow") {
-      evict_slow = true;
     } else if (arg == "--slow-policy" && i + 1 < argc) {
       const std::string policy = argv[++i];
       if (policy == "drop") {
@@ -517,7 +541,16 @@ int main(int argc, char** argv) {
     budget.emplace(queue_budget_kb * 1024);
     gate.emplace();
   }
-  const auto configure_overload = [&](net::FrameServerConfig& sc) {
+  // Serve and relay mode run the same frame server.
+  const auto server_config = [&] {
+    net::FrameServerConfig sc;
+    sc.port = port;
+    sc.send_queue_messages = queue_frames;
+    sc.slow_consumer = evict_slow ? net::SlowConsumerPolicy::kEvict
+                                  : net::SlowConsumerPolicy::kDropOldest;
+    sc.send_buffer_bytes = send_buffer;
+    sc.origin_id = gateway_id;
+    sc.replay_frames = replay_frames;
     sc.admission = admission;
     if (budget.has_value()) sc.budget = &*budget;
     if (gate.has_value()) sc.backpressure = &*gate;
@@ -529,6 +562,7 @@ int main(int argc, char** argv) {
       // instead of parking in the kernel backlog.
       sc.max_clients = admission.max_connections + 64;
     }
+    return sc;
   };
 
   // Chaos install covers every role — tail, push, relay, serve, worker —
@@ -604,22 +638,10 @@ int main(int argc, char** argv) {
       net::federation::ShardWorker worker(wc);
       std::fprintf(stderr, "gateway: shard worker on port %u\n",
                    worker.port());
-      if (!port_file.empty() && !write_port_file(port_file, worker.port())) {
-        std::fprintf(stderr, "error: cannot write --port-file %s\n",
-                     port_file.c_str());
-        return 2;
-      }
+      if (!write_port_file("--port-file", port_file, worker.port())) return 2;
       install_shutdown_handlers();
-      std::atomic<bool> done{false};
-      std::thread watcher([&] {
-        while (!done.load() && !shutdown_flag().load()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        }
-        if (!done.load()) worker.stop();
-      });
+      const ShutdownWatcher watcher([&] { worker.stop(); });
       const std::size_t windows = worker.serve();
-      done.store(true);
-      watcher.join();
       std::fprintf(stderr, "gateway: shard worker decoded %zu windows\n",
                    windows);
       flush_telemetry();
@@ -641,24 +663,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: --relay requires --gateway-id N\n");
         return 2;
       }
-      net::FrameServerConfig sc;
-      sc.port = port;
-      sc.send_queue_messages = queue_frames;
-      sc.slow_consumer = evict_slow ? net::SlowConsumerPolicy::kEvict
-                                    : net::SlowConsumerPolicy::kDropOldest;
-      sc.send_buffer_bytes = send_buffer;
-      sc.origin_id = gateway_id;
-      sc.replay_frames = replay_frames;
-      configure_overload(sc);
-      net::FrameServer server(sc);
+      net::FrameServer server(server_config());
       std::fprintf(stderr, "gateway: relay %llu serving frames on port %u\n",
                    static_cast<unsigned long long>(gateway_id),
                    server.port());
-      if (!port_file.empty() && !write_port_file(port_file, server.port())) {
-        std::fprintf(stderr, "error: cannot write --port-file %s\n",
-                     port_file.c_str());
-        return 2;
-      }
+      if (!write_port_file("--port-file", port_file, server.port())) return 2;
 
       net::federation::RelayConfig rc;
       rc.gateway_id = gateway_id;
@@ -679,13 +688,7 @@ int main(int argc, char** argv) {
       net::federation::FrameRelay relay(rc, server);
 
       install_shutdown_handlers();
-      std::atomic<bool> done{false};
-      std::thread watcher([&] {
-        while (!done.load() && !shutdown_flag().load()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        }
-        if (!done.load()) relay.stop();
-      });
+      const ShutdownWatcher watcher([&] { relay.stop(); });
       // Wait for a downstream tail BEFORE subscribing upstream: an
       // upstream holding its decode on --wait-subscriber releases it the
       // moment we connect, and those frames must not land on an empty
@@ -698,8 +701,6 @@ int main(int argc, char** argv) {
       }
       relay.start();
       const bool clean = relay.join();
-      done.store(true);
-      watcher.join();
 
       const auto counters = relay.counters();
       runtime::RuntimeStats stats;
@@ -730,15 +731,7 @@ int main(int argc, char** argv) {
     std::mutex control_mutex;
     std::shared_ptr<control::ControlLoop> control_loop;
 
-    net::FrameServerConfig sc;
-    sc.port = port;
-    sc.send_queue_messages = queue_frames;
-    sc.slow_consumer = evict_slow ? net::SlowConsumerPolicy::kEvict
-                                  : net::SlowConsumerPolicy::kDropOldest;
-    sc.send_buffer_bytes = send_buffer;
-    sc.origin_id = gateway_id;
-    sc.replay_frames = replay_frames;
-    configure_overload(sc);
+    net::FrameServerConfig sc = server_config();
     if (control_cfg.has_value()) {
       sc.control_get = [&control_mutex, &control_loop] {
         std::lock_guard<std::mutex> lock(control_mutex);
@@ -755,11 +748,7 @@ int main(int argc, char** argv) {
     net::FrameServer server(sc);
     std::fprintf(stderr, "gateway: serving frames on port %u\n",
                  server.port());
-    if (!port_file.empty() && !write_port_file(port_file, server.port())) {
-      std::fprintf(stderr, "error: cannot write --port-file %s\n",
-                   port_file.c_str());
-      return 2;
-    }
+    if (!write_port_file("--port-file", port_file, server.port())) return 2;
 
     install_shutdown_handlers();
     runtime::RuntimeConfig rc;
@@ -790,10 +779,7 @@ int main(int argc, char** argv) {
       auto remote = std::make_unique<net::RemoteIqSource>(ic);
       std::fprintf(stderr, "gateway: listening for IQ on port %u\n",
                    remote->port());
-      if (!iq_port_file.empty() &&
-          !write_port_file(iq_port_file, remote->port())) {
-        std::fprintf(stderr, "error: cannot write --iq-port-file %s\n",
-                     iq_port_file.c_str());
+      if (!write_port_file("--iq-port-file", iq_port_file, remote->port())) {
         return 2;
       }
       const SampleRate rate = remote->wait_for_pusher();
@@ -889,13 +875,7 @@ int main(int argc, char** argv) {
         net_counters.evictions, runtime::to_string(stats.health),
         stats.stopped_early ? ", interrupted" : "");
 
-    std::size_t crc_valid = 0;
-    for (const auto& stream : run.decode.streams) {
-      for (const auto& frame : stream.frames) {
-        if (frame.valid()) ++crc_valid;
-      }
-    }
-    exit_code = crc_valid > 0 ? 0 : 1;
+    exit_code = run.decode.valid_frames() > 0 ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     exit_code = 2;

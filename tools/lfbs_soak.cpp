@@ -153,6 +153,65 @@ struct SoakOptions {
   std::size_t budget_kb = 256;      ///< global queue/ring byte budget, KiB
 };
 
+/// The soak's health ladder — healthy → degraded on any failed attempt →
+/// failed; it only climbs, printing and logging every transition — plus
+/// the end-of-run checks both drills share.
+class HealthLadder {
+ public:
+  explicit HealthLadder(const SoakOptions& opt) : opt_(opt) {}
+
+  void raise(runtime::HealthState to, const std::string& why) {
+    if (to <= health_) return;
+    std::fprintf(stderr, "soak: health %s -> %s (%s)\n",
+                 runtime::to_string(health_), runtime::to_string(to),
+                 why.c_str());
+    if (obs::EventLog* log = obs::event_log()) {
+      log->emit("soak", {obs::Field::str("action", "health"),
+                         obs::Field::str("to", runtime::to_string(to)),
+                         obs::Field::str("why", why)});
+    }
+    health_ = to;
+  }
+
+  /// The first completed epoch sets the (post-warmup) RSS baseline.
+  void epoch_completed() {
+    if (rss_baseline_ == 0) rss_baseline_ = rss_bytes();
+  }
+
+  /// Fails the soak when RSS grew past --rss-limit-mb over the baseline;
+  /// returns the final RSS.
+  std::size_t check_rss() {
+    const std::size_t rss_final = rss_bytes();
+    if (rss_baseline_ > 0 &&
+        rss_final > rss_baseline_ + opt_.rss_limit_mb * 1048576) {
+      raise(runtime::HealthState::kFailed,
+            "rss grew from " + std::to_string(rss_baseline_ / 1048576) +
+                " MB to " + std::to_string(rss_final / 1048576) + " MB");
+    }
+    return rss_final;
+  }
+
+  /// Fails the soak when it stopped short of --epochs uninterrupted.
+  void check_all_ran(std::size_t completed, bool interrupted) {
+    if (!interrupted && completed < opt_.epochs) {
+      raise(runtime::HealthState::kFailed,
+            "soak aborted before all epochs ran");
+    }
+  }
+
+  runtime::HealthState state() const { return health_; }
+  std::size_t rss_baseline() const { return rss_baseline_; }
+  int exit_code() const {
+    return shutdown_exit_code(health_ == runtime::HealthState::kFailed ? 1
+                                                                       : 0);
+  }
+
+ private:
+  const SoakOptions& opt_;
+  runtime::HealthState health_ = runtime::HealthState::kHealthy;
+  std::size_t rss_baseline_ = 0;
+};
+
 struct AttemptOutcome {
   bool ok = false;
   std::string error;          ///< first failure cause, empty when ok
@@ -605,26 +664,12 @@ int main(int argc, char** argv) {
                  opt.storm, opt.slow_consumers, opt.admitted, opt.budget_kb);
     install_shutdown_handlers();
     using runtime::HealthState;
-    HealthState health = HealthState::kHealthy;
-    const auto transition = [&](HealthState to, const std::string& why) {
-      if (to <= health) return;
-      std::fprintf(stderr, "soak: health %s -> %s (%s)\n",
-                   runtime::to_string(health), runtime::to_string(to),
-                   why.c_str());
-      if (obs::EventLog* log = obs::event_log()) {
-        log->emit("soak", {obs::Field::str("action", "health"),
-                           obs::Field::str("to", runtime::to_string(to)),
-                           obs::Field::str("why", why)});
-      }
-      health = to;
-    };
-
+    HealthLadder health(opt);
     std::size_t completed = 0, attempts = 0, consecutive = 0;
     std::size_t denies_total = 0, quota_sheds_total = 0;
     std::size_t budget_sheds_total = 0, refusals_total = 0;
     std::size_t ring_sheds_total = 0, drops_total = 0;
     std::size_t backpressure_total = 0, peak_bytes_max = 0;
-    std::size_t rss_baseline = 0;
     bool interrupted = false;
     while (completed < opt.epochs) {
       if (shutdown_flag().load()) {
@@ -643,17 +688,17 @@ int main(int argc, char** argv) {
       backpressure_total += outcome.backpressure_waits;
       peak_bytes_max = std::max(peak_bytes_max, outcome.budget_peak);
       if (outcome.ok && outcome.published != reference_frames) {
-        transition(HealthState::kFailed,
-                   "overloaded gateway published " +
-                       std::to_string(outcome.published) +
-                       " frames, serial reference has " +
-                       std::to_string(reference_frames));
+        health.raise(HealthState::kFailed,
+                     "overloaded gateway published " +
+                         std::to_string(outcome.published) +
+                         " frames, serial reference has " +
+                         std::to_string(reference_frames));
         break;
       }
       if (outcome.ok) {
         ++completed;
         consecutive = 0;
-        if (rss_baseline == 0) rss_baseline = rss_bytes();
+        health.epoch_completed();
         if (opt.report_every > 0 && completed % opt.report_every == 0) {
           std::fprintf(
               stderr,
@@ -664,28 +709,20 @@ int main(int argc, char** argv) {
         }
       } else {
         ++consecutive;
-        transition(HealthState::kDegraded,
-                   "overload attempt " + std::to_string(attempts) +
-                       " failed: " + outcome.error);
+        health.raise(HealthState::kDegraded,
+                     "overload attempt " + std::to_string(attempts) +
+                         " failed: " + outcome.error);
         if (consecutive > opt.max_consecutive_failures) {
-          transition(HealthState::kFailed,
-                     std::to_string(consecutive) +
-                         " consecutive failed attempts");
+          health.raise(HealthState::kFailed,
+                       std::to_string(consecutive) +
+                           " consecutive failed attempts");
           break;
         }
       }
     }
 
-    const std::size_t rss_final = rss_bytes();
-    if (rss_baseline > 0 &&
-        rss_final > rss_baseline + opt.rss_limit_mb * 1048576) {
-      transition(HealthState::kFailed,
-                 "rss grew from " + std::to_string(rss_baseline / 1048576) +
-                     " MB to " + std::to_string(rss_final / 1048576) + " MB");
-    }
-    if (!interrupted && completed < opt.epochs) {
-      transition(HealthState::kFailed, "soak aborted before all epochs ran");
-    }
+    const std::size_t rss_final = health.check_rss();
+    health.check_all_ran(completed, interrupted);
     std::fprintf(
         stderr,
         "soak: %zu/%zu overload epochs over %zu attempts — %zu typed "
@@ -695,11 +732,11 @@ int main(int argc, char** argv) {
         completed, opt.epochs, attempts, denies_total, quota_sheds_total,
         drops_total, budget_sheds_total, refusals_total, ring_sheds_total,
         backpressure_total, peak_bytes_max / 1024.0,
-        rss_baseline / 1048576.0, rss_final / 1048576.0,
-        runtime::to_string(health));
+        health.rss_baseline() / 1048576.0, rss_final / 1048576.0,
+        runtime::to_string(health.state()));
     if (telemetry_writer) telemetry_writer->flush();
     obs::set_event_log(nullptr);
-    return shutdown_exit_code(health == HealthState::kFailed ? 1 : 0);
+    return health.exit_code();
   }
 
   // --- persistent worker pool (threads; sessions come and go) ------------
@@ -730,24 +767,10 @@ int main(int argc, char** argv) {
 
   // --- the epoch loop ----------------------------------------------------
   using runtime::HealthState;
-  HealthState health = HealthState::kHealthy;
-  const auto transition = [&](HealthState to, const std::string& why) {
-    if (to <= health) return;
-    std::fprintf(stderr, "soak: health %s -> %s (%s)\n",
-                 runtime::to_string(health), runtime::to_string(to),
-                 why.c_str());
-    if (obs::EventLog* log = obs::event_log()) {
-      log->emit("soak", {obs::Field::str("action", "health"),
-                         obs::Field::str("to", runtime::to_string(to)),
-                         obs::Field::str("why", why)});
-    }
-    health = to;
-  };
-
+  HealthLadder health(opt);
   std::size_t completed = 0, attempts = 0, failures = 0, consecutive = 0;
   std::size_t delivered_total = 0, duplicates_total = 0;
   std::size_t workers_lost_total = 0, reassigned_total = 0;
-  std::size_t rss_baseline = 0;
   bool interrupted = false;
   while (completed < opt.epochs) {
     if (shutdown_flag().load()) {
@@ -763,16 +786,16 @@ int main(int argc, char** argv) {
     reassigned_total += outcome.windows_reassigned;
     if (outcome.ok && outcome.published != reference_frames) {
       // Sharded + relayed output must stay pinned to the serial reference.
-      transition(HealthState::kFailed,
-                 "epoch " + std::to_string(epoch_index) + " published " +
-                     std::to_string(outcome.published) + " frames, serial "
-                     "reference has " + std::to_string(reference_frames));
+      health.raise(HealthState::kFailed,
+                   "epoch " + std::to_string(epoch_index) + " published " +
+                       std::to_string(outcome.published) + " frames, serial "
+                       "reference has " + std::to_string(reference_frames));
       break;
     }
     if (outcome.ok) {
       ++completed;
       consecutive = 0;
-      if (rss_baseline == 0) rss_baseline = rss_bytes();  // post-warmup
+      health.epoch_completed();
       if (opt.report_every > 0 && completed % opt.report_every == 0) {
         std::fprintf(stderr,
                      "soak: %zu/%zu epochs, %zu attempts, %zu dup replays, "
@@ -784,13 +807,13 @@ int main(int argc, char** argv) {
     } else {
       ++failures;
       ++consecutive;
-      transition(HealthState::kDegraded,
-                 "attempt " + std::to_string(epoch_index) + " failed: " +
-                     outcome.error);
+      health.raise(HealthState::kDegraded,
+                   "attempt " + std::to_string(epoch_index) + " failed: " +
+                       outcome.error);
       if (consecutive > opt.max_consecutive_failures) {
-        transition(HealthState::kFailed,
-                   std::to_string(consecutive) +
-                       " consecutive failed attempts");
+        health.raise(HealthState::kFailed,
+                     std::to_string(consecutive) +
+                         " consecutive failed attempts");
         break;
       }
     }
@@ -801,22 +824,14 @@ int main(int argc, char** argv) {
   for (auto& thread : worker_threads) thread.join();
 
   // --- final assertions + summary ----------------------------------------
-  const std::size_t rss_final = rss_bytes();
-  if (rss_baseline > 0 &&
-      rss_final > rss_baseline + opt.rss_limit_mb * 1048576) {
-    transition(HealthState::kFailed,
-               "rss grew from " + std::to_string(rss_baseline / 1048576) +
-                   " MB to " + std::to_string(rss_final / 1048576) + " MB");
-  }
+  const std::size_t rss_final = health.check_rss();
   if (opt.chaos_spec.empty() && duplicates_total > 0) {
     // Without chaos nothing reconnects, so nothing may ever replay.
-    transition(HealthState::kFailed,
-               std::to_string(duplicates_total) +
-                   " duplicate deliveries on a fault-free run");
+    health.raise(HealthState::kFailed,
+                 std::to_string(duplicates_total) +
+                     " duplicate deliveries on a fault-free run");
   }
-  if (!interrupted && completed < opt.epochs) {
-    transition(HealthState::kFailed, "soak aborted before all epochs ran");
-  }
+  health.check_all_ran(completed, interrupted);
 
   std::fprintf(stderr,
                "soak: %zu/%zu epochs over %zu attempts (%zu failed), "
@@ -825,8 +840,8 @@ int main(int argc, char** argv) {
                "rss %.1f -> %.1f MB, health %s\n",
                completed, opt.epochs, attempts, failures, delivered_total,
                duplicates_total, workers_lost_total, reassigned_total,
-               rss_baseline / 1048576.0, rss_final / 1048576.0,
-               runtime::to_string(health));
+               health.rss_baseline() / 1048576.0, rss_final / 1048576.0,
+               runtime::to_string(health.state()));
   if (chaos_engine) {
     const net::ChaosStats cs = chaos_engine->stats();
     std::fprintf(stderr,
@@ -846,5 +861,5 @@ int main(int argc, char** argv) {
 
   if (telemetry_writer) telemetry_writer->flush();
   obs::set_event_log(nullptr);
-  return shutdown_exit_code(health == HealthState::kFailed ? 1 : 0);
+  return health.exit_code();
 }

@@ -59,7 +59,7 @@ int main() {
     plot.print();
   }
 
-  core::CollisionSeparator separator{core::SeparatorConfig{}};
+  core::CollisionSeparator separator;
   const auto sep = separator.separate(points, fit);
   if (!sep.has_value()) {
     std::printf("\nseparation FAILED (unexpected for this geometry)\n");

@@ -79,15 +79,18 @@ BENCHMARK(BM_KMeans9)->Unit(benchmark::kMicrosecond);
 
 void BM_Viterbi4State(benchmark::State& state) {
   const double e = std::log(0.5);
-  const double no = dsp::Viterbi::kForbidden;
-  const dsp::Viterbi viterbi({{no, e, e, no},
-                              {e, no, no, e},
-                              {no, e, e, no},
-                              {e, no, no, e}},
-                             {0.0, no, no, no});
+  const double no = dsp::kImpossible;
+  const double transition[4][4] = {{no, e, e, no},
+                                    {e, no, no, e},
+                                    {no, e, e, no},
+                                    {e, no, no, e}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(viterbi.decode(
-        400, [](std::size_t s, std::size_t st) {
+    benchmark::DoNotOptimize(dsp::viterbi<4>(
+        400, [](std::size_t s) { return s == 0 ? 0.0 : dsp::kImpossible; },
+        [&](std::size_t, std::size_t from, std::size_t to, double score) {
+          return score + transition[from][to];
+        },
+        [](std::size_t s, std::size_t st) {
           return -0.1 * static_cast<double>((s * 31 + st) % 7);
         }));
   }

@@ -9,6 +9,10 @@ namespace lfbs::core {
 
 namespace {
 
+/// Minimum boundary points per cluster for a candidate to be considered:
+/// fitting 9 clusters to 12 points proves nothing.
+constexpr std::size_t kMinPointsPerCluster = 3;
+
 /// Maximum pairwise distance between the fit's centroids: the scale against
 /// which the within-cluster residual is judged.
 double centroid_spread(const dsp::KMeansResult& fit) {
@@ -29,7 +33,6 @@ double rms_residual(const dsp::KMeansResult& fit, std::size_t n) {
 
 CollisionDetector::CollisionDetector(CollisionDetectorConfig config)
     : config_(std::move(config)) {
-  LFBS_CHECK(config_.min_points_per_cluster >= 1);
   LFBS_CHECK(config_.residual_fraction > 0.0);
 }
 
@@ -43,18 +46,16 @@ CollisionAssessment CollisionDetector::assess(
   // (3-cluster) hypothesis and escalate only when the fit is poor — the
   // within-cluster residual is what a second tag's edge vector inflates.
   std::vector<std::size_t> ladder = {3};
-  if (n >= 9 * config_.min_points_per_cluster) ladder.push_back(9);
-  if (config_.consider_three_way && n >= 27 * config_.min_points_per_cluster) {
+  if (n >= 9 * kMinPointsPerCluster) ladder.push_back(9);
+  if (config_.consider_three_way && n >= 27 * kMinPointsPerCluster) {
     ladder.push_back(27);
   }
 
   for (std::size_t idx = 0; idx < ladder.size(); ++idx) {
     const std::size_t k = std::min(ladder[idx], n);
-    dsp::KMeansResult fit = dsp::kmeans(boundary_diffs, k, rng, config_.kmeans);
+    dsp::KMeansResult fit = dsp::kmeans(boundary_diffs, k, rng);
     const double residual = rms_residual(fit, n);
     const double spread = centroid_spread(fit);
-    out.counts.push_back(k);
-    out.bic_scores.push_back(dsp::kmeans_bic(boundary_diffs, fit));
     const bool good_fit =
         spread > 0.0 && residual <= config_.residual_fraction * spread;
     const bool last = idx + 1 == ladder.size();

@@ -14,19 +14,15 @@ namespace lfbs::core {
 /// Each colliding tag contributes one of three edge states (rising, falling,
 /// constant) to every shared boundary, so k colliding tags produce 3^k
 /// clusters of boundary IQ differentials (§3.3). The detector fits k-means
-/// at 3, 9 (and 27 when the data could support it) clusters and picks the
-/// best BIC.
+/// at 3, then 9 (and 27 when the data could support it) clusters, stopping
+/// at the first fit whose within-cluster residual is small against its
+/// centroid spread.
 struct CollisionAssessment {
-  std::size_t colliders = 1;       ///< 1, 2, or 3
-  dsp::KMeansResult fit;           ///< fit at the chosen cluster count
-  std::vector<double> bic_scores;  ///< per candidate, same order as counts
-  std::vector<std::size_t> counts; ///< candidate cluster counts tried
+  std::size_t colliders = 1;  ///< 1, 2, or 3
+  dsp::KMeansResult fit;      ///< fit at the chosen cluster count
 };
 
 struct CollisionDetectorConfig {
-  /// Minimum boundary points per cluster for a candidate to be considered:
-  /// fitting 9 clusters to 12 points proves nothing.
-  std::size_t min_points_per_cluster = 3;
   /// Consider the 27-cluster (3-tag) hypothesis at all. The paper shows
   /// P(3-way collision) ≈ 0.018 at 16 nodes / 100 kbps; such groups are
   /// flagged and re-tried in a later epoch rather than separated.
@@ -36,7 +32,6 @@ struct CollisionDetectorConfig {
   /// spread. A second colliding tag inflates the 3-cluster residual to the
   /// order of its own edge magnitude, failing this test.
   double residual_fraction = 0.08;
-  dsp::KMeansOptions kmeans;
 };
 
 class CollisionDetector {

@@ -5,11 +5,19 @@
 #include <cmath>
 #include <limits>
 
-#include "common/check.h"
-
 namespace lfbs::core {
 
 namespace {
+
+/// A centroid counts as the midpoint of a pair when it sits within this
+/// fraction of the pair's span from the geometric midpoint.
+constexpr double kMidpointTolerance = 0.2;
+/// Maximum acceptable matching residual: |centroid - (a e1 + b e2)| must be
+/// below this fraction of min(|e1|, |e2|) for every centroid.
+constexpr double kMatchTolerance = 0.5;
+/// Reject when |e1| or |e2| is below this fraction of the strongest
+/// centroid (degenerate / single-tag geometry).
+constexpr double kMinEdgeFraction = 0.05;
 
 /// The nine (a, b) combinations in a fixed order.
 constexpr std::array<std::pair<int, int>, 9> kCombos = {{{-1, -1},
@@ -62,12 +70,6 @@ double match_quality(std::span<const Complex> centroids, Complex e1,
 
 }  // namespace
 
-CollisionSeparator::CollisionSeparator(SeparatorConfig config)
-    : config_(config) {
-  LFBS_CHECK(config_.midpoint_tolerance > 0.0);
-  LFBS_CHECK(config_.match_tolerance > 0.0);
-}
-
 std::optional<SeparationResult> CollisionSeparator::separate(
     std::span<const Complex> points, const dsp::KMeansResult& fit) const {
   if (fit.centroids.size() != 9 || points.empty()) return std::nullopt;
@@ -109,7 +111,7 @@ std::optional<SeparationResult> CollisionSeparator::separate(
       for (std::size_t k = 0; k < outer.size(); ++k) {
         if (k == i || k == j) continue;
         const double err = std::abs(outer[k] - mid) / span;
-        if (err <= config_.midpoint_tolerance) {
+        if (err <= kMidpointTolerance) {
           midpoints.push_back({k, err});
         }
       }
@@ -126,7 +128,7 @@ std::optional<SeparationResult> CollisionSeparator::separate(
   Complex best_e1, best_e2;
   const auto consider = [&](Complex e1, Complex e2) {
     const double weakest = std::min(std::abs(e1), std::abs(e2));
-    if (weakest < config_.min_edge_fraction * strongest) return;
+    if (weakest < kMinEdgeFraction * strongest) return;
     // Skip near-collinear candidates (degenerate parallelogram).
     const double cross = std::abs(e1.real() * e2.imag() - e1.imag() * e2.real());
     if (cross < 0.05 * std::abs(e1) * std::abs(e2)) return;
@@ -153,7 +155,7 @@ std::optional<SeparationResult> CollisionSeparator::separate(
   }
   if (!std::isfinite(best_quality)) return std::nullopt;
   const double weakest = std::min(std::abs(best_e1), std::abs(best_e2));
-  if (best_quality > config_.match_tolerance * weakest) return std::nullopt;
+  if (best_quality > kMatchTolerance * weakest) return std::nullopt;
 
   // Classify every boundary point against the recovered grid. Points are
   // classified directly (not via their k-means cluster) so a slightly wrong
@@ -269,7 +271,7 @@ std::optional<Separation3Result> CollisionSeparator::separate_three(
         const Complex e3 = outer[order[z]];
         const double weakest =
             std::min({std::abs(e1), std::abs(e2), std::abs(e3)});
-        if (weakest < config_.min_edge_fraction * strongest) continue;
+        if (weakest < kMinEdgeFraction * strongest) continue;
         // Pairwise conditioning: near-collinear axes are inseparable.
         const auto cross = [](Complex u, Complex v) {
           return std::abs(u.real() * v.imag() - u.imag() * v.real());
@@ -297,7 +299,7 @@ std::optional<Separation3Result> CollisionSeparator::separate_three(
   }
   if (!std::isfinite(best_quality)) return std::nullopt;
   const double weakest = std::min({std::abs(be1), std::abs(be2), std::abs(be3)});
-  if (best_quality > config_.match_tolerance * weakest) return std::nullopt;
+  if (best_quality > kMatchTolerance * weakest) return std::nullopt;
 
   Separation3Result result;
   result.e1 = be1;

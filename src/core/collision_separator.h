@@ -32,18 +32,6 @@ struct SeparationResult {
   double residual = 0.0;
 };
 
-struct SeparatorConfig {
-  /// A centroid counts as the midpoint of a pair when it sits within this
-  /// fraction of the pair's span from the geometric midpoint.
-  double midpoint_tolerance = 0.2;
-  /// Maximum acceptable matching residual: |centroid - (a e1 + b e2)| must
-  /// be below this fraction of min(|e1|, |e2|) for every centroid.
-  double match_tolerance = 0.5;
-  /// Reject when |e1| or |e2| is below this fraction of the strongest
-  /// centroid (degenerate / single-tag geometry).
-  double min_edge_fraction = 0.05;
-};
-
 /// Three-tag separation result (extension beyond the paper, which defers
 /// three-way collisions to the next epoch): the 27 cluster centroids of a
 /// 3-tag collision are the grid a·e1 + b·e2 + c·e3, (a,b,c) ∈ {-1,0,1}³,
@@ -56,10 +44,6 @@ struct Separation3Result {
 
 class CollisionSeparator {
  public:
-  explicit CollisionSeparator(SeparatorConfig config);
-
-  const SeparatorConfig& config() const { return config_; }
-
   /// Attempts to separate a 9-cluster fit into two per-tag state sequences.
   /// `points` are the boundary differentials the fit was computed on.
   /// Returns nullopt when the geometry does not support separation (caller
@@ -75,9 +59,6 @@ class CollisionSeparator {
   /// IQ plane; otherwise the caller falls back to two-way separation.
   std::optional<Separation3Result> separate_three(
       std::span<const Complex> points, const dsp::KMeansResult& fit) const;
-
- private:
-  SeparatorConfig config_;
 };
 
 }  // namespace lfbs::core

@@ -8,6 +8,7 @@
 
 #include "core/bit_decoder.h"
 #include "dsp/linalg.h"
+#include "dsp/stats.h"
 
 namespace lfbs::core {
 
@@ -42,8 +43,6 @@ StreamDetectorConfig stream_config(const DecoderConfig& cfg, double spb,
   StreamDetectorConfig sc;
   sc.lattice_period = spb;
   sc.base_tolerance = group_tolerance;
-  sc.drift_tolerance_ppm = cfg.drift_tolerance_ppm;
-  sc.min_edges = cfg.min_edges;
   sc.merge_radius = std::max(2.0, cfg.merge_radius * fs_scale);
   for (BitRate r : cfg.rate_plan.rates) {
     const double m = cfg.max_rate / r;
@@ -73,8 +72,7 @@ PendingStream decode_single(const PassContext& ctx, const BoundarySlots& slots,
     ps.bits = integrate_states(classify_simple(diffs));
     return ps;
   }
-  const dsp::KMeansResult fit =
-      dsp::kmeans(diffs, 3, rng, cfg.collision.kmeans);
+  const dsp::KMeansResult fit = dsp::kmeans(diffs, 3, rng);
   const ThreeClusterLabels labels = label_three_clusters(diffs, fit);
   ps.edge_vector = 0.5 * (labels.rising - labels.falling);
   double residual2 = 0.0;
@@ -101,19 +99,11 @@ PendingStream decode_single(const PassContext& ctx, const BoundarySlots& slots,
     ps.bits = integrate_states(labels.states);
     return ps;
   }
-  const ErrorCorrector::SoftResult soft = ctx.corrector.correct_soft(
-      diffs, labels,
-      cfg.robustness.enabled ? std::span<const double>(slots.confidences)
-                             : std::span<const double>{},
-      cfg.robustness.soft);
+  const ErrorCorrector::SoftResult soft =
+      ctx.corrector.correct_soft(diffs, labels, slots.confidences);
   ps.bits = soft.bits;
   ps.erasures = soft.erasures;
-  double margin_sum = 0.0;
-  for (double m : soft.bit_margins) margin_sum += m;
-  ps.path_margin =
-      soft.bit_margins.empty()
-          ? 0.0
-          : margin_sum / static_cast<double>(soft.bit_margins.size());
+  ps.path_margin = dsp::mean(soft.bit_margins);
   return ps;
 }
 
@@ -211,7 +201,7 @@ bool decode_joint(const PassContext& ctx, const BoundarySlots& slots,
         bits[t].push_back(joint.levels[t][k]);
       }
     }
-    margin = joint.margin / static_cast<double>(n);
+    margin = dsp::mean(joint.margins);
   } else {
     for (std::size_t t = 0; t < tags; ++t) {
       bits[t] = integrate_states(
@@ -364,7 +354,6 @@ PassContext::PassContext(const signal::SampleBuffer& buffer_,
       edge_detector(scaled_edge_config(cfg_, spb, fs_scale)),
       stream_detector(stream_config(cfg_, spb, group_tolerance, fs_scale)),
       collision_detector(cfg_.collision),
-      separator(cfg_.separator),
       corrector(cfg_.corrector) {}
 
 Edges detect_edges(const PassContext& ctx) {
@@ -497,7 +486,7 @@ void decode_group(const PassContext& ctx, const Edges& edges,
     }
     ++diagnostics.unresolved_groups;
     if (diffs.size() < 9) return;
-    fit = dsp::kmeans(diffs, 9, rng, cfg.collision.kmeans);
+    fit = dsp::kmeans(diffs, 9, rng);
   }
 
   const auto sep = ctx.separator.separate(diffs, fit);
@@ -528,13 +517,11 @@ DecodedStream frame_stream(const DecoderConfig& cfg, const PendingStream& ps) {
   stream.collided = ps.collided;
   stream.edge_vector = ps.edge_vector;
   stream.snr_db = ps.snr_db;
-  if (cfg.robustness.enabled) {
-    stream.confidence.edge_snr_db = ps.edge_snr_db;
-    stream.confidence.edge_confidence = ps.edge_confidence;
-    stream.confidence.path_margin = ps.path_margin;
-    stream.confidence.cluster_separation = ps.cluster_separation;
-    stream.confidence.erasures = ps.erasures;
-  }
+  stream.confidence.edge_snr_db = ps.edge_snr_db;
+  stream.confidence.edge_confidence = ps.edge_confidence;
+  stream.confidence.path_margin = ps.path_margin;
+  stream.confidence.cluster_separation = ps.cluster_separation;
+  stream.confidence.erasures = ps.erasures;
   stream.bits = ps.bits;
   trim_trailing_zeros(stream.bits, cfg.frame.frame_bits());
   stream.frames = protocol::parse_stream(stream.bits, cfg.frame);

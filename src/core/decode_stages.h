@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/collision_separator.h"
 #include "core/lf_decoder.h"
 
 namespace lfbs::core {

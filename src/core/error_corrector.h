@@ -8,29 +8,6 @@
 
 namespace lfbs::core {
 
-/// Soft-decision controls for ErrorCorrector::correct_soft. (Free struct so
-/// it is complete where member default arguments need it.)
-struct SoftDecisionConfig {
-  /// Boundaries whose edge confidence falls below this become erasures.
-  double erasure_threshold = 0.25;
-  /// Erasure emission: the per-state Gaussian with its sigmas inflated by
-  /// this factor — wide enough that transitions and priors dominate, but
-  /// the observation still breaks exact ties deterministically.
-  double erasure_sigma_scale = 8.0;
-};
-
-/// Soft output of an erasure-aware correction pass.
-struct SoftDecisionResult {
-  std::vector<bool> bits;
-  /// Per-boundary Viterbi score margins (log-likelihood-ratio proxies):
-  /// how decisively each step's state beat the runner-up.
-  std::vector<double> bit_margins;
-  /// Terminal margin of the winning path over the best alternative.
-  double path_margin = 0.0;
-  double log_score = 0.0;
-  std::size_t erasures = 0;  ///< boundaries demoted to erasures
-};
-
 /// Viterbi error correction (§3.5, Fig 6).
 ///
 /// Certain edge sequences are physically impossible — a rising edge can
@@ -47,14 +24,15 @@ struct SoftDecisionResult {
 /// and 2-D Gaussian emissions fit to the observed IQ clusters. The most
 /// likely state path directly yields the bit sequence, recovering missed
 /// and spurious edges without any tag-side coding.
+///
+/// Both this machine and the 2^K-state machine of correct_joint run on the
+/// one max-sum engine, dsp::viterbi.
 class ErrorCorrector {
  public:
   struct Config {
     /// Prior probability that a boundary carries an edge (bits flip half
     /// the time for random payloads).
     double edge_probability = 0.5;
-    /// Floor on fitted cluster sigmas.
-    double min_sigma = 1e-6;
   };
 
   explicit ErrorCorrector(Config config);
@@ -65,8 +43,14 @@ class ErrorCorrector {
   std::vector<bool> correct(std::span<const Complex> points,
                             const ThreeClusterLabels& labels) const;
 
-  using SoftConfig = SoftDecisionConfig;
-  using SoftResult = SoftDecisionResult;
+  /// Soft output of an erasure-aware correction pass.
+  struct SoftResult {
+    std::vector<bool> bits;
+    /// Per-boundary Viterbi score margins (log-likelihood-ratio proxies):
+    /// how decisively each step's state beat the runner-up.
+    std::vector<double> bit_margins;
+    std::size_t erasures = 0;  ///< boundaries demoted to erasures
+  };
 
   /// Erasure-aware variant of correct(): boundaries whose confidence (from
   /// EdgeDetector, in [0,1]; boundaries with no detected edge pass 1.0 —
@@ -76,14 +60,7 @@ class ErrorCorrector {
   /// identical to correct().
   SoftResult correct_soft(std::span<const Complex> points,
                           const ThreeClusterLabels& labels,
-                          std::span<const double> confidences,
-                          const SoftConfig& soft = SoftConfig()) const;
-
-  /// Corrects a separated collision component. `points` are the component's
-  /// boundary differentials with the *other* component's assigned
-  /// contribution subtracted; `edge_vector` is the component's ±e.
-  std::vector<bool> correct_component(std::span<const Complex> points,
-                                      Complex edge_vector) const;
+                          std::span<const double> confidences) const;
 
   /// Joint decode of a K-tag collision, K ∈ {2, 3}: a 2^K-state Viterbi
   /// over the tags' level tuple (bit t of a state is tag t's level) whose
@@ -98,9 +75,8 @@ class ErrorCorrector {
   struct JointResult {
     /// levels[t][k]: tag t's level after boundary k.
     std::vector<std::vector<bool>> levels;
-    /// Terminal Viterbi margin: winning path score minus the best
-    /// alternative ending (0 when nothing else survives).
-    double margin = 0.0;
+    /// Per-boundary Viterbi score margins, as in SoftResult::bit_margins.
+    std::vector<double> margins;
   };
   JointResult correct_joint(std::span<const Complex> points,
                             const std::vector<Complex>& edge_vectors,
@@ -108,14 +84,6 @@ class ErrorCorrector {
                             double sigma) const;
 
  private:
-  SoftResult run(std::span<const Complex> points, Complex rising,
-                 Complex falling, Complex constant,
-                 std::span<const Complex> rising_pts,
-                 std::span<const Complex> falling_pts,
-                 std::span<const Complex> constant_pts,
-                 std::span<const double> confidences,
-                 const SoftConfig& soft) const;
-
   Config config_;
 };
 

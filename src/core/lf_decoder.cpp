@@ -18,6 +18,9 @@ namespace {
 /// the primary stream's vector.
 constexpr double kLadderVectorTolerance = 0.5;
 
+/// The relaxed-detection rungs never drop threshold_sigma below this.
+constexpr double kRelaxedFloorSigma = 2.5;
+
 /// Fallback fires only when a pass recovered *nothing* CRC-valid — the
 /// "stream silently vanished" failure the ladder exists for. Partial CRC
 /// failures are left alone: re-decoding a mostly-healthy capture with
@@ -181,9 +184,7 @@ void merge_fallback(DecodeResult& result, DecodeResult alt,
 
 DecodeResult LfDecoder::decode(const signal::SampleBuffer& buffer) const {
   DecodeResult result = decode_pass(buffer, config_);
-  if (!config_.robustness.enabled || !config_.robustness.fallback) {
-    return result;
-  }
+  if (!config_.robustness.fallback) return result;
   if (buffer.empty() || !needs_fallback(result)) return result;
 
   // The Fig 9 degradation ladder, cheapest first. Later rungs deliberately
@@ -202,14 +203,12 @@ DecodeResult LfDecoder::decode(const signal::SampleBuffer& buffer) const {
   {
     DecoderConfig c = config_;
     c.error_correction = false;
-    c.interference_cancellation = false;
     ladder.push_back({FallbackStage::kNoErrorCorrection, std::move(c)});
   }
   {
     DecoderConfig c = config_;
     c.collision_recovery = false;
     c.error_correction = false;
-    c.interference_cancellation = false;
     ladder.push_back({FallbackStage::kEdgeOnly, std::move(c)});
   }
   for (const double scale : {0.65, 0.45}) {
@@ -219,8 +218,8 @@ DecodeResult LfDecoder::decode(const signal::SampleBuffer& buffer) const {
     // runs on whatever appears, and the CRC arbitrates.
     DecoderConfig c = config_;
     c.edge.adaptive_threshold = true;
-    c.edge.threshold_sigma = std::max(config_.robustness.relaxed_floor_sigma,
-                                      config_.edge.threshold_sigma * scale);
+    c.edge.threshold_sigma =
+        std::max(kRelaxedFloorSigma, config_.edge.threshold_sigma * scale);
     ladder.push_back({FallbackStage::kRelaxedDetection, std::move(c)});
   }
 

@@ -5,7 +5,6 @@
 
 #include "common/units.h"
 #include "core/collision_detector.h"
-#include "core/collision_separator.h"
 #include "core/decode_confidence.h"
 #include "core/error_corrector.h"
 #include "core/stream_detector.h"
@@ -16,23 +15,16 @@
 
 namespace lfbs::core {
 
-/// Soft-decision / degraded-mode controls (PR 3 tentpole).
+/// Degraded-mode control. Per-stream DecodeConfidence and the erasure-aware
+/// error-correction pass are always on: they do not change the decoded bits
+/// of a primary pass (edges that cleared the detection threshold always sit
+/// above the erasure cutoff, so erasures only fire in degraded re-decodes).
 struct RobustnessConfig {
-  /// Compute per-stream DecodeConfidence and run the error-correction stage
-  /// erasure-aware. Does not change the decoded bits of a primary pass:
-  /// edges that cleared the detection threshold always sit above the
-  /// erasure cutoff, so erasures only fire in degraded re-decodes.
-  bool enabled = true;
   /// On CRC failure (or an empty decode), re-decode down the Fig 9 chain —
   /// perturbed k-means seeds → Edge+IQ → Edge → relaxed/adaptive detection —
   /// keeping, per stream, the best CRC-clean result. Never discards a
   /// primary stream; CRC gating prevents fabrication.
   bool fallback = true;
-  /// Erasure demotion threshold and wide-Gaussian scale for the soft
-  /// Viterbi pass.
-  ErrorCorrector::SoftConfig soft{};
-  /// The relaxed-detection rungs never drop threshold_sigma below this.
-  double relaxed_floor_sigma = 2.5;
 };
 
 /// Configuration of the full LF-Backscatter reader-side decoder.
@@ -64,11 +56,8 @@ struct DecoderConfig {
   /// Groups with closer lattice phases than this merge into one collision
   /// group (see StreamDetectorConfig::merge_radius).
   double merge_radius = 5.0;
-  double drift_tolerance_ppm = 400.0;
-  std::size_t min_edges = 3;
 
   CollisionDetectorConfig collision{};
-  SeparatorConfig separator{};
   ErrorCorrector::Config corrector{};
 
   /// Seed for k-means restarts; decoding is fully deterministic given the
@@ -76,7 +65,7 @@ struct DecoderConfig {
   /// perturbed seeds derive from this one.
   std::uint64_t seed = 0x1f5eedULL;
 
-  /// Soft-decision confidence + degraded-mode fallback (see above).
+  /// Degraded-mode fallback (see above).
   RobustnessConfig robustness{};
 };
 
@@ -97,7 +86,6 @@ struct DecodedStream {
   double snr_db = 0.0;
   /// Soft-decision summary: edge SNR/confidence, Viterbi margins, cluster
   /// separation, erasures, and which fallback rung produced this stream.
-  /// Only meaningful when DecoderConfig::robustness.enabled.
   DecodeConfidence confidence{};
 
   /// Number of CRC-valid frames.

@@ -276,30 +276,7 @@ WindowSlicer::WindowSlicer(const WindowedDecoder& decoder, SampleRate fs)
   window_.reserve(window_samples_);
 }
 
-void WindowSlicer::push(std::uint64_t first_sample,
-                        std::span<const Complex> samples, const Emit& emit) {
-  if (first_sample > next_expected_) {
-    const std::uint64_t gap = first_sample - next_expected_;
-    samples_gap_ += gap;
-    append(nullptr, gap, emit);
-  }
-  const auto skip = static_cast<std::size_t>(std::min<std::uint64_t>(
-      next_expected_ - first_sample, samples.size()));
-  append(samples.data() + skip, samples.size() - skip, emit);
-  samples_in_ += samples.size() - skip;
-  if (!known_long_ && !decoder_.is_short_capture(
-                          static_cast<std::size_t>(next_expected_), fs_)) {
-    known_long_ = true;
-    for (WindowJob& job : held_) emit(std::move(job));
-    held_.clear();
-  }
-}
-
-void WindowSlicer::finish(const Emit& emit) {
-  if (known_long_) {
-    if (window_.size() >= window_samples_ / 4) emit(take_window());
-    return;
-  }
+WindowJob WindowSlicer::take_whole_capture() {
   std::vector<Complex> all;
   for (const WindowJob& job : held_) {
     const auto view = job.samples.span();
@@ -308,29 +285,7 @@ void WindowSlicer::finish(const Emit& emit) {
   held_.clear();
   all.insert(all.end(), window_.begin(), window_.end());
   window_.clear();
-  emit(WindowJob{0, true, signal::SampleBuffer(fs_, std::move(all))});
-}
-
-void WindowSlicer::append(const Complex* data, std::uint64_t n,
-                          const Emit& emit) {
-  next_expected_ += n;
-  while (n > 0) {
-    const auto take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(n, window_samples_ - window_.size()));
-    if (data != nullptr) {
-      window_.insert(window_.end(), data, data + take);
-      data += take;
-    } else {
-      window_.resize(window_.size() + take);
-    }
-    n -= take;
-    if (window_.size() < window_samples_) continue;
-    if (known_long_) {
-      emit(take_window());
-    } else {
-      held_.push_back(take_window());
-    }
-  }
+  return WindowJob{0, true, signal::SampleBuffer(fs_, std::move(all))};
 }
 
 WindowJob WindowSlicer::take_window() {
@@ -366,8 +321,7 @@ DecodeResult WindowedDecoder::decode(const signal::SampleBuffer& buffer) const {
   // produced nothing at all does a single-pass decode with the ladder get
   // a shot at the full buffer (the per-window ladder is disabled, see
   // decode_window).
-  if (config_.decoder.robustness.enabled &&
-      config_.decoder.robustness.fallback && result.valid_frames() == 0) {
+  if (config_.decoder.robustness.fallback && result.valid_frames() == 0) {
     DecodeResult whole = LfDecoder(config_.decoder).decode(buffer);
     if (whole.valid_frames() > 0) return whole;
   }

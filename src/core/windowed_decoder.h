@@ -1,7 +1,7 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -171,28 +171,73 @@ class WindowedDecoder {
 ///     becomes one whole-capture job at finish();
 ///   - quarter-window tail: a final partial window shorter than a quarter
 ///     window is dropped.
-/// Jobs are emitted in index order. Not thread-safe.
+/// Jobs are emitted in index order, each as soon as it is complete, by
+/// calling `emit(WindowJob)`. Not thread-safe.
 class WindowSlicer {
  public:
-  using Emit = std::function<void(WindowJob)>;
-
   WindowSlicer(const WindowedDecoder& decoder, SampleRate fs);
 
   /// Folds in a chunk whose first sample sits at absolute position
   /// `first_sample`; emits every job the chunk completes.
+  template <class Emit>
   void push(std::uint64_t first_sample, std::span<const Complex> samples,
-            const Emit& emit);
+            const Emit& emit) {
+    if (first_sample > next_expected_) {
+      const std::uint64_t gap = first_sample - next_expected_;
+      samples_gap_ += gap;
+      append(nullptr, gap, emit);
+    }
+    const auto skip = static_cast<std::size_t>(std::min<std::uint64_t>(
+        next_expected_ - first_sample, samples.size()));
+    append(samples.data() + skip, samples.size() - skip, emit);
+    samples_in_ += samples.size() - skip;
+    if (!known_long_ && !decoder_.is_short_capture(
+                            static_cast<std::size_t>(next_expected_), fs_)) {
+      known_long_ = true;
+      for (WindowJob& job : held_) emit(std::move(job));
+      held_.clear();
+    }
+  }
 
   /// End of stream: emits the tail window or the whole-capture job.
-  void finish(const Emit& emit);
+  template <class Emit>
+  void finish(const Emit& emit) {
+    if (!known_long_) {
+      emit(take_whole_capture());
+    } else if (window_.size() >= window_samples_ / 4) {
+      emit(take_window());
+    }
+  }
 
   std::uint64_t samples_in() const { return samples_in_; }    ///< real
   std::uint64_t samples_gap() const { return samples_gap_; }  ///< zeros
 
  private:
   /// Appends `n` samples from `data`, or `n` zeros when `data` is null.
-  void append(const Complex* data, std::uint64_t n, const Emit& emit);
+  template <class Emit>
+  void append(const Complex* data, std::uint64_t n, const Emit& emit) {
+    next_expected_ += n;
+    while (n > 0) {
+      const auto take = static_cast<std::size_t>(
+          std::min<std::uint64_t>(n, window_samples_ - window_.size()));
+      if (data != nullptr) {
+        window_.insert(window_.end(), data, data + take);
+        data += take;
+      } else {
+        window_.resize(window_.size() + take);
+      }
+      n -= take;
+      if (window_.size() < window_samples_) continue;
+      if (known_long_) {
+        emit(take_window());
+      } else {
+        held_.push_back(take_window());
+      }
+    }
+  }
   WindowJob take_window();
+  /// The held windows and the partial one, as one whole-capture job.
+  WindowJob take_whole_capture();
 
   const WindowedDecoder& decoder_;
   SampleRate fs_;

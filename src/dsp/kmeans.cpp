@@ -155,56 +155,4 @@ KMeansResult kmeans(std::span<const Complex> points, std::size_t k, Rng& rng,
   return full;
 }
 
-double kmeans_bic(std::span<const Complex> points, const KMeansResult& fit) {
-  const auto n = static_cast<double>(points.size());
-  const auto k = static_cast<double>(fit.centroids.size());
-  // Spherical-Gaussian variance estimate over both IQ dimensions.
-  const double dims = 2.0;
-  const double var =
-      std::max(fit.inertia / std::max(1.0, dims * (n - k)), 1e-18);
-  const double log_likelihood =
-      -0.5 * n * dims * (std::log(2.0 * M_PI * var) + 1.0);
-  // Free parameters: k 2-D means + shared variance + k-1 mixing weights.
-  const double params = k * dims + 1.0 + (k - 1.0);
-  return log_likelihood - 0.5 * params * std::log(n);
-}
-
-ModelSelection select_cluster_count(std::span<const Complex> points,
-                                    std::span<const std::size_t> candidates,
-                                    Rng& rng, const KMeansOptions& opts) {
-  LFBS_CHECK(!candidates.empty());
-  // Occam ladder: the smallest candidate whose fit is adequate wins — a fit
-  // is adequate when its RMS within-cluster residual is small against the
-  // centroid spread. (Raw BIC systematically overfits tight clusters: the
-  // likelihood gain of splitting a true cluster dwarfs the parameter
-  // penalty, so it is recorded in `scores` but not used for the choice.)
-  ModelSelection sel;
-  std::vector<std::size_t> ordered(candidates.begin(), candidates.end());
-  std::sort(ordered.begin(), ordered.end());
-  bool chosen = false;
-  for (std::size_t k : ordered) {
-    KMeansResult fit = kmeans(points, k, rng, opts);
-    sel.scores.push_back(kmeans_bic(points, fit));
-    double spread = 0.0;
-    for (std::size_t i = 0; i < fit.centroids.size(); ++i) {
-      for (std::size_t j = i + 1; j < fit.centroids.size(); ++j) {
-        spread = std::max(spread,
-                          std::abs(fit.centroids[i] - fit.centroids[j]));
-      }
-    }
-    const double rms = std::sqrt(
-        fit.inertia / static_cast<double>(std::max<std::size_t>(
-                          points.size(), 1)));
-    const bool adequate = fit.centroids.size() <= 1
-                              ? rms < 1e-12
-                              : rms <= 0.1 * spread;
-    if (!chosen && (adequate || k == ordered.back())) {
-      sel.best_k = k;
-      sel.fit = std::move(fit);
-      chosen = true;
-    }
-  }
-  return sel;
-}
-
 }  // namespace lfbs::dsp

@@ -34,20 +34,4 @@ struct KMeansOptions {
 KMeansResult kmeans(std::span<const Complex> points, std::size_t k, Rng& rng,
                     const KMeansOptions& opts = {});
 
-/// BIC-style score for model selection over cluster counts: spherical
-/// Gaussian likelihood minus a complexity penalty. Higher is better.
-double kmeans_bic(std::span<const Complex> points, const KMeansResult& fit);
-
-/// Fits each candidate k and returns the one with the best BIC. This is how
-/// the collision detector decides between 3 (single stream), 9 (two-tag
-/// collision) and 27 (three-tag collision) clusters — §3.3 of the paper.
-struct ModelSelection {
-  std::size_t best_k = 0;
-  KMeansResult fit;                  ///< fit for best_k
-  std::vector<double> scores;        ///< BIC per candidate (same order)
-};
-ModelSelection select_cluster_count(std::span<const Complex> points,
-                                    std::span<const std::size_t> candidates,
-                                    Rng& rng, const KMeansOptions& opts = {});
-
 }  // namespace lfbs::dsp

@@ -33,6 +33,13 @@ Complex mean(std::span<const Complex> xs) {
 
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
+MedianMad median_mad(std::span<const double> xs) {
+  const double med = median(xs);
+  std::vector<double> dev(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) dev[i] = std::abs(xs[i] - med);
+  return {med, median(dev)};
+}
+
 double percentile(std::span<const double> xs, double p) {
   LFBS_CHECK(!xs.empty());
   LFBS_CHECK(p >= 0.0 && p <= 100.0);

@@ -21,6 +21,17 @@ Complex mean(std::span<const Complex> xs);
 /// Median (copies and sorts). Requires a non-empty span.
 double median(std::span<const double> xs);
 
+/// Median and median absolute deviation of a non-empty span. The MAD is
+/// unscaled: multiply by kMadToSigma for a robust Gaussian sigma.
+struct MedianMad {
+  double median = 0.0;
+  double mad = 0.0;
+};
+MedianMad median_mad(std::span<const double> xs);
+
+/// MAD-to-sigma factor for Gaussian data: 1 / Phi^-1(3/4).
+inline constexpr double kMadToSigma = 1.4826;
+
 /// Linear-interpolated percentile, p in [0, 100]. Requires non-empty input.
 double percentile(std::span<const double> xs, double p);
 

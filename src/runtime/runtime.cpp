@@ -165,7 +165,7 @@ RuntimeResult DecodeRuntime::run(SampleSource& source,
   std::size_t windows_dispatched = 0;
   std::size_t stitched = 0;
   bool whole_capture = false;
-  const core::WindowSlicer::Emit submit = [&](core::WindowJob job) {
+  const auto submit = [&](core::WindowJob job) {
     ++windows_dispatched;
     whole_capture = job.whole_capture;
     executor.submit(std::move(job));

@@ -11,22 +11,11 @@
 
 namespace lfbs::signal {
 
-double edge_confidence(double snr_db) {
-  // Logistic centred at 11 dB with a 3 dB scale: 6-sigma detections
-  // (~15.6 dB) map to ~0.82, the 2.5-sigma degraded-mode floor (~8 dB)
-  // to ~0.27.
-  return 1.0 / (1.0 + std::exp(-(snr_db - 11.0) / 3.0));
-}
+namespace {
 
-EdgeDetector::EdgeDetector(EdgeDetectorConfig config)
-    : config_(std::move(config)) {
-  LFBS_CHECK(config_.window >= 1);
-  LFBS_CHECK(config_.min_separation >= 1);
-}
-
-std::vector<double> EdgeDetector::differential_magnitude(
-    const SampleBuffer& buffer) const {
-  const auto xs = buffer.span();
+/// Differential magnitude series |S(t+) - S(t-)| for every sample.
+std::vector<double> differential_magnitude(std::span<const Complex> xs,
+                                           const EdgeDetectorConfig& config) {
   const auto n = static_cast<SampleIndex>(xs.size());
   std::vector<double> out(xs.size(), 0.0);
   if (n == 0) return out;
@@ -42,8 +31,8 @@ std::vector<double> EdgeDetector::differential_magnitude(
            prefix[static_cast<std::size_t>(lo)];
   };
 
-  const auto w = static_cast<SampleIndex>(config_.window);
-  const auto g = static_cast<SampleIndex>(config_.guard);
+  const auto w = static_cast<SampleIndex>(config.window);
+  const auto g = static_cast<SampleIndex>(config.guard);
   for (SampleIndex i = 0; i < n; ++i) {
     const SampleIndex before_lo = i - g - w;
     const SampleIndex before_hi = i - g;
@@ -63,6 +52,21 @@ std::vector<double> EdgeDetector::differential_magnitude(
   return out;
 }
 
+}  // namespace
+
+double edge_confidence(double snr_db) {
+  // Logistic centred at 11 dB with a 3 dB scale: 6-sigma detections
+  // (~15.6 dB) map to ~0.82, the 2.5-sigma degraded-mode floor (~8 dB)
+  // to ~0.27.
+  return 1.0 / (1.0 + std::exp(-(snr_db - 11.0) / 3.0));
+}
+
+EdgeDetector::EdgeDetector(EdgeDetectorConfig config)
+    : config_(std::move(config)) {
+  LFBS_CHECK(config_.window >= 1);
+  LFBS_CHECK(config_.min_separation >= 1);
+}
+
 std::vector<Edge> EdgeDetector::detect(const SampleBuffer& buffer) const {
   LFBS_OBS_SPAN(span, "detect", "signal");
   span.attr("samples", static_cast<double>(buffer.size()));
@@ -70,20 +74,17 @@ std::vector<Edge> EdgeDetector::detect(const SampleBuffer& buffer) const {
   static obs::Counter& detected =
       obs::metrics().counter("signal.edges_detected");
   runs.add();
-  const std::vector<double> d = differential_magnitude(buffer);
+  const std::vector<double> d = differential_magnitude(buffer.span(), config_);
   if (d.empty()) return {};
 
   // Robust threshold: edges are temporally sparse, so the median of |dS|
   // tracks the noise floor even with many tags transmitting. The global
   // estimate is always computed — it is the detection threshold in the
   // default (seed) mode and the fallback SNR reference in adaptive mode.
-  const double med = dsp::median(d);
-  std::vector<double> dev(d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) dev[i] = std::abs(d[i] - med);
-  const double mad = dsp::median(dev);
+  const dsp::MedianMad robust = dsp::median_mad(d);
   NoiseEstimate global;
-  global.floor = med;
-  global.spread = 1.4826 * mad;
+  global.floor = robust.median;
+  global.spread = dsp::kMadToSigma * robust.mad;
   const double threshold =
       global.threshold(config_.threshold_sigma, config_.min_strength);
 

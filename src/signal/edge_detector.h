@@ -73,10 +73,6 @@ class EdgeDetector {
   /// measured against the (global or blockwise) noise estimate.
   std::vector<Edge> detect(const SampleBuffer& buffer) const;
 
-  /// Differential magnitude series |S(t+) - S(t-)| for every sample —
-  /// exposed for tests and for the eye-pattern stream detector.
-  std::vector<double> differential_magnitude(const SampleBuffer& buffer) const;
-
   /// Re-measures the IQ differential at a known boundary position with a
   /// caller-chosen window (used by the decoder once stream timing is known,
   /// so windows can stretch to just short of the neighbouring stream's

@@ -6,20 +6,6 @@
 #include "dsp/stats.h"
 
 namespace lfbs::signal {
-namespace {
-
-constexpr double kMadToSigma = 1.4826;
-
-std::pair<double, double> block_stats(std::span<const double> block) {
-  const double med = dsp::median(block);
-  std::vector<double> dev(block.size());
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    dev[i] = std::abs(block[i] - med);
-  }
-  return {med, dsp::median(dev)};
-}
-
-}  // namespace
 
 double NoiseEstimate::threshold(double sigma_multiple,
                                 double min_strength) const {
@@ -50,7 +36,7 @@ void NoiseTracker::flush() {
 }
 
 void NoiseTracker::close_block() {
-  blocks_.push_back(block_stats(pending_));
+  blocks_.push_back(dsp::median_mad(pending_));
   pending_.clear();
   while (blocks_.size() > config_.history) blocks_.pop_front();
 }
@@ -60,13 +46,15 @@ NoiseEstimate NoiseTracker::estimate() const {
   std::vector<double> meds, mads;
   meds.reserve(blocks_.size());
   mads.reserve(blocks_.size());
-  for (const auto& [med, mad] : blocks_) {
-    meds.push_back(med);
-    mads.push_back(mad);
+  for (const dsp::MedianMad& block : blocks_) {
+    meds.push_back(block.median);
+    mads.push_back(block.mad);
   }
+  // Median of the unscaled block MADs, then scaled: scaling each block
+  // first would round differently.
   NoiseEstimate est;
   est.floor = dsp::median(meds);
-  est.spread = kMadToSigma * dsp::median(mads);
+  est.spread = dsp::kMadToSigma * dsp::median(mads);
   return est;
 }
 

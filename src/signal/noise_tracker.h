@@ -5,6 +5,8 @@
 #include <span>
 #include <vector>
 
+#include "dsp/stats.h"
+
 namespace lfbs::signal {
 
 /// Rolling robust noise-floor estimator.
@@ -32,7 +34,7 @@ struct NoiseTrackerConfig {
 /// One noise estimate: the floor (median of |dS|) and a robust sigma.
 struct NoiseEstimate {
   double floor = 0.0;   ///< median differential magnitude
-  double spread = 0.0;  ///< robust sigma: 1.4826 x MAD
+  double spread = 0.0;  ///< robust sigma: dsp::kMadToSigma x MAD
 
   /// Detection threshold at the given sigma multiple, floored.
   double threshold(double sigma_multiple, double min_strength) const;
@@ -53,10 +55,9 @@ class NoiseTracker {
   /// Flushes a partially-filled trailing block into the history.
   void flush();
 
-  /// Rolling estimate over the trailing history. Zero until primed.
+  /// Rolling estimate over the trailing history. Zero until a block has
+  /// closed.
   NoiseEstimate estimate() const;
-
-  bool primed() const { return !blocks_.empty(); }
 
   /// Causal blockwise estimates over a whole series: out[b] is the rolling
   /// estimate after block b (samples [b*block, (b+1)*block)) closed, so it
@@ -70,7 +71,7 @@ class NoiseTracker {
 
   NoiseTrackerConfig config_;
   std::vector<double> pending_;
-  std::deque<std::pair<double, double>> blocks_;  ///< (median, mad) per block
+  std::deque<dsp::MedianMad> blocks_;  ///< per closed block
 };
 
 }  // namespace lfbs::signal

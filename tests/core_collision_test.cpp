@@ -87,7 +87,7 @@ TEST_P(SeparatorSweep, RecoversStates) {
   const auto data = synthesize({e1, e2}, 400, 0.05 * std::abs(e2), rng);
 
   const dsp::KMeansResult fit = dsp::kmeans(data.points, 9, rng);
-  const CollisionSeparator sep{SeparatorConfig{}};
+  const CollisionSeparator sep;
   const auto result = sep.separate(data.points, fit);
   ASSERT_TRUE(result.has_value())
       << "phase " << phase_deg << " ratio " << ratio;
@@ -129,7 +129,7 @@ TEST(CollisionSeparator, ThreeWayRecoversAxes) {
   const Complex e3{-0.07, -0.06};
   const auto data = synthesize({e1, e2, e3}, 1200, 0.004, rng);
   const dsp::KMeansResult fit = dsp::kmeans(data.points, 27, rng);
-  const CollisionSeparator sep{SeparatorConfig{}};
+  const CollisionSeparator sep;
   const auto result = sep.separate_three(data.points, fit);
   ASSERT_TRUE(result.has_value());
   // Each recovered axis must match one true axis up to sign.
@@ -148,7 +148,7 @@ TEST(CollisionSeparator, ThreeWayRejectsTwoTagData) {
   Rng rng(78);
   const auto data = synthesize({{0.1, 0.02}, {-0.03, 0.09}}, 1200, 0.004, rng);
   const dsp::KMeansResult fit = dsp::kmeans(data.points, 27, rng);
-  const CollisionSeparator sep{SeparatorConfig{}};
+  const CollisionSeparator sep;
   // 27 clusters force-fit to 9-cluster data: no consistent 3-axis grid.
   const auto result = sep.separate_three(data.points, fit);
   if (result.has_value()) {
@@ -195,7 +195,7 @@ TEST(CollisionSeparator, RejectsNonGrid) {
     points.push_back(c + Complex{rng.gaussian(0, 0.01), rng.gaussian(0, 0.01)});
   }
   const dsp::KMeansResult fit = dsp::kmeans(points, 9, rng);
-  const CollisionSeparator sep{SeparatorConfig{}};
+  const CollisionSeparator sep;
   EXPECT_FALSE(sep.separate(points, fit).has_value());
 }
 
@@ -203,7 +203,7 @@ TEST(CollisionSeparator, RejectsWrongClusterCount) {
   Rng rng(6);
   std::vector<Complex> points = {{0, 0}, {1, 1}};
   const dsp::KMeansResult fit = dsp::kmeans(points, 2, rng);
-  const CollisionSeparator sep{SeparatorConfig{}};
+  const CollisionSeparator sep;
   EXPECT_FALSE(sep.separate(points, fit).has_value());
 }
 

@@ -305,6 +305,23 @@ DecodeResult merge_one(Complex primary, Complex candidate) {
   return result;
 }
 
+TEST(DecodeConfidenceDetail, PathMarginIsAMeanPerBoundaryMargin) {
+  // Single and joint streams alike report their Viterbi's mean per-boundary
+  // margin. Unreachable states score -inf, so no margin carries a finite
+  // sentinel (a single stream's used to read about 1e18 / boundaries).
+  const Epoch e = sixteen_tag_epoch(7);
+  const DecodeResult r = LfDecoder(e.decoder).decode(e.buffer);
+  bool single = false, joint = false;
+  for (const DecodedStream& s : r.streams) {
+    (s.collided ? joint : single) = true;
+    EXPECT_TRUE(std::isfinite(s.confidence.path_margin));
+    EXPECT_GT(s.confidence.path_margin, 0.0);
+    EXPECT_LT(s.confidence.path_margin, 1e9);
+  }
+  EXPECT_TRUE(single);
+  EXPECT_TRUE(joint);
+}
+
 TEST(FallbackLadderDetail, PolarityFlippedCandidateReplacesItsMatch) {
   const Complex v{0.1, 0.05};
   const DecodeResult r = merge_one(v, -v);

@@ -79,20 +79,6 @@ TEST(Gen2Timings, CommandDurationsOrdered) {
   EXPECT_GT(t.epc_reply(), 5.0 * t.rn16() / 2.0);
 }
 
-TEST(KMeansDetail, BicPrefersSeparatedOverMerged) {
-  // kmeans_bic is exposed for diagnostics; at least it must prefer the
-  // true-k fit over an absurd under-fit for well-separated data.
-  Rng rng(8);
-  std::vector<Complex> points;
-  for (int i = 0; i < 100; ++i) {
-    const Complex c = (i % 2 == 0) ? Complex{0, 0} : Complex{3, 3};
-    points.push_back(c + Complex{rng.gaussian(0, 0.2), rng.gaussian(0, 0.2)});
-  }
-  const auto fit1 = dsp::kmeans(points, 1, rng);
-  const auto fit2 = dsp::kmeans(points, 2, rng);
-  EXPECT_GT(dsp::kmeans_bic(points, fit2), dsp::kmeans_bic(points, fit1));
-}
-
 TEST(StreamGroupDetail, PositionOf) {
   core::StreamGroup g;
   g.intercept = 100.0;

@@ -86,27 +86,6 @@ TEST(KMeans, SubsampledFitStillAssignsAllPoints) {
   EXPECT_LT(d1, 0.05);
 }
 
-/// Parameterized: select_cluster_count should prefer the true k for
-/// well-separated data at several true cluster counts.
-class ModelSelectionSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ModelSelectionSweep, PicksTrueClusterCount) {
-  const std::size_t true_k = GetParam();
-  Rng rng(100 + true_k);
-  std::vector<Complex> centres;
-  for (std::size_t i = 0; i < true_k; ++i) {
-    centres.push_back(std::polar(1.0, 2.0 * M_PI * i / true_k));
-  }
-  const auto points = make_clusters(centres, 40, 0.04, rng);
-  const std::vector<std::size_t> candidates = {1, 2, 3, 4, 5, 6};
-  const ModelSelection sel =
-      select_cluster_count(points, candidates, rng);
-  EXPECT_EQ(sel.best_k, true_k);
-}
-
-INSTANTIATE_TEST_SUITE_P(TrueK, ModelSelectionSweep,
-                         ::testing::Values(2u, 3u, 4u, 5u));
-
 TEST(Gaussian2D, FitRecoversParameters) {
   Rng rng(11);
   std::vector<Complex> points;

@@ -1,7 +1,10 @@
-// Tests for the small linear-algebra kit, OMP, and the generic Viterbi.
+// Tests for the small linear-algebra kit, OMP, and the max-sum Viterbi engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "dsp/linalg.h"
@@ -160,22 +163,41 @@ TEST(Omp, ZeroSignal) {
   EXPECT_TRUE(sol.support.empty());
 }
 
+/// A machine in table form: `transition[i][j]` is the log score of moving
+/// from state i to state j (kImpossible: forbidden), `initial[i]` the log
+/// score of starting in state i.
+template <std::size_t S>
+using Table = std::array<std::array<double, S>, S>;
+
+template <std::size_t S, class Emit>
+ViterbiPath decode_table(const Table<S>& transition,
+                         const std::array<double, S>& initial,
+                         std::size_t steps, const Emit& emit) {
+  return viterbi<S>(
+      steps, [&](std::size_t s) { return initial[s]; },
+      [&](std::size_t, std::size_t from, std::size_t to, double score) {
+        return score + transition[from][to];
+      },
+      emit);
+}
+
 TEST(Viterbi, FollowsEmissionsWhenUnconstrained) {
   const double t = std::log(0.5);
-  const Viterbi v({{t, t}, {t, t}}, {t, t});
   // Emissions prefer state 1 at odd steps.
-  const auto path = v.decode(6, [](std::size_t step, std::size_t state) {
-    return (step % 2 == state) ? 0.0 : -5.0;
-  });
+  const auto path = decode_table<2>(
+      {{{t, t}, {t, t}}}, {t, t}, 6, [](std::size_t step, std::size_t state) {
+        return (step % 2 == state) ? 0.0 : -5.0;
+      });
   for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(path.states[i], i % 2);
 }
 
 TEST(Viterbi, ForbiddenTransitionsBlockPath) {
   const double t = std::log(0.5);
-  const double no = Viterbi::kForbidden;
+  const double no = kImpossible;
   // State 0 cannot go to state 1 directly.
-  const Viterbi v({{t, no}, {t, t}}, {0.0, no});
-  const auto path = v.decode(3, [](std::size_t, std::size_t) { return 0.0; });
+  const auto path =
+      decode_table<2>({{{t, no}, {t, t}}}, {0.0, no}, 3,
+                      [](std::size_t, std::size_t) { return 0.0; });
   for (std::size_t i = 0; i + 1 < path.states.size(); ++i) {
     EXPECT_FALSE(path.states[i] == 0 && path.states[i + 1] == 1);
   }
@@ -184,14 +206,99 @@ TEST(Viterbi, ForbiddenTransitionsBlockPath) {
 TEST(Viterbi, CorrectsSingleBadEmission) {
   // Two states that must alternate; one noisy observation mid-sequence
   // should be overridden by the transition structure.
-  const double no = Viterbi::kForbidden;
-  const Viterbi v({{no, 0.0}, {0.0, no}}, {0.0, no});
-  const auto path = v.decode(5, [](std::size_t step, std::size_t state) {
-    const std::size_t expected = step % 2;
-    if (step == 2) return state == expected ? -3.0 : -1.0;  // lying emission
-    return state == expected ? -0.1 : -10.0;
-  });
+  const double no = kImpossible;
+  const auto path = decode_table<2>(
+      {{{no, 0.0}, {0.0, no}}}, {0.0, no}, 5,
+      [](std::size_t step, std::size_t state) {
+        const std::size_t expected = step % 2;
+        if (step == 2) return state == expected ? -3.0 : -1.0;  // lying
+        return state == expected ? -0.1 : -10.0;
+      });
   for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(path.states[i], i % 2);
+}
+
+/// Random S-state machines with forbidden moves and continuous scores,
+/// checked against every one of the S^n paths.
+template <std::size_t S>
+void check_against_exhaustive_search(std::uint64_t seed) {
+  Rng rng(seed);
+  for (int trial = 0; trial < 25; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_u64(6));
+    Table<S> transition;
+    std::array<double, S> initial;
+    for (std::size_t i = 0; i < S; ++i) {
+      // State 0 can always start and i -> i+1 is always allowed, so some
+      // path survives; everything else is forbidden a third of the time.
+      initial[i] = (i == 0 || rng.uniform() > 0.35) ? rng.uniform(-2.0, 0.0)
+                                                   : kImpossible;
+      for (std::size_t j = 0; j < S; ++j) {
+        transition[i][j] = (j == (i + 1) % S || rng.uniform() > 0.35)
+                               ? rng.uniform(-2.0, 0.0)
+                               : kImpossible;
+      }
+    }
+    std::vector<std::array<double, S>> scores(n);
+    for (auto& step : scores) {
+      for (double& x : step) x = rng.uniform(-3.0, 0.0);
+    }
+    const auto emit = [&](std::size_t t, std::size_t s) {
+      return scores[t][s];
+    };
+    const ViterbiPath path = decode_table<S>(transition, initial, n, emit);
+
+    // Exhaustive search, summing in the engine's order.
+    double best = kImpossible;
+    std::vector<std::size_t> best_path;
+    std::array<double, S> best_ending;
+    best_ending.fill(kImpossible);
+    std::size_t total = 1;
+    for (std::size_t t = 0; t < n; ++t) total *= S;
+    std::vector<std::size_t> states(n);
+    for (std::size_t code = 0; code < total; ++code) {
+      std::size_t rest = code;
+      for (std::size_t t = 0; t < n; ++t, rest /= S) states[t] = rest % S;
+      double score = initial[states[0]] + emit(0, states[0]);
+      for (std::size_t t = 1; t < n; ++t) {
+        score += transition[states[t - 1]][states[t]];
+        score += emit(t, states[t]);
+      }
+      best_ending[states[n - 1]] = std::max(best_ending[states[n - 1]], score);
+      if (score > best) {
+        best = score;
+        best_path = states;
+      }
+    }
+    ASSERT_TRUE(std::isfinite(best));
+    EXPECT_EQ(path.states, best_path) << "S=" << S << " n=" << n;
+    EXPECT_EQ(path.log_score, best) << "S=" << S << " n=" << n;
+    // The terminal margin is the winner over the best other ending.
+    double runner_up = kImpossible;
+    for (std::size_t s = 0; s < S; ++s) {
+      if (s == path.states.back()) continue;
+      runner_up = std::max(runner_up, best_ending[s]);
+    }
+    EXPECT_EQ(path.margins.back(),
+              std::isfinite(runner_up) ? best - runner_up : 0.0);
+  }
+}
+
+TEST(Viterbi, MatchesExhaustiveSearch) {
+  check_against_exhaustive_search<2>(21);
+  check_against_exhaustive_search<4>(22);
+  check_against_exhaustive_search<8>(23);
+}
+
+TEST(Viterbi, SingleReachableStartHasZeroMargin) {
+  const double no = kImpossible;
+  const Table<4> free_moves = {};  // every move allowed, score 0
+  const auto path = decode_table<4>(
+      free_moves, {no, 0.0, no, no}, 3,
+      [](std::size_t t, std::size_t s) {
+        return -0.5 * static_cast<double>(t + s);
+      });
+  EXPECT_EQ(path.margins[0], 0.0);
+  EXPECT_EQ(path.states[0], 1u);
+  EXPECT_GT(path.margins[1], 0.0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for src/signal: buffers, waveform synthesis, edge detection, and
-// eye-pattern folding.
+// Tests for src/signal: buffers, waveform synthesis, edge detection, the
+// noise tracker, and IQ capture I/O.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -47,6 +47,7 @@
 #include <string>
 #include <utility>
 
+#include "cli_flags.h"
 #include "common/check.h"
 #include "common/shutdown.h"
 #include "core/windowed_decoder.h"
@@ -210,18 +211,18 @@ int main(int argc, char** argv) {
     if (arg == "--crc5") {
       dc.frame.crc = protocol::CrcKind::kCrc5;
     } else if (arg == "--payload" && i + 1 < argc) {
-      dc.frame.payload_bits = static_cast<std::size_t>(atoi(argv[++i]));
+      dc.frame.payload_bits = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--max-rate" && i + 1 < argc) {
-      dc.max_rate = atof(argv[++i]) * kKbps;
+      dc.max_rate = tools::flag_number(arg, argv[++i]) * kKbps;
       if (!dc.rate_plan.is_valid(dc.max_rate)) {
         dc.rate_plan.rates.push_back(dc.max_rate);
       }
     } else if (arg == "--windowed" && i + 1 < argc) {
-      window_ms = atof(argv[++i]);
+      window_ms = tools::flag_number(arg, argv[++i]);
     } else if (arg == "--workers" && i + 1 < argc) {
-      workers = static_cast<std::size_t>(atoi(argv[++i]));
+      workers = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--resample" && i + 1 < argc) {
-      resample_msps = atof(argv[++i]);
+      resample_msps = tools::flag_number(arg, argv[++i]);
     } else if (arg == "--inject-faults" && i + 1 < argc) {
       try {
         fault_plan = runtime::parse_fault_plan(argv[++i]);
@@ -236,7 +237,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-fallback") {
       dc.robustness.fallback = false;
     } else if (arg == "--min-confidence" && i + 1 < argc) {
-      min_confidence = atof(argv[++i]);
+      min_confidence = tools::flag_number(arg, argv[++i]);
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (arg == "--trace-chrome" && i + 1 < argc) {
@@ -246,7 +247,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--stats-json" && i + 1 < argc) {
       stats_json = argv[++i];
     } else if (arg == "--stats-interval" && i + 1 < argc) {
-      stats_interval = atof(argv[++i]);
+      stats_interval = tools::flag_number(arg, argv[++i]);
     } else {
       usage();
       return 2;

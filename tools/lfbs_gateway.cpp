@@ -102,6 +102,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_flags.h"
 #include "common/rng.h"
 #include "common/shutdown.h"
 #include "control/control_loop.h"
@@ -122,6 +123,9 @@
 using namespace lfbs;
 
 namespace {
+
+/// Largest TCP port; a --port of 0 asks for an ephemeral one.
+constexpr std::uint64_t kMaxPort = 65535;
 
 void usage() {
   std::fprintf(
@@ -153,10 +157,10 @@ bool split_host_port(const std::string& spec, std::string& host,
                      std::uint16_t& port) {
   const auto colon = spec.rfind(':');
   if (colon == std::string::npos) return false;
+  const auto p = tools::parse_u64(spec.substr(colon + 1), kMaxPort);
+  if (!p || *p == 0) return false;
   host = spec.substr(0, colon);
-  const int p = atoi(spec.c_str() + colon + 1);
-  if (p <= 0 || p > 65535) return false;
-  port = static_cast<std::uint16_t>(p);
+  port = static_cast<std::uint16_t>(*p);
   return true;
 }
 
@@ -371,7 +375,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> relay_specs;
   std::vector<std::string> shard_specs;
   std::uint64_t gateway_id = 0;
-  int hop_limit = 4;
+  std::uint8_t hop_limit = 4;
   bool shard_worker_mode = false;
   std::size_t replay_frames = 0;
   std::string chaos_spec;
@@ -396,21 +400,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--push" && i + 1 < argc) {
       push_spec = argv[++i];
     } else if (arg == "--tags" && i + 1 < argc) {
-      tags = static_cast<std::size_t>(atoi(argv[++i]));
+      tags = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--epochs" && i + 1 < argc) {
-      epochs = static_cast<std::size_t>(atoi(argv[++i]));
+      epochs = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--port" && i + 1 < argc) {
-      port = static_cast<std::uint16_t>(atoi(argv[++i]));
+      port = static_cast<std::uint16_t>(
+          tools::flag_u64(arg, argv[++i], kMaxPort));
     } else if (arg == "--iq-port" && i + 1 < argc) {
-      iq_port = static_cast<std::uint16_t>(atoi(argv[++i]));
+      iq_port = static_cast<std::uint16_t>(
+          tools::flag_u64(arg, argv[++i], kMaxPort));
     } else if (arg == "--port-file" && i + 1 < argc) {
       port_file = argv[++i];
     } else if (arg == "--iq-port-file" && i + 1 < argc) {
       iq_port_file = argv[++i];
     } else if (arg == "--wait-subscriber" && i + 1 < argc) {
-      wait_subscriber = atof(argv[++i]);
+      wait_subscriber = tools::flag_number(arg, argv[++i]);
     } else if (arg == "--client-queue" && i + 1 < argc) {
-      queue_frames = static_cast<std::size_t>(atoi(argv[++i]));
+      queue_frames = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--slow-policy" && i + 1 < argc) {
       const std::string policy = argv[++i];
       if (policy == "drop") {
@@ -434,25 +440,25 @@ int main(int argc, char** argv) {
     } else if (arg == "--control-get" && i + 1 < argc) {
       control_get_spec = argv[++i];
     } else if (arg == "--queue-budget-kb" && i + 1 < argc) {
-      queue_budget_kb = static_cast<std::size_t>(atoi(argv[++i]));
+      queue_budget_kb = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--retry-after" && i + 1 < argc) {
-      retry_after = atof(argv[++i]);
+      retry_after = tools::flag_number(arg, argv[++i]);
     } else if (arg == "--max-clients" && i + 1 < argc) {
-      max_clients = static_cast<std::size_t>(atoi(argv[++i]));
+      max_clients = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--priority") {
       tail_priority = true;
     } else if (arg == "--send-buffer" && i + 1 < argc) {
-      send_buffer = static_cast<std::size_t>(atoi(argv[++i]));
+      send_buffer = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--workers" && i + 1 < argc) {
-      workers = static_cast<std::size_t>(atoi(argv[++i]));
+      workers = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--crc5") {
       dc.frame.crc = protocol::CrcKind::kCrc5;
     } else if (arg == "--payload" && i + 1 < argc) {
-      dc.frame.payload_bits = static_cast<std::size_t>(atoi(argv[++i]));
+      dc.frame.payload_bits = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--windowed" && i + 1 < argc) {
-      window_ms = atof(argv[++i]);
+      window_ms = tools::flag_number(arg, argv[++i]);
     } else if (arg == "--min-confidence" && i + 1 < argc) {
-      min_confidence = atof(argv[++i]);
+      min_confidence = tools::flag_number(arg, argv[++i]);
     } else if (arg == "--crc-only") {
       crc_only = true;
     } else if (arg == "--quiet") {
@@ -464,13 +470,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--shard" && i + 1 < argc) {
       shard_specs.push_back(argv[++i]);
     } else if (arg == "--gateway-id" && i + 1 < argc) {
-      gateway_id = static_cast<std::uint64_t>(atoll(argv[++i]));
+      gateway_id = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--hop-limit" && i + 1 < argc) {
-      hop_limit = atoi(argv[++i]);
+      hop_limit =
+          static_cast<std::uint8_t>(tools::flag_u64(arg, argv[++i], 255));
     } else if (arg == "--shard-worker") {
       shard_worker_mode = true;
     } else if (arg == "--replay" && i + 1 < argc) {
-      replay_frames = static_cast<std::size_t>(atoi(argv[++i]));
+      replay_frames = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--chaos" && i + 1 < argc) {
       chaos_spec = argv[++i];
     } else if (arg == "--trace-out" && i + 1 < argc) {
@@ -671,8 +678,7 @@ int main(int argc, char** argv) {
 
       net::federation::RelayConfig rc;
       rc.gateway_id = gateway_id;
-      rc.hop_limit = static_cast<std::uint8_t>(
-          std::max(0, std::min(hop_limit, 255)));
+      rc.hop_limit = hop_limit;
       rc.name = "lfbs_gateway --relay";
       rc.filter.min_confidence = min_confidence;
       rc.filter.crc_valid_only = crc_only;

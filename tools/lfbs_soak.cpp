@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "channel/channel_model.h"
+#include "cli_flags.h"
 #include "common/rng.h"
 #include "common/shutdown.h"
 #include "core/windowed_decoder.h"
@@ -561,40 +562,39 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     } else if (arg == "--epochs" && i + 1 < argc) {
-      opt.epochs = static_cast<std::size_t>(atoi(argv[++i]));
+      opt.epochs = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--tags" && i + 1 < argc) {
-      opt.tags = static_cast<std::size_t>(atoi(argv[++i]));
+      opt.tags = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--duration-ms" && i + 1 < argc) {
-      opt.duration_ms = atof(argv[++i]);
+      opt.duration_ms = tools::flag_number(arg, argv[++i]);
     } else if (arg == "--workers" && i + 1 < argc) {
-      opt.workers = static_cast<std::size_t>(atoi(argv[++i]));
+      opt.workers = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--chaos" && i + 1 < argc) {
       opt.chaos_spec = argv[++i];
     } else if (arg == "--replay" && i + 1 < argc) {
-      opt.replay = static_cast<std::size_t>(atoi(argv[++i]));
+      opt.replay = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--seed" && i + 1 < argc) {
-      opt.seed = static_cast<std::uint64_t>(atoll(argv[++i]));
+      opt.seed = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--rss-limit-mb" && i + 1 < argc) {
-      opt.rss_limit_mb = static_cast<std::size_t>(atoi(argv[++i]));
+      opt.rss_limit_mb = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--worker-deadline" && i + 1 < argc) {
-      opt.worker_deadline = atof(argv[++i]);
+      opt.worker_deadline = tools::flag_number(arg, argv[++i]);
     } else if (arg == "--max-consecutive-failures" && i + 1 < argc) {
-      opt.max_consecutive_failures =
-          static_cast<std::size_t>(atoi(argv[++i]));
+      opt.max_consecutive_failures = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--report-every" && i + 1 < argc) {
-      opt.report_every = static_cast<std::size_t>(atoi(argv[++i]));
+      opt.report_every = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--trace-out" && i + 1 < argc) {
       opt.trace_out = argv[++i];
     } else if (arg == "--overload") {
       opt.overload = true;
     } else if (arg == "--storm" && i + 1 < argc) {
-      opt.storm = static_cast<std::size_t>(atoi(argv[++i]));
+      opt.storm = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--slow-consumers" && i + 1 < argc) {
-      opt.slow_consumers = static_cast<std::size_t>(atoi(argv[++i]));
+      opt.slow_consumers = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--admitted" && i + 1 < argc) {
-      opt.admitted = static_cast<std::size_t>(atoi(argv[++i]));
+      opt.admitted = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--budget-kb" && i + 1 < argc) {
-      opt.budget_kb = static_cast<std::size_t>(atoi(argv[++i]));
+      opt.budget_kb = tools::flag_u64(arg, argv[++i]);
     } else {
       usage();
       return 2;

@@ -3,8 +3,10 @@
 // paper's USRP front end produces, plus microbenchmarks of the hot stages.
 #include <benchmark/benchmark.h>
 
+#include "core/collision_separator.h"
 #include "core/lf_decoder.h"
 #include "dsp/kmeans.h"
+#include "dsp/stats.h"
 #include "dsp/viterbi.h"
 #include "signal/edge_detector.h"
 #include "sim/scenario.h"
@@ -63,6 +65,60 @@ void BM_EdgeDetection(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_EdgeDetection)->Unit(benchmark::kMillisecond);
+
+void BM_MedianMad(benchmark::State& state) {
+  // One 1.5 ms epoch at 25 Msps: the 37,500 values of |dS| whose median
+  // and MAD set edge detection's threshold.
+  Rng rng(13);
+  std::vector<double> xs(37500);
+  for (double& x : xs) x = std::abs(Complex{rng.gaussian(), rng.gaussian()});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dsp::median_mad(xs));
+  }
+}
+BENCHMARK(BM_MedianMad)->Unit(benchmark::kMicrosecond);
+
+/// A 27-cluster fit of 1200 boundary differentials of tags with the given
+/// edge vectors, each boundary drawing independent levels.
+struct ThreeWayFit {
+  std::vector<Complex> points;
+  dsp::KMeansResult fit;
+};
+
+ThreeWayFit make_three_way_fit(const std::vector<Complex>& evecs,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  ThreeWayFit out;
+  std::vector<int> level(evecs.size(), 0);
+  for (std::size_t k = 0; k < 1200; ++k) {
+    Complex sum{rng.gaussian(0.0, 0.004), rng.gaussian(0.0, 0.004)};
+    for (std::size_t t = 0; t < evecs.size(); ++t) {
+      const int next = rng.bernoulli(0.5) ? 1 : 0;
+      sum += static_cast<double>(next - level[t]) * evecs[t];
+      level[t] = next;
+    }
+    out.points.push_back(sum);
+  }
+  out.fit = dsp::kmeans(out.points, 27, rng);
+  return out;
+}
+
+void BM_SeparateThree(benchmark::State& state) {
+  // Arg 0: two tags' data force-fit with 27 clusters, which no axis triple
+  // can pass (the screen's case). Arg 1: a clean three-tag fit, accepted.
+  const bool three = state.range(0) == 1;
+  const ThreeWayFit in =
+      three ? make_three_way_fit({{0.11, 0.01}, {-0.02, 0.09}, {-0.07, -0.06}},
+                                 77)
+            : make_three_way_fit({{0.1, 0.02}, {-0.03, 0.09}}, 78);
+  const core::CollisionSeparator sep;
+  const bool accepted = sep.separate_three(in.points, in.fit).has_value();
+  state.SetLabel(accepted ? "accepted" : "rejected");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sep.separate_three(in.points, in.fit));
+  }
+}
+BENCHMARK(BM_SeparateThree)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_KMeans9(benchmark::State& state) {
   Rng rng(5);

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/trace.h"
+
 namespace lfbs::core {
 
 namespace {
@@ -30,49 +32,78 @@ constexpr std::array<std::pair<int, int>, 9> kCombos = {{{-1, -1},
                                                          {1, 0},
                                                          {1, 1}}};
 
-/// Greedy one-to-one matching of centroids to the 9 combination points of a
-/// candidate (e1, e2). Returns the maximum match distance, or infinity when
-/// a bijection cannot be formed.
-double match_quality(std::span<const Complex> centroids, Complex e1,
-                     Complex e2) {
+/// Greedy one-to-one matching of n centroids to the n points of a candidate
+/// grid: the closest unused (centroid, grid point) pair is matched first,
+/// and the match's quality is its worst distance. One matcher serves every
+/// hypothesis of a separation, so its buffers are allocated once.
+class GridMatcher {
+ public:
+  explicit GridMatcher(std::size_t n)
+      : n_(n), entries_(n * n), col_min_(n), centroid_used_(n), grid_used_(n) {}
+
+  /// Loads every centroid-to-grid distance, centroid outer and grid point
+  /// inner, and returns a lower bound on match(): every centroid, and (the
+  /// counts being equal) every grid point, is matched no closer than its
+  /// nearest partner. Stops early, returning the partial bound, once that
+  /// exceeds `limit`.
+  double load(std::span<const Complex> centroids,
+              std::span<const Complex> grid, double limit) {
+    std::fill(col_min_.begin(), col_min_.end(), kInf);
+    double bound = 0.0;
+    for (std::size_t i = 0; i < n_; ++i) {
+      double row_min = kInf;
+      for (std::size_t j = 0; j < n_; ++j) {
+        const double d = std::abs(centroids[i] - grid[j]);
+        entries_[i * n_ + j] = {d, i, j};
+        row_min = std::min(row_min, d);
+        col_min_[j] = std::min(col_min_[j], d);
+      }
+      bound = std::max(bound, row_min);
+      if (bound > limit) return bound;
+    }
+    for (double d : col_min_) bound = std::max(bound, d);
+    return bound;
+  }
+
+  /// The greedy match over the distances of a complete load(). std::sort
+  /// places tied entries by their input order, so the load order above is
+  /// part of the result.
+  double match() {
+    std::sort(entries_.begin(), entries_.end(),
+              [](const Entry& a, const Entry& b) { return a.d < b.d; });
+    std::fill(centroid_used_.begin(), centroid_used_.end(), false);
+    std::fill(grid_used_.begin(), grid_used_.end(), false);
+    std::size_t matched = 0;
+    double worst = 0.0;
+    for (const Entry& e : entries_) {
+      if (centroid_used_[e.centroid] || grid_used_[e.grid]) continue;
+      centroid_used_[e.centroid] = true;
+      grid_used_[e.grid] = true;
+      worst = std::max(worst, e.d);
+      if (++matched == n_) break;
+    }
+    return worst;
+  }
+
+ private:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
   struct Entry {
     double d;
-    std::size_t centroid;
-    std::size_t combo;
+    std::size_t centroid, grid;
   };
-  std::vector<Entry> entries;
-  entries.reserve(centroids.size() * kCombos.size());
-  for (std::size_t i = 0; i < centroids.size(); ++i) {
-    for (std::size_t j = 0; j < kCombos.size(); ++j) {
-      const Complex expected = static_cast<double>(kCombos[j].first) * e1 +
-                               static_cast<double>(kCombos[j].second) * e2;
-      entries.push_back({std::abs(centroids[i] - expected), i, j});
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.d < b.d; });
-  std::vector<bool> centroid_used(centroids.size(), false);
-  std::vector<bool> combo_used(kCombos.size(), false);
-  std::size_t matched = 0;
-  double worst = 0.0;
-  for (const Entry& e : entries) {
-    if (centroid_used[e.centroid] || combo_used[e.combo]) continue;
-    centroid_used[e.centroid] = true;
-    combo_used[e.combo] = true;
-    worst = std::max(worst, e.d);
-    if (++matched == centroids.size()) break;
-  }
-  if (matched != centroids.size()) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return worst;
-}
+  std::size_t n_;
+  std::vector<Entry> entries_;
+  std::vector<double> col_min_;
+  std::vector<bool> centroid_used_, grid_used_;
+};
 
 }  // namespace
 
 std::optional<SeparationResult> CollisionSeparator::separate(
     std::span<const Complex> points, const dsp::KMeansResult& fit) const {
   if (fit.centroids.size() != 9 || points.empty()) return std::nullopt;
+  LFBS_OBS_SPAN(sep_span, "separate", "core");
+  sep_span.attr("k", 9.0);
   const auto& centroids = fit.centroids;
 
   // Origin cluster: the centroid nearest zero (both tags constant).
@@ -123,7 +154,11 @@ std::optional<SeparationResult> CollisionSeparator::separate(
             });
 
   // Candidate (e1, e2): pick midpoint centroids pairwise non-collinear,
-  // best match over the full 9-point grid wins.
+  // best match over the full 9-point grid wins. A candidate whose bound
+  // reaches the best match so far cannot win, so it skips the sort.
+  GridMatcher matcher(kCombos.size());
+  std::array<Complex, kCombos.size()> grid;
+  std::size_t sorted = 0;
   double best_quality = std::numeric_limits<double>::infinity();
   Complex best_e1, best_e2;
   const auto consider = [&](Complex e1, Complex e2) {
@@ -132,7 +167,13 @@ std::optional<SeparationResult> CollisionSeparator::separate(
     // Skip near-collinear candidates (degenerate parallelogram).
     const double cross = std::abs(e1.real() * e2.imag() - e1.imag() * e2.real());
     if (cross < 0.05 * std::abs(e1) * std::abs(e2)) return;
-    const double q = match_quality(shifted, e1, e2);
+    for (std::size_t j = 0; j < kCombos.size(); ++j) {
+      grid[j] = static_cast<double>(kCombos[j].first) * e1 +
+                static_cast<double>(kCombos[j].second) * e2;
+    }
+    if (matcher.load(shifted, grid, best_quality) >= best_quality) return;
+    ++sorted;
+    const double q = matcher.match();
     if (q < best_quality) {
       best_quality = q;
       best_e1 = e1;
@@ -153,9 +194,12 @@ std::optional<SeparationResult> CollisionSeparator::separate(
       }
     }
   }
-  if (!std::isfinite(best_quality)) return std::nullopt;
   const double weakest = std::min(std::abs(best_e1), std::abs(best_e2));
-  if (best_quality > kMatchTolerance * weakest) return std::nullopt;
+  const bool accepted = std::isfinite(best_quality) &&
+                        best_quality <= kMatchTolerance * weakest;
+  sep_span.attr("sorted", static_cast<double>(sorted));
+  sep_span.attr("accepted", accepted ? 1.0 : 0.0);
+  if (!accepted) return std::nullopt;
 
   // Classify every boundary point against the recovered grid. Points are
   // classified directly (not via their k-means cluster) so a slightly wrong
@@ -191,6 +235,8 @@ std::optional<SeparationResult> CollisionSeparator::separate(
 std::optional<Separation3Result> CollisionSeparator::separate_three(
     std::span<const Complex> points, const dsp::KMeansResult& fit) const {
   if (fit.centroids.size() != 27 || points.empty()) return std::nullopt;
+  LFBS_OBS_SPAN(sep_span, "separate", "core");
+  sep_span.attr("k", 27.0);
   const auto& centroids = fit.centroids;
 
   // Origin cluster and origin-relative coordinates.
@@ -207,7 +253,7 @@ std::optional<Separation3Result> CollisionSeparator::separate_three(
   for (const Complex& c : outer) strongest = std::max(strongest, std::abs(c));
   if (strongest <= 0.0) return std::nullopt;
 
-  // The 27 (a, b, c) combinations, and a grid matcher.
+  // The 27 (a, b, c) combinations.
   std::vector<std::array<int, 3>> combos;
   combos.reserve(27);
   for (int a = -1; a <= 1; ++a) {
@@ -219,41 +265,10 @@ std::optional<Separation3Result> CollisionSeparator::separate_three(
   for (std::size_t i = 0; i < centroids.size(); ++i) {
     shifted[i] = centroids[i] - centroids[origin];
   }
-  const auto grid_quality = [&](Complex e1, Complex e2, Complex e3) {
-    struct Entry {
-      double d;
-      std::size_t centroid, combo;
-    };
-    std::vector<Entry> entries;
-    entries.reserve(shifted.size() * combos.size());
-    for (std::size_t i = 0; i < shifted.size(); ++i) {
-      for (std::size_t j = 0; j < combos.size(); ++j) {
-        const Complex expected = static_cast<double>(combos[j][0]) * e1 +
-                                 static_cast<double>(combos[j][1]) * e2 +
-                                 static_cast<double>(combos[j][2]) * e3;
-        entries.push_back({std::abs(shifted[i] - expected), i, j});
-      }
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.d < b.d; });
-    std::vector<bool> cu(shifted.size(), false), gu(combos.size(), false);
-    std::size_t matched = 0;
-    double worst = 0.0;
-    for (const Entry& e : entries) {
-      if (cu[e.centroid] || gu[e.combo]) continue;
-      cu[e.centroid] = true;
-      gu[e.combo] = true;
-      worst = std::max(worst, e.d);
-      if (++matched == shifted.size()) break;
-    }
-    return matched == shifted.size()
-               ? worst
-               : std::numeric_limits<double>::infinity();
-  };
 
-  // Hypothesis search: the axis vectors are themselves outer centroids.
-  // Restrict candidates to the 12 smallest-magnitude outer centroids (the
-  // axes are never the largest grid points) to keep the search tight.
+  // Hypotheses: the axis vectors are themselves outer centroids. Restrict
+  // candidates to the 12 smallest-magnitude outer centroids (the axes are
+  // never the largest grid points) to keep the search tight.
   std::vector<std::size_t> order(outer.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -261,8 +276,11 @@ std::optional<Separation3Result> CollisionSeparator::separate_three(
   });
   const std::size_t pool = std::min<std::size_t>(order.size(), 12);
 
-  double best_quality = std::numeric_limits<double>::infinity();
-  Complex be1, be2, be3;
+  struct Axes {
+    Complex e1, e2, e3;
+    double weakest;
+  };
+  std::vector<Axes> hypotheses;
   for (std::size_t x = 0; x < pool; ++x) {
     for (std::size_t y = x + 1; y < pool; ++y) {
       for (std::size_t z = y + 1; z < pool; ++z) {
@@ -287,19 +305,53 @@ std::optional<Separation3Result> CollisionSeparator::separate_three(
             std::abs(e2 + e3) < 0.2 * std::abs(e2)) {
           continue;
         }
-        const double q = grid_quality(e1, e2, e3);
-        if (q < best_quality) {
-          best_quality = q;
-          be1 = e1;
-          be2 = e2;
-          be3 = e3;
-        }
+        hypotheses.push_back({e1, e2, e3, weakest});
       }
     }
   }
-  if (!std::isfinite(best_quality)) return std::nullopt;
-  const double weakest = std::min({std::abs(be1), std::abs(be2), std::abs(be3)});
-  if (best_quality > kMatchTolerance * weakest) return std::nullopt;
+
+  GridMatcher matcher(combos.size());
+  std::vector<Complex> grid(combos.size());
+  const auto bound = [&](const Axes& h, double limit) {
+    for (std::size_t j = 0; j < combos.size(); ++j) {
+      grid[j] = static_cast<double>(combos[j][0]) * h.e1 +
+                static_cast<double>(combos[j][1]) * h.e2 +
+                static_cast<double>(combos[j][2]) * h.e3;
+    }
+    return matcher.load(shifted, grid, limit);
+  };
+  // Screen: the winner is accepted only when its match is within
+  // kMatchTolerance of its weakest axis, and a match is never below its
+  // bound. When no hypothesis's bound is within its own threshold, the
+  // winner is rejected whichever it is, so nothing needs sorting.
+  const bool passable =
+      std::any_of(hypotheses.begin(), hypotheses.end(), [&](const Axes& h) {
+        const double threshold = kMatchTolerance * h.weakest;
+        return bound(h, threshold) <= threshold;
+      });
+  // Bounded search: a hypothesis whose bound reaches the best match so far
+  // cannot win, so it skips the sort.
+  std::size_t sorted = 0;
+  double best_quality = std::numeric_limits<double>::infinity();
+  const Axes* best = nullptr;
+  if (passable) {
+    for (const Axes& h : hypotheses) {
+      if (bound(h, best_quality) >= best_quality) continue;
+      ++sorted;
+      const double q = matcher.match();
+      if (q < best_quality) {
+        best_quality = q;
+        best = &h;
+      }
+    }
+  }
+  const bool accepted =
+      best != nullptr && best_quality <= kMatchTolerance * best->weakest;
+  sep_span.attr("sorted", static_cast<double>(sorted));
+  sep_span.attr("accepted", accepted ? 1.0 : 0.0);
+  if (!accepted) return std::nullopt;
+  const Complex be1 = best->e1, be2 = best->e2, be3 = best->e3;
+  const double weakest = best->weakest;
 
   Separation3Result result;
   result.e1 = be1;

@@ -48,6 +48,9 @@ class CollisionSeparator {
   /// `points` are the boundary differentials the fit was computed on.
   /// Returns nullopt when the geometry does not support separation (caller
   /// falls back to single-stream decoding or defers to the next epoch).
+  /// A candidate's grid match is sorted only when its lower bound (every
+  /// centroid and grid point is matched no closer than its nearest
+  /// partner) beats the best match so far.
   std::optional<SeparationResult> separate(
       std::span<const Complex> points, const dsp::KMeansResult& fit) const;
 
@@ -57,6 +60,9 @@ class CollisionSeparator {
   /// one whose 27-point grid matches all centroids bijectively. Succeeds
   /// only when the three edge vectors are pairwise well-conditioned in the
   /// IQ plane; otherwise the caller falls back to two-way separation.
+  /// Returns nullopt without sorting any match when no hypothesis's lower
+  /// bound is within the acceptance tolerance of its weakest axis; the
+  /// search after that screen is bounded as in separate().
   std::optional<Separation3Result> separate_three(
       std::span<const Complex> points, const dsp::KMeansResult& fit) const;
 };

@@ -9,6 +9,7 @@
 #include "core/bit_decoder.h"
 #include "dsp/linalg.h"
 #include "dsp/stats.h"
+#include "obs/trace.h"
 
 namespace lfbs::core {
 
@@ -361,11 +362,13 @@ Edges detect_edges(const PassContext& ctx) {
 }
 
 Groups group_streams(const PassContext& ctx, const Edges& edges) {
+  LFBS_OBS_SPAN(span, "group_streams", "core");
   return ctx.stream_detector.detect(edges);
 }
 
 BoundarySlots extract_slots(const PassContext& ctx, const Edges& edges,
                             const StreamGroup& group) {
+  LFBS_OBS_SPAN(span, "extract_slots", "core");
   std::vector<bool> member(edges.size(), false);
   for (std::size_t ei : group.edge_indices) member[ei] = true;
 
@@ -511,6 +514,7 @@ void decode_group(const PassContext& ctx, const Edges& edges,
 }
 
 DecodedStream frame_stream(const DecoderConfig& cfg, const PendingStream& ps) {
+  LFBS_OBS_SPAN(span, "frame_stream", "core");
   DecodedStream stream;
   stream.start_sample = ps.start_sample;
   stream.rate = ps.rate;
@@ -540,6 +544,7 @@ void cancel_interference(const PassContext& ctx,
                          const std::vector<PendingStream>& pending,
                          const std::vector<BoundarySlots>& slot_store,
                          std::vector<DecodedStream>& streams) {
+  LFBS_OBS_SPAN(span, "cancel_interference", "core");
   // Two streams whose offsets drift *through* each other mid-epoch corrupt a
   // burst of boundaries (the foreign edge sits inside the measurement span
   // for tens of bits). For CRC-failed frames, subtract the decoded edge

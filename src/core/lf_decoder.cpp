@@ -94,6 +94,7 @@ DecodeResult LfDecoder::decode_pass(const signal::SampleBuffer& buffer,
   Rng rng(cfg.seed);
   std::vector<PendingStream> pending;
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    LFBS_OBS_SPAN(group_span, "decode_group", "core");
     decode_group(ctx, edges, groups[gi], gi, slot_store, rng, pending,
                  result.diagnostics);
   }

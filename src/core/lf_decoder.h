@@ -126,6 +126,10 @@ class LfDecoder {
 
   const DecoderConfig& config() const { return config_; }
 
+  /// Decodes one capture. Every sample must be finite: edge detection
+  /// orders |dS| values and k-means compares inertias, and one NaN poisons
+  /// both. load_iq and the runtime's Supervisor zero non-finite samples
+  /// (signal::scrub_non_finite); a caller with other sources does the same.
   DecodeResult decode(const signal::SampleBuffer& buffer) const;
 
  private:

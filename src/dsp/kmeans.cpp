@@ -120,13 +120,14 @@ KMeansResult kmeans(std::span<const Complex> points, std::size_t k, Rng& rng,
     fit_points = subsample;
   }
 
+  // The first restart is always kept: one non-finite point makes every
+  // inertia NaN, and a NaN never compares less.
   KMeansResult best;
-  best.inertia = std::numeric_limits<double>::infinity();
   const std::size_t restarts = std::max<std::size_t>(1, opts.restarts);
   for (std::size_t r = 0; r < restarts; ++r) {
     KMeansResult candidate =
         lloyd(fit_points, seed_centroids(fit_points, k, rng), opts);
-    if (candidate.inertia < best.inertia) best = std::move(candidate);
+    if (r == 0 || candidate.inertia < best.inertia) best = std::move(candidate);
   }
   iters.add(best.iterations);
   span.attr("iterations", static_cast<double>(best.iterations));

@@ -31,25 +31,44 @@ Complex mean(std::span<const Complex> xs) {
   return sum / static_cast<double>(xs.size());
 }
 
+namespace {
+
+/// The interpolated p-th percentile by selection, reordering `xs`. After
+/// nth_element at lo, the rest of the span holds only values >= the lo-th
+/// order statistic, so its minimum is the (lo+1)-th: the two values a full
+/// sort puts at lo and lo + 1.
+double select_percentile(std::span<double> xs, double p) {
+  const double pos = p / 100.0 * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const auto nth = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), nth, xs.end());
+  const double a = *nth;
+  const double b =
+      lo + 1 < xs.size() ? *std::min_element(nth + 1, xs.end()) : a;
+  return a * (1.0 - frac) + b * frac;
+}
+
+}  // namespace
+
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
 MedianMad median_mad(std::span<const double> xs) {
-  const double med = median(xs);
-  std::vector<double> dev(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) dev[i] = std::abs(xs[i] - med);
-  return {med, median(dev)};
+  LFBS_CHECK(!xs.empty());
+  // One scratch buffer: the median's selection, then the deviations from it.
+  std::vector<double> scratch(xs.begin(), xs.end());
+  const double med = select_percentile(scratch, 50.0);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    scratch[i] = std::abs(xs[i] - med);
+  }
+  return {med, select_percentile(scratch, 50.0)};
 }
 
 double percentile(std::span<const double> xs, double p) {
   LFBS_CHECK(!xs.empty());
   LFBS_CHECK(p >= 0.0 && p <= 100.0);
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  std::vector<double> scratch(xs.begin(), xs.end());
+  return select_percentile(scratch, p);
 }
 
 double min(std::span<const double> xs) {

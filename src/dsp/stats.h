@@ -18,11 +18,12 @@ double stddev(std::span<const double> xs);
 /// Complex mean. Returns 0 for an empty span.
 Complex mean(std::span<const Complex> xs);
 
-/// Median (copies and sorts). Requires a non-empty span.
+/// Median (percentile 50). Requires a non-empty span of finite values.
 double median(std::span<const double> xs);
 
-/// Median and median absolute deviation of a non-empty span. The MAD is
-/// unscaled: multiply by kMadToSigma for a robust Gaussian sigma.
+/// Median and median absolute deviation of a non-empty span of finite
+/// values, both by selection in one scratch copy. The MAD is unscaled:
+/// multiply by kMadToSigma for a robust Gaussian sigma.
 struct MedianMad {
   double median = 0.0;
   double mad = 0.0;
@@ -32,7 +33,10 @@ MedianMad median_mad(std::span<const double> xs);
 /// MAD-to-sigma factor for Gaussian data: 1 / Phi^-1(3/4).
 inline constexpr double kMadToSigma = 1.4826;
 
-/// Linear-interpolated percentile, p in [0, 100]. Requires non-empty input.
+/// Linear-interpolated percentile, p in [0, 100]. Selects the two order
+/// statistics it interpolates (nth_element, then min_element over the rest)
+/// from a copy, and equals the full sort's result. Requires non-empty input
+/// of finite values: ordering NaN keys is undefined.
 double percentile(std::span<const double> xs, double p);
 
 /// min and max of a non-empty span.

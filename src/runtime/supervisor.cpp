@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "obs/events.h"
 #include "obs/metrics.h"
+#include "signal/sample_buffer.h"
 
 namespace lfbs::runtime {
 
@@ -122,13 +122,7 @@ std::optional<SampleChunk> Supervisor::next_chunk(SampleSource& source) {
 }
 
 void Supervisor::scrub(SampleChunk& chunk) {
-  std::uint64_t scrubbed = 0;
-  for (auto& sample : chunk.samples) {
-    if (std::isfinite(sample.real()) && std::isfinite(sample.imag()))
-      continue;
-    sample = Complex{};
-    ++scrubbed;
-  }
+  const std::uint64_t scrubbed = signal::scrub_non_finite(chunk.samples);
   if (scrubbed > 0) {
     samples_scrubbed_.fetch_add(scrubbed, std::memory_order_relaxed);
     static obs::Counter& scrub_counter =

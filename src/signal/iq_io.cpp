@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "obs/metrics.h"
 
 namespace lfbs::signal {
 
@@ -118,6 +119,11 @@ SampleBuffer load_iq(const std::string& path) {
   for (std::size_t i = 0; i < count; ++i) {
     samples[i] = {static_cast<double>(interleaved[2 * i]),
                   static_cast<double>(interleaved[2 * i + 1])};
+  }
+  if (const std::size_t scrubbed = scrub_non_finite(samples); scrubbed > 0) {
+    static obs::Counter& scrub_counter =
+        obs::metrics().counter("signal.samples_scrubbed");
+    scrub_counter.add(scrubbed);
   }
   return SampleBuffer(header.fs, std::move(samples));
 }

@@ -57,6 +57,8 @@ void save_iq(const SampleBuffer& buffer, const std::string& path);
 /// malformed header, or a payload shorter than the header declares. The
 /// declared count is validated against the actual file size before any
 /// allocation, so a garbled header cannot trigger a huge allocation.
+/// Non-finite samples load as zero (scrub_non_finite), counted by the
+/// `signal.samples_scrubbed` metric.
 SampleBuffer load_iq(const std::string& path);
 
 /// Incremental LFBSIQ1 reader: parses the header on open and then hands out

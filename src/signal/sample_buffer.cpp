@@ -1,6 +1,7 @@
 #include "signal/sample_buffer.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -14,6 +15,18 @@ SampleBuffer::SampleBuffer(SampleRate fs, std::vector<Complex> samples)
 SampleBuffer::SampleBuffer(SampleRate fs, std::size_t n)
     : fs_(fs), samples_(n) {
   LFBS_CHECK(fs_ > 0.0);
+}
+
+std::size_t scrub_non_finite(std::span<Complex> samples) {
+  std::size_t scrubbed = 0;
+  for (Complex& sample : samples) {
+    if (std::isfinite(sample.real()) && std::isfinite(sample.imag())) {
+      continue;
+    }
+    sample = Complex{};
+    ++scrubbed;
+  }
+  return scrubbed;
 }
 
 SampleIndex SampleBuffer::index_of(Seconds t) const {

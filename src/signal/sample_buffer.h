@@ -45,6 +45,11 @@ class SampleBuffer {
   std::vector<Complex> samples_;
 };
 
+/// Zeroes every sample whose I or Q value is not finite and returns how many
+/// it zeroed. The decoder needs finite samples: one NaN would reach every
+/// later |dS| through edge detection's prefix sums.
+std::size_t scrub_non_finite(std::span<Complex> samples);
+
 /// Windowed mean of samples [center - length, center) — the "before" half of
 /// the edge differential in Eq (3). Clamped to buffer bounds; returns the
 /// number of samples actually averaged via `*count` when non-null.

@@ -2,7 +2,10 @@
 // and the Viterbi error corrector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 
 #include "core/bit_decoder.h"
 #include "core/collision_detector.h"
@@ -159,6 +162,306 @@ TEST(CollisionSeparator, ThreeWayRejectsTwoTagData) {
                   std::abs(result->e3)});
     EXPECT_LT(weakest, 0.03);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Reference separators: the search before the grid-match bound and the
+// three-way screen, sorting every hypothesis's n² distances. The separators
+// must return exactly what these return.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The (a, b, ...) ∈ {-1, 0, 1}^dims combinations, first index outermost.
+std::vector<std::vector<int>> combinations(std::size_t dims) {
+  std::vector<std::vector<int>> out = {{}};
+  for (std::size_t d = 0; d < dims; ++d) {
+    std::vector<std::vector<int>> next;
+    for (const auto& prefix : out) {
+      for (int v = -1; v <= 1; ++v) {
+        next.push_back(prefix);
+        next.back().push_back(v);
+      }
+    }
+    out = std::move(next);
+  }
+  return out;
+}
+
+/// a·e1 + b·e2 (+ c·e3), in the separators' order of operations.
+Complex combine(const std::vector<int>& combo, const std::vector<Complex>& e) {
+  Complex sum = static_cast<double>(combo[0]) * e[0];
+  for (std::size_t t = 1; t < e.size(); ++t) {
+    sum += static_cast<double>(combo[t]) * e[t];
+  }
+  return sum;
+}
+
+/// Greedy matching over all distances, sorted: the worst matched distance.
+double reference_match(const std::vector<Complex>& centroids,
+                       const std::vector<Complex>& axes,
+                       const std::vector<std::vector<int>>& combos) {
+  struct Entry {
+    double d;
+    std::size_t centroid, combo;
+  };
+  std::vector<Entry> entries;
+  for (std::size_t i = 0; i < centroids.size(); ++i) {
+    for (std::size_t j = 0; j < combos.size(); ++j) {
+      entries.push_back({std::abs(centroids[i] - combine(combos[j], axes)), i, j});
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.d < b.d; });
+  std::vector<bool> cu(centroids.size(), false), gu(combos.size(), false);
+  std::size_t matched = 0;
+  double worst = 0.0;
+  for (const Entry& e : entries) {
+    if (cu[e.centroid] || gu[e.combo]) continue;
+    cu[e.centroid] = true;
+    gu[e.combo] = true;
+    worst = std::max(worst, e.d);
+    if (++matched == centroids.size()) break;
+  }
+  return matched == centroids.size() ? worst : kInf;
+}
+
+struct ReferenceResult {
+  std::vector<Complex> axes;
+  std::vector<std::vector<EdgeState>> states;
+  double residual = 0.0;
+};
+
+/// Origin index, origin-relative centroids, and the outer ones.
+struct Shifted {
+  std::size_t origin = 0;
+  std::vector<Complex> all, outer;
+  double strongest = 0.0;
+};
+
+Shifted shift(const std::vector<Complex>& centroids) {
+  Shifted s;
+  for (std::size_t i = 1; i < centroids.size(); ++i) {
+    if (std::abs(centroids[i]) < std::abs(centroids[s.origin])) s.origin = i;
+  }
+  for (std::size_t i = 0; i < centroids.size(); ++i) {
+    s.all.push_back(centroids[i] - centroids[s.origin]);
+    if (i != s.origin) s.outer.push_back(s.all.back());
+  }
+  for (const Complex& c : s.outer) {
+    s.strongest = std::max(s.strongest, std::abs(c));
+  }
+  return s;
+}
+
+/// Acceptance, then per-point classification against the winning grid.
+std::optional<ReferenceResult> reference_finish(
+    std::span<const Complex> points, Complex offset,
+    const std::vector<Complex>& axes, double quality,
+    const std::vector<std::vector<int>>& combos) {
+  if (!std::isfinite(quality)) return std::nullopt;
+  double weakest = std::abs(axes[0]);
+  for (const Complex& e : axes) weakest = std::min(weakest, std::abs(e));
+  if (quality > 0.5 * weakest) return std::nullopt;
+  ReferenceResult r;
+  r.axes = axes;
+  r.states.resize(axes.size());
+  double residual_sum = 0.0;
+  for (const Complex& p : points) {
+    double best_d = kInf;
+    const std::vector<int>* best_combo = nullptr;
+    for (const auto& combo : combos) {
+      Complex expected = offset;
+      for (std::size_t t = 0; t < axes.size(); ++t) {
+        expected += static_cast<double>(combo[t]) * axes[t];
+      }
+      const double d = std::abs(p - expected);
+      if (d < best_d) {
+        best_d = d;
+        best_combo = &combo;
+      }
+    }
+    for (std::size_t t = 0; t < axes.size(); ++t) {
+      r.states[t].push_back((*best_combo)[t]);
+    }
+    residual_sum += best_d;
+  }
+  r.residual = residual_sum / (static_cast<double>(points.size()) * weakest);
+  return r;
+}
+
+std::optional<ReferenceResult> reference_separate(
+    std::span<const Complex> points, const dsp::KMeansResult& fit) {
+  if (fit.centroids.size() != 9 || points.empty()) return std::nullopt;
+  const Shifted s = shift(fit.centroids);
+  if (s.strongest <= 0.0) return std::nullopt;
+  const auto combos = combinations(2);
+  struct Midpoint {
+    std::size_t index;
+    double error;
+  };
+  std::vector<Midpoint> midpoints;
+  for (std::size_t i = 0; i < s.outer.size(); ++i) {
+    for (std::size_t j = i + 1; j < s.outer.size(); ++j) {
+      const Complex mid = (s.outer[i] + s.outer[j]) * 0.5;
+      const double span = std::abs(s.outer[i] - s.outer[j]);
+      if (span <= 0.0) continue;
+      for (std::size_t k = 0; k < s.outer.size(); ++k) {
+        if (k == i || k == j) continue;
+        const double err = std::abs(s.outer[k] - mid) / span;
+        if (err <= 0.2) midpoints.push_back({k, err});
+      }
+    }
+  }
+  std::sort(midpoints.begin(), midpoints.end(),
+            [](const Midpoint& a, const Midpoint& b) {
+              return a.error < b.error;
+            });
+  double best = kInf;
+  std::vector<Complex> best_axes = {{}, {}};
+  const auto consider = [&](Complex e1, Complex e2) {
+    if (std::min(std::abs(e1), std::abs(e2)) < 0.05 * s.strongest) return;
+    const double cross = std::abs(e1.real() * e2.imag() - e1.imag() * e2.real());
+    if (cross < 0.05 * std::abs(e1) * std::abs(e2)) return;
+    const double q = reference_match(s.all, {e1, e2}, combos);
+    if (q < best) {
+      best = q;
+      best_axes = {e1, e2};
+    }
+  };
+  for (std::size_t a = 0; a < midpoints.size(); ++a) {
+    for (std::size_t b = a + 1; b < midpoints.size(); ++b) {
+      consider(s.outer[midpoints[a].index], s.outer[midpoints[b].index]);
+    }
+  }
+  if (!std::isfinite(best)) {
+    for (std::size_t a = 0; a < s.outer.size(); ++a) {
+      for (std::size_t b = a + 1; b < s.outer.size(); ++b) {
+        consider(s.outer[a], s.outer[b]);
+      }
+    }
+  }
+  return reference_finish(points, fit.centroids[s.origin], best_axes, best,
+                          combos);
+}
+
+std::optional<ReferenceResult> reference_separate_three(
+    std::span<const Complex> points, const dsp::KMeansResult& fit) {
+  if (fit.centroids.size() != 27 || points.empty()) return std::nullopt;
+  const Shifted s = shift(fit.centroids);
+  if (s.strongest <= 0.0) return std::nullopt;
+  const auto combos = combinations(3);
+  std::vector<std::size_t> order(s.outer.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::abs(s.outer[a]) < std::abs(s.outer[b]);
+  });
+  const std::size_t pool = std::min<std::size_t>(order.size(), 12);
+  const auto cross = [](Complex u, Complex v) {
+    return std::abs(u.real() * v.imag() - u.imag() * v.real());
+  };
+  double best = kInf;
+  std::vector<Complex> best_axes = {{}, {}, {}};
+  for (std::size_t x = 0; x < pool; ++x) {
+    for (std::size_t y = x + 1; y < pool; ++y) {
+      for (std::size_t z = y + 1; z < pool; ++z) {
+        const Complex e1 = s.outer[order[x]];
+        const Complex e2 = s.outer[order[y]];
+        const Complex e3 = s.outer[order[z]];
+        if (std::min({std::abs(e1), std::abs(e2), std::abs(e3)}) <
+            0.05 * s.strongest) {
+          continue;
+        }
+        if (cross(e1, e2) < 0.1 * std::abs(e1) * std::abs(e2) ||
+            cross(e1, e3) < 0.1 * std::abs(e1) * std::abs(e3) ||
+            cross(e2, e3) < 0.1 * std::abs(e2) * std::abs(e3)) {
+          continue;
+        }
+        if (std::abs(e1 + e2) < 0.2 * std::abs(e1) ||
+            std::abs(e1 + e3) < 0.2 * std::abs(e1) ||
+            std::abs(e2 + e3) < 0.2 * std::abs(e2)) {
+          continue;
+        }
+        const double q = reference_match(s.all, {e1, e2, e3}, combos);
+        if (q < best) {
+          best = q;
+          best_axes = {e1, e2, e3};
+        }
+      }
+    }
+  }
+  return reference_finish(points, fit.centroids[s.origin], best_axes, best,
+                          combos);
+}
+
+/// Random edge vectors of magnitude 0.05-0.15, and a noise sigma of
+/// 0.005-0.1 (log-uniform) times the weakest one.
+struct Geometry {
+  std::vector<Complex> axes;
+  double sigma;
+};
+
+Geometry random_geometry(std::size_t tags, Rng& rng) {
+  Geometry g;
+  double weakest = kInf;
+  for (std::size_t t = 0; t < tags; ++t) {
+    g.axes.push_back(
+        std::polar(rng.uniform(0.05, 0.15), rng.uniform(0.0, 2.0 * M_PI)));
+    weakest = std::min(weakest, std::abs(g.axes.back()));
+  }
+  g.sigma = 0.005 * std::pow(20.0, rng.uniform()) * weakest;
+  return g;
+}
+
+TEST(CollisionSeparator, TwoWayEqualsFullSortSearch) {
+  const CollisionSeparator sep;
+  std::size_t accepted = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    Rng rng(1600 + seed);
+    // Every third fit is three tags' data, as decode_group refits a failed
+    // three-way separation with 9 clusters.
+    const Geometry g = random_geometry(seed % 3 == 0 ? 3 : 2, rng);
+    const auto data = synthesize(g.axes, 400, g.sigma, rng);
+    const dsp::KMeansResult fit = dsp::kmeans(data.points, 9, rng);
+    const auto got = sep.separate(data.points, fit);
+    const auto want = reference_separate(data.points, fit);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "seed " << seed;
+    if (!got) continue;
+    ++accepted;
+    EXPECT_EQ(got->e1, want->axes[0]) << "seed " << seed;
+    EXPECT_EQ(got->e2, want->axes[1]) << "seed " << seed;
+    EXPECT_EQ(got->states1, want->states[0]) << "seed " << seed;
+    EXPECT_EQ(got->states2, want->states[1]) << "seed " << seed;
+    EXPECT_EQ(got->residual, want->residual) << "seed " << seed;
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 0u) << accepted;
+  EXPECT_LT(accepted, 120u);
+}
+
+TEST(CollisionSeparator, ThreeWayEqualsFullSortSearch) {
+  const CollisionSeparator sep;
+  std::size_t accepted = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    Rng rng(1700 + seed);
+    const Geometry g = random_geometry(3, rng);
+    const auto data = synthesize(g.axes, 900, g.sigma, rng);
+    const dsp::KMeansResult fit = dsp::kmeans(data.points, 27, rng);
+    const auto got = sep.separate_three(data.points, fit);
+    const auto want = reference_separate_three(data.points, fit);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "seed " << seed;
+    if (!got) continue;
+    ++accepted;
+    EXPECT_EQ(got->e1, want->axes[0]) << "seed " << seed;
+    EXPECT_EQ(got->e2, want->axes[1]) << "seed " << seed;
+    EXPECT_EQ(got->e3, want->axes[2]) << "seed " << seed;
+    EXPECT_EQ(got->states1, want->states[0]) << "seed " << seed;
+    EXPECT_EQ(got->states2, want->states[1]) << "seed " << seed;
+    EXPECT_EQ(got->states3, want->states[2]) << "seed " << seed;
+    EXPECT_EQ(got->residual, want->residual) << "seed " << seed;
+  }
+  // Accepted three-way fits are among the seeds, and so are rejections.
+  EXPECT_GE(accepted, 10u) << accepted;
+  EXPECT_LT(accepted, 120u);
 }
 
 TEST(ErrorCorrector, Joint3SeparatesThreeTags) {

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "channel/channel_model.h"
 #include "core/lf_decoder.h"
 #include "protocol/frame.h"
 #include "reader/receiver.h"
+#include "signal/iq_io.h"
 #include "tag/tag.h"
 
 namespace lfbs::core {
@@ -136,6 +139,60 @@ TEST(LfDecoder, DecodeIsDeterministic) {
   for (std::size_t i = 0; i < a.streams.size(); ++i) {
     EXPECT_EQ(a.streams[i].bits, b.streams[i].bits);
   }
+}
+
+// A capture with one NaN and one +Inf sample loads with both zeroed, and
+// decodes exactly as the same capture with those samples set to zero.
+TEST(LfDecoder, NonFiniteSamplesLoadAsZero) {
+  Rng rng(15);
+  reader::ReceiverConfig rc;
+  channel::ChannelModel ch;
+  ch.add_tag({0.1, 0.05});
+  ch.add_tag({-0.06, 0.09});
+  reader::Receiver receiver(rc, ch);
+  protocol::FrameConfig fc;
+  tag::TagConfig tc;
+  std::vector<signal::StateTimeline> timelines;
+  for (int i = 0; i < 2; ++i) {
+    tag::Tag tag(tc, rng);
+    timelines.push_back(
+        tag.transmit_epoch({protocol::build_frame(rng.bits(96), fc)}, 1.5e-3,
+                           rng)
+            .timeline);
+  }
+  signal::SampleBuffer poisoned =
+      receiver.receive_epoch(timelines, 1.5e-3, rng);
+  signal::SampleBuffer zeroed = poisoned;
+  const std::size_t nan_at = 20000, inf_at = 31000;
+  ASSERT_GT(poisoned.size(), inf_at);
+  poisoned[nan_at] = {std::nan(""), poisoned[nan_at].imag()};
+  poisoned[inf_at] = {poisoned[inf_at].real(), HUGE_VAL};
+  zeroed[nan_at] = Complex{};
+  zeroed[inf_at] = Complex{};
+  const std::string poisoned_path = ::testing::TempDir() + "poisoned.lfbsiq";
+  const std::string zeroed_path = ::testing::TempDir() + "zeroed.lfbsiq";
+  signal::save_iq(poisoned, poisoned_path);
+  signal::save_iq(zeroed, zeroed_path);
+  const signal::SampleBuffer loaded = signal::load_iq(poisoned_path);
+  const signal::SampleBuffer reference = signal::load_iq(zeroed_path);
+  ASSERT_EQ(loaded.size(), reference.size());
+  EXPECT_EQ(loaded[nan_at], Complex{});
+  EXPECT_EQ(loaded[inf_at], Complex{});
+  for (std::size_t i = 0; i < loaded.size(); ++i) {
+    ASSERT_EQ(loaded[i], reference[i]) << "sample " << i;
+  }
+
+  const LfDecoder decoder{DecoderConfig{}};
+  const DecodeResult want = decoder.decode(reference);
+  DecodeResult got;
+  ASSERT_NO_THROW(got = decoder.decode(loaded));
+  EXPECT_GT(want.valid_frames(), 0u);
+  ASSERT_EQ(got.streams.size(), want.streams.size());
+  for (std::size_t i = 0; i < got.streams.size(); ++i) {
+    EXPECT_EQ(got.streams[i].bits, want.streams[i].bits);
+    EXPECT_EQ(got.streams[i].start_sample, want.streams[i].start_sample);
+  }
+  EXPECT_EQ(got.valid_payloads(), want.valid_payloads());
 }
 
 TEST(LfDecoder, ForcedCollisionSeparates) {

@@ -86,6 +86,18 @@ TEST(KMeans, SubsampledFitStillAssignsAllPoints) {
   EXPECT_LT(d1, 0.05);
 }
 
+// One NaN point makes every restart's inertia NaN. The first restart is
+// kept regardless, so the fit still has k centroids (downstream code
+// indexes them).
+TEST(KMeans, NonFinitePointStillYieldsKCentroids) {
+  Rng rng(10);
+  auto points = make_clusters({{0, 0}, {3, 0}, {0, 3}}, 200, 0.05, rng);
+  points[57] = {std::nan(""), 0.0};
+  const KMeansResult fit = kmeans(points, 3, rng);
+  EXPECT_EQ(fit.centroids.size(), 3u);
+  EXPECT_EQ(fit.assignment.size(), points.size());
+}
+
 TEST(Gaussian2D, FitRecoversParameters) {
   Rng rng(11);
   std::vector<Complex> points;

@@ -1,8 +1,10 @@
 // Tests for src/dsp statistics, filters, and peak detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "common/rng.h"
 #include "dsp/filters.h"
 #include "dsp/peaks.h"
 #include "dsp/resample.h"
@@ -43,6 +45,56 @@ TEST(Stats, Percentiles) {
   EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 100.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 50.0);
   EXPECT_NEAR(percentile(xs, 25.0), 25.0, 1e-9);
+}
+
+/// The full-sort percentile that selection replaced.
+double sorted_percentile(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  const double pos = p / 100.0 * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+// percentile and median_mad select their order statistics instead of
+// sorting; the results must equal the sort's bit for bit, on both size
+// parities, with and without heavy ties.
+TEST(Stats, SelectionEqualsFullSort) {
+  Rng rng(1601);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 12; ++n) sizes.push_back(n);
+  for (std::size_t n : {99u, 100u, 1023u, 1024u, 4999u, 5000u}) {
+    sizes.push_back(n);
+  }
+  for (int i = 0; i < 30; ++i) sizes.push_back(1 + rng.uniform_u64(5000));
+  for (const std::size_t n : sizes) {
+    for (int kind = 0; kind < 3; ++kind) {
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        switch (kind) {
+          case 0: x = rng.gaussian(0.0, 1.0); break;
+          case 1: x = std::abs(rng.gaussian(0.0, 1.0)); break;  // like |dS|
+          default: x = 0.25 * static_cast<double>(rng.uniform_u64(5));  // ties
+        }
+      }
+      const std::vector<double> ps = {0.0,  5.0,  50.0, 95.0, 100.0,
+                                      rng.uniform(0.0, 100.0),
+                                      rng.uniform(0.0, 100.0)};
+      for (const double p : ps) {
+        EXPECT_EQ(percentile(xs, p), sorted_percentile(xs, p))
+            << "n " << n << " kind " << kind << " p " << p;
+      }
+      const double med = sorted_percentile(xs, 50.0);
+      std::vector<double> dev(n);
+      for (std::size_t i = 0; i < n; ++i) dev[i] = std::abs(xs[i] - med);
+      const MedianMad mm = median_mad(xs);
+      EXPECT_EQ(mm.median, med) << "n " << n << " kind " << kind;
+      EXPECT_EQ(mm.mad, sorted_percentile(dev, 50.0))
+          << "n " << n << " kind " << kind;
+      EXPECT_EQ(median(xs), med);
+    }
+  }
 }
 
 TEST(Stats, MinMax) {

@@ -1,78 +1,35 @@
-// Extension bench: effective decode throughput of the concurrent runtime
-// (src/runtime) versus worker count, against the serial WindowedDecoder
-// baseline on the same capture.
+// Extension bench: the gateway's publish path, the one hot path perfbench
+// does not measure (its workloads time decode and delivery, not what
+// FrameServer::publish costs the thread that calls it).
 //
-// The paper's reader drinks 25 Msps continuously (§2); a deployment's
-// decode pipeline has to keep its effective samples/sec above the ADC rate
-// or fall behind without bound. Windows are independent until the stitch,
-// so throughput should scale with workers until the serial stitch or the
-// memory system saturates (on a single-core host the curve is flat — the
-// interesting column is then bit-identical output at every width).
+// It measures, in thread-CPU time of the publishing thread:
+//   - publish_kfps: FrameServer::publish rate with admission on;
+//   - publish_admission_overhead_pct: admission on vs off;
+//   - publish_control_overhead_pct: the control plane's FleetTracker bus
+//     tap on vs off.
+// Each overhead is the minimum over 5 interleaved pairs. Decode speed is
+// perfbench's job (perfbench/run.py); scripts/perf_gate.py gates both
+// against the parent commit.
 //
-// Usage: bench_runtime_throughput [--json PATH] [--duration MS]
-//   --json writes {"serial_msps": ..., "workers": {"1": ..., ...}} for
-//   scripts/run_all.sh to archive as BENCH_runtime.json.
-#include <chrono>
+// Usage: bench_runtime_throughput [--json PATH]
+//   --json writes the three numbers above as one JSON object.
 #include <cstdio>
 #include <ctime>
 #include <string>
 #include <vector>
 
-#include "channel/channel_model.h"
 #include "control/fleet_tracker.h"
-#include "core/windowed_decoder.h"
 #include "net/frame_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "protocol/frame.h"
-#include "reader/receiver.h"
-#include "runtime/runtime.h"
+#include "runtime/frame_bus.h"
 #include "sim/table.h"
-#include "tag/tag.h"
 
 #include <algorithm>
 
 using namespace lfbs;
 
 namespace {
-
-/// A long continuous multi-tag capture (the windowed decoder's habitat).
-signal::SampleBuffer make_capture(std::size_t num_tags, Seconds duration) {
-  Rng rng(424242);
-  reader::ReceiverConfig rc;
-  rc.sample_rate = 5.0 * kMsps;
-  rc.noise_power = 1e-5;
-  channel::ChannelModel ch;
-  std::vector<tag::Tag> tags;
-  protocol::FrameConfig fc;
-  for (std::size_t i = 0; i < num_tags; ++i) {
-    ch.add_tag(std::polar(rng.uniform(0.08, 0.2), rng.uniform(0.0, 6.2831)));
-    tag::TagConfig tc;
-    tc.clock.drift_ppm = 150.0;
-    tc.incoming_energy = rng.uniform(0.7, 1.3);
-    tags.emplace_back(tc, rng);
-  }
-  std::vector<signal::StateTimeline> timelines;
-  for (auto& t : tags) {
-    std::vector<std::vector<bool>> frames;
-    const auto n = static_cast<std::size_t>((duration - 1e-3) *
-                                            (100.0 * kKbps) / 113.0);
-    for (std::size_t f = 0; f < n; ++f) {
-      frames.push_back(protocol::build_frame(rng.bits(96), fc));
-    }
-    timelines.push_back(t.transmit_epoch(frames, duration, rng).timeline);
-  }
-  reader::Receiver receiver(rc, ch);
-  return receiver.receive_epoch(timelines, duration, rng);
-}
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// CPU seconds consumed by the calling thread. The publish-path contract
 /// is about what FrameServer::publish costs the publishing thread, so the
@@ -149,155 +106,28 @@ double publish_rate_once(bool admission,
 
 int main(int argc, char** argv) {
   std::string json_path;
-  double duration_ms = 160.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (arg == "--duration" && i + 1 < argc) {
-      duration_ms = atof(argv[++i]);
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_runtime_throughput [--json PATH] "
-                   "[--duration MS]\n");
+      std::fprintf(stderr, "usage: bench_runtime_throughput [--json PATH]\n");
       return 2;
     }
   }
 
   sim::print_banner(
-      "Extension: streaming runtime throughput",
-      "effective decode samples/sec vs window-worker count",
-      "3 tags at 100 kbps, 5 Msps, windowed at 20 ms; serial baseline is "
-      "core::WindowedDecoder::decode on the same capture");
+      "Extension: gateway publish path",
+      "FrameServer::publish rate and the cost of admission and the "
+      "control-plane tap",
+      "one parked subscriber, 50000 frames per run, thread-CPU time of the "
+      "publishing thread");
 
-  const auto capture = make_capture(3, duration_ms * 1e-3);
-  std::printf("capture: %zu samples (%.0f ms at %.1f Msps)\n\n",
-              capture.size(), duration_ms, capture.sample_rate() / 1e6);
-
-  core::WindowedDecoderConfig wc;
-
-  // Serial baseline (best of 2 to shed first-touch noise).
-  double serial_seconds = 1e30;
-  core::DecodeResult serial;
-  for (int rep = 0; rep < 2; ++rep) {
-    const double t0 = now_seconds();
-    serial = core::WindowedDecoder(wc).decode(capture);
-    serial_seconds = std::min(serial_seconds, now_seconds() - t0);
-  }
-  const double serial_msps =
-      static_cast<double>(capture.size()) / serial_seconds / 1e6;
-
-  sim::Table table({"pipeline", "workers", "wall (ms)", "effective Msps",
-                    "speedup", "streams", "identical to serial"});
-  table.add_row({"serial", "-", sim::fmt(serial_seconds * 1e3, 1),
-                 sim::fmt(serial_msps, 2), "1.00x",
-                 std::to_string(serial.streams.size()), "-"});
-
-  std::string json = "{\n  \"serial_msps\": " + sim::fmt(serial_msps, 3) +
-                     ",\n  \"workers\": {";
-  bool first = true;
-  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    runtime::RuntimeConfig rc;
-    rc.windowed = wc;
-    rc.workers = workers;
-    double best = 1e30;
-    runtime::RuntimeResult run;
-    for (int rep = 0; rep < 2; ++rep) {
-      runtime::DecodeRuntime rt(rc);
-      run = rt.decode(capture);
-      best = std::min(best, run.stats.wall_seconds);
-    }
-    const double msps = static_cast<double>(capture.size()) / best / 1e6;
-    bool identical = run.decode.streams.size() == serial.streams.size();
-    for (std::size_t i = 0; identical && i < serial.streams.size(); ++i) {
-      identical = run.decode.streams[i].bits == serial.streams[i].bits;
-    }
-    table.add_row({"runtime", std::to_string(workers),
-                   sim::fmt(best * 1e3, 1), sim::fmt(msps, 2),
-                   sim::fmt(msps / serial_msps, 2) + "x",
-                   std::to_string(run.decode.streams.size()),
-                   identical ? "yes" : "NO"});
-    json += std::string(first ? "" : ",") + "\n    \"" +
-            std::to_string(workers) + "\": " + sim::fmt(msps, 3);
-    first = false;
-    if (!identical) {
-      table.print();
-      std::fprintf(stderr,
-                   "FAIL: runtime at %zu workers diverged from serial\n",
-                   workers);
-      return 1;
-    }
-  }
-  json += "\n  }";
-  table.print();
-  std::printf(
-      "\nnote: speedup tracks available cores; a single-core host shows "
-      "~1x while the paper's 25 Msps budget needs the multi-core curve.\n");
-
-  // Telemetry overhead: the same decode with the tracer attached (bounded
-  // ring, no sink). Metrics are always on, so the baseline above already
-  // pays for them; the span machinery must cost no more than a couple of
-  // percent, and the traced output must stay bit-identical to serial.
-  {
-    runtime::RuntimeConfig rc;
-    rc.windowed = wc;
-    rc.workers = 2;
-    double plain = 1e30;
-    for (int rep = 0; rep < 3; ++rep) {
-      runtime::DecodeRuntime rt(rc);
-      plain = std::min(plain, rt.decode(capture).stats.wall_seconds);
-    }
-    obs::Tracer tracer;
-    obs::set_tracer(&tracer);
-    double traced = 1e30;
-    runtime::RuntimeResult traced_run;
-    for (int rep = 0; rep < 3; ++rep) {
-      runtime::DecodeRuntime rt(rc);
-      traced_run = rt.decode(capture);
-      traced = std::min(traced, traced_run.stats.wall_seconds);
-    }
-    obs::set_tracer(nullptr);
-    const double overhead_pct = (traced - plain) / plain * 100.0;
-    bool identical =
-        traced_run.decode.streams.size() == serial.streams.size();
-    for (std::size_t i = 0; identical && i < serial.streams.size(); ++i) {
-      identical = traced_run.decode.streams[i].bits == serial.streams[i].bits;
-    }
-    std::printf(
-        "tracer overhead at 2 workers: %.1f%% (%zu spans, %zu dropped), "
-        "traced output %s serial\n",
-        overhead_pct, tracer.recorded(), tracer.dropped(),
-        identical ? "identical to" : "DIVERGED from");
-    // Per-window latency distribution off the shared registry histogram —
-    // the same obs::Histogram the runtime's percentile summary uses.
-    const obs::MetricsSnapshot snap = obs::metrics().snapshot();
-    if (const obs::Histogram* h =
-            snap.histogram("runtime.window_latency_ms")) {
-      std::printf(
-          "window latency (all runs): %llu windows, p50 %.1f ms, p99 %.1f "
-          "ms\n",
-          static_cast<unsigned long long>(h->count()), h->percentile(0.50),
-          h->percentile(0.99));
-      // The regression gate (scripts/check_bench_regression.sh) compares
-      // these against the committed BENCH_summary.json baseline.
-      json += ",\n  \"window_latency_p50_ms\": " +
-              sim::fmt(h->percentile(0.50), 3) +
-              ",\n  \"window_latency_p99_ms\": " +
-              sim::fmt(h->percentile(0.99), 3);
-    }
-    json += ",\n  \"tracer_overhead_pct\": " + sim::fmt(overhead_pct, 2) +
-            ",\n  \"tracer_spans\": " + std::to_string(tracer.recorded());
-    if (!identical) {
-      std::fprintf(stderr, "FAIL: traced runtime diverged from serial\n");
-      return 1;
-    }
-  }
   // Publish-path admission overhead: the gateway's overload protection
   // (per-class token bucket, quota bookkeeping, budget hooks) rides on
   // every FrameServer::publish — it must cost the publishing thread almost
-  // nothing when nothing is being shed. Clamped at 0 because the gate's
-  // extractor reads non-negative numbers, and a negative overhead is just
-  // measurement noise anyway.
+  // nothing when nothing is being shed.
+  std::string json;
   {
     // Interleaved pairs: alternating the two configs inside one loop
     // keeps slow system phases (frequency scaling, a background task)
@@ -314,21 +144,19 @@ int main(int argc, char** argv) {
       admitted_fps = std::max(admitted_fps, admitted);
       overhead_pct = std::min(overhead_pct, (plain / admitted - 1.0) * 100.0);
     }
-    overhead_pct = std::max(0.0, overhead_pct);
     std::printf(
         "publish path: %.0f kframes/s plain, %.0f kframes/s with admission "
         "on (%.2f%% overhead)\n",
         plain_fps / 1e3, admitted_fps / 1e3, overhead_pct);
-    json += ",\n  \"publish_kfps\": " + sim::fmt(admitted_fps / 1e3, 1) +
+    json += "{\n  \"publish_kfps\": " + sim::fmt(admitted_fps / 1e3, 1) +
             ",\n  \"publish_admission_overhead_pct\": " +
             sim::fmt(overhead_pct, 2);
   }
   // Control-plane sensing overhead: a serving gateway with --control taps
   // the frame bus and folds every published frame into the FleetTracker on
   // this same publishing thread. Same interleaved-pairs / min-over-pairs
-  // methodology as the admission stanza; the regression gate caps the
-  // result absolutely (≤2%) — sensing must be nearly free, the scheduling
-  // work happens off the publish path at epoch boundaries.
+  // methodology as the admission stanza; sensing must be nearly free, the
+  // scheduling work happens off the publish path at epoch boundaries.
   {
     double tapped_fps = 0.0;
     double overhead_pct = 1e30;
@@ -339,7 +167,6 @@ int main(int argc, char** argv) {
       tapped_fps = std::max(tapped_fps, tapped);
       overhead_pct = std::min(overhead_pct, (plain / tapped - 1.0) * 100.0);
     }
-    overhead_pct = std::max(0.0, overhead_pct);
     std::printf(
         "publish path: %.0f kframes/s with the control-plane tracker "
         "tapping the bus (%.2f%% overhead)\n",

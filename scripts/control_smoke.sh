@@ -8,8 +8,8 @@
 #      subscriber must print the plan and its per-tag assignments.
 #   2. Remote operability: --control-get against a live gateway must
 #      answer with the loop's state (exit 0, "control:" lines).
-#   3. Typed CLI: malformed --control / --control-policy / --epoch-budget
-#      specs are usage errors (exit 2) naming the offending clause.
+#   3. Typed CLI: malformed --control specs are usage errors (exit 2)
+#      naming the offending clause.
 #   4. Report round-trip: the serve's telemetry must render through
 #      lfbs_report's "== control ==" section with the plan history and
 #      per-tag rate trajectories.
@@ -90,7 +90,7 @@ echo "control_smoke: serve broadcast its epoch plan to the tail"
 
 # --- 3. typed CLI errors -----------------------------------------------------
 for bad in "--control warp=9" "--control policy=chaotic" \
-           "--control-policy sideways" "--epoch-budget 12x"; do
+           "--control budget=12x"; do
   bad_rc=0
   # shellcheck disable=SC2086  # word splitting is the point here
   "$build/tools/lfbs_gateway" --scenario $bad 2> "$work/bad.err" || bad_rc=$?

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
-# Build, test, and regenerate every paper table/figure, plus the runtime
-# throughput record (BENCH_runtime.json: workers → effective Msps) and a
-# consolidated BENCH_summary.json: per-bench wall seconds and, where a
-# bench wrote its own JSON, its headline metric.
+# Build, test, and regenerate every paper table/figure, plus the publish-
+# path record (BENCH_runtime.json) and a consolidated BENCH_summary.json:
+# per-bench wall seconds and, where a bench wrote its own JSON, its
+# headline metrics. A record only: no gate reads it (scripts/perf_gate.py
+# compares a change with its parent instead).
 set -e
 cmake -B build -G Ninja
 cmake --build build
@@ -25,12 +26,11 @@ for b in build/bench/bench_*; do
   metric=""
   case "$name" in
     bench_runtime_throughput)
-      v=$(sed -n 's/.*"serial_msps": \([0-9.]*\).*/\1/p' BENCH_runtime.json | head -n 1)
-      [ -n "$v" ] && metric=", \"serial_msps\": $v"
-      o=$(sed -n 's/.*"tracer_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' BENCH_runtime.json | head -n 1)
-      [ -n "$o" ] && metric="$metric, \"tracer_overhead_pct\": $o"
-      p=$(sed -n 's/.*"window_latency_p99_ms": \([0-9.]*\).*/\1/p' BENCH_runtime.json | head -n 1)
-      [ -n "$p" ] && metric="$metric, \"window_latency_p99_ms\": $p"
+      for k in publish_kfps publish_admission_overhead_pct \
+               publish_control_overhead_pct; do
+        v=$(sed -n "s/.*\"$k\": \(-\{0,1\}[0-9.]*\).*/\1/p" BENCH_runtime.json | head -n 1)
+        [ -n "$v" ] && metric="$metric, \"$k\": $v"
+      done
       ;;
     bench_robustness_sweep)
       v=$(grep -o '"rescued_captures": [0-9]*' BENCH_robustness.json | \

@@ -120,13 +120,4 @@ std::string parse_policy_name(const std::string& name) {
   return name;
 }
 
-double parse_epoch_budget(const std::string& value) {
-  const double parsed = control_number({"epoch-budget", value});
-  if (!(parsed > 0.0)) {
-    throw ControlParseError(ControlError::kBadValue,
-                            "epoch budget must be > 0, got '" + value + "'");
-  }
-  return parsed;
-}
-
 }  // namespace lfbs::control

@@ -56,12 +56,8 @@ struct ControlSpec {
 /// Throws ControlParseError (typed) on anything else.
 ControlSpec parse_control_spec(const std::string& spec);
 
-/// Validates a `--control-policy` name ("greedy" | "static"); throws
+/// Validates a `policy=` name ("greedy" | "static"); throws
 /// ControlParseError(kBadValue) on anything else.
 std::string parse_policy_name(const std::string& name);
-
-/// Parses a `--epoch-budget` value: a positive number of base-rate
-/// multiples. Throws ControlParseError(kBadValue) otherwise.
-double parse_epoch_budget(const std::string& value);
 
 }  // namespace lfbs::control

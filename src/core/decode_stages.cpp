@@ -165,8 +165,7 @@ bool decode_joint(const PassContext& ctx, const BoundarySlots& slots,
     }
     if (toggled.empty()) return false;
     const auto [step, start] =
-        consensus_step(toggled, allowed,
-                       ctx.stream_detector.config().step_consensus,
+        consensus_step(toggled, allowed, kStepConsensus,
                        static_cast<std::int64_t>(n));
     steps[t] = static_cast<std::size_t>(step);
     starts[t] = static_cast<std::size_t>(start);

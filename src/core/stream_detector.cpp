@@ -12,6 +12,13 @@ namespace lfbs::core {
 
 namespace {
 
+/// Allowance for clock drift between consecutive member edges, in ppm of
+/// the gap, and the bound on a group's fitted slope. Must exceed the worst
+/// tag crystal (paper decodes ±200 ppm).
+constexpr double kDriftTolerancePpm = 400.0;
+
+static_assert(kStepConsensus > 0.5 && kStepConsensus <= 1.0);
+
 /// Incremental least-squares fit of position = intercept + slope * n.
 struct LatticeFit {
   double sn = 0.0, sn2 = 0.0, sp = 0.0, snp = 0.0;
@@ -50,7 +57,6 @@ StreamDetector::StreamDetector(StreamDetectorConfig config)
   LFBS_CHECK(config_.lattice_period > 1.0);
   LFBS_CHECK(config_.base_tolerance > 0.0);
   LFBS_CHECK(config_.min_edges >= 1);
-  LFBS_CHECK(config_.step_consensus > 0.5 && config_.step_consensus <= 1.0);
 }
 
 std::vector<StreamGroup> StreamDetector::detect(
@@ -72,7 +78,7 @@ std::vector<StreamGroup> StreamDetector::detect(
       const double residual = std::abs(pos - predicted);
       const double gap = pos - wg.last_position;
       const double tol = config_.base_tolerance +
-                         config_.drift_tolerance_ppm * 1e-6 * std::max(gap, 0.0);
+                         kDriftTolerancePpm * 1e-6 * std::max(gap, 0.0);
       if (residual <= tol && residual < best_residual) {
         best_residual = residual;
         best = &wg;
@@ -90,9 +96,9 @@ std::vector<StreamGroup> StreamDetector::detect(
         // Clamp the fitted slope to the drift budget so one outlier cannot
         // derail the lattice.
         const double lo =
-            config_.lattice_period * (1.0 - config_.drift_tolerance_ppm * 1e-6);
+            config_.lattice_period * (1.0 - kDriftTolerancePpm * 1e-6);
         const double hi =
-            config_.lattice_period * (1.0 + config_.drift_tolerance_ppm * 1e-6);
+            config_.lattice_period * (1.0 + kDriftTolerancePpm * 1e-6);
         best->group.slope = std::clamp(slope, lo, hi);
         best->group.intercept = intercept;
       }
@@ -151,9 +157,9 @@ std::vector<StreamGroup> StreamDetector::detect(
         double intercept = 0.0, new_slope = 0.0;
         if (fused.fit.solve(&intercept, &new_slope)) {
           const double lo = config_.lattice_period *
-                            (1.0 - config_.drift_tolerance_ppm * 1e-6);
+                            (1.0 - kDriftTolerancePpm * 1e-6);
           const double hi = config_.lattice_period *
-                            (1.0 + config_.drift_tolerance_ppm * 1e-6);
+                            (1.0 + kDriftTolerancePpm * 1e-6);
           fused.group.slope = std::clamp(new_slope, lo, hi);
           fused.group.intercept = intercept;
         }
@@ -204,9 +210,9 @@ std::vector<StreamGroup> StreamDetector::detect(
     double intercept = 0.0, slope = 0.0;
     if (pruned.fit.solve(&intercept, &slope)) {
       const double lo =
-          config_.lattice_period * (1.0 - config_.drift_tolerance_ppm * 1e-6);
+          config_.lattice_period * (1.0 - kDriftTolerancePpm * 1e-6);
       const double hi =
-          config_.lattice_period * (1.0 + config_.drift_tolerance_ppm * 1e-6);
+          config_.lattice_period * (1.0 + kDriftTolerancePpm * 1e-6);
       pruned.group.slope = std::clamp(slope, lo, hi);
       pruned.group.intercept = intercept;
     }
@@ -351,7 +357,7 @@ std::vector<StreamDetector::SubStream> StreamDetector::split_streams(
       const double share = static_cast<double>(dominant->second.size()) /
                            static_cast<double>(std::max<std::size_t>(
                                structured_total, 1));
-      if (share < config_.step_consensus) continue;
+      if (share < kStepConsensus) continue;
       const bool strong = occupancy(dominant->second, step) >= kMinOccupancy;
       if (!single_strong || strong) {
         single_step = step;
@@ -443,7 +449,7 @@ std::pair<std::int64_t, std::int64_t> StreamDetector::estimate_step(
     const std::int64_t step = std::max<std::int64_t>(g, 1);
     return {step, indices.front() % step};
   }
-  return consensus_step(indices, config_.valid_steps, config_.step_consensus);
+  return consensus_step(indices, config_.valid_steps, kStepConsensus);
 }
 
 std::pair<std::int64_t, std::int64_t> consensus_step(

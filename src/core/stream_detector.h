@@ -46,17 +46,12 @@ struct StreamDetectorConfig {
   /// the group; closer offsets than this between two tags read as one
   /// (colliding) group. Should be a little above the edge width.
   double base_tolerance = 5.0;
-  /// Allowance for clock drift between consecutive member edges, in ppm of
-  /// the gap. Must exceed the worst tag crystal (paper decodes ±200 ppm).
-  double drift_tolerance_ppm = 400.0;
   /// Groups with fewer edges are discarded as noise: a real stream repeats
   /// on a valid-rate lattice, a spurious edge does not (§3.2).
   std::size_t min_edges = 3;
   /// Valid bit-period steps in lattice units (max_rate / rate for every
   /// valid rate), used to snap the estimated step. Empty = free-form gcd.
   std::vector<std::int64_t> valid_steps;
-  /// Fraction of member edges that must agree with a step hypothesis.
-  double step_consensus = 0.85;
   /// Post-pass: groups whose lattice phases differ by at most this many
   /// samples (circularly, mod the lattice period) are merged. This folds
   /// splinter groups (jitter pushed a few edges past base_tolerance) and
@@ -92,7 +87,7 @@ class StreamDetector {
       std::span<const std::int64_t> indices) const;
 
   /// Estimates the bit-period step for a set of lattice indices: the largest
-  /// valid step such that at least `step_consensus` of the indices share a
+  /// valid step such that at least `kStepConsensus` of the indices share a
   /// residue class (consensus_step over `valid_steps`; free-form gcd when
   /// there are none). Returns {step, residue}.
   std::pair<std::int64_t, std::int64_t> estimate_step(
@@ -101,6 +96,11 @@ class StreamDetector {
  private:
   StreamDetectorConfig config_;
 };
+
+/// Fraction of a group's member edges that must agree with a step
+/// hypothesis (grouping's estimate_step and the collision path's
+/// per-component lattices).
+inline constexpr double kStepConsensus = 0.85;
 
 /// Residue-consensus step search, shared by grouping (estimate_step) and
 /// the collision path's per-component lattices: the largest of `steps`, at

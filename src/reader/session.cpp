@@ -13,8 +13,7 @@ ReaderSession::ReaderSession(SessionConfig config, AirInterface air,
       air_(std::move(air)),
       decode_(std::move(decode)),
       carrier_(config.epoch.duration, config.epoch.gap),
-      controller_(config.decoder.rate_plan, config.epoch.max_rate,
-                  config.rate_controller),
+      controller_(config.decoder.rate_plan, config.epoch.max_rate),
       ledger_(config.health) {
   LFBS_CHECK_MSG(static_cast<bool>(air_), "an air interface is required");
   LFBS_CHECK_MSG(config_.decoder.rate_plan.is_valid(config_.epoch.max_rate),
@@ -49,28 +48,26 @@ core::DecodeResult ReaderSession::run_epoch() {
   stats_.frames_failed += failed;
   stats_.fallback_recoveries += result.diagnostics.fallback_recoveries;
 
-  if (config_.health_tracking) {
-    const EpochHealth health = ledger_.observe(result);
-    stats_.quarantines += health.newly_quarantined;
-    if (!result.streams.empty()) {
-      stats_.confidence_sum += health.mean_confidence;
-      ++stats_.confidence_epochs;
-    }
-    // A chronically failing stream is stronger evidence than one epoch's
-    // loss ratio: drop the broadcast rate immediately rather than letting
-    // the controller re-discover it over several epochs.
-    if (health.newly_quarantined > 0 && config_.rate_control &&
-        controller_.step_down().has_value()) {
-      ++stats_.rate_commands;
-      ++stats_.health_step_downs;
-      rate_commands.add();
-      step_downs.add();
-      if (obs::EventLog* log = obs::event_log()) {
-        log->emit("rate",
-                  {obs::Field::str("cause", "health_step_down"),
-                   obs::Field::num("from_rate", epoch_rate),
-                   obs::Field::num("to_rate", controller_.current_max())});
-      }
+  const EpochHealth health = ledger_.observe(result);
+  stats_.quarantines += health.newly_quarantined;
+  if (!result.streams.empty()) {
+    stats_.confidence_sum += health.mean_confidence;
+    ++stats_.confidence_epochs;
+  }
+  // A chronically failing stream is stronger evidence than one epoch's
+  // loss ratio: drop the broadcast rate immediately rather than letting
+  // the controller re-discover it over several epochs.
+  if (health.newly_quarantined > 0 && config_.rate_control &&
+      controller_.step_down().has_value()) {
+    ++stats_.rate_commands;
+    ++stats_.health_step_downs;
+    rate_commands.add();
+    step_downs.add();
+    if (obs::EventLog* log = obs::event_log()) {
+      log->emit("rate",
+                {obs::Field::str("cause", "health_step_down"),
+                 obs::Field::num("from_rate", epoch_rate),
+                 obs::Field::num("to_rate", controller_.current_max())});
     }
   }
 

@@ -23,11 +23,9 @@ struct SessionConfig {
   core::DecoderConfig decoder{};
   /// Enable §3.6 broadcast rate control between epochs.
   bool rate_control = true;
-  protocol::RateController::Config rate_controller{};
-  /// Track per-stream decode health across epochs; a newly quarantined
-  /// stream immediately steps the broadcast rate down one notch (when
+  /// Per-stream decode health across epochs; a newly quarantined stream
+  /// immediately steps the broadcast rate down one notch (when
   /// rate_control is on) instead of waiting for the loss-ratio trigger.
-  bool health_tracking = true;
   HealthLedgerConfig health{};
 };
 

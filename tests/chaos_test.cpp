@@ -20,7 +20,6 @@
 #include <optional>
 #include <thread>
 
-#include "channel/channel_model.h"
 #include "common/check.h"
 #include "core/windowed_decoder.h"
 #include "net/chaos/chaos.h"
@@ -34,11 +33,9 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
-#include "protocol/frame.h"
-#include "reader/receiver.h"
 #include "runtime/frame_bus.h"
 #include "runtime/sample_source.h"
-#include "tag/tag.h"
+#include "test_support.h"
 
 namespace lfbs::net {
 namespace {
@@ -762,70 +759,8 @@ TEST(PushAbort, ReceiverDeathMidStreamThrowsTypedPushAborted) {
 
 // --- sharded decode under chaos ------------------------------------------
 
-struct LongCapture {
-  signal::SampleBuffer buffer{1e6, std::size_t{0}};
-  std::vector<std::vector<bool>> payloads;
-};
-
-/// The multi-window capture builder of the federation tests: `tags` tags
-/// stream frames for `duration` through the full channel model.
-LongCapture make_capture(std::size_t num_tags, Seconds duration,
-                         std::uint64_t seed) {
-  Rng rng(seed);
-  reader::ReceiverConfig rc;
-  rc.sample_rate = 5.0 * kMsps;
-  rc.noise_power = 1e-5;
-  channel::ChannelModel ch;
-  std::vector<tag::Tag> tags;
-  protocol::FrameConfig fc;
-  for (std::size_t i = 0; i < num_tags; ++i) {
-    ch.add_tag(std::polar(rng.uniform(0.08, 0.2), rng.uniform(0.0, 6.2831)));
-    tag::TagConfig tc;
-    tc.clock.drift_ppm = 40.0;
-    tc.incoming_energy = rng.uniform(0.7, 1.3);
-    tags.emplace_back(tc, rng);
-  }
-  LongCapture cap;
-  std::vector<signal::StateTimeline> timelines;
-  for (auto& t : tags) {
-    std::vector<std::vector<bool>> frames;
-    const auto n = static_cast<std::size_t>((duration - 1e-3) *
-                                            (100.0 * kKbps) / 113.0);
-    for (std::size_t f = 0; f < n; ++f) {
-      cap.payloads.push_back(rng.bits(96));
-      frames.push_back(protocol::build_frame(cap.payloads.back(), fc));
-    }
-    timelines.push_back(t.transmit_epoch(frames, duration, rng).timeline);
-  }
-  reader::Receiver receiver(rc, ch);
-  cap.buffer = receiver.receive_epoch(timelines, duration, rng);
-  return cap;
-}
-
-void expect_results_identical(const core::DecodeResult& a,
-                              const core::DecodeResult& b) {
-  ASSERT_EQ(a.streams.size(), b.streams.size());
-  for (std::size_t i = 0; i < a.streams.size(); ++i) {
-    const auto& s = a.streams[i];
-    const auto& t = b.streams[i];
-    EXPECT_EQ(s.start_sample, t.start_sample) << "stream " << i;
-    EXPECT_EQ(s.rate, t.rate) << "stream " << i;
-    EXPECT_EQ(s.collided, t.collided) << "stream " << i;
-    EXPECT_EQ(s.bits, t.bits) << "stream " << i;
-    EXPECT_EQ(s.snr_db, t.snr_db) << "stream " << i;
-    ASSERT_EQ(s.frames.size(), t.frames.size()) << "stream " << i;
-    for (std::size_t f = 0; f < s.frames.size(); ++f) {
-      EXPECT_EQ(s.frames[f].payload, t.frames[f].payload);
-      EXPECT_EQ(s.frames[f].crc_ok, t.frames[f].crc_ok);
-    }
-  }
-  EXPECT_EQ(a.diagnostics.edges, b.diagnostics.edges);
-  EXPECT_EQ(a.diagnostics.groups, b.diagnostics.groups);
-  EXPECT_EQ(a.diagnostics.erasures, b.diagnostics.erasures);
-}
-
 TEST(ChaosShard, TruncatedAndDelayedLinksStayBitIdentical) {
-  const LongCapture cap = make_capture(2, 50e-3, 7);
+  const LongCapture cap = make_capture(2, 50e-3, 40.0, 7);
   core::WindowedDecoderConfig wc;
   const core::DecodeResult serial =
       core::WindowedDecoder(wc).decode(cap.buffer);
@@ -849,7 +784,7 @@ TEST(ChaosShard, TruncatedAndDelayedLinksStayBitIdentical) {
   t1.join();
   t2.join();
 
-  expect_results_identical(serial, result.decode);
+  expect_identical(serial, result.decode);
   EXPECT_EQ(result.stats.faults.workers_lost, 0u);
   EXPECT_GT(engine.stats().truncations, 0u);
 }
@@ -859,7 +794,7 @@ TEST(ChaosShard, DeterministicResetKillsOneWorkerAndFailsOverBitIdentically) {
   // spared, then the very next I/O op's link dies — one worker lost at a
   // deterministic point, every time. Failover must complete the run
   // bit-identically on the survivor.
-  const LongCapture cap = make_capture(2, 70e-3, 7);
+  const LongCapture cap = make_capture(2, 70e-3, 40.0, 7);
   core::WindowedDecoderConfig wc;
   const core::DecodeResult serial =
       core::WindowedDecoder(wc).decode(cap.buffer);
@@ -896,7 +831,7 @@ TEST(ChaosShard, DeterministicResetKillsOneWorkerAndFailsOverBitIdentically) {
   t1.join();
   t2.join();
 
-  expect_results_identical(serial, result.decode);
+  expect_identical(serial, result.decode);
   EXPECT_EQ(result.stats.faults.workers_lost, 1u);
   EXPECT_EQ(engine.stats().resets, 1u);
 }
@@ -906,7 +841,7 @@ TEST(ChaosShard, ZeroSurvivingWorkersFailLoudly) {
   // the documented "no workers left" SocketError — never hang, never
   // return a partial decode. The driver cancels the pool and joins its
   // threads first, so no partial capture reaches a subscriber.
-  const LongCapture cap = make_capture(1, 50e-3, 3);
+  const LongCapture cap = make_capture(1, 50e-3, 40.0, 3);
   ChaosEngine engine(parse_chaos_config("reset=1,reset-skip=1,reset-limit=1"));
   ChaosScope scope(engine);
   federation::ShardWorker worker_1({"127.0.0.1", 0, "worker-1"});
@@ -942,7 +877,7 @@ TEST(ShardFailover, SigkilledWorkerProcessFailsOverBitIdentically) {
   // holds an outstanding assignment), the coordinator reassigns its
   // windows to the survivor, and the merged result must still be
   // bit-identical to the serial WindowedDecoder.
-  const LongCapture cap = make_capture(3, 70e-3, 7);
+  const LongCapture cap = make_capture(3, 70e-3, 40.0, 7);
   core::WindowedDecoderConfig wc;
   const core::DecodeResult serial =
       core::WindowedDecoder(wc).decode(cap.buffer);
@@ -999,7 +934,7 @@ TEST(ShardFailover, SigkilledWorkerProcessFailsOverBitIdentically) {
   ASSERT_EQ(waitpid(victim, &status, 0), victim);
   EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
-  expect_results_identical(serial, result.decode);
+  expect_identical(serial, result.decode);
   EXPECT_EQ(result.stats.faults.workers_lost, 1u);
   EXPECT_GE(result.stats.faults.windows_reassigned, 1u);
 }

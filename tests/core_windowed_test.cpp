@@ -6,53 +6,12 @@
 #include <algorithm>
 #include <set>
 
-#include "channel/channel_model.h"
 #include "core/windowed_decoder.h"
 #include "protocol/frame.h"
-#include "reader/receiver.h"
-#include "tag/tag.h"
+#include "test_support.h"
 
 namespace lfbs::core {
 namespace {
-
-struct LongCapture {
-  signal::SampleBuffer buffer{1e6, std::size_t{0}};
-  std::vector<std::vector<bool>> payloads;
-};
-
-/// A multi-window capture: `tags` tags stream frames for `duration`.
-LongCapture make_capture(std::size_t num_tags, Seconds duration,
-                         double drift_ppm, std::uint64_t seed) {
-  Rng rng(seed);
-  reader::ReceiverConfig rc;
-  rc.sample_rate = 5.0 * kMsps;
-  rc.noise_power = 1e-5;
-  channel::ChannelModel ch;
-  std::vector<tag::Tag> tags;
-  protocol::FrameConfig fc;
-  for (std::size_t i = 0; i < num_tags; ++i) {
-    ch.add_tag(std::polar(rng.uniform(0.08, 0.2), rng.uniform(0.0, 6.2831)));
-    tag::TagConfig tc;
-    tc.clock.drift_ppm = drift_ppm;
-    tc.incoming_energy = rng.uniform(0.7, 1.3);
-    tags.emplace_back(tc, rng);
-  }
-  LongCapture cap;
-  std::vector<signal::StateTimeline> timelines;
-  for (auto& t : tags) {
-    std::vector<std::vector<bool>> frames;
-    const auto n = static_cast<std::size_t>((duration - 1e-3) *
-                                            (100.0 * kKbps) / 113.0);
-    for (std::size_t f = 0; f < n; ++f) {
-      cap.payloads.push_back(rng.bits(96));
-      frames.push_back(protocol::build_frame(cap.payloads.back(), fc));
-    }
-    timelines.push_back(t.transmit_epoch(frames, duration, rng).timeline);
-  }
-  reader::Receiver receiver(rc, ch);
-  cap.buffer = receiver.receive_epoch(timelines, duration, rng);
-  return cap;
-}
 
 std::size_t recovered(const DecodeResult& result,
                       const std::vector<std::vector<bool>>& payloads) {

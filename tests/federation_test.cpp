@@ -15,7 +15,6 @@
 #include <set>
 #include <thread>
 
-#include "channel/channel_model.h"
 #include "core/windowed_decoder.h"
 #include "net/federation/relay.h"
 #include "net/federation/shard.h"
@@ -24,12 +23,11 @@
 #include "net/frame_server.h"
 #include "net/wire.h"
 #include "protocol/frame.h"
-#include "reader/receiver.h"
 #include "runtime/fault_injector.h"
 #include "runtime/frame_bus.h"
 #include "runtime/runtime.h"
 #include "runtime/sample_source.h"
-#include "tag/tag.h"
+#include "test_support.h"
 
 namespace lfbs::net::federation {
 namespace {
@@ -388,88 +386,11 @@ TEST(FrameRelay, HopLimitDropsOverTraveledFrames) {
 
 // --- sharded decode ------------------------------------------------------
 
-struct LongCapture {
-  signal::SampleBuffer buffer{1e6, std::size_t{0}};
-  std::vector<std::vector<bool>> payloads;
-};
-
-/// The multi-window capture builder of the windowed-decoder tests: `tags`
-/// tags stream frames for `duration` through the full channel model.
-LongCapture make_capture(std::size_t num_tags, Seconds duration,
-                         std::uint64_t seed) {
-  Rng rng(seed);
-  reader::ReceiverConfig rc;
-  rc.sample_rate = 5.0 * kMsps;
-  rc.noise_power = 1e-5;
-  channel::ChannelModel ch;
-  std::vector<tag::Tag> tags;
-  protocol::FrameConfig fc;
-  for (std::size_t i = 0; i < num_tags; ++i) {
-    ch.add_tag(std::polar(rng.uniform(0.08, 0.2), rng.uniform(0.0, 6.2831)));
-    tag::TagConfig tc;
-    tc.clock.drift_ppm = 40.0;
-    tc.incoming_energy = rng.uniform(0.7, 1.3);
-    tags.emplace_back(tc, rng);
-  }
-  LongCapture cap;
-  std::vector<signal::StateTimeline> timelines;
-  for (auto& t : tags) {
-    std::vector<std::vector<bool>> frames;
-    const auto n = static_cast<std::size_t>((duration - 1e-3) *
-                                            (100.0 * kKbps) / 113.0);
-    for (std::size_t f = 0; f < n; ++f) {
-      cap.payloads.push_back(rng.bits(96));
-      frames.push_back(protocol::build_frame(cap.payloads.back(), fc));
-    }
-    timelines.push_back(t.transmit_epoch(frames, duration, rng).timeline);
-  }
-  reader::Receiver receiver(rc, ch);
-  cap.buffer = receiver.receive_epoch(timelines, duration, rng);
-  return cap;
-}
-
-void expect_results_identical(const core::DecodeResult& a,
-                              const core::DecodeResult& b) {
-  ASSERT_EQ(a.streams.size(), b.streams.size());
-  for (std::size_t i = 0; i < a.streams.size(); ++i) {
-    const auto& s = a.streams[i];
-    const auto& t = b.streams[i];
-    EXPECT_EQ(s.start_sample, t.start_sample) << "stream " << i;
-    EXPECT_EQ(s.rate, t.rate) << "stream " << i;
-    EXPECT_EQ(s.collided, t.collided) << "stream " << i;
-    EXPECT_EQ(s.bits, t.bits) << "stream " << i;
-    EXPECT_EQ(s.edge_vector, t.edge_vector) << "stream " << i;
-    EXPECT_EQ(s.snr_db, t.snr_db) << "stream " << i;
-    EXPECT_EQ(s.confidence.edge_snr_db, t.confidence.edge_snr_db);
-    EXPECT_EQ(s.confidence.edge_confidence, t.confidence.edge_confidence);
-    EXPECT_EQ(s.confidence.path_margin, t.confidence.path_margin);
-    EXPECT_EQ(s.confidence.cluster_separation,
-              t.confidence.cluster_separation);
-    EXPECT_EQ(s.confidence.erasures, t.confidence.erasures);
-    EXPECT_EQ(s.confidence.stage, t.confidence.stage);
-    ASSERT_EQ(s.frames.size(), t.frames.size()) << "stream " << i;
-    for (std::size_t f = 0; f < s.frames.size(); ++f) {
-      EXPECT_EQ(s.frames[f].payload, t.frames[f].payload);
-      EXPECT_EQ(s.frames[f].anchor_ok, t.frames[f].anchor_ok);
-      EXPECT_EQ(s.frames[f].crc_ok, t.frames[f].crc_ok);
-    }
-  }
-  EXPECT_EQ(a.diagnostics.edges, b.diagnostics.edges);
-  EXPECT_EQ(a.diagnostics.groups, b.diagnostics.groups);
-  EXPECT_EQ(a.diagnostics.collision_groups, b.diagnostics.collision_groups);
-  EXPECT_EQ(a.diagnostics.unresolved_groups,
-            b.diagnostics.unresolved_groups);
-  EXPECT_EQ(a.diagnostics.erasures, b.diagnostics.erasures);
-  EXPECT_EQ(a.diagnostics.fallback_passes, b.diagnostics.fallback_passes);
-  EXPECT_EQ(a.diagnostics.fallback_recoveries,
-            b.diagnostics.fallback_recoveries);
-}
-
 TEST(ShardedDecode, MatchesSerialWindowedDecodeAcrossWorkerProcesses) {
   // THE acceptance test: the same capture through (a) the serial
   // WindowedDecoder and (b) two real worker *processes* over TCP must
   // produce bit-identical results, frames included.
-  const LongCapture cap = make_capture(3, 70e-3, 7);
+  const LongCapture cap = make_capture(3, 70e-3, 40.0, 7);
   core::WindowedDecoderConfig wc;  // 20 ms windows → 4 of them (tail kept)
   const core::DecodeResult local =
       core::WindowedDecoder(wc).decode(cap.buffer);
@@ -516,7 +437,7 @@ TEST(ShardedDecode, MatchesSerialWindowedDecodeAcrossWorkerProcesses) {
         << "worker process must exit cleanly";
   }
 
-  expect_results_identical(local, result.decode);
+  expect_identical(local, result.decode);
 
   // Both workers must actually have decoded: 4 windows round-robin over 2.
   EXPECT_EQ(result.stats.windows_dispatched, 4u);
@@ -539,7 +460,7 @@ TEST(ShardedDecode, ShortCaptureTakesThePlainPathBitIdentically) {
   // ≤ 1.5 windows: the coordinator must ship the whole buffer as one
   // short-capture assignment and match WindowedDecoder::decode's plain
   // fall-through exactly. In-process workers (threads) keep this quick.
-  const LongCapture cap = make_capture(2, 4e-3, 21);
+  const LongCapture cap = make_capture(2, 4e-3, 40.0, 21);
   core::WindowedDecoderConfig wc;
   const core::DecodeResult local =
       core::WindowedDecoder(wc).decode(cap.buffer);
@@ -559,7 +480,7 @@ TEST(ShardedDecode, ShortCaptureTakesThePlainPathBitIdentically) {
   t1.join();
   t2.join();
 
-  expect_results_identical(local, result.decode);
+  expect_identical(local, result.decode);
   EXPECT_EQ(result.stats.windows_dispatched, 1u);
 }
 
@@ -575,7 +496,7 @@ TEST(ShardedDecode, DeadWorkerPoolFailsStrictly) {
   sc.workers = {{"127.0.0.1", dead_port}};
   sc.connect_timeout = 0.5;
   ShardedDecoder sharded(sc);
-  const LongCapture cap = make_capture(1, 2e-3, 3);
+  const LongCapture cap = make_capture(1, 2e-3, 40.0, 3);
   runtime::MemorySource source(cap.buffer, 1024);
   EXPECT_THROW(sharded.run(source), SocketError);
 }
@@ -628,7 +549,7 @@ TEST(ShardedDecode, ThreadAndShardExecutorsAgreeUnderSourceFaults) {
   // and through a two-process-style shard pool. Both sit behind the same
   // supervised driver, so retries, scrubbing, gap zero-fill and the fault
   // ledger must come out the same, and so must every decoded bit.
-  const LongCapture cap = make_capture(3, 70e-3, 7);
+  const LongCapture cap = make_capture(3, 70e-3, 40.0, 7);
   runtime::FaultPlan plan;
   plan.seed = 11;
   plan.drop_chunk = 0.08;
@@ -668,7 +589,7 @@ TEST(ShardedDecode, ThreadAndShardExecutorsAgreeUnderSourceFaults) {
   EXPECT_GT(by_shards.stats.faults.samples_scrubbed, 0u);
   EXPECT_GT(by_shards.stats.faults.source_retries, 0u);
 
-  expect_results_identical(by_threads.decode, by_shards.decode);
+  expect_identical(by_threads.decode, by_shards.decode);
   expect_events_identical(thread_events, shard_events);
   EXPECT_EQ(by_threads.stats.faults, by_shards.stats.faults);
   EXPECT_EQ(by_threads.stats.health, by_shards.stats.health);
@@ -706,7 +627,7 @@ TEST(ShardedDecode, StopRequestDrainsTheIngestedPrefixOnBothExecutors) {
   // ingested still decodes, stitches and publishes exactly as the serial
   // decoder would decode that prefix — on either executor, through either
   // stop mechanism.
-  const LongCapture cap = make_capture(3, 70e-3, 9);
+  const LongCapture cap = make_capture(3, 70e-3, 40.0, 9);
   constexpr std::size_t kChunk = 8192;
   constexpr std::size_t kStopAt = 20;  // 32.8 ms: one window plus a tail
   const auto head = cap.buffer.slice(0, kChunk * kStopAt);
@@ -751,7 +672,7 @@ TEST(ShardedDecode, StopRequestDrainsTheIngestedPrefixOnBothExecutors) {
       }
       EXPECT_TRUE(run.stats.stopped_early);
       EXPECT_EQ(run.stats.samples_in, kChunk * kStopAt);
-      expect_results_identical(serial, run.decode);
+      expect_identical(serial, run.decode);
       EXPECT_EQ(run.stats.frames_published, serial_frames);
       EXPECT_EQ(published, serial_frames);
     }

@@ -12,82 +12,16 @@
 #include <thread>
 #include <tuple>
 
-#include "channel/channel_model.h"
 #include "common/check.h"
 #include "core/windowed_decoder.h"
-#include "protocol/frame.h"
-#include "reader/receiver.h"
 #include "runtime/fault_injector.h"
 #include "runtime/runtime.h"
 #include "runtime/sample_source.h"
 #include "sim/scenario.h"
-#include "tag/tag.h"
+#include "test_support.h"
 
 namespace lfbs::runtime {
 namespace {
-
-struct LongCapture {
-  signal::SampleBuffer buffer{1e6, std::size_t{0}};
-  std::vector<std::vector<bool>> payloads;
-};
-
-/// Same multi-window capture construction as runtime_test.cpp.
-LongCapture make_capture(std::size_t num_tags, Seconds duration,
-                         std::uint64_t seed) {
-  Rng rng(seed);
-  reader::ReceiverConfig rc;
-  rc.sample_rate = 5.0 * kMsps;
-  rc.noise_power = 1e-5;
-  channel::ChannelModel ch;
-  std::vector<tag::Tag> tags;
-  protocol::FrameConfig fc;
-  for (std::size_t i = 0; i < num_tags; ++i) {
-    ch.add_tag(std::polar(rng.uniform(0.08, 0.2), rng.uniform(0.0, 6.2831)));
-    tag::TagConfig tc;
-    tc.clock.drift_ppm = 150.0;
-    tc.incoming_energy = rng.uniform(0.7, 1.3);
-    tags.emplace_back(tc, rng);
-  }
-  LongCapture cap;
-  std::vector<signal::StateTimeline> timelines;
-  for (auto& t : tags) {
-    std::vector<std::vector<bool>> frames;
-    const auto n = static_cast<std::size_t>((duration - 1e-3) *
-                                            (100.0 * kKbps) / 113.0);
-    for (std::size_t f = 0; f < n; ++f) {
-      cap.payloads.push_back(rng.bits(96));
-      frames.push_back(protocol::build_frame(cap.payloads.back(), fc));
-    }
-    timelines.push_back(t.transmit_epoch(frames, duration, rng).timeline);
-  }
-  reader::Receiver receiver(rc, ch);
-  cap.buffer = receiver.receive_epoch(timelines, duration, rng);
-  return cap;
-}
-
-void expect_identical(const core::DecodeResult& a,
-                      const core::DecodeResult& b) {
-  ASSERT_EQ(a.streams.size(), b.streams.size());
-  for (std::size_t i = 0; i < a.streams.size(); ++i) {
-    const auto& sa = a.streams[i];
-    const auto& sb = b.streams[i];
-    EXPECT_EQ(sa.start_sample, sb.start_sample) << "stream " << i;
-    EXPECT_EQ(sa.rate, sb.rate) << "stream " << i;
-    EXPECT_EQ(sa.collided, sb.collided) << "stream " << i;
-    EXPECT_EQ(sa.edge_vector, sb.edge_vector) << "stream " << i;
-    EXPECT_EQ(sa.bits, sb.bits) << "stream " << i;
-    ASSERT_EQ(sa.frames.size(), sb.frames.size()) << "stream " << i;
-    for (std::size_t f = 0; f < sa.frames.size(); ++f) {
-      EXPECT_EQ(sa.frames[f].payload, sb.frames[f].payload);
-      EXPECT_EQ(sa.frames[f].valid(), sb.frames[f].valid());
-    }
-  }
-  EXPECT_EQ(a.diagnostics.edges, b.diagnostics.edges);
-  EXPECT_EQ(a.diagnostics.groups, b.diagnostics.groups);
-  EXPECT_EQ(a.diagnostics.collision_groups, b.diagnostics.collision_groups);
-  EXPECT_EQ(a.diagnostics.unresolved_groups,
-            b.diagnostics.unresolved_groups);
-}
 
 // ---------------------------------------------------------------------------
 // The fault matrix: each fault class × each overflow policy. Every cell
@@ -114,7 +48,7 @@ TEST_P(FaultMatrixTest, CompletesWithAccurateCountersAndHealth) {
   const auto [kind, drop_when_full] = GetParam();
   SCOPED_TRACE(std::string(fault_name(kind)) +
                (drop_when_full ? " / drop_when_full" : " / blocking"));
-  const auto cap = make_capture(2, 50e-3, 71);
+  const auto cap = make_capture(2, 50e-3, 150.0, 71);
 
   FaultPlan plan;
   plan.seed = 100 + static_cast<std::uint64_t>(kind);
@@ -254,7 +188,7 @@ TEST(FaultInjection, DegradedScenarioStillRecoversFrames) {
 // WindowedDecoder at any worker count, and health stays kHealthy.
 
 TEST(FaultInjection, DisabledInjectorIsBitTransparent) {
-  const auto cap = make_capture(3, 60e-3, 72);
+  const auto cap = make_capture(3, 60e-3, 150.0, 72);
   core::WindowedDecoderConfig wc;
   const auto serial = core::WindowedDecoder(wc).decode(cap.buffer);
   ASSERT_FALSE(serial.streams.empty());
@@ -341,7 +275,7 @@ TEST(Supervision, SourceFailureMidStreamKeepsEarlierDecode) {
     std::size_t reads_ = 0;
   };
 
-  const auto cap = make_capture(2, 60e-3, 73);
+  const auto cap = make_capture(2, 60e-3, 150.0, 73);
   DyingSource source(cap.buffer, 40);
   RuntimeConfig rc;
   rc.workers = 2;
@@ -353,7 +287,7 @@ TEST(Supervision, SourceFailureMidStreamKeepsEarlierDecode) {
 }
 
 TEST(Supervision, WorkerExceptionIsZeroFilledAndCounted) {
-  const auto cap = make_capture(2, 60e-3, 74);
+  const auto cap = make_capture(2, 60e-3, 150.0, 74);
   RuntimeConfig rc;
   rc.workers = 3;
   // Fault drill: window 1 throws in the decode path.
@@ -371,7 +305,7 @@ TEST(Supervision, WorkerExceptionIsZeroFilledAndCounted) {
 }
 
 TEST(Supervision, WatchdogDetectsWorkerStall) {
-  const auto cap = make_capture(2, 50e-3, 75);
+  const auto cap = make_capture(2, 50e-3, 150.0, 75);
   RuntimeConfig rc;
   rc.workers = 2;
   rc.supervision.worker_stall_timeout = 2e-3;
@@ -387,7 +321,7 @@ TEST(Supervision, WatchdogDetectsWorkerStall) {
 }
 
 TEST(Supervision, SubscriberExceptionIsIsolatedAndCounted) {
-  const auto cap = make_capture(2, 50e-3, 76);
+  const auto cap = make_capture(2, 50e-3, 150.0, 76);
   RuntimeConfig rc;
   rc.workers = 2;
   DecodeRuntime rt(rc);
@@ -440,7 +374,7 @@ TEST(FaultPlanSpec, RejectsUnknownKeyAndBareWord) {
 // Injector mechanics in isolation (no runtime).
 
 TEST(FaultInjectingSource, DeterministicFromSeed) {
-  const auto cap = make_capture(2, 40e-3, 77);
+  const auto cap = make_capture(2, 40e-3, 150.0, 77);
   FaultPlan plan;
   plan.seed = 5;
   plan.drop_chunk = 0.2;
@@ -477,7 +411,7 @@ TEST(FaultInjectingSource, DeterministicFromSeed) {
 }
 
 TEST(FaultInjectingSource, TruncationPreservesPositions) {
-  const auto cap = make_capture(2, 40e-3, 78);
+  const auto cap = make_capture(2, 40e-3, 150.0, 78);
   FaultPlan plan;
   plan.seed = 6;
   plan.truncate_chunk = 0.5;

@@ -12,88 +12,20 @@
 
 #include <sstream>
 
-#include "channel/channel_model.h"
 #include "core/windowed_decoder.h"
 #include "obs/events.h"
 #include "obs/json.h"
 #include "obs/trace.h"
-#include "protocol/frame.h"
-#include "reader/receiver.h"
 #include "runtime/frame_bus.h"
 #include "runtime/ring_buffer.h"
 #include "runtime/runtime.h"
 #include "runtime/sample_source.h"
 #include "signal/iq_io.h"
 #include "sim/scenario.h"
-#include "tag/tag.h"
+#include "test_support.h"
 
 namespace lfbs::runtime {
 namespace {
-
-struct LongCapture {
-  signal::SampleBuffer buffer{1e6, std::size_t{0}};
-  std::vector<std::vector<bool>> payloads;
-};
-
-/// A multi-window capture: `num_tags` tags stream frames for `duration`
-/// (same construction as the core windowed-decoder tests).
-LongCapture make_capture(std::size_t num_tags, Seconds duration,
-                         std::uint64_t seed) {
-  Rng rng(seed);
-  reader::ReceiverConfig rc;
-  rc.sample_rate = 5.0 * kMsps;
-  rc.noise_power = 1e-5;
-  channel::ChannelModel ch;
-  std::vector<tag::Tag> tags;
-  protocol::FrameConfig fc;
-  for (std::size_t i = 0; i < num_tags; ++i) {
-    ch.add_tag(std::polar(rng.uniform(0.08, 0.2), rng.uniform(0.0, 6.2831)));
-    tag::TagConfig tc;
-    tc.clock.drift_ppm = 150.0;
-    tc.incoming_energy = rng.uniform(0.7, 1.3);
-    tags.emplace_back(tc, rng);
-  }
-  LongCapture cap;
-  std::vector<signal::StateTimeline> timelines;
-  for (auto& t : tags) {
-    std::vector<std::vector<bool>> frames;
-    const auto n = static_cast<std::size_t>((duration - 1e-3) *
-                                            (100.0 * kKbps) / 113.0);
-    for (std::size_t f = 0; f < n; ++f) {
-      cap.payloads.push_back(rng.bits(96));
-      frames.push_back(protocol::build_frame(cap.payloads.back(), fc));
-    }
-    timelines.push_back(t.transmit_epoch(frames, duration, rng).timeline);
-  }
-  reader::Receiver receiver(rc, ch);
-  cap.buffer = receiver.receive_epoch(timelines, duration, rng);
-  return cap;
-}
-
-/// Bit-for-bit stream equality: positions, rates, bits, frames, vectors.
-void expect_identical(const core::DecodeResult& a,
-                      const core::DecodeResult& b) {
-  ASSERT_EQ(a.streams.size(), b.streams.size());
-  for (std::size_t i = 0; i < a.streams.size(); ++i) {
-    const auto& sa = a.streams[i];
-    const auto& sb = b.streams[i];
-    EXPECT_EQ(sa.start_sample, sb.start_sample) << "stream " << i;
-    EXPECT_EQ(sa.rate, sb.rate) << "stream " << i;
-    EXPECT_EQ(sa.collided, sb.collided) << "stream " << i;
-    EXPECT_EQ(sa.edge_vector, sb.edge_vector) << "stream " << i;
-    EXPECT_EQ(sa.bits, sb.bits) << "stream " << i;
-    ASSERT_EQ(sa.frames.size(), sb.frames.size()) << "stream " << i;
-    for (std::size_t f = 0; f < sa.frames.size(); ++f) {
-      EXPECT_EQ(sa.frames[f].payload, sb.frames[f].payload);
-      EXPECT_EQ(sa.frames[f].valid(), sb.frames[f].valid());
-    }
-  }
-  EXPECT_EQ(a.diagnostics.edges, b.diagnostics.edges);
-  EXPECT_EQ(a.diagnostics.groups, b.diagnostics.groups);
-  EXPECT_EQ(a.diagnostics.collision_groups, b.diagnostics.collision_groups);
-  EXPECT_EQ(a.diagnostics.unresolved_groups,
-            b.diagnostics.unresolved_groups);
-}
 
 TEST(BoundedRing, PushPopOrderAndClose) {
   BoundedRing<int> ring(4);
@@ -314,7 +246,7 @@ TEST(DecodeRuntime, TracedRunStaysBitIdenticalAndLogsEveryFrame) {
   // The tentpole's zero-interference contract: attaching the tracer and
   // the structured event log must not change a single decoded bit, and
   // every frame the bus publishes must appear as one "frame" JSONL line.
-  const auto cap = make_capture(2, 50e-3, 48);
+  const auto cap = make_capture(2, 50e-3, 150.0, 48);
   core::WindowedDecoderConfig wc;
   const auto serial = core::WindowedDecoder(wc).decode(cap.buffer);
   ASSERT_FALSE(serial.streams.empty());
@@ -359,13 +291,13 @@ TEST(DecodeRuntime, TracedRunStaysBitIdenticalAndLogsEveryFrame) {
 
 TEST(DecodeRuntime, ParallelMatchesSerialBitForBit) {
   // The acceptance property: the same multi-tag capture decoded through
-  // the serial WindowedDecoder and through the runtime at 1, 2, and 4
+  // the serial WindowedDecoder and through the runtime at 1, 2, 4 and 8
   // workers yields identical stitched frames.
-  const auto cap = make_capture(3, 60e-3, 41);
+  const auto cap = make_capture(3, 60e-3, 150.0, 41);
   core::WindowedDecoderConfig wc;
   const auto serial = core::WindowedDecoder(wc).decode(cap.buffer);
   ASSERT_FALSE(serial.streams.empty());
-  for (const std::size_t workers : {1u, 2u, 4u}) {
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     RuntimeConfig rc;
     rc.windowed = wc;
     rc.workers = workers;
@@ -383,7 +315,7 @@ TEST(DecodeRuntime, ParallelMatchesSerialBitForBit) {
 TEST(DecodeRuntime, ShortCaptureMatchesSerialFallThrough) {
   // A capture under 1.5 windows must take the same whole-buffer plain
   // decode inside the runtime as WindowedDecoder::decode does serially.
-  const auto cap = make_capture(2, 8e-3, 42);
+  const auto cap = make_capture(2, 8e-3, 150.0, 42);
   core::WindowedDecoderConfig wc;
   const auto serial = core::WindowedDecoder(wc).decode(cap.buffer);
   RuntimeConfig rc;
@@ -398,7 +330,7 @@ TEST(DecodeRuntime, ShortCaptureMatchesSerialFallThrough) {
 TEST(DecodeRuntime, RepeatedRunsAreReproducible) {
   // Worker scheduling varies run to run; the per-window Rng streams keyed
   // by window index make the output independent of it.
-  const auto cap = make_capture(2, 50e-3, 43);
+  const auto cap = make_capture(2, 50e-3, 150.0, 43);
   core::WindowedDecoderConfig wc;
   RuntimeConfig rc;
   rc.windowed = wc;
@@ -409,7 +341,7 @@ TEST(DecodeRuntime, RepeatedRunsAreReproducible) {
 }
 
 TEST(DecodeRuntime, FrameBusDeliversEveryStitchedFrame) {
-  const auto cap = make_capture(2, 50e-3, 44);
+  const auto cap = make_capture(2, 50e-3, 150.0, 44);
   core::WindowedDecoderConfig wc;
   RuntimeConfig rc;
   rc.windowed = wc;
@@ -434,7 +366,7 @@ TEST(DecodeRuntime, BackpressureBoundsRingAndCountsDrops) {
   // orders of magnitude slower than an in-memory source) must never grow
   // the ring past its capacity; overflow surfaces as counted chunk drops,
   // and the assembler zero-fills the gaps so decode still completes.
-  const auto cap = make_capture(2, 60e-3, 45);
+  const auto cap = make_capture(2, 60e-3, 150.0, 45);
   RuntimeConfig rc;
   rc.workers = 1;
   rc.ring_capacity = 2;
@@ -489,7 +421,7 @@ class GappySource : public SampleSource {
 };
 
 TEST(DecodeRuntime, ZeroFillsDroppedChunkGaps) {
-  const auto cap = make_capture(2, 60e-3, 47);
+  const auto cap = make_capture(2, 60e-3, 150.0, 47);
   const std::size_t gap_begin = 110000;
   const std::size_t gap_end = 130000;
   GappySource source(cap.buffer, gap_begin, gap_end, 8192);

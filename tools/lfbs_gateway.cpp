@@ -50,7 +50,6 @@
 //                       best-effort traffic in tiers (ring history first)
 //                       and backpressures the decode pipeline; priority
 //                       subscribers are never shed.
-//   --retry-after S     override the deny retry hint (default 0.5)
 //   --max-clients N     accepted-fd bound (default: admission conns + 64
 //                       headroom so over-budget dials reach the deny path)
 //   --priority          tail only: announce ClientClass::kPriority
@@ -85,9 +84,6 @@
 //                        alpha=X, forget=N, period-ms=X. The plan is
 //                        broadcast as a kControlPlan after the run drains
 //                        (and every period-ms while it streams).
-//   --control-policy P   override the scheduling policy (greedy | static)
-//   --epoch-budget N     override the aggregate-rate budget, multiples of
-//                        the base rate
 //   --control-get HOST:PORT   one-shot client: fetch and print a serving
 //                        gateway's live control state/plan, then exit
 #include <atomic>
@@ -146,11 +142,9 @@ void usage() {
       "               [--send-buffer N] [--workers N] [--crc5] [--payload N]\n"
       "               [--windowed MS] [--gateway-id N] [--shard HOST:PORT]\n"
       "               [--replay N] [--trace-out PATH] [--chaos SPEC]\n"
-      "overload:      [--quota SPEC] [--queue-budget-kb N] [--retry-after S]\n"
-      "               [--max-clients N]   (tail: [--priority])\n"
-      "control plane: [--control SPEC] [--control-policy greedy|static]\n"
-      "               [--epoch-budget N]   (client: --control-get "
-      "HOST:PORT)\n");
+      "overload:      [--quota SPEC] [--queue-budget-kb N] [--max-clients N]\n"
+      "               (tail: [--priority])\n"
+      "control plane: [--control SPEC]   (client: --control-get HOST:PORT)\n");
 }
 
 bool split_host_port(const std::string& spec, std::string& host,
@@ -381,11 +375,8 @@ int main(int argc, char** argv) {
   std::string chaos_spec;
   std::string quota_spec;
   std::string control_spec;
-  std::string control_policy;
-  std::string epoch_budget;
   std::string control_get_spec;
   std::size_t queue_budget_kb = 0;
-  double retry_after = -1.0;  // <0 = keep the spec/default hint
   std::size_t max_clients = 0;
   bool tail_priority = false;
 
@@ -433,16 +424,10 @@ int main(int argc, char** argv) {
       quota_spec = argv[++i];
     } else if (arg == "--control" && i + 1 < argc) {
       control_spec = argv[++i];
-    } else if (arg == "--control-policy" && i + 1 < argc) {
-      control_policy = argv[++i];
-    } else if (arg == "--epoch-budget" && i + 1 < argc) {
-      epoch_budget = argv[++i];
     } else if (arg == "--control-get" && i + 1 < argc) {
       control_get_spec = argv[++i];
     } else if (arg == "--queue-budget-kb" && i + 1 < argc) {
       queue_budget_kb = tools::flag_u64(arg, argv[++i]);
-    } else if (arg == "--retry-after" && i + 1 < argc) {
-      retry_after = tools::flag_number(arg, argv[++i]);
     } else if (arg == "--max-clients" && i + 1 < argc) {
       max_clients = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--priority") {
@@ -504,40 +489,15 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (retry_after >= 0.0) admission.retry_after = retry_after;
 
   // Fleet control plane: like --quota, every spec is parsed up front so a
   // malformed one is a typed usage error (exit 2) before anything binds.
-  // --control-policy and --epoch-budget are standalone overrides: either
-  // refines an existing --control spec or enables the loop with defaults.
   std::optional<control::ControlSpec> control_cfg;
   if (!control_spec.empty()) {
     try {
       control_cfg = control::parse_control_spec(control_spec);
     } catch (const control::ControlParseError& e) {
       std::fprintf(stderr, "error: bad --control spec (%s): %s\n",
-                   control::to_string(e.code()), e.what());
-      return 2;
-    }
-  }
-  if (!control_policy.empty()) {
-    try {
-      const std::string name = control::parse_policy_name(control_policy);
-      if (!control_cfg.has_value()) control_cfg.emplace();
-      control_cfg->loop.policy = name;
-    } catch (const control::ControlParseError& e) {
-      std::fprintf(stderr, "error: bad --control-policy (%s): %s\n",
-                   control::to_string(e.code()), e.what());
-      return 2;
-    }
-  }
-  if (!epoch_budget.empty()) {
-    try {
-      const double budget_units = control::parse_epoch_budget(epoch_budget);
-      if (!control_cfg.has_value()) control_cfg.emplace();
-      control_cfg->loop.objective.epoch_budget = budget_units;
-    } catch (const control::ControlParseError& e) {
-      std::fprintf(stderr, "error: bad --epoch-budget (%s): %s\n",
                    control::to_string(e.code()), e.what());
       return 2;
     }

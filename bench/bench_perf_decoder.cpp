@@ -5,9 +5,12 @@
 
 #include "core/collision_separator.h"
 #include "core/lf_decoder.h"
+#include "core/windowed_decoder.h"
 #include "dsp/kmeans.h"
+#include "dsp/peaks.h"
 #include "dsp/stats.h"
 #include "dsp/viterbi.h"
+#include "protocol/frame.h"
 #include "signal/edge_detector.h"
 #include "sim/scenario.h"
 
@@ -36,6 +39,38 @@ signal::SampleBuffer make_epoch(std::size_t tags, std::uint64_t seed) {
             .timeline);
   }
   return receiver.receive_epoch(timelines, 1.5e-3, rng);
+}
+
+/// perfbench stream3's scenario: 3 tags at 100 kbps with 150 ppm crystals,
+/// 5 Msps front end, frames back to back for `duration`.
+signal::SampleBuffer make_capture3(Seconds duration, std::uint64_t seed) {
+  Rng rng(seed);
+  reader::ReceiverConfig rc;
+  rc.sample_rate = 5.0 * kMsps;
+  rc.noise_power = 1e-5;
+  channel::ChannelModel ch;
+  std::vector<tag::Tag> tags;
+  for (std::size_t i = 0; i < 3; ++i) {
+    ch.add_tag(std::polar(rng.uniform(0.08, 0.2), rng.uniform(0.0, 6.2831)));
+    tag::TagConfig tc;
+    tc.clock.drift_ppm = 150.0;
+    tc.incoming_energy = rng.uniform(0.7, 1.3);
+    tags.emplace_back(tc, rng);
+  }
+  const protocol::FrameConfig fc;
+  const auto frames_per_tag = static_cast<std::size_t>(
+      (duration - 1e-3) * (100.0 * kKbps) /
+      static_cast<double>(fc.frame_bits()));
+  std::vector<signal::StateTimeline> timelines;
+  for (auto& t : tags) {
+    std::vector<std::vector<bool>> frames;
+    for (std::size_t f = 0; f < frames_per_tag; ++f) {
+      frames.push_back(protocol::build_frame(rng.bits(fc.payload_bits), fc));
+    }
+    timelines.push_back(t.transmit_epoch(frames, duration, rng).timeline);
+  }
+  const reader::Receiver receiver(rc, ch);
+  return receiver.receive_epoch(timelines, duration, rng);
 }
 
 void BM_FullDecode16Tags(benchmark::State& state) {
@@ -67,16 +102,59 @@ void BM_EdgeDetection(benchmark::State& state) {
 BENCHMARK(BM_EdgeDetection)->Unit(benchmark::kMillisecond);
 
 void BM_MedianMad(benchmark::State& state) {
-  // One 1.5 ms epoch at 25 Msps: the 37,500 values of |dS| whose median
-  // and MAD set edge detection's threshold.
+  // 37,500: one 1.5 ms epoch at 25 Msps, the values of |dS| whose median
+  // and MAD set edge detection's threshold. 1,024: one NoiseTracker block.
   Rng rng(13);
-  std::vector<double> xs(37500);
+  std::vector<double> xs(static_cast<std::size_t>(state.range(0)));
   for (double& x : xs) x = std::abs(Complex{rng.gaussian(), rng.gaussian()});
   for (auto _ : state) {
     benchmark::DoNotOptimize(dsp::median_mad(xs));
   }
 }
-BENCHMARK(BM_MedianMad)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MedianMad)->Arg(1024)->Arg(37500)->Unit(benchmark::kMicrosecond);
+
+void BM_FindPeaks(benchmark::State& state) {
+  // Peak picking over the |dS| series of one stream3 window (20 ms at
+  // 5 Msps, 100,000 samples) at edge detection's own threshold.
+  const auto buffer = make_capture3(20e-3, 14);
+  const signal::EdgeDetectorConfig cfg;
+  std::vector<double> ds(buffer.size());
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    ds[i] = std::abs(signal::EdgeDetector::differential_at(
+        buffer.span(), static_cast<SampleIndex>(i), cfg.window, cfg.guard));
+  }
+  const dsp::MedianMad robust = dsp::median_mad(ds);
+  const dsp::PeakOptions opts{
+      .min_value = robust.median + cfg.threshold_sigma * dsp::kMadToSigma *
+                                       robust.mad,
+      .min_distance = cfg.min_separation};
+  state.counters["peaks"] =
+      static_cast<double>(dsp::find_peaks(ds, opts).size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dsp::find_peaks(ds, opts));
+  }
+}
+BENCHMARK(BM_FindPeaks)->Unit(benchmark::kMillisecond);
+
+void BM_ScanFrames(benchmark::State& state) {
+  // The stitcher's CRC resynchronization over the longest stitched thread
+  // of one 100 ms stream3 capture.
+  const auto buffer = make_capture3(100e-3, 15);
+  std::vector<bool> bits;
+  for (const auto& s :
+       core::WindowedDecoder(core::WindowedDecoderConfig{}).decode(buffer)
+           .streams) {
+    if (s.bits.size() > bits.size()) bits = s.bits;
+  }
+  const protocol::FrameConfig fc;
+  state.counters["bits"] = static_cast<double>(bits.size());
+  state.counters["frames"] =
+      static_cast<double>(protocol::scan_frames(bits, fc).size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(protocol::scan_frames(bits, fc));
+  }
+}
+BENCHMARK(BM_ScanFrames)->Unit(benchmark::kMicrosecond);
 
 /// A 27-cluster fit of 1200 boundary differentials of tags with the given
 /// edge vectors, each boundary drawing independent levels.

@@ -5,56 +5,42 @@
 
 namespace lfbs::dsp {
 
-namespace {
-
-/// Value at circular or clamped index.
-double at(std::span<const double> xs, std::int64_t i, bool circular) {
-  const auto n = static_cast<std::int64_t>(xs.size());
-  if (circular) {
-    i = ((i % n) + n) % n;
-  } else {
-    if (i < 0 || i >= n) return -1e300;  // off the edge counts as -inf
-  }
-  return xs[static_cast<std::size_t>(i)];
-}
-
-std::size_t circular_distance(std::size_t a, std::size_t b, std::size_t n) {
-  const std::size_t d = a > b ? a - b : b - a;
-  return std::min(d, n - d);
-}
-
-}  // namespace
-
 std::vector<Peak> find_peaks(std::span<const double> xs,
                              const PeakOptions& opts) {
+  constexpr double kOffEdge = -1e300;  // off the edge counts as -inf
+  const std::size_t n = xs.size();
   std::vector<Peak> candidates;
-  const auto n = static_cast<std::int64_t>(xs.size());
-  for (std::int64_t i = 0; i < n; ++i) {
-    const double v = xs[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = xs[i];
     if (v < opts.min_value) continue;
-    const double prev = at(xs, i - 1, opts.circular);
-    const double next = at(xs, i + 1, opts.circular);
+    const double prev = i > 0 ? xs[i - 1] : kOffEdge;
+    const double next = i + 1 < n ? xs[i + 1] : kOffEdge;
     // Strictly greater than the previous sample makes the first index of a
     // plateau the candidate; >= the next allows flat-topped peaks.
-    if (v > prev && v >= next) {
-      candidates.push_back({static_cast<std::size_t>(i), v});
-    }
+    if (v > prev && v >= next) candidates.push_back({i, v});
   }
+  // Equal values: the earlier index wins, as a plateau reports its first.
   std::sort(candidates.begin(), candidates.end(),
-            [](const Peak& a, const Peak& b) { return a.value > b.value; });
+            [](const Peak& a, const Peak& b) {
+              return a.value != b.value ? a.value > b.value
+                                        : a.index < b.index;
+            });
 
+  // A candidate is too close when an accepted peak lies within
+  // min_distance - 1 samples of it. One byte per sample marks the accepted
+  // indices, so the test reads only that neighbourhood instead of every
+  // accepted peak.
+  const std::size_t reach = std::max<std::size_t>(opts.min_distance, 1) - 1;
+  std::vector<std::uint8_t> taken(n, 0);
   std::vector<Peak> accepted;
   for (const Peak& c : candidates) {
-    const bool tooClose = std::any_of(
-        accepted.begin(), accepted.end(), [&](const Peak& a) {
-          const std::size_t d =
-              opts.circular
-                  ? circular_distance(a.index, c.index, xs.size())
-                  : (a.index > c.index ? a.index - c.index
-                                       : c.index - a.index);
-          return d < opts.min_distance;
-        });
-    if (!tooClose) accepted.push_back(c);
+    const std::size_t lo = c.index - std::min(c.index, reach);
+    const std::size_t hi = c.index + std::min(n - 1 - c.index, reach);
+    const auto first = taken.begin() + static_cast<std::ptrdiff_t>(lo);
+    const auto last = taken.begin() + static_cast<std::ptrdiff_t>(hi) + 1;
+    if (std::find(first, last, std::uint8_t{1}) != last) continue;
+    taken[c.index] = 1;
+    accepted.push_back(c);
   }
   return accepted;
 }

@@ -17,15 +17,16 @@ struct PeakOptions {
   /// Absolute floor a sample must exceed to be a peak candidate.
   double min_value = 0.0;
   /// Minimum spacing between two reported peaks, in samples. When two
-  /// candidates are closer than this, the larger one wins.
+  /// candidates are closer than this, the larger one wins; of two equal
+  /// ones, the earlier index.
   std::size_t min_distance = 1;
-  /// When true the series is treated as circular (used for fold histograms,
-  /// where offset 0 and offset N-1 are adjacent).
-  bool circular = false;
 };
 
 /// Finds local maxima of `xs` subject to the options, sorted by descending
-/// value. A plateau reports its first index.
+/// value, equal values by ascending index. A plateau reports its first
+/// index. Candidates are accepted greedily in that order, each checked
+/// only against the samples within min_distance of it: O(n + C log C +
+/// C x min_distance) for C candidates, with a scratch byte per sample.
 std::vector<Peak> find_peaks(std::span<const double> xs,
                              const PeakOptions& opts);
 

@@ -34,9 +34,11 @@ MedianMad median_mad(std::span<const double> xs);
 inline constexpr double kMadToSigma = 1.4826;
 
 /// Linear-interpolated percentile, p in [0, 100]. Selects the two order
-/// statistics it interpolates (nth_element, then min_element over the rest)
-/// from a copy, and equals the full sort's result. Requires non-empty input
-/// of finite values: ordering NaN keys is undefined.
+/// statistics it interpolates from a copy, in linear time, and equals the
+/// full sort's result: inputs of 8,192 values or more first narrow to the
+/// one bucket of an order-preserving key histogram that holds them, then
+/// nth_element and min_element run inside it. Requires non-empty input of
+/// finite values: ordering NaN keys is undefined.
 double percentile(std::span<const double> xs, double p);
 
 /// min and max of a non-empty span.

@@ -58,26 +58,45 @@ std::vector<ParsedFrame> scan_frames(const std::vector<bool>& bits,
                                      const FrameConfig& config) {
   LFBS_OBS_SPAN(span, "crc", "protocol");
   span.attr("bits", static_cast<double>(bits.size()));
+  static obs::Counter& parsed =
+      obs::metrics().counter("protocol.frames_parsed");
+  static obs::Counter& crc_failed =
+      obs::metrics().counter("protocol.frames_crc_failed");
   std::vector<ParsedFrame> frames;
   const std::size_t len = config.frame_bits();
+  if (bits.size() < len) return frames;
+  // One bit per byte, unpacked once; each offset then checks its frame's
+  // CRC residue in place (zero exactly when the CRC matches, see crc.h).
+  const std::vector<std::uint8_t> unpacked(bits.begin(), bits.end());
+  const std::span<const std::uint8_t> all(unpacked);
+  std::uint64_t tried = 0;
+  std::uint64_t failed = 0;
   std::size_t begin = 0;
   while (begin + len <= bits.size()) {
     // Cheap gate first: the anchor bit must be set.
-    if (!bits[begin]) {
+    if (unpacked[begin] == 0) {
       ++begin;
       continue;
     }
-    const std::vector<bool> chunk(
-        bits.begin() + static_cast<std::ptrdiff_t>(begin),
-        bits.begin() + static_cast<std::ptrdiff_t>(begin + len));
-    ParsedFrame parsed = parse_frame(chunk, config);
-    if (parsed.valid()) {
-      frames.push_back(std::move(parsed));
-      begin += len;
-    } else {
+    ++tried;
+    const std::span<const std::uint8_t> frame = all.subspan(begin, len);
+    const bool crc_ok = config.crc == CrcKind::kCrc5 ? crc5_epc(frame) == 0
+                                                     : crc16_ccitt(frame) == 0;
+    if (!crc_ok) {
+      ++failed;
       ++begin;
+      continue;
     }
+    ParsedFrame& out = frames.emplace_back();
+    out.anchor_ok = true;
+    out.crc_ok = true;
+    const auto payload = bits.begin() + static_cast<std::ptrdiff_t>(begin + 1);
+    out.payload.assign(
+        payload, payload + static_cast<std::ptrdiff_t>(config.payload_bits));
+    begin += len;
   }
+  parsed.add(tried);
+  crc_failed.add(failed);
   return frames;
 }
 

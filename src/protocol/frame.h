@@ -54,7 +54,10 @@ std::vector<ParsedFrame> parse_stream(const std::vector<bool>& bits,
 /// Resynchronizing parser: scans the stream for CRC-valid frames at *any*
 /// bit offset and returns the non-overlapping set, greedily left-to-right.
 /// Tolerant of bit slips (e.g. at the seams of windowed decoding) at the
-/// cost of O(bits x frame length) and the CRC's false-positive floor.
+/// cost of the CRC's false-positive floor and one CRC per offset whose
+/// anchor bit is set: frame length / 8 table steps over bits unpacked once,
+/// with no allocation until a frame passes. Every offset tried counts in
+/// protocol.frames_parsed, every CRC failure in protocol.frames_crc_failed.
 std::vector<ParsedFrame> scan_frames(const std::vector<bool>& bits,
                                      const FrameConfig& config);
 

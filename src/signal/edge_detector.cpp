@@ -13,6 +13,13 @@ namespace lfbs::signal {
 
 namespace {
 
+/// |after - before| of the two windowed means, from their sums and sample
+/// counts: the one formula of the |dS| series.
+double step_magnitude(Complex before_sum, double nb, Complex after_sum,
+                      double na) {
+  return std::abs(after_sum / na - before_sum / nb);
+}
+
 /// Differential magnitude series |S(t+) - S(t-)| for every sample.
 std::vector<double> differential_magnitude(std::span<const Complex> xs,
                                            const EdgeDetectorConfig& config) {
@@ -23,32 +30,35 @@ std::vector<double> differential_magnitude(std::span<const Complex> xs,
   // Prefix sums for O(1) windowed means.
   std::vector<Complex> prefix(xs.size() + 1);
   for (std::size_t i = 0; i < xs.size(); ++i) prefix[i + 1] = prefix[i] + xs[i];
-  const auto sum = [&](SampleIndex lo, SampleIndex hi) {  // [lo, hi)
-    lo = std::clamp<SampleIndex>(lo, 0, n);
-    hi = std::clamp<SampleIndex>(hi, 0, n);
-    if (hi <= lo) return Complex{};
-    return prefix[static_cast<std::size_t>(hi)] -
-           prefix[static_cast<std::size_t>(lo)];
+  const auto at = [&](SampleIndex i) {
+    return prefix[static_cast<std::size_t>(i)];
   };
 
   const auto w = static_cast<SampleIndex>(config.window);
   const auto g = static_cast<SampleIndex>(config.guard);
-  for (SampleIndex i = 0; i < n; ++i) {
-    const SampleIndex before_lo = i - g - w;
-    const SampleIndex before_hi = i - g;
-    const SampleIndex after_lo = i + g;
-    const SampleIndex after_hi = i + g + w;
-    const auto nb = static_cast<double>(
-        std::clamp<SampleIndex>(before_hi, 0, n) -
-        std::clamp<SampleIndex>(before_lo, 0, n));
-    const auto na = static_cast<double>(
-        std::clamp<SampleIndex>(after_hi, 0, n) -
-        std::clamp<SampleIndex>(after_lo, 0, n));
-    if (nb < 1.0 || na < 1.0) continue;  // too close to the buffer edge
-    const Complex before = sum(before_lo, before_hi) / nb;
-    const Complex after = sum(after_lo, after_hi) / na;
-    out[static_cast<std::size_t>(i)] = std::abs(after - before);
+  // Border samples: windows clipped to the buffer, skipped when empty.
+  const auto border = [&](SampleIndex i) {
+    const SampleIndex before_lo = std::clamp<SampleIndex>(i - g - w, 0, n);
+    const SampleIndex before_hi = std::clamp<SampleIndex>(i - g, 0, n);
+    const SampleIndex after_lo = std::clamp<SampleIndex>(i + g, 0, n);
+    const SampleIndex after_hi = std::clamp<SampleIndex>(i + g + w, 0, n);
+    if (before_hi <= before_lo || after_hi <= after_lo) return;
+    out[static_cast<std::size_t>(i)] = step_magnitude(
+        at(before_hi) - at(before_lo),
+        static_cast<double>(before_hi - before_lo),
+        at(after_hi) - at(after_lo), static_cast<double>(after_hi - after_lo));
+  };
+  // Interior samples [mid_lo, mid_hi): both windows hold exactly w samples.
+  const SampleIndex mid_lo = std::min(g + w, n);
+  const SampleIndex mid_hi = std::max(mid_lo, n - g - w + 1);
+  const auto full = static_cast<double>(w);
+  for (SampleIndex i = 0; i < mid_lo; ++i) border(i);
+  for (SampleIndex i = mid_lo; i < mid_hi; ++i) {
+    out[static_cast<std::size_t>(i)] =
+        step_magnitude(at(i - g) - at(i - g - w), full,
+                       at(i + g + w) - at(i + g), full);
   }
+  for (SampleIndex i = mid_hi; i < n; ++i) border(i);
   return out;
 }
 

@@ -59,23 +59,40 @@ double sorted_percentile(std::vector<double> xs, double p) {
 
 // percentile and median_mad select their order statistics instead of
 // sorting; the results must equal the sort's bit for bit, on both size
-// parities, with and without heavy ties.
+// parities, with and without heavy ties, on both sides of the size where
+// selection first narrows to one bucket of keys (an epoch's 37,500 |dS|
+// values, a stream window's 100,000), and on key layouts that stress the
+// buckets: values over 60 binades, values all in one bucket, and negative
+// values mixed with both zeros.
 TEST(Stats, SelectionEqualsFullSort) {
   Rng rng(1601);
   std::vector<std::size_t> sizes;
   for (std::size_t n = 1; n <= 12; ++n) sizes.push_back(n);
-  for (std::size_t n : {99u, 100u, 1023u, 1024u, 4999u, 5000u}) {
+  for (std::size_t n : {99u, 100u, 1023u, 1024u, 4999u, 5000u, 8191u, 8192u,
+                        37500u, 100000u}) {
     sizes.push_back(n);
   }
-  for (int i = 0; i < 30; ++i) sizes.push_back(1 + rng.uniform_u64(5000));
+  for (int i = 0; i < 30; ++i) sizes.push_back(1 + rng.uniform_u64(20000));
   for (const std::size_t n : sizes) {
-    for (int kind = 0; kind < 3; ++kind) {
+    for (int kind = 0; kind < 6; ++kind) {
       std::vector<double> xs(n);
       for (double& x : xs) {
         switch (kind) {
           case 0: x = rng.gaussian(0.0, 1.0); break;
           case 1: x = std::abs(rng.gaussian(0.0, 1.0)); break;  // like |dS|
-          default: x = 0.25 * static_cast<double>(rng.uniform_u64(5));  // ties
+          case 2: x = 0.25 * static_cast<double>(rng.uniform_u64(5)); break;
+          case 3:  // 60 binades
+            x = std::ldexp(rng.uniform(1.0, 2.0),
+                           static_cast<int>(rng.uniform_u64(61)) - 30);
+            break;
+          case 4: x = 1.0 + rng.uniform(0.0, 1e-3); break;  // one bucket
+          default:
+            switch (rng.uniform_u64(4)) {
+              case 0: x = -0.0; break;
+              case 1: x = 0.0; break;
+              case 2: x = -std::abs(rng.gaussian(0.0, 1.0)); break;
+              default: x = rng.gaussian(0.0, 1e-3);
+            }
         }
       }
       const std::vector<double> ps = {0.0,  5.0,  50.0, 95.0, 100.0,
@@ -189,15 +206,17 @@ TEST(Peaks, MinDistanceSuppressesNeighbours) {
   EXPECT_EQ(peaks[0].index, 10u);
 }
 
-TEST(Peaks, CircularDistance) {
-  std::vector<double> xs(20, 0.0);
-  xs[0] = 3.0;
-  xs[19] = 2.0;  // adjacent to 0 in circular mode
-  const auto linear = find_peaks(xs, {.min_value = 1.0, .min_distance = 3});
-  EXPECT_EQ(linear.size(), 2u);
-  const auto circular = find_peaks(
-      xs, {.min_value = 1.0, .min_distance = 3, .circular = true});
-  EXPECT_EQ(circular.size(), 1u);
+// Peaks 3 apart, all equal, with min_distance 4: each conflicts with its
+// neighbours, and the earlier index must win every time, whatever order
+// the sort leaves equal values in.
+TEST(Peaks, EqualPeaksEarlierIndexWins) {
+  std::vector<double> xs(300, 0.0);
+  for (std::size_t i = 1; i < xs.size(); i += 3) xs[i] = 1.0;
+  const auto peaks = find_peaks(xs, {.min_value = 0.5, .min_distance = 4});
+  ASSERT_EQ(peaks.size(), 50u);
+  for (std::size_t k = 0; k < peaks.size(); ++k) {
+    EXPECT_EQ(peaks[k].index, 1 + 6 * k);
+  }
 }
 
 TEST(Peaks, PlateauReportsOnce) {
@@ -213,6 +232,71 @@ TEST(Peaks, ThresholdFiltersNoise) {
   const auto peaks = find_peaks(xs, {.min_value = 0.8, .min_distance = 1});
   ASSERT_EQ(peaks.size(), 1u);
   EXPECT_EQ(peaks[0].index, 3u);
+}
+
+/// The pairwise accept loop find_peaks replaced: candidates in descending
+/// value (a stable sort keeps equal values in index order), each checked
+/// against every peak accepted so far.
+std::vector<Peak> pairwise_peaks(const std::vector<double>& xs,
+                                 const PeakOptions& opts) {
+  std::vector<Peak> candidates;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double prev = i > 0 ? xs[i - 1] : -1e300;
+    const double next = i + 1 < xs.size() ? xs[i + 1] : -1e300;
+    if (xs[i] >= opts.min_value && xs[i] > prev && xs[i] >= next) {
+      candidates.push_back({i, xs[i]});
+    }
+  }
+  std::stable_sort(
+      candidates.begin(), candidates.end(),
+      [](const Peak& a, const Peak& b) { return a.value > b.value; });
+  std::vector<Peak> accepted;
+  for (const Peak& c : candidates) {
+    const bool too_close =
+        std::any_of(accepted.begin(), accepted.end(), [&](const Peak& a) {
+          const std::size_t d =
+              a.index > c.index ? a.index - c.index : c.index - a.index;
+          return d < opts.min_distance;
+        });
+    if (!too_close) accepted.push_back(c);
+  }
+  return accepted;
+}
+
+TEST(Peaks, MatchesPairwiseReference) {
+  Rng rng(1801);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = trial < 3 ? static_cast<std::size_t>(trial)
+                                    : rng.uniform_u64(5001);
+    const int kind = trial % 4;
+    std::vector<double> xs(n);
+    for (double& x : xs) {
+      switch (kind) {
+        case 0: x = std::abs(rng.gaussian(0.0, 1.0)); break;  // noise
+        case 1: x = 0.5 * static_cast<double>(rng.uniform_u64(4)); break;
+        default: x = rng.uniform(0.0, 1.0);
+      }
+    }
+    if (kind >= 2) {  // planted plateaus and exact ties among them
+      for (int k = 0; k < 40 && n > 0; ++k) {
+        const std::size_t at = rng.uniform_u64(n);
+        const std::size_t width = 1 + rng.uniform_u64(4);
+        const double top = kind == 2 ? 3.0 : 2.0 + rng.uniform(0.0, 1.0);
+        for (std::size_t i = at; i < std::min(n, at + width); ++i) xs[i] = top;
+      }
+    }
+    const PeakOptions opts{
+        .min_value = trial % 5 == 0 ? 0.0 : rng.uniform(0.0, 1.5),
+        .min_distance = 1 + rng.uniform_u64(12)};
+    const auto got = find_peaks(xs, opts);
+    const auto want = pairwise_peaks(xs, opts);
+    ASSERT_EQ(got.size(), want.size())
+        << "trial " << trial << " n " << n << " d " << opts.min_distance;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].index, want[k].index) << "trial " << trial;
+      EXPECT_EQ(got[k].value, want[k].value) << "trial " << trial;
+    }
+  }
 }
 
 TEST(Resample, IdentityWhenRatesEqual) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "protocol/crc.h"
 #include "protocol/epoch.h"
 #include "protocol/frame.h"
@@ -112,6 +113,181 @@ TEST(Frame, ParseStreamSplitsConsecutiveFrames) {
   EXPECT_EQ(frames[0].payload, p1);
   EXPECT_EQ(frames[1].payload, p2);
   EXPECT_TRUE(frames[0].valid() && frames[1].valid());
+}
+
+/// The bitwise CRC definitions, one register step per bit, MSB first, over
+/// bits [begin, end).
+std::uint16_t bitwise_crc16(const std::vector<bool>& bits, std::size_t begin,
+                            std::size_t end) {
+  std::uint16_t reg = 0xFFFF;
+  for (std::size_t i = begin; i < end; ++i) {
+    const bool msb = (reg & 0x8000) != 0;
+    reg = static_cast<std::uint16_t>(reg << 1);
+    if (msb != bits[i]) reg ^= 0x1021;
+  }
+  return reg;
+}
+
+std::uint8_t bitwise_crc5(const std::vector<bool>& bits, std::size_t begin,
+                          std::size_t end) {
+  std::uint8_t reg = 0b01001;
+  for (std::size_t i = begin; i < end; ++i) {
+    const bool msb = (reg & 0b10000) != 0;
+    reg = static_cast<std::uint8_t>((reg << 1) & 0b11111);
+    if (msb != bits[i]) reg ^= 0b01001;
+  }
+  return reg;
+}
+
+/// The `width` bits before `end` as a number, MSB first.
+unsigned trailing_value(const std::vector<bool>& bits, std::size_t end,
+                        std::size_t width) {
+  unsigned v = 0;
+  for (std::size_t i = end - width; i < end; ++i) {
+    v = (v << 1) | (bits[i] ? 1 : 0);
+  }
+  return v;
+}
+
+// The table CRC, over packed and unpacked bits, equals the bitwise
+// definition at every length (every tail of 0-7 bits after whole bytes),
+// and the zero-residue checks accept exactly the strings whose trailing
+// bits equal the CRC of the bits before them.
+TEST(Crc, TableMatchesBitwise) {
+  Rng rng(1802);
+  for (std::size_t len = 0; len <= 200; ++len) {
+    for (int trial = 0; trial < 4; ++trial) {
+      auto bits = rng.bits(len);
+      const std::vector<std::uint8_t> unpacked(bits.begin(), bits.end());
+      EXPECT_EQ(crc16_ccitt(bits), bitwise_crc16(bits, 0, len)) << len;
+      EXPECT_EQ(crc16_ccitt(unpacked), bitwise_crc16(bits, 0, len)) << len;
+      EXPECT_EQ(crc5_epc(bits), bitwise_crc5(bits, 0, len)) << len;
+      EXPECT_EQ(crc5_epc(unpacked), bitwise_crc5(bits, 0, len)) << len;
+      // Half the strings end in their own CRC, half in random bits.
+      if (trial % 2 == 0 && len >= 16) {
+        const auto crc = bitwise_crc16(bits, 0, len - 16);
+        for (std::size_t b = 0; b < 16; ++b) {
+          bits[len - 16 + b] = ((crc >> (15 - b)) & 1) != 0;
+        }
+      }
+      EXPECT_EQ(check_crc16(bits),
+                len >= 16 && trailing_value(bits, len, 16) ==
+                                 bitwise_crc16(bits, 0, len - 16))
+          << len;
+      if (trial % 2 == 0 && len >= 5) {
+        const auto crc = bitwise_crc5(bits, 0, len - 5);
+        for (std::size_t b = 0; b < 5; ++b) {
+          bits[len - 5 + b] = ((crc >> (4 - b)) & 1) != 0;
+        }
+      }
+      EXPECT_EQ(check_crc5(bits),
+                len >= 5 && trailing_value(bits, len, 5) ==
+                                bitwise_crc5(bits, 0, len - 5))
+          << len;
+    }
+  }
+}
+
+/// The per-offset scan scan_frames replaced: at every offset whose anchor
+/// bit is set, copy the frame out and compare its trailing CRC bits with
+/// the bitwise CRC of the bits before them. Counts the offsets tried and
+/// the CRC failures.
+struct ReferenceScan {
+  std::vector<ParsedFrame> frames;
+  std::uint64_t tried = 0;
+  std::uint64_t failed = 0;
+};
+
+ReferenceScan per_offset_scan(const std::vector<bool>& bits,
+                              const FrameConfig& cfg) {
+  ReferenceScan out;
+  const std::size_t len = cfg.frame_bits();
+  const std::size_t crc = cfg.crc_bits();
+  std::size_t begin = 0;
+  while (begin + len <= bits.size()) {
+    if (!bits[begin]) {
+      ++begin;
+      continue;
+    }
+    ++out.tried;
+    const std::vector<bool> chunk(
+        bits.begin() + static_cast<std::ptrdiff_t>(begin),
+        bits.begin() + static_cast<std::ptrdiff_t>(begin + len));
+    const unsigned want = cfg.crc == CrcKind::kCrc5
+                              ? bitwise_crc5(chunk, 0, len - crc)
+                              : bitwise_crc16(chunk, 0, len - crc);
+    if (trailing_value(chunk, len, crc) != want) {
+      ++out.failed;
+      ++begin;
+      continue;
+    }
+    ParsedFrame f;
+    f.anchor_ok = true;
+    f.crc_ok = true;
+    f.payload.assign(chunk.begin() + 1,
+                     chunk.end() - static_cast<std::ptrdiff_t>(crc));
+    out.frames.push_back(std::move(f));
+    begin += len;
+  }
+  return out;
+}
+
+// Random threads of planted frames with slipped (dropped or inserted)
+// bits, flipped bits, runs of zeros and a trailing partial frame, for both
+// CRCs: scan_frames finds the same frames in the same order as the
+// per-offset reference, and counts the same offsets tried and failed.
+TEST(ScanFrames, MatchesPerOffsetReference) {
+  Rng rng(1803);
+  obs::Counter& parsed = obs::metrics().counter("protocol.frames_parsed");
+  obs::Counter& failed = obs::metrics().counter("protocol.frames_crc_failed");
+  for (int trial = 0; trial < 60; ++trial) {
+    FrameConfig cfg;
+    cfg.crc = trial % 2 == 0 ? CrcKind::kCrc16 : CrcKind::kCrc5;
+    cfg.payload_bits = trial % 3 == 0 ? 96 : 8 + rng.uniform_u64(40);
+    std::vector<bool> bits;
+    const std::size_t frames = rng.uniform_u64(12);
+    for (std::size_t f = 0; f < frames; ++f) {
+      auto frame = build_frame(rng.bits(cfg.payload_bits), cfg);
+      switch (rng.uniform_u64(5)) {
+        case 0:  // slip: a bit lost
+          frame.erase(frame.begin() + static_cast<std::ptrdiff_t>(
+                                          rng.uniform_u64(frame.size())));
+          break;
+        case 1:  // slip: a bit inserted
+          frame.insert(frame.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.uniform_u64(frame.size())),
+                       rng.bernoulli(0.5));
+          break;
+        case 2: {  // flip
+          const std::size_t at = rng.uniform_u64(frame.size());
+          frame[at] = !frame[at];
+          break;
+        }
+        default: break;
+      }
+      bits.insert(bits.end(), frame.begin(), frame.end());
+      if (rng.bernoulli(0.3)) {  // a run of zeros
+        bits.insert(bits.end(), rng.uniform_u64(30), false);
+      }
+    }
+    if (rng.bernoulli(0.5)) {  // trailing partial frame
+      const auto frame = build_frame(rng.bits(cfg.payload_bits), cfg);
+      bits.insert(bits.end(), frame.begin(),
+                  frame.begin() + static_cast<std::ptrdiff_t>(
+                                      rng.uniform_u64(frame.size())));
+    }
+    const ReferenceScan want = per_offset_scan(bits, cfg);
+    const std::uint64_t parsed_before = parsed.value();
+    const std::uint64_t failed_before = failed.value();
+    const auto got = scan_frames(bits, cfg);
+    EXPECT_EQ(parsed.value() - parsed_before, want.tried) << "trial " << trial;
+    EXPECT_EQ(failed.value() - failed_before, want.failed) << "trial " << trial;
+    ASSERT_EQ(got.size(), want.frames.size()) << "trial " << trial;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].payload, want.frames[k].payload) << "trial " << trial;
+      EXPECT_TRUE(got[k].valid()) << "trial " << trial;
+    }
+  }
 }
 
 TEST(RatePlan, PaperRatesAllDivideMax) {

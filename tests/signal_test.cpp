@@ -190,6 +190,50 @@ TEST_F(EdgeDetectorTest, AdaptiveThresholdMatchesGlobalOnStationaryNoise) {
   }
 }
 
+// Buffers too short for any sample to have both full windows, and just
+// long enough for one, two or three: |dS| switches between the clipped
+// border formula and the interior one at every such length, with a clean
+// unit step at every position. When some sample has full windows on both
+// sides of the step, the step is found; every edge lies in the buffer
+// and no mean difference of 0/1 levels exceeds 1.
+TEST(EdgeDetector, ShortBuffers) {
+  EdgeDetectorConfig cfg;
+  // Threshold at the median alone: a short clean buffer has no noise floor.
+  cfg.threshold_sigma = 0.0;
+  const EdgeDetector det(cfg);
+  const auto g = static_cast<SampleIndex>(cfg.guard);
+  const auto w = static_cast<SampleIndex>(cfg.window);
+  for (SampleIndex n = 1; n <= 2 * (g + w) + 2; ++n) {
+    for (SampleIndex step = 0; step <= n; ++step) {
+      SampleBuffer buf(1e6, static_cast<std::size_t>(n));
+      for (SampleIndex i = step; i < n; ++i) {
+        buf[static_cast<std::size_t>(i)] = {1.0, 0.0};
+      }
+      const auto edges = det.detect(buf);
+      bool found = false;
+      for (std::size_t k = 0; k < edges.size(); ++k) {
+        EXPECT_GE(edges[k].position, 0.0);
+        EXPECT_LE(edges[k].position, static_cast<double>(n - 1));
+        EXPECT_LE(edges[k].strength, 1.0 + 1e-12);
+        if (k > 0) {
+          EXPECT_LE(edges[k - 1].position, edges[k].position);
+        }
+        found = found || std::abs(edges[k].position -
+                                  static_cast<double>(step)) <=
+                             static_cast<double>(g) + 1.0;
+      }
+      // Some interior sample i (g + w <= i <= n - g - w) straddles the
+      // step: i - g <= step <= i + g.
+      const bool visible = step > 0 && step < n &&
+                           std::max(g + w, step - g) <=
+                               std::min(n - g - w, step + g);
+      if (visible) {
+        EXPECT_TRUE(found) << "n " << n << " step " << step;
+      }
+    }
+  }
+}
+
 TEST(NoiseTracker, ConstantSeriesFloorsThreshold) {
   // A constant |dS| series has zero MAD, so the sigma term vanishes and
   // the threshold must fall back to the absolute floor.

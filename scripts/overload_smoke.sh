@@ -11,10 +11,10 @@
 #   2. Report round-trip: the drill's telemetry must render through
 #      lfbs_report's "== overload ==" section, and the report's own ledger
 #      check must agree that the accounting closes.
-#   3. Gateway CLI: a malformed --quota spec and a bogus --slow-policy are
-#      typed usage errors (exit 2 with the offending clause named); a
-#      well-formed overload config must serve a capture to completion with
-#      a priority tail proving completeness.
+#   3. Gateway CLI: a malformed --quota spec, a zero connection limit and a
+#      removed quota key are typed usage errors (exit 2 with the offending
+#      clause named); a well-formed overload config must serve a capture to
+#      completion with a priority tail proving completeness.
 #
 # Usage: scripts/overload_smoke.sh [build-dir]   (default: build)
 set -e
@@ -59,26 +59,26 @@ echo "$report" | grep "frame ledger closes" || {
 echo "overload_smoke: report overload section round-trips"
 
 # --- 3. gateway CLI: typed quota errors, then a real admitted serve ----------
-bad_rc=0
-"$build/tools/lfbs_gateway" --scenario --quota "bogus=4" \
-    2> "$work/badquota.err" || bad_rc=$?
-if [ "$bad_rc" -ne 2 ]; then
-  echo "overload_smoke: bad --quota exited $bad_rc, expected 2" >&2
-  cat "$work/badquota.err" >&2
-  exit 1
-fi
-grep -q "bogus" "$work/badquota.err" || {
-  echo "overload_smoke: bad --quota error does not name the clause" >&2
-  cat "$work/badquota.err" >&2
-  exit 1
-}
-bad_rc=0
-"$build/tools/lfbs_gateway" --scenario --slow-policy sideways \
-    2> "$work/badpolicy.err" || bad_rc=$?
-if [ "$bad_rc" -ne 2 ]; then
-  echo "overload_smoke: bad --slow-policy exited $bad_rc, expected 2" >&2
-  exit 1
-fi
+# Each bad spec, then the text its error must name.
+for bad in "bogus=4 bogus" "conns=0 conns=0" "be-fps=1 be-fps"; do
+  spec="${bad% *}"
+  named="${bad#* }"
+  bad_rc=0
+  "$build/tools/lfbs_gateway" --scenario --quota "$spec" \
+      2> "$work/badquota.err" || bad_rc=$?
+  if [ "$bad_rc" -ne 2 ]; then
+    echo "overload_smoke: --quota $spec exited $bad_rc, expected 2" >&2
+    cat "$work/badquota.err" >&2
+    exit 1
+  fi
+  grep -q "error: bad --quota spec" "$work/badquota.err" &&
+    grep -q -- "$named" "$work/badquota.err" || {
+    echo "overload_smoke: --quota $spec error is untyped or does not name" \
+         "the clause" >&2
+    cat "$work/badquota.err" >&2
+    exit 1
+  }
+done
 echo "overload_smoke: malformed overload flags are typed usage errors"
 
 capture="$work/capture.lfbsiq"
@@ -87,8 +87,8 @@ portfile="$work/gateway.port"
 
 "$build/tools/lfbs_gateway" "$capture" \
     --port-file "$portfile" --wait-subscriber 10 --workers 2 \
-    --quota "conns=8,retry-after=0.2,be-queue-kb=64" \
-    --queue-budget-kb 256 --client-queue 128 --slow-policy drop &
+    --quota "conns=8,retry-after=0.2" \
+    --queue-budget-kb 256 --client-queue 128 &
 server_pid=$!
 
 tries=0

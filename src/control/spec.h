@@ -2,32 +2,11 @@
 
 #include <string>
 
-#include "common/check.h"
+#include "common/kv_spec.h"
 #include "common/units.h"
 #include "control/control_loop.h"
 
 namespace lfbs::control {
-
-/// What, structurally, is wrong with a control spec string — the same
-/// typed-error shape as net::QuotaError, so the gateway CLI reports all
-/// of its spec grammars the same way (exit 2, clause named).
-enum class ControlError {
-  kEmpty,     ///< spec or one of its clauses is empty
-  kBadKey,    ///< unknown key
-  kBadValue,  ///< value does not parse or is out of range
-};
-
-const char* to_string(ControlError code);
-
-class ControlParseError : public CheckError {
- public:
-  ControlParseError(ControlError code, const std::string& what)
-      : CheckError(what), code_(code) {}
-  ControlError code() const { return code_; }
-
- private:
-  ControlError code_;
-};
 
 /// Parsed `--control` configuration: the loop itself plus how the
 /// gateway should pace it.
@@ -53,11 +32,11 @@ struct ControlSpec {
 ///   forget=N           epochs unseen before a tag is forgotten (≥ 1)
 ///   period-ms=X        step the loop every X ms while the run streams
 ///
-/// Throws ControlParseError (typed) on anything else.
+/// Throws SpecParseError (common/kv_spec.h) on anything else.
 ControlSpec parse_control_spec(const std::string& spec);
 
 /// Validates a `policy=` name ("greedy" | "static"); throws
-/// ControlParseError(kBadValue) on anything else.
+/// SpecParseError(kBadValue) on anything else.
 std::string parse_policy_name(const std::string& name);
 
 }  // namespace lfbs::control

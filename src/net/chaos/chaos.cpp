@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "common/check.h"
 #include "common/kv_spec.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -37,35 +36,35 @@ ChaosConfig parse_chaos_config(const std::string& spec) {
     if (field.key == "seed") {
       config.seed = kv_u64(field);
     } else if (field.key == "refuse") {
-      config.refuse = kv_number(field);
+      config.refuse = kv_probability(field);
     } else if (field.key == "refuse-first") {
       config.refuse_first = kv_u64(field);
     } else if (field.key == "reset") {
-      config.reset = kv_number(field);
+      config.reset = kv_probability(field);
     } else if (field.key == "reset-limit") {
       config.reset_limit = kv_u64(field);
     } else if (field.key == "reset-skip") {
       config.reset_skip = kv_u64(field);
     } else if (field.key == "stall") {
-      config.stall = kv_number(field);
+      config.stall = kv_probability(field);
     } else if (field.key == "stall-ms") {
-      config.stall_duration = kv_number(field) * 1e-3;
+      config.stall_duration = kv_millis(field);
     } else if (field.key == "partition-in") {
-      config.partition_in = kv_number(field);
+      config.partition_in = kv_probability(field);
     } else if (field.key == "partition-out") {
-      config.partition_out = kv_number(field);
+      config.partition_out = kv_probability(field);
     } else if (field.key == "partition-ms") {
-      config.partition_duration = kv_number(field) * 1e-3;
+      config.partition_duration = kv_millis(field);
     } else if (field.key == "truncate") {
-      config.truncate = kv_number(field);
+      config.truncate = kv_probability(field);
     } else if (field.key == "corrupt") {
-      config.corrupt = kv_number(field);
+      config.corrupt = kv_probability(field);
     } else if (field.key == "delay") {
-      config.delay = kv_number(field);
+      config.delay = kv_probability(field);
     } else if (field.key == "delay-ms") {
-      config.delay_base = kv_number(field) * 1e-3;
+      config.delay_base = kv_millis(field);
     } else if (field.key == "jitter-ms") {
-      config.delay_jitter = kv_number(field) * 1e-3;
+      config.delay_jitter = kv_millis(field);
     } else if (field.key == "scope") {
       if (field.value == "connect") {
         config.on_connect = true;
@@ -77,11 +76,10 @@ ChaosConfig parse_chaos_config(const std::string& spec) {
         config.on_connect = true;
         config.on_accept = true;
       } else {
-        LFBS_CHECK_MSG(false, "chaos scope must be connect|accept|both, got: " +
-                                  field.value);
+        bad_value(field, "connect, accept or both");
       }
     } else {
-      LFBS_CHECK_MSG(false, "unknown chaos spec key: " + field.key);
+      bad_key(field, "chaos");
     }
   }
   return config;

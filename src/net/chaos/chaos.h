@@ -91,7 +91,8 @@ struct ChaosConfig {
 /// Keys: seed, refuse, refuse-first, reset, reset-limit, reset-skip,
 /// stall, stall-ms, partition-in, partition-out, partition-ms, truncate,
 /// corrupt, delay, delay-ms, jitter-ms, scope=connect|accept|both.
-/// Unknown keys throw CheckError (CLIs report them as usage errors).
+/// Probabilities lie in [0, 1] and durations (-ms) are ≥ 0; anything else
+/// throws SpecParseError (CLIs report it as a usage error).
 ChaosConfig parse_chaos_config(const std::string& spec);
 
 /// Ground truth of what the engine injected — tests replay a seed and

@@ -207,17 +207,17 @@ Bye FrameClient::run(const Callbacks& callbacks) {
         obs::metrics().counter("net.client_admission_denies").add();
         if (admission_retries_left > 0 &&
             !stop_.load(std::memory_order_relaxed)) {
-          // The server is overloaded, not broken: honor its retry-after
-          // hint (capped by our backoff ceiling, floored at the backoff
-          // initial when the server sent none), then redial. Sleep in
-          // slices so stop() stays responsive.
+          // The server is overloaded, not broken: wait out its retry-after
+          // hint as sent (backoff_initial when it sent none, or NaN), then
+          // redial. connect_timeout caps the wait so a hostile hint cannot
+          // park the client. Sleep in slices so stop() stays responsive.
           --admission_retries_left;
           ++counters_.retry_after_waits;
           obs::metrics().counter("net.client_retry_after_waits").add();
           Seconds wait = end.bye.retry_after > 0.0
                              ? end.bye.retry_after
                              : config_.backoff_initial;
-          wait = std::min(wait, config_.backoff_max);
+          wait = std::min(wait, config_.connect_timeout);
           const auto deadline =
               Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                  std::chrono::duration<double>(wait));
@@ -233,7 +233,7 @@ Bye FrameClient::run(const Callbacks& callbacks) {
         obs::metrics().counter("net.client_evictions").add();
         if (config_.reconnect_on_evict &&
             !stop_.load(std::memory_order_relaxed)) {
-          // The slow-consumer policy closed us; reconnecting immediately
+          // We hit our queue bound; reconnecting immediately
           // is the "must see the live stream" behaviour the relay wants.
           // The handshake above re-applies the current filter.
           continue;

@@ -57,14 +57,16 @@ struct FrameClientConfig {
   /// a kRelayHello follows the hello on every (re)connect, so the upstream
   /// can log/count its downstream relays.
   RelayHello relay_hello;
-  /// Service class announced in the hello. Priority subscribers are never
-  /// shed by an overloaded server (it backpressures its decode pipeline
-  /// instead); best-effort ones are the first to lose frames. The relay
-  /// always announces priority — federation links are infrastructure.
+  /// Service class announced in the hello. A priority subscriber never
+  /// loses a frame silently: the server's budget never sheds it, and at
+  /// its queue bound it is evicted (Bye(kEvicted)); best-effort ones lose
+  /// their oldest frames. The relay always announces priority —
+  /// federation links are infrastructure.
   ClientClass client_class = ClientClass::kBestEffort;
   /// How many typed admission denies (Bye(kAdmissionDenied)) to absorb by
-  /// waiting out the server's retry-after hint and redialing before run()
-  /// gives up and returns the deny. 0 = return on the first deny.
+  /// waiting out the server's retry-after hint (at most connect_timeout)
+  /// and redialing before run() gives up and returns the deny. 0 = return
+  /// on the first deny.
   std::size_t max_admission_retries = 4;
 };
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 
+#include "common/check.h"
 #include "net/socket.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -24,7 +25,6 @@ struct NetCounters {
   obs::Counter& replays_sent = obs::metrics().counter("net.replays_sent");
   obs::Counter& admission_denies =
       obs::metrics().counter("net.admission_denies");
-  obs::Counter& quota_sheds = obs::metrics().counter("net.quota_sheds");
   obs::Counter& budget_sheds = obs::metrics().counter("net.budget_sheds");
   obs::Counter& budget_refusals =
       obs::metrics().counter("net.budget_refusals");
@@ -44,12 +44,15 @@ NetCounters& net_metrics() {
   return counters;
 }
 
-/// Monotonic seconds for the per-client token buckets.
-double mono_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// Connections the accept loop takes beyond the connection limit: a dial
+/// past the limit is accepted and denied (typed, with the retry hint)
+/// instead of waiting in the kernel backlog, and the denied close once
+/// their bye flushes.
+constexpr std::size_t kDenyHeadroom = 64;
+/// Listen backlog, wide enough that a storm of dials reaches the typed
+/// deny path rather than rotting in SYN retries.
+constexpr int kListenBacklog = 128;
+constexpr const char* kDenyReason = "connection limit reached";
 
 }  // namespace
 
@@ -69,14 +72,11 @@ struct FrameServer::Client {
   bool subscribed = false;
   std::uint64_t relay_id = 0;  ///< non-zero once the peer sent a RelayHello
   ClientClass cls = ClientClass::kBestEffort;
-  bool class_counted = false;  ///< admission counted it; release at close
   SubscribeFilter filter;
   std::deque<QueuedMessage> queue;
   std::size_t queued_frames = 0;  ///< frame messages currently in `queue`
   std::size_t queue_bytes = 0;    ///< bytes in `queue` plus unfinished outbuf
   std::size_t budget_bytes = 0;   ///< frame bytes charged to the budget
-  TokenBucket bucket;             ///< per-client frames/sec quota
-  obs::Gauge* depth_gauge = nullptr;
   std::vector<std::uint8_t> outbuf;
   std::size_t out_off = 0;
   bool out_is_frame = false;
@@ -93,18 +93,17 @@ struct FrameServer::Impl {
   TcpListener listener;
   WakePipe wake;
 
-  Impl(const std::string& address, std::uint16_t port, int backlog)
-      : listener(address, port, backlog) {}
+  Impl(const std::string& address, std::uint16_t port)
+      : listener(address, port, kListenBacklog) {}
 };
 
 FrameServer::FrameServer(FrameServerConfig config)
-    : config_(std::move(config)),
-      admission_(config_.admission),
-      impl_(std::make_unique<Impl>(
-          config_.bind_address, config_.port,
-          // A storm of dials must reach the typed deny path, not rot in
-          // SYN retries, so admission widens the kernel backlog.
-          config_.admission.enabled ? 128 : 16)) {
+    : config_(std::move(config)) {
+  LFBS_CHECK_MSG(config_.admission.max_connections >= 1,
+                 "the connection limit must admit at least one client");
+  LFBS_CHECK_MSG(config_.replay_frames <= config_.send_queue_messages,
+                 "a replay must fit one client's queue bound");
+  impl_ = std::make_unique<Impl>(config_.bind_address, config_.port);
   if (obs::EventLog* log = obs::event_log()) {
     log->emit("net",
               {obs::Field::str("action", "listen"),
@@ -241,10 +240,6 @@ void FrameServer::note_queue_bytes_locked(Client& client,
                                         queue_bytes_total_ + ring_bytes_);
   net_metrics().queue_bytes_total.set(
       static_cast<double>(queue_bytes_total_ + ring_bytes_));
-  if (client.depth_gauge != nullptr) {
-    client.depth_gauge->set(static_cast<double>(
-        client.queue.size() + (client.outbuf.empty() ? 0 : 1)));
-  }
 }
 
 void FrameServer::drop_ring_front_locked() {
@@ -312,57 +307,27 @@ void FrameServer::enqueue_locked(Client& client,
                                  const std::vector<std::uint8_t>& bytes,
                                  bool is_frame) {
   const std::size_t need = bytes.size();
-  // Priority protection needs an overload layer to bound the overshoot;
-  // without admission or a budget a priority hello is informational only
-  // and the pre-overload per-queue policy applies to everyone.
-  const bool protect_priority =
-      admission_.enabled() || config_.budget != nullptr;
-  const bool priority =
-      client.cls == ClientClass::kPriority && protect_priority;
-  const ClassQuota& quota = admission_.config().quota(client.cls);
-  if (is_frame && admission_.enabled() && quota.max_frames_per_sec > 0.0 &&
-      !client.bucket.try_take_burst() &&
-      !client.bucket.try_take(mono_seconds())) {
-    // Shed by rate quota before the frame costs any queue memory.
-    ++counters_.quota_sheds;
-    net_metrics().quota_sheds.add();
-    return;
-  }
-  if (is_frame) {
-    if (priority) {
-      // A priority consumer must never silently miss a frame: over its
-      // byte quota it is evicted (typed) instead of dropped from.
-      if (quota.max_queue_bytes > 0 &&
-          client.queue_bytes + need > quota.max_queue_bytes) {
-        client.evict = true;
-        return;
-      }
-    } else {
-      const bool over_messages =
-          client.queue.size() >= config_.send_queue_messages;
-      const bool over_bytes =
-          admission_.enabled() && quota.max_queue_bytes > 0 &&
-          client.queue_bytes + need > quota.max_queue_bytes;
-      if (over_messages || over_bytes) {
-        if (config_.slow_consumer == SlowConsumerPolicy::kEvict ||
-            !drop_oldest_frame_locked(client)) {
-          // Evict by policy, or because nothing is sheddable (a
-          // control-only queue the peer is not draining): a stalled
-          // consumer.
-          client.evict = true;
-          return;
-        }
-        ++counters_.queue_drops;
-        net_metrics().queue_drops.add();
-      }
+  const bool priority = client.cls == ClientClass::kPriority;
+  // The queue bound counts frames only: control messages (acks, byes,
+  // stats) are part of the protocol and must get through.
+  if (is_frame && client.queued_frames >= config_.send_queue_messages) {
+    // At the bound the client's class decides. A priority consumer must
+    // never silently miss a frame, so it is evicted (typed) instead; a
+    // best-effort one loses its oldest queued frame, or is evicted when
+    // it has none to lose (a zero bound).
+    if (priority || !drop_oldest_frame_locked(client)) {
+      client.evict = true;
+      return;
     }
+    ++counters_.queue_drops;
+    net_metrics().queue_drops.add();
   }
   // Global budget. Only frames are charged — control messages (acks,
   // byes) are tiny, bounded, and unsheddable, so charging them would just
   // push the budget past its limit and trigger a spurious tier-2 shed.
   // Frames shed in tiers, and a priority frame that still cannot fit
-  // charges anyway — the BackpressureGate is what bounds that overshoot,
-  // never a dropped priority frame.
+  // charges anyway: the queue bound above caps that overshoot per client,
+  // and the BackpressureGate throttles the producer.
   if (config_.budget != nullptr && is_frame) {
     if (!config_.budget->try_charge(need) &&
         !shed_for_budget_locked(need)) {
@@ -455,10 +420,10 @@ void FrameServer::emit_event(const char* action, std::uint64_t client_id,
 void FrameServer::emit_overload_summary_locked() {
   if (overload_summary_emitted_) return;
   const bool active =
-      admission_.enabled() || config_.budget != nullptr ||
-      counters_.admission_denies + counters_.quota_sheds +
-              counters_.budget_sheds + counters_.budget_refusals +
-              counters_.ring_sheds + counters_.replay_truncated >
+      config_.budget != nullptr ||
+      counters_.admission_denies + counters_.budget_sheds +
+              counters_.budget_refusals + counters_.ring_sheds +
+              counters_.replay_truncated >
           0;
   if (!active) return;
   overload_summary_emitted_ = true;
@@ -470,7 +435,6 @@ void FrameServer::emit_overload_summary_locked() {
         "net",
         {obs::Field::str("action", "overload"),
          obs::Field::integer("denies", n(counters_.admission_denies)),
-         obs::Field::integer("quota_sheds", n(counters_.quota_sheds)),
          obs::Field::integer("budget_sheds", n(counters_.budget_sheds)),
          obs::Field::integer("budget_refusals",
                              n(counters_.budget_refusals)),
@@ -483,7 +447,7 @@ void FrameServer::emit_overload_summary_locked() {
                              n(counters_.replay_truncated)),
          obs::Field::integer("peak_queue_bytes",
                              n(counters_.queue_bytes_peak)),
-         obs::Field::num("retry_after", admission_.config().retry_after)});
+         obs::Field::num("retry_after", config_.admission.retry_after)});
   }
 }
 
@@ -495,22 +459,20 @@ std::size_t FrameServer::alive_clients_locked() const {
   return alive;
 }
 
-void FrameServer::deny_locked(Client& client,
-                              const AdmissionDecision& decision) {
+void FrameServer::deny_locked(Client& client) {
   ++counters_.admission_denies;
   net_metrics().admission_denies.add();
+  const Seconds retry_after = config_.admission.retry_after;
   if (obs::EventLog* log = obs::event_log()) {
     log->emit("net",
               {obs::Field::str("action", "admission-deny"),
                obs::Field::integer("client",
                                    static_cast<std::int64_t>(client.id)),
-               obs::Field::str("reason", decision.reason),
-               obs::Field::num("retry_after", decision.retry_after)});
+               obs::Field::str("reason", kDenyReason),
+               obs::Field::num("retry_after", retry_after)});
   }
   std::vector<std::uint8_t> bye;
-  encode_bye({ByeReason::kAdmissionDenied, decision.reason,
-              decision.retry_after},
-             bye);
+  encode_bye({ByeReason::kAdmissionDenied, kDenyReason, retry_after}, bye);
   enqueue_locked(client, bye, /*is_frame=*/false);
   client.closing = true;
 }
@@ -539,11 +501,6 @@ void FrameServer::close_client_locked(Client& client, const char* cause) {
   client.queued_frames = 0;
   client.outbuf.clear();
   client.out_off = 0;
-  if (client.class_counted) {
-    admission_.release_class(client.cls);
-    client.class_counted = false;
-  }
-  if (client.depth_gauge != nullptr) client.depth_gauge->set(0.0);
   ++counters_.disconnects;
   net_metrics().disconnects.add();
   if (client.subscribed) {
@@ -584,18 +541,6 @@ void FrameServer::handle_incoming(Client& client) {
           if (client.cls == ClientClass::kPriority) {
             ++counters_.priority_clients;
             net_metrics().priority_clients.add();
-          }
-          if (admission_.enabled()) {
-            const AdmissionDecision decision =
-                admission_.admit_class(client.cls);
-            if (!decision.admitted) {
-              deny_locked(client, decision);
-              continue;
-            }
-            client.class_counted = true;
-            const double fps =
-                admission_.config().quota(client.cls).max_frames_per_sec;
-            if (fps > 0.0) client.bucket = TokenBucket(fps, mono_seconds());
           }
           std::vector<std::uint8_t> ack;
           encode_ack({0, "lfbs-gateway"}, ack);
@@ -671,7 +616,7 @@ void FrameServer::handle_incoming(Client& client) {
           if (!replay.empty()) {
             // Heal a resubscriber's partition gap from the snapshot,
             // oldest first, through the subscriber's filter (applied
-            // above) and the same slow-consumer policy as live traffic.
+            // above) and the same queue bound as live traffic.
             // The overlap with frames it already saw is the consumer's
             // to dedup (by frame identity).
             std::size_t replayed = 0;
@@ -773,6 +718,12 @@ void FrameServer::pump_writes(Client& client) {
 void FrameServer::loop() {
   std::vector<PollItem> items;
   std::vector<Client*> polled;
+  // The fd bound: the connection limit plus kDenyHeadroom (written so that
+  // a huge limit cannot overflow).
+  const auto room_to_accept = [this] {
+    const std::size_t limit = config_.admission.max_connections;
+    return clients_.size() < limit || clients_.size() - limit < kDenyHeadroom;
+  };
   for (;;) {
     items.clear();
     polled.clear();
@@ -780,10 +731,7 @@ void FrameServer::loop() {
     {
       std::lock_guard lock(mutex_);
       if (stop_) break;
-      // max_clients is the fd bound; with admission on, the connection
-      // budget (max_connections < max_clients) refuses typed long before
-      // the fd bound stops the accept loop.
-      accepting = accepting_ && clients_.size() < config_.max_clients;
+      accepting = accepting_ && room_to_accept();
       items.push_back({impl_->wake.read_fd(), true, false});
       if (accepting) {
         items.push_back({impl_->listener.fd(), true, false});
@@ -815,28 +763,24 @@ void FrameServer::loop() {
             if (config_.send_buffer_bytes > 0) {
               conn.set_send_buffer(config_.send_buffer_bytes);
             }
-            const AdmissionDecision decision =
-                admission_.admit_connection(alive_clients_locked());
+            const bool admitted =
+                alive_clients_locked() < config_.admission.max_connections;
             auto client = std::make_unique<Client>(std::move(conn));
             // Shared across every FrameServer in the process (each loop
             // runs under its own instance mutex), so the counter must be
             // atomic.
             static std::atomic<std::uint64_t> next_id{1};
             client->id = next_id.fetch_add(1, std::memory_order_relaxed);
-            client->depth_gauge = &obs::metrics().gauge(
-                "net.client_queue_depth." + std::to_string(client->id));
             ++counters_.connects;
             net_metrics().connects.add();
             emit_event("connect", client->id);
-            if (!decision.admitted) {
+            if (!admitted) {
               // Typed refusal: the dial completed, the deny (with its
-              // retry-after hint) flushes, and the connection closes —
-              // instead of the old behaviour of parking the dial in the
-              // kernel backlog until the client's timeout.
-              deny_locked(*client, decision);
+              // retry-after hint) flushes, and the connection closes.
+              deny_locked(*client);
             }
             clients_.push_back(std::move(client));
-            if (clients_.size() >= config_.max_clients) break;
+            if (!room_to_accept()) break;
           }
         }
         ++at;

@@ -20,30 +20,25 @@
 
 namespace lfbs::net {
 
-/// What to do with a subscriber that cannot keep up with the frame stream
-/// once its bounded send queue fills. Either way the publishing thread never
-/// blocks on a stalled socket — the policies only choose what the slow
-/// client loses.
-enum class SlowConsumerPolicy {
-  /// Drop the oldest queued message and count it; the client stays
-  /// connected and sees the freshest frames it can absorb (tail -f shape).
-  kDropOldest,
-  /// Close the connection with Bye(kEvicted); a consumer that must see
-  /// every frame would rather reconnect than silently miss some.
-  kEvict,
-};
-
 struct FrameServerConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; FrameServer::port() reports the pick.
   std::uint16_t port = 0;
-  std::size_t max_clients = 64;
-  /// Per-client send queue bound, in messages. Combined with the kernel
-  /// send buffer this is the total slack a slow consumer gets.
+  /// The connection limit: max_connections (≥ 1) at once, and the
+  /// retry-after hint of the typed Bye(kAdmissionDenied) a dial past it
+  /// gets.
+  AdmissionConfig admission;
+  /// The per-client queue bound: frames queued to one client, whatever its
+  /// class. At the bound the class announced in the client's hello picks
+  /// the action: best-effort loses its oldest queued frame (queue_drops),
+  /// priority is evicted with Bye(kEvicted) and never loses a frame
+  /// silently. Combined with the kernel send buffer this is the total
+  /// slack a slow consumer gets. Must be ≥ replay_frames, so a replay fits
+  /// a fresh subscription and a priority resubscriber (a relay) is not
+  /// evicted by its own replay.
   std::size_t send_queue_messages = 256;
-  SlowConsumerPolicy slow_consumer = SlowConsumerPolicy::kDropOldest;
   /// Kernel send-buffer cap per accepted connection; 0 keeps the OS
-  /// default. Tests set this small to exercise the overflow policies.
+  /// default. Tests set this small to exercise the queue bound.
   std::size_t send_buffer_bytes = 0;
   /// How long shutdown(drain=true) waits for queues to flush.
   Seconds drain_timeout = 10.0;
@@ -55,24 +50,19 @@ struct FrameServerConfig {
   std::uint64_t origin_id = 0;
   /// Bounded ring of the most recently published frames (post origin
   /// stamping), replayed — oldest first, through the subscriber's filter
-  /// and slow-consumer policy — to any client whose subscribe sets
+  /// and queue bound — to any client whose subscribe sets
   /// SubscribeFilter::replay_recent. Partition recovery for relays and
   /// tailers: a resubscriber heals frames it missed while disconnected
   /// and dedups the overlap by frame identity. 0 (default) keeps no
   /// history and replays nothing.
   std::size_t replay_frames = 0;
-  /// Admission control: connection budget, per-class subscriber counts
-  /// and quotas, typed Bye(kAdmissionDenied) with a retry-after hint.
-  /// Disabled (default) keeps the pre-admission behaviour: the server
-  /// simply stops accepting at max_clients.
-  AdmissionConfig admission;
   /// Global byte budget over every per-client send queue plus the replay
   /// ring (callers may share the same budget with a shard coordinator's
   /// in-flight windows). When a frame cannot be charged the server sheds
   /// in tiers — replay-ring history first, then the oldest best-effort
   /// queued frames — and priority subscribers are never shed; their
-  /// overshoot is what `backpressure` bounds. nullptr = unbounded
-  /// (pre-budget behaviour). Caller-owned; must outlive the server.
+  /// frames charge regardless, bounded per client by send_queue_messages.
+  /// nullptr = unbounded. Caller-owned; must outlive the server.
   ResourceBudget* budget = nullptr;
   /// Engaged while `budget` is saturated, released once it drains below
   /// the low-water mark. Hand the same gate to RuntimeConfig::backpressure
@@ -107,8 +97,9 @@ class FrameServer {
   struct Counters {
     std::size_t connects = 0;
     std::size_t disconnects = 0;
-    std::size_t evictions = 0;        ///< slow consumers closed by policy
-    std::size_t queue_drops = 0;      ///< messages dropped by kDropOldest
+    std::size_t evictions = 0;        ///< clients closed at the queue bound
+    std::size_t queue_drops = 0;      ///< best-effort frames dropped at the
+                                      ///< queue bound
     std::size_t frames_sent = 0;      ///< frame messages fully written
     std::size_t protocol_errors = 0;  ///< clients that sent garbage
     std::size_t subscribers = 0;      ///< currently subscribed clients
@@ -119,7 +110,6 @@ class FrameServer {
     //   frames_enqueued == frames_sent + queue_drops
     //                      + budget_sheds + frames_discarded
     std::size_t admission_denies = 0;  ///< typed Bye(kAdmissionDenied) sent
-    std::size_t quota_sheds = 0;    ///< frames shed by a per-client fps quota
     std::size_t budget_sheds = 0;   ///< best-effort queued frames shed when
                                     ///< the global budget saturated
     std::size_t budget_refusals = 0;  ///< best-effort frames refused at
@@ -155,7 +145,7 @@ class FrameServer {
   void detach();
 
   /// Queues one frame to every subscribed client whose filter accepts it.
-  /// Never blocks: a full queue triggers the slow-consumer policy.
+  /// Never blocks: at a client's queue bound its class picks the action.
   void publish(const runtime::FrameEvent& event);
 
   /// Queues a RuntimeStats digest to every subscriber (filters do not
@@ -199,7 +189,7 @@ class FrameServer {
                   std::size_t a = 0, std::size_t b = 0);
   /// Queues a typed admission deny and marks the client to close once the
   /// bye flushes.
-  void deny_locked(Client& client, const AdmissionDecision& decision);
+  void deny_locked(Client& client);
   /// Frees `need` bytes of budget headroom by shedding, in tier order:
   /// replay-ring history first, then the oldest queued best-effort frames
   /// (deepest queue first). Returns true once try_charge(need) succeeds.
@@ -238,7 +228,6 @@ class FrameServer {
   std::uint64_t ring_frames_total_ = 0;  ///< frames ever pushed to the ring
   std::size_t ring_bytes_ = 0;
   std::size_t queue_bytes_total_ = 0;  ///< all client queues + outbufs
-  AdmissionController admission_;
   Counters counters_;
   bool overload_summary_emitted_ = false;
   bool stop_ = false;

@@ -56,9 +56,9 @@ class FdHandle {
 class TcpListener {
  public:
   /// `backlog` sizes the kernel's pending-connection queue. The default
-  /// suits a handful of steady subscribers; a gateway expecting connection
-  /// storms (admission control turned on) raises it so a burst of dials
-  /// reaches the typed deny path instead of timing out in SYN retries.
+  /// suits a handful of steady peers; the frame server raises it so a
+  /// burst of dials reaches its typed deny path instead of timing out in
+  /// SYN retries.
   TcpListener(const std::string& bind_address, std::uint16_t port,
               int backlog = 16);
 

@@ -168,10 +168,10 @@ struct Ack {
 
 enum class ByeReason : std::uint8_t {
   kEndOfStream = 0,    ///< server drained: every queued frame was delivered
-  kEvicted = 1,        ///< slow-consumer policy closed the connection
+  kEvicted = 1,        ///< a priority client hit its queue bound
   kProtocolError = 2,  ///< peer sent something unparseable
   kShuttingDown = 3,   ///< server stopping without a full drain
-  kAdmissionDenied = 4,  ///< over connection/class budget; retry later
+  kAdmissionDenied = 4,  ///< over the connection limit; retry later
 };
 
 const char* to_string(ByeReason reason);
@@ -180,8 +180,8 @@ struct Bye {
   ByeReason reason = ByeReason::kEndOfStream;
   std::string text;
   /// Hint accompanying kAdmissionDenied (v4): how long the refused client
-  /// should wait before redialing. FrameClient honors it (capped by its
-  /// backoff_max) instead of hammering an overloaded gateway.
+  /// should wait before redialing. FrameClient waits it out (capped by its
+  /// connect_timeout) instead of hammering an overloaded gateway.
   Seconds retry_after = 0.0;
 };
 

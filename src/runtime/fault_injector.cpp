@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/check.h"
 #include "common/kv_spec.h"
 
 namespace lfbs::runtime {
@@ -18,21 +17,21 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     if (field.key == "seed") {
       plan.seed = kv_u64(field);
     } else if (field.key == "drop") {
-      plan.drop_chunk = kv_number(field);
+      plan.drop_chunk = kv_probability(field);
     } else if (field.key == "truncate") {
-      plan.truncate_chunk = kv_number(field);
+      plan.truncate_chunk = kv_probability(field);
     } else if (field.key == "corrupt") {
-      plan.corrupt_sample = kv_number(field);
+      plan.corrupt_sample = kv_probability(field);
     } else if (field.key == "stall") {
-      plan.stall = kv_number(field);
+      plan.stall = kv_probability(field);
     } else if (field.key == "stall-ms") {
-      plan.stall_duration = kv_number(field) * 1e-3;
+      plan.stall_duration = kv_millis(field);
     } else if (field.key == "error") {
-      plan.transient_error = kv_number(field);
+      plan.transient_error = kv_probability(field);
     } else if (field.key == "eof") {
-      plan.premature_eof = kv_number(field);
+      plan.premature_eof = kv_probability(field);
     } else {
-      LFBS_CHECK_MSG(false, "unknown fault spec key: " + field.key);
+      bad_key(field, "fault");
     }
   }
   return plan;

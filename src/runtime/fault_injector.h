@@ -49,7 +49,8 @@ struct FaultPlan {
 /// Parses a comma-separated "key=value" fault spec, e.g.
 ///   "seed=7,drop=0.05,corrupt=0.01,stall=0.002,stall-ms=5,error=0.01,
 ///    truncate=0.02,eof=0.001"
-/// Unknown keys throw CheckError (the CLI reports them as a usage error).
+/// Probabilities lie in [0, 1] and stall-ms is ≥ 0; anything else throws
+/// SpecParseError (common/kv_spec.h; the CLI reports it as a usage error).
 FaultPlan parse_fault_plan(const std::string& spec);
 
 /// What a FaultInjectingSource actually did — ground truth the supervisor's

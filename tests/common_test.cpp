@@ -1,12 +1,22 @@
-// Tests for src/common: deterministic RNG, units, check macros.
+// Tests for src/common: deterministic RNG, units, check macros, and the
+// key=value spec grammar every spec flag shares.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
+#include "common/kv_spec.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "control/spec.h"
+#include "net/admission.h"
+#include "net/chaos/chaos.h"
+#include "runtime/fault_injector.h"
 
 namespace lfbs {
 namespace {
@@ -165,6 +175,61 @@ TEST(Check, ThrowsOnViolation) {
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("context message"),
               std::string::npos);
+  }
+}
+
+TEST(SpecGrammar, EveryGrammarRejectsTheSameBadInputsTyped) {
+  // The four spec grammars, each fed the same malformed inputs (written
+  // with one of its own integer keys), must answer with the same typed
+  // code; then each gets out-of-range values for its own keys.
+  struct Grammar {
+    const char* flag;
+    std::function<void(const std::string&)> parse;
+    std::string int_key;
+    std::vector<std::string> out_of_range;
+  };
+  const Grammar grammars[] = {
+      {"--quota", [](const std::string& s) { net::parse_quota_spec(s); },
+       "conns", {"conns=0", "retry-after=-1"}},
+      {"--control",
+       [](const std::string& s) { control::parse_control_spec(s); }, "seed",
+       {"min-confidence=1.5", "period-ms=-5"}},
+      {"--chaos", [](const std::string& s) { net::parse_chaos_config(s); },
+       "seed", {"refuse=1.5", "reset=-0.2", "stall-ms=-5", "jitter-ms=-1"}},
+      {"--inject-faults",
+       [](const std::string& s) { runtime::parse_fault_plan(s); }, "seed",
+       {"drop=1.5", "error=-0.1", "stall-ms=-5"}},
+  };
+  const auto code_of = [](const Grammar& g,
+                          const std::string& spec) -> std::optional<SpecError> {
+    try {
+      g.parse(spec);
+    } catch (const SpecParseError& e) {
+      return e.code();
+    }
+    return std::nullopt;
+  };
+  for (const Grammar& g : grammars) {
+    SCOPED_TRACE(g.flag);
+    const std::string& k = g.int_key;
+    const std::pair<std::string, SpecError> shared[] = {
+        {k + "=1,," + k + "=2", SpecError::kEmpty},
+        {"," + k + "=1", SpecError::kEmpty},
+        {k + "=1,", SpecError::kEmpty},
+        {",", SpecError::kEmpty},
+        {k, SpecError::kBadValue},  // no '='
+        {k + "=", SpecError::kBadValue},
+        {k + "=-1", SpecError::kBadValue},  // integers take no sign
+        {k + "=1x", SpecError::kBadValue},
+        {k + "=nan", SpecError::kBadValue},
+        {"no-such-key=1", SpecError::kBadKey},
+    };
+    for (const auto& [spec, want] : shared) {
+      EXPECT_EQ(code_of(g, spec), want) << spec;
+    }
+    for (const std::string& spec : g.out_of_range) {
+      EXPECT_EQ(code_of(g, spec), SpecError::kBadValue) << spec;
+    }
   }
 }
 

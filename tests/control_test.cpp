@@ -307,27 +307,27 @@ TEST(ControlSpec, RejectionsAreTyped) {
   const auto code_of = [](const std::string& spec) {
     try {
       parse_control_spec(spec);
-    } catch (const ControlParseError& e) {
+    } catch (const SpecParseError& e) {
       return e.code();
     }
     ADD_FAILURE() << "spec '" << spec << "' parsed";
-    return ControlError::kEmpty;
+    return SpecError::kEmpty;
   };
-  EXPECT_EQ(code_of(""), ControlError::kEmpty);
-  EXPECT_EQ(code_of(",,"), ControlError::kEmpty);  // clauses all empty
-  EXPECT_EQ(code_of("warp=9"), ControlError::kBadKey);
-  EXPECT_EQ(code_of("policy=chaotic"), ControlError::kBadValue);
-  EXPECT_EQ(code_of("alpha=1.5"), ControlError::kBadValue);
-  EXPECT_EQ(code_of("min-confidence=2"), ControlError::kBadValue);
-  EXPECT_EQ(code_of("budget=-1"), ControlError::kBadValue);
-  EXPECT_EQ(code_of("forget=0"), ControlError::kBadValue);
-  EXPECT_EQ(code_of("forget=-1"), ControlError::kBadValue);  // no sign
-  EXPECT_EQ(code_of("alpha=0.5oops"), ControlError::kBadValue);
-  EXPECT_EQ(code_of("budget=nan"), ControlError::kBadValue);
-  EXPECT_EQ(code_of("budget=12x"), ControlError::kBadValue);
-  EXPECT_EQ(code_of("budget=inf"), ControlError::kBadValue);
+  EXPECT_EQ(code_of(""), SpecError::kEmpty);
+  EXPECT_EQ(code_of(",,"), SpecError::kEmpty);  // clauses all empty
+  EXPECT_EQ(code_of("warp=9"), SpecError::kBadKey);
+  EXPECT_EQ(code_of("policy=chaotic"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("alpha=1.5"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("min-confidence=2"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("budget=-1"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("forget=0"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("forget=-1"), SpecError::kBadValue);  // no sign
+  EXPECT_EQ(code_of("alpha=0.5oops"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("budget=nan"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("budget=12x"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("budget=inf"), SpecError::kBadValue);
 
-  EXPECT_THROW(parse_policy_name("sorcery"), ControlParseError);
+  EXPECT_THROW(parse_policy_name("sorcery"), SpecParseError);
   EXPECT_EQ(parse_policy_name("static"), "static");
 }
 

@@ -1,5 +1,5 @@
 // Tests for the network gateway (src/net): the LFBW1 wire codec, the
-// poll-driven frame server and its slow-consumer policies, the
+// poll-driven frame server and its per-client queue bound, the
 // reconnecting frame client, the blocking Peer endpoint, and remote IQ
 // ingest. The load-bearing properties: frames received over a loopback TCP
 // hop are bit-identical to a direct FrameBus subscription, a stalled
@@ -522,14 +522,15 @@ TEST(FrameServerClient, ServerSideFilterNarrowsDelivery) {
 }
 
 /// A raw subscriber that completes the handshake and then never reads —
-/// the deliberately stalled client of the slow-consumer tests.
+/// the deliberately stalled client of the queue-bound tests.
 struct StalledSubscriber {
   TcpConnection conn;
 
-  explicit StalledSubscriber(std::uint16_t port)
+  explicit StalledSubscriber(std::uint16_t port,
+                             ClientClass cls = ClientClass::kBestEffort)
       : conn(TcpConnection::connect("127.0.0.1", port, 5.0)) {
     std::vector<std::uint8_t> bytes;
-    encode_hello({PeerRole::kFrameSubscriber, 0.0, "stalled"}, bytes);
+    encode_hello({PeerRole::kFrameSubscriber, 0.0, "stalled", cls}, bytes);
     encode_subscribe({}, bytes);
     std::size_t sent = 0;
     while (sent < bytes.size()) {
@@ -547,7 +548,6 @@ TEST(FrameServerClient, StalledClientDropsOldestWithoutDelayingHealthy) {
   // before 512 frames: 64 queued + a few dozen in the 2 KiB kernel buffer.
   sc.send_queue_messages = 64;
   sc.send_buffer_bytes = 2048;  // tiny SO_SNDBUF: the kernel can't hide it
-  sc.slow_consumer = SlowConsumerPolicy::kDropOldest;
   sc.drain_timeout = 2.0;
   FrameServer server(sc);
 
@@ -605,51 +605,74 @@ TEST(FrameServerClient, StalledClientDropsOldestWithoutDelayingHealthy) {
   EXPECT_EQ(counters.evictions, 0u);
 }
 
-TEST(FrameServerClient, StalledClientIsEvictedUnderEvictPolicy) {
-  FrameServerConfig sc;
-  sc.send_queue_messages = 64;  // see the kDropOldest test above
-  sc.send_buffer_bytes = 2048;
-  sc.slow_consumer = SlowConsumerPolicy::kEvict;
-  sc.drain_timeout = 5.0;
-  FrameServer server(sc);
-
-  StalledSubscriber stalled(server.port());
-
-  std::atomic<std::size_t> healthy_frames{0};
-  FrameClientConfig cc;
-  cc.port = server.port();
-  FrameClient client(cc);
-  std::thread tail([&] {
-    FrameClient::Callbacks callbacks;
-    callbacks.on_frame = [&](const runtime::FrameEvent&) {
-      ++healthy_frames;
-    };
-    client.run(callbacks);
-  });
-
-  ASSERT_TRUE(server.wait_for_subscriber(5.0));
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(5);
-  while (server.counters().subscribers < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(server.counters().subscribers, 2u);
-
+TEST(FrameServerClient, StalledPriorityClientIsEvictedAtItsBound) {
+  // Whatever else the server is configured with — the defaults, a
+  // connection limit, a byte budget — a priority subscriber that stops
+  // reading is evicted once, at its queue bound, and never loses a frame
+  // silently: every queue-bound drop is the best-effort tail's.
+  constexpr std::size_t kBound = 64;  // see the best-effort test above
   constexpr std::size_t kFrames = 512;
-  for (std::uint64_t i = 0; i < kFrames; ++i) {
-    server.publish(make_event(static_cast<std::size_t>(i), i));
-    if (i % 2 == 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ResourceBudget budget(256 * 1024);
+  for (const char* config : {"default", "connection limit", "budget"}) {
+    SCOPED_TRACE(config);
+    FrameServerConfig sc;
+    sc.send_queue_messages = kBound;
+    sc.send_buffer_bytes = 2048;
+    sc.drain_timeout = 5.0;
+    if (std::string(config) == "connection limit") {
+      sc.admission.max_connections = 8;
+    }
+    if (std::string(config) == "budget") sc.budget = &budget;
+    {
+      FrameServer server(sc);
+      StalledSubscriber stalled(server.port(), ClientClass::kPriority);
+
+      std::atomic<std::size_t> healthy_frames{0};
+      FrameClientConfig cc;
+      cc.port = server.port();
+      FrameClient client(cc);
+      std::thread tail([&] {
+        FrameClient::Callbacks callbacks;
+        callbacks.on_frame = [&](const runtime::FrameEvent&) {
+          ++healthy_frames;
+        };
+        client.run(callbacks);
+      });
+
+      const auto deadline = std::chrono::steady_clock::now() +
+                            std::chrono::seconds(5);
+      while (server.counters().subscribers < 2 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      ASSERT_EQ(server.counters().subscribers, 2u);
+
+      for (std::uint64_t i = 0; i < kFrames; ++i) {
+        server.publish(make_event(static_cast<std::size_t>(i), i));
+        if (i % 2 == 1) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      server.shutdown(/*drain=*/true);
+      tail.join();
+
+      const auto c = server.counters();
+      EXPECT_EQ(c.priority_clients, 1u);
+      EXPECT_EQ(c.evictions, 1u);
+      // What the evicted client still held is discarded at its close: at
+      // most the bound plus the one message half-written to its socket.
+      EXPECT_LE(c.frames_discarded, kBound + 1);
+      // Drops, sheds and refusals, all the tail's, account for every frame
+      // it did not receive.
+      EXPECT_EQ(healthy_frames.load() + c.queue_drops + c.budget_sheds +
+                    c.budget_refusals,
+                kFrames);
+      EXPECT_EQ(c.frames_enqueued, c.frames_sent + c.queue_drops +
+                                       c.budget_sheds + c.frames_discarded);
+    }
+    EXPECT_EQ(budget.used(), 0u);
   }
-  server.shutdown(/*drain=*/true);
-  tail.join();
-
-  EXPECT_EQ(healthy_frames.load(), kFrames);
-  const auto counters = server.counters();
-  EXPECT_EQ(counters.evictions, 1u);
-  EXPECT_EQ(counters.queue_drops, 0u);
 }
-
 
 TEST(FrameClient, EvictedClientReconnectsAndResubscribes) {
   // Deterministic evict→reconnect→resubscribe exercise against a raw
@@ -826,6 +849,45 @@ TEST(FrameServer, WaitForSubscriberTimesOutCleanly) {
   FrameServerConfig sc;
   FrameServer server(sc);
   EXPECT_FALSE(server.wait_for_subscriber(0.05));
+  server.shutdown(false);
+}
+
+TEST(FrameServer, RejectsAZeroConnectionLimitAndAReplayPastTheBound) {
+  FrameServerConfig closed;
+  closed.admission.max_connections = 0;
+  EXPECT_THROW(FrameServer{closed}, CheckError);
+  // A replay must fit one client's queue, or a priority resubscriber (a
+  // relay) would be evicted by its own replay on every reconnect.
+  FrameServerConfig long_replay;
+  long_replay.replay_frames = long_replay.send_queue_messages + 1;
+  EXPECT_THROW(FrameServer{long_replay}, CheckError);
+}
+
+TEST(FrameServer, ConnectsLeaveTheMetricsRegistryUnchanged) {
+  // A long-running gateway takes a connect for every reconnect and every
+  // denied dial; none of them may grow the process-global registry (and
+  // with it every snapshot and --metrics-out).
+  FrameServerConfig sc;
+  FrameServer server(sc);
+  const auto dial = [&] {
+    TcpConnection::connect("127.0.0.1", server.port(), 5.0).close();
+  };
+  const auto wait_closed = [&](std::size_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.counters().disconnects < n &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server.counters().disconnects, n);
+  };
+  dial();  // registers the server's own metrics
+  wait_closed(1);
+  const std::size_t gauges = obs::metrics().snapshot().gauges.size();
+  for (int i = 0; i < 200; ++i) dial();
+  wait_closed(201);
+  EXPECT_EQ(server.counters().connects, 201u);
+  EXPECT_EQ(obs::metrics().snapshot().gauges.size(), gauges);
   server.shutdown(false);
 }
 

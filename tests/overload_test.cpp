@@ -1,11 +1,11 @@
 // Tests for the gateway's overload protection (src/net/admission.* plus
 // the FrameServer/FrameClient/DecodeRuntime integration): the --quota
-// grammar and its typed errors, the admission primitives (token bucket,
-// resource budget, controller), typed Bye(kAdmissionDenied) with a
-// retry-after hint the client honors, tiered budget shedding that never
-// touches a priority subscriber, bounded (never deadlocking)
-// backpressure into the decode pipeline, typed replay-ring truncation,
-// and — the load-bearing invariant — a frame ledger that closes exactly:
+// grammar and its typed errors, the resource budget, typed
+// Bye(kAdmissionDenied) at the connection limit with a retry-after hint
+// the client waits out, tiered budget shedding that never touches a
+// priority subscriber, bounded (never deadlocking) backpressure into the
+// decode pipeline, typed replay-ring truncation, and — the load-bearing
+// invariant — a frame ledger that closes exactly:
 //   frames_enqueued == frames_sent + queue_drops + budget_sheds
 //                      + frames_discarded
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "channel/channel_model.h"
+#include "common/kv_spec.h"
 #include "common/rng.h"
 #include "net/admission.h"
 #include "net/frame_client.h"
@@ -99,76 +100,55 @@ void expect_ledger_closes(const FrameServer::Counters& c) {
 // --- quota grammar -------------------------------------------------------
 
 TEST(QuotaSpec, ParsesFullGrammar) {
-  const AdmissionConfig config = parse_quota_spec(
-      "conns=12,retry-after=0.25,be-clients=8,be-fps=100,be-queue-kb=64,"
-      "prio-clients=2,prio-fps=500,prio-queue-kb=256");
-  EXPECT_TRUE(config.enabled);
+  const AdmissionConfig config = parse_quota_spec("conns=12,retry-after=0.25");
   EXPECT_EQ(config.max_connections, 12u);
   EXPECT_EQ(config.retry_after, 0.25);
-  EXPECT_EQ(config.best_effort.max_clients, 8u);
-  EXPECT_EQ(config.best_effort.max_frames_per_sec, 100.0);
-  EXPECT_EQ(config.best_effort.max_queue_bytes, 64u * 1024);
-  EXPECT_EQ(config.priority.max_clients, 2u);
-  EXPECT_EQ(config.priority.max_frames_per_sec, 500.0);
-  EXPECT_EQ(config.priority.max_queue_bytes, 256u * 1024);
 }
 
 TEST(QuotaSpec, PartialSpecLeavesOtherKnobsUnlimited) {
-  const AdmissionConfig config = parse_quota_spec("conns=4");
-  EXPECT_TRUE(config.enabled);
-  EXPECT_EQ(config.max_connections, 4u);
-  EXPECT_EQ(config.best_effort.max_clients, 0u);       // unlimited
-  EXPECT_EQ(config.best_effort.max_queue_bytes, 0u);   // unlimited
-  EXPECT_EQ(config.priority.max_frames_per_sec, 0.0);  // unlimited
+  // Either clause alone sets only itself; the other keeps its default, so
+  // a partial spec never tightens a limit it does not name.
+  const AdmissionConfig conns_only = parse_quota_spec("conns=4");
+  EXPECT_EQ(conns_only.max_connections, 4u);
+  EXPECT_EQ(conns_only.retry_after, AdmissionConfig{}.retry_after);
+  const AdmissionConfig retry_only = parse_quota_spec("retry-after=1");
+  EXPECT_EQ(retry_only.retry_after, 1.0);
+  EXPECT_EQ(retry_only.max_connections, AdmissionConfig{}.max_connections);
 }
 
 TEST(QuotaSpec, ErrorsAreTyped) {
   const auto code_of = [](const std::string& spec) {
     try {
       parse_quota_spec(spec);
-    } catch (const QuotaParseError& e) {
+    } catch (const SpecParseError& e) {
       return e.code();
     }
     ADD_FAILURE() << "spec '" << spec << "' did not throw";
-    return QuotaError::kEmpty;
+    return SpecError::kEmpty;
   };
-  EXPECT_EQ(code_of(""), QuotaError::kEmpty);
-  EXPECT_EQ(code_of("conns=4,,be-fps=1"), QuotaError::kEmpty);
-  EXPECT_EQ(code_of("bogus=4"), QuotaError::kBadKey);
-  EXPECT_EQ(code_of("conns"), QuotaError::kBadValue);  // key with no '='
-  EXPECT_EQ(code_of("conns=abc"), QuotaError::kBadValue);
-  EXPECT_EQ(code_of("retry-after=-1"), QuotaError::kBadValue);
-  // Counts are integers, numbers finite, byte sizes within size_t.
-  EXPECT_EQ(code_of("conns=nan"), QuotaError::kBadValue);
-  EXPECT_EQ(code_of("be-queue-kb=1e30"), QuotaError::kBadValue);
-  EXPECT_EQ(code_of("prio-clients=inf"), QuotaError::kBadValue);
-  EXPECT_EQ(code_of("conns=4.5"), QuotaError::kBadValue);
-  EXPECT_EQ(code_of("be-queue-kb=18446744073709551615"), QuotaError::kBadValue);
-  EXPECT_EQ(code_of("be-fps=inf"), QuotaError::kBadValue);
-  // QuotaParseError stays catchable as the generic CheckError.
+  EXPECT_EQ(code_of(""), SpecError::kEmpty);
+  EXPECT_EQ(code_of("conns=4,,retry-after=1"), SpecError::kEmpty);
+  EXPECT_EQ(code_of("bogus=4"), SpecError::kBadKey);
+  // conns and retry-after are the only keys.
+  for (const char* removed : {"be-clients=1", "be-fps=1", "be-queue-kb=1",
+                              "prio-clients=1", "prio-fps=1",
+                              "prio-queue-kb=1"}) {
+    EXPECT_EQ(code_of(removed), SpecError::kBadKey) << removed;
+  }
+  EXPECT_EQ(code_of("conns"), SpecError::kBadValue);  // key with no '='
+  EXPECT_EQ(code_of("conns=abc"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("conns=0"), SpecError::kBadValue);  // admits no one
+  EXPECT_EQ(code_of("retry-after=-1"), SpecError::kBadValue);
+  // Counts are integers, numbers finite.
+  EXPECT_EQ(code_of("conns=nan"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("conns=inf"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("conns=4.5"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("retry-after=inf"), SpecError::kBadValue);
+  // SpecParseError stays catchable as the generic CheckError.
   EXPECT_THROW(parse_quota_spec("nope=1"), CheckError);
 }
 
 // --- admission primitives ------------------------------------------------
-
-TEST(TokenBucketTest, RefillsAtRateAndCapsBurst) {
-  TokenBucket bucket(4.0, /*now=*/0.0);  // 4 frames/sec, burst 4
-  EXPECT_TRUE(bucket.try_take(0.0));
-  EXPECT_TRUE(bucket.try_take(0.0));
-  EXPECT_TRUE(bucket.try_take(0.0));
-  EXPECT_TRUE(bucket.try_take(0.0));
-  EXPECT_FALSE(bucket.try_take(0.0));  // burst spent
-  EXPECT_FALSE(bucket.try_take(0.1));  // 0.4 tokens accrued: still short
-  EXPECT_TRUE(bucket.try_take(0.25));  // a full token by now
-  // A long idle stretch refills to the burst cap, not beyond.
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(bucket.try_take(100.0));
-  EXPECT_FALSE(bucket.try_take(100.0));
-}
-
-TEST(TokenBucketTest, ZeroRateAlwaysAdmits) {
-  TokenBucket bucket;
-  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(bucket.try_take(0.0));
-}
 
 TEST(ResourceBudgetTest, ChargesReleasesAndTracksPeak) {
   ResourceBudget budget(1000);
@@ -187,27 +167,6 @@ TEST(ResourceBudgetTest, ChargesReleasesAndTracksPeak) {
   budget.release(1500);
   EXPECT_EQ(budget.used(), 0u);
   EXPECT_EQ(budget.peak(), 1500u);  // peak is sticky
-}
-
-TEST(AdmissionControllerTest, ConnectionBudgetAndClassCounts) {
-  AdmissionConfig config;
-  config.enabled = true;
-  config.max_connections = 2;
-  config.retry_after = 0.75;
-  config.best_effort.max_clients = 1;
-  config.priority.max_clients = 1;
-  AdmissionController controller(config);
-
-  EXPECT_TRUE(controller.admit_connection(1).admitted);
-  const AdmissionDecision deny = controller.admit_connection(2);
-  EXPECT_FALSE(deny.admitted);
-  EXPECT_EQ(deny.retry_after, 0.75);
-
-  EXPECT_TRUE(controller.admit_class(ClientClass::kBestEffort).admitted);
-  EXPECT_FALSE(controller.admit_class(ClientClass::kBestEffort).admitted);
-  EXPECT_TRUE(controller.admit_class(ClientClass::kPriority).admitted);
-  controller.release_class(ClientClass::kBestEffort);
-  EXPECT_TRUE(controller.admit_class(ClientClass::kBestEffort).admitted);
 }
 
 TEST(BackpressureGateTest, WaitIsBoundedAndReleaseWakes) {
@@ -268,7 +227,6 @@ TEST(WireV4, ClassRetryAfterAndShortfallRoundTrip) {
 
 TEST(Admission, OverBudgetDialGetsTypedDenyWithRetryHint) {
   FrameServerConfig sc;
-  sc.admission.enabled = true;
   sc.admission.max_connections = 1;
   sc.admission.retry_after = 0.3;
   FrameServer server(sc);
@@ -299,7 +257,6 @@ TEST(Admission, OverBudgetDialGetsTypedDenyWithRetryHint) {
 
 TEST(Admission, DeniedClientHonorsRetryAfterAndGetsInWhenSlotFrees) {
   FrameServerConfig sc;
-  sc.admission.enabled = true;
   sc.admission.max_connections = 1;
   sc.admission.retry_after = 0.05;
   FrameServer server(sc);
@@ -357,71 +314,47 @@ TEST(Admission, DeniedClientHonorsRetryAfterAndGetsInWhenSlotFrees) {
   EXPECT_EQ(patient.counters().connects, 1u);
 }
 
-TEST(Admission, ClassQuotaDeniesAtHelloTime) {
-  FrameServerConfig sc;
-  sc.admission.enabled = true;  // connections unlimited; class quota binds
-  sc.admission.best_effort.max_clients = 1;
-  FrameServer server(sc);
-
-  FrameClientConfig bc;
-  bc.port = server.port();
-  bc.name = "be-1";
-  FrameClient first(bc);
-  std::thread first_thread([&] { first.run({}); });
-  wait_for_subscribers(server, 1);
-
-  FrameClientConfig bc2 = bc;
-  bc2.name = "be-2";
-  bc2.max_admission_retries = 0;
-  FrameClient second(bc2);
-  EXPECT_EQ(second.run({}).reason, ByeReason::kAdmissionDenied);
-
-  // A priority subscriber is a different class: still admitted.
-  FrameClientConfig pc;
-  pc.port = server.port();
-  pc.name = "prio";
-  pc.client_class = ClientClass::kPriority;
-  FrameClient prio(pc);
-  std::thread prio_thread([&] {
-    EXPECT_EQ(prio.run({}).reason, ByeReason::kEndOfStream);
-  });
-  wait_for_subscribers(server, 2);
-  EXPECT_EQ(server.counters().priority_clients, 1u);
-
-  server.shutdown(/*drain=*/true);
-  first_thread.join();
-  prio_thread.join();
-}
-
-TEST(Admission, QuotaShedsExcessFramesPerSecond) {
-  FrameServerConfig sc;
-  sc.admission.enabled = true;
-  sc.admission.best_effort.max_frames_per_sec = 8.0;  // burst of 8
-  sc.drain_timeout = 2.0;
-  FrameServer server(sc);
-
-  std::atomic<std::size_t> received{0};
+TEST(Admission, RetryAfterHintIsWaitedInFull) {
+  // A scripted server denies the first dial with a 0.3 s hint; the
+  // client's redial must come no sooner, however short its own backoff
+  // ceiling.
+  TcpListener listener("127.0.0.1", 0);
   FrameClientConfig cc;
-  cc.port = server.port();
+  cc.port = listener.port();
+  cc.backoff_max = 0.05;
+  cc.max_admission_retries = 1;
   FrameClient client(cc);
-  std::thread tail([&] {
-    FrameClient::Callbacks callbacks;
-    callbacks.on_frame = [&](const runtime::FrameEvent&) { ++received; };
-    client.run(callbacks);
-  });
-  wait_for_subscribers(server, 1);
+  std::thread tail([&] { client.run({}); });
 
-  // 64 frames in one burst against a bucket holding 8: the overflow is
-  // shed at enqueue (typed), not queued.
-  for (std::uint64_t i = 0; i < 64; ++i) server.publish(make_event(i));
-  server.shutdown(/*drain=*/true);
+  const auto accept_one = [&] {
+    const auto deadline = Clock::now() + std::chrono::seconds(5);
+    while (Clock::now() < deadline) {
+      FdHandle fd = listener.accept();
+      if (fd.valid()) return TcpConnection(std::move(fd));
+      std::vector<PollItem> items{{listener.fd(), true, false}};
+      poll_fds(items, 10);
+    }
+    throw SocketError("client never dialed");
+  };
+  TcpConnection first = accept_one();
+  std::vector<std::uint8_t> bye;
+  encode_bye({ByeReason::kAdmissionDenied, "full", /*retry_after=*/0.3}, bye);
+  std::size_t sent = 0;
+  while (sent < bye.size()) {
+    const std::ptrdiff_t n = first.write_some(bye.data() + sent,
+                                              bye.size() - sent);
+    if (n > 0) sent += static_cast<std::size_t>(n);
+  }
+  // `first` stays open until the redial: closing it over the client's
+  // unread handshake would reset the connection under the Bye.
+  const auto denied_at = Clock::now();
+
+  TcpConnection second = accept_one();
+  const auto redial = Clock::now() - denied_at;
+  EXPECT_GE(redial, std::chrono::milliseconds(300));
+  client.stop();
   tail.join();
-
-  const auto c = server.counters();
-  EXPECT_GT(c.quota_sheds, 0u);
-  EXPECT_EQ(c.quota_sheds + c.frames_enqueued, 64u);
-  EXPECT_EQ(received.load(), c.frames_sent);
-  expect_ledger_closes(c);
+  EXPECT_EQ(client.counters().retry_after_waits, 1u);
 }
 
 TEST(Overload, TieredSheddingNeverTouchesThePrioritySubscriber) {
@@ -588,7 +521,6 @@ TEST(Overload, ReplayTruncationIsTypedAndAcked) {
 
 TEST(Overload, ThirtyTwoClientStormAccountingClosesExactly) {
   FrameServerConfig sc;
-  sc.admission.enabled = true;
   sc.admission.max_connections = 4;
   sc.admission.retry_after = 0.1;
   FrameServer server(sc);

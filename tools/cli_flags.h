@@ -1,9 +1,9 @@
 #pragma once
 
-// Numeric command-line flags of the lfbs_* tools, parsed with the grammar
-// every spec flag uses (common/kv_spec.h): the whole value must parse,
-// integers take no sign, numbers must be finite. A bad flag value is a
-// usage error: one line naming the flag on stderr, then exit status 2.
+// Numeric and spec command-line flags of the lfbs_* tools, parsed with the
+// grammar every spec flag uses (common/kv_spec.h): the whole value must
+// parse, integers take no sign, numbers must be finite. A bad flag value is
+// a usage error: one line naming the flag on stderr, then exit status 2.
 
 #include <cstdint>
 #include <cstdio>
@@ -52,6 +52,20 @@ inline double flag_number(const std::string& flag, const char* value) {
   }
   std::fprintf(stderr, "error: %s wants a finite number, got '%s'\n",
                flag.c_str(), value);
+  std::exit(2);
+}
+
+/// `spec` parsed by `parse` (one of the key=value spec grammars); a
+/// SpecParseError names the flag, the error's kind and the clause.
+template <typename Parse>
+auto flag_spec(const std::string& flag, const std::string& spec,
+               Parse parse) {
+  try {
+    return parse(spec);
+  } catch (const SpecParseError& e) {
+    std::fprintf(stderr, "error: bad %s spec (%s): %s\n", flag.c_str(),
+                 to_string(e.code()), e.what());
+  }
   std::exit(2);
 }
 

@@ -224,12 +224,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--resample" && i + 1 < argc) {
       resample_msps = tools::flag_number(arg, argv[++i]);
     } else if (arg == "--inject-faults" && i + 1 < argc) {
-      try {
-        fault_plan = runtime::parse_fault_plan(argv[++i]);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-      }
+      fault_plan = tools::flag_spec(arg, argv[++i], runtime::parse_fault_plan);
       inject_faults = true;
     } else if (arg == "--edge-only") {
       dc.collision_recovery = false;

@@ -30,28 +30,25 @@
 //   --port-file PATH    write the bound frame port to PATH (for scripts)
 //   --wait-subscriber S wait up to S seconds for a subscriber before
 //                       decoding starts (so a tail sees the whole stream)
-//   --client-queue N    per-client send queue bound, messages (default 256)
-//   --slow-policy P     drop | evict: what a slow consumer loses (drop =
-//                       oldest queued frame, evict = the connection)
+//   --client-queue N    per-client queue bound, frames (default 256); at
+//                       the bound a best-effort client loses its oldest
+//                       queued frame, a priority client is evicted
 //   --send-buffer N     kernel send-buffer bytes per client (testing)
 //   --workers N         decode worker threads (default 4)
 //   --crc5 / --payload N / --windowed MS   decoder knobs (as lfbs_decode)
 //   --trace-out PATH    JSONL telemetry incl. net.* events ("-" = stdout)
 //
-// Overload protection (serve/relay; see docs/DESIGN.md §4h):
-//   --quota SPEC        admission control: comma-separated key=value —
-//                       conns=N, retry-after=S, be-clients=N, be-fps=X,
-//                       be-queue-kb=N, prio-clients=N, prio-fps=X,
-//                       prio-queue-kb=N. Over-budget dials get a typed
-//                       Bye(admission-denied) with a retry-after hint.
+// Overload protection (serve/relay; see docs/DESIGN.md §4h), three limits:
+//   --quota SPEC        the connection limit: conns=N (default 64, N ≥ 1)
+//                       and retry-after=S (default 0.5). Dials past it get
+//                       a typed Bye(admission-denied) with the hint.
+//   --client-queue N    the per-client queue bound (above).
 //   --queue-budget-kb N global byte budget across every per-client send
 //                       queue, the replay ring, and the shard
 //                       coordinator's in-flight windows. Saturation sheds
 //                       best-effort traffic in tiers (ring history first)
 //                       and backpressures the decode pipeline; priority
 //                       subscribers are never shed.
-//   --max-clients N     accepted-fd bound (default: admission conns + 64
-//                       headroom so over-budget dials reach the deny path)
 //   --priority          tail only: announce ClientClass::kPriority
 //
 // The server publishes a final stats message (frames_published et al.)
@@ -68,9 +65,10 @@
 // 2 on any other failure (bad dial, refused handshake, usage).
 //
 // Robustness knobs:
-//   --replay N   serve/relay: keep the last N published frames and replay
-//                them to subscribers that ask (filter replay_recent) — the
-//                partition-recovery ring relay links heal from
+//   --replay N   serve/relay: keep the last N published frames (N at most
+//                --client-queue) and replay them to subscribers that ask
+//                (filter replay_recent) — the partition-recovery ring relay
+//                links heal from
 //   --chaos SPEC deterministic socket fault injection for this process
 //                (key=value[,key=value...]; see docs/DESIGN.md §4g). Test
 //                instrumentation only — faults are injected, not real.
@@ -138,11 +136,11 @@ void usage() {
       "                    --gateway-id N [--hop-limit N] [serve options]\n"
       "       lfbs_gateway --shard-worker [--port N] [--port-file PATH]\n"
       "serve options: [--port N] [--port-file PATH] [--wait-subscriber S]\n"
-      "               [--client-queue N] [--slow-policy drop|evict]\n"
-      "               [--send-buffer N] [--workers N] [--crc5] [--payload N]\n"
+      "               [--client-queue N] [--send-buffer N] [--workers N]\n"
+      "               [--crc5] [--payload N]\n"
       "               [--windowed MS] [--gateway-id N] [--shard HOST:PORT]\n"
       "               [--replay N] [--trace-out PATH] [--chaos SPEC]\n"
-      "overload:      [--quota SPEC] [--queue-budget-kb N] [--max-clients N]\n"
+      "overload:      [--quota SPEC] [--queue-budget-kb N]\n"
       "               (tail: [--priority])\n"
       "control plane: [--control SPEC]   (client: --control-get HOST:PORT)\n");
 }
@@ -356,7 +354,6 @@ int main(int argc, char** argv) {
   std::string iq_port_file;
   double wait_subscriber = 0.0;
   std::size_t queue_frames = 256;
-  bool evict_slow = false;
   std::size_t send_buffer = 0;
   std::size_t workers = 4;
   double window_ms = 0.0;
@@ -377,7 +374,6 @@ int main(int argc, char** argv) {
   std::string control_spec;
   std::string control_get_spec;
   std::size_t queue_budget_kb = 0;
-  std::size_t max_clients = 0;
   bool tail_priority = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -408,18 +404,6 @@ int main(int argc, char** argv) {
       wait_subscriber = tools::flag_number(arg, argv[++i]);
     } else if (arg == "--client-queue" && i + 1 < argc) {
       queue_frames = tools::flag_u64(arg, argv[++i]);
-    } else if (arg == "--slow-policy" && i + 1 < argc) {
-      const std::string policy = argv[++i];
-      if (policy == "drop") {
-        evict_slow = false;
-      } else if (policy == "evict") {
-        evict_slow = true;
-      } else {
-        std::fprintf(stderr,
-                     "error: --slow-policy wants drop or evict, got '%s'\n",
-                     policy.c_str());
-        return 2;
-      }
     } else if (arg == "--quota" && i + 1 < argc) {
       quota_spec = argv[++i];
     } else if (arg == "--control" && i + 1 < argc) {
@@ -428,8 +412,6 @@ int main(int argc, char** argv) {
       control_get_spec = argv[++i];
     } else if (arg == "--queue-budget-kb" && i + 1 < argc) {
       queue_budget_kb = tools::flag_u64(arg, argv[++i]);
-    } else if (arg == "--max-clients" && i + 1 < argc) {
-      max_clients = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--priority") {
       tail_priority = true;
     } else if (arg == "--send-buffer" && i + 1 < argc) {
@@ -474,33 +456,25 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-
-  // Overload protection: parse --quota up front so a malformed spec is a
-  // typed usage error, not a mid-serve surprise. The budget and gate live
-  // here — main's scope — because the FrameServer, the DecodeRuntime, and
-  // a shard coordinator all borrow them and must not outlive them.
-  net::AdmissionConfig admission;
-  if (!quota_spec.empty()) {
-    try {
-      admission = net::parse_quota_spec(quota_spec);
-    } catch (const net::QuotaParseError& e) {
-      std::fprintf(stderr, "error: bad --quota spec (%s): %s\n",
-                   net::to_string(e.code()), e.what());
-      return 2;
-    }
+  if (replay_frames > queue_frames) {
+    std::fprintf(stderr, "error: --replay %zu exceeds --client-queue %zu\n",
+                 replay_frames, queue_frames);
+    return 2;
   }
 
-  // Fleet control plane: like --quota, every spec is parsed up front so a
-  // malformed one is a typed usage error (exit 2) before anything binds.
+  // Every spec is parsed up front, so a malformed one is a typed usage
+  // error (exit 2, clause named) before anything binds. The budget and
+  // gate live here — main's scope — because the FrameServer, the
+  // DecodeRuntime, and a shard coordinator all borrow them and must not
+  // outlive them.
+  net::AdmissionConfig admission;
+  if (!quota_spec.empty()) {
+    admission = tools::flag_spec("--quota", quota_spec, net::parse_quota_spec);
+  }
   std::optional<control::ControlSpec> control_cfg;
   if (!control_spec.empty()) {
-    try {
-      control_cfg = control::parse_control_spec(control_spec);
-    } catch (const control::ControlParseError& e) {
-      std::fprintf(stderr, "error: bad --control spec (%s): %s\n",
-                   control::to_string(e.code()), e.what());
-      return 2;
-    }
+    control_cfg = tools::flag_spec("--control", control_spec,
+                                   control::parse_control_spec);
   }
   std::optional<net::ResourceBudget> budget;
   std::optional<runtime::BackpressureGate> gate;
@@ -513,22 +487,12 @@ int main(int argc, char** argv) {
     net::FrameServerConfig sc;
     sc.port = port;
     sc.send_queue_messages = queue_frames;
-    sc.slow_consumer = evict_slow ? net::SlowConsumerPolicy::kEvict
-                                  : net::SlowConsumerPolicy::kDropOldest;
     sc.send_buffer_bytes = send_buffer;
     sc.origin_id = gateway_id;
     sc.replay_frames = replay_frames;
     sc.admission = admission;
     if (budget.has_value()) sc.budget = &*budget;
     if (gate.has_value()) sc.backpressure = &*gate;
-    if (max_clients > 0) {
-      sc.max_clients = max_clients;
-    } else if (admission.enabled && admission.max_connections > 0) {
-      // Admission owns the connection count; the fd bound only needs
-      // headroom so every over-budget dial reaches the typed deny path
-      // instead of parking in the kernel backlog.
-      sc.max_clients = admission.max_connections + 64;
-    }
     return sc;
   };
 
@@ -537,13 +501,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<net::ChaosEngine> chaos_engine;
   std::optional<net::ChaosScope> chaos_scope;
   if (!chaos_spec.empty()) {
-    try {
-      chaos_engine =
-          std::make_unique<net::ChaosEngine>(net::parse_chaos_config(chaos_spec));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: bad --chaos spec: %s\n", e.what());
-      return 2;
-    }
+    chaos_engine = std::make_unique<net::ChaosEngine>(
+        tools::flag_spec("--chaos", chaos_spec, net::parse_chaos_config));
     chaos_scope.emplace(*chaos_engine);
   }
 

@@ -16,7 +16,7 @@
 //              disconnect accounting (frames sent / queue drops),
 //              evictions, protocol errors; "overload" summary events
 //              render an extra section with the typed shed ledger
-//              (admission denies, quota/budget/ring sheds, replay
+//              (admission denies, budget/ring sheds, replay
 //              truncation) and check that the frame ledger closes
 //   chaos    → injected-fault breakdown per fault class, when the run
 //              carried a --chaos spec
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   // across every server in the stream.
   struct OverloadTotals {
     bool seen = false;
-    std::size_t denies = 0, quota_sheds = 0, budget_sheds = 0,
+    std::size_t denies = 0, budget_sheds = 0,
                 budget_refusals = 0, ring_sheds = 0, queue_drops = 0,
                 enqueued = 0, sent = 0, discarded = 0, replay_truncated = 0,
                 peak_queue_bytes = 0;
@@ -166,7 +166,6 @@ int main(int argc, char** argv) {
         };
         overload.seen = true;
         overload.denies += u("denies");
-        overload.quota_sheds += u("quota_sheds");
         overload.budget_sheds += u("budget_sheds");
         overload.budget_refusals += u("budget_refusals");
         overload.ring_sheds += u("ring_sheds");
@@ -326,7 +325,6 @@ int main(int argc, char** argv) {
     std::printf("\n== overload ==\n");
     sim::Table table({"metric", "count"});
     table.add_row({"admission denies", std::to_string(overload.denies)});
-    table.add_row({"quota sheds (fps)", std::to_string(overload.quota_sheds)});
     table.add_row({"budget sheds (queued)",
                    std::to_string(overload.budget_sheds)});
     table.add_row({"budget refusals (incoming)",

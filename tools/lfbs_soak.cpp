@@ -26,9 +26,10 @@
 // (healthy → degraded on any failed attempt → failed past
 // --max-consecutive-failures), printing every transition.
 //
-// With --overload the topology changes to the admission-control drill:
-// one DecodeRuntime gateway under a global byte budget and backpressure
-// gate, a 32-connection dial storm (each expecting a typed admission
+// With --overload the topology changes to the overload drill: one
+// DecodeRuntime gateway with a connection limit (--admitted), a per-client
+// queue bound of one epoch, and a global byte budget and backpressure
+// gate; a 32-connection dial storm (each expecting a typed admission
 // deny with a retry-after hint), 4 deliberately slow best-effort
 // consumers, and 1 priority subscriber. Per epoch the drill asserts the
 // priority subscriber saw every published frame (bit-identity to the
@@ -345,6 +346,9 @@ AttemptOutcome run_attempt(const signal::SampleBuffer& capture,
   return out;
 }
 
+/// The overload drill's per-client queue bound, in frames: one epoch.
+constexpr std::size_t kOverloadQueueFrames = 1024;
+
 struct OverloadOutcome {
   bool ok = false;
   std::string error;
@@ -378,12 +382,14 @@ OverloadOutcome run_overload_attempt(const signal::SampleBuffer& capture,
     net::FrameServerConfig sc;
     sc.origin_id = 1;
     sc.replay_frames = opt.replay;
-    sc.admission.enabled = true;
     sc.admission.max_connections = opt.admitted;
     sc.admission.retry_after = 0.2;
-    // Slow best-effort consumers hit this per-client byte quota first and
-    // lose their oldest frames there; the global budget is the backstop.
-    sc.admission.best_effort.max_queue_bytes = 16 * 1024;
+    // One epoch per client: the run publishes its frames (about 350 at
+    // --tags 4 --duration-ms 100) in one burst when it drains, and the
+    // priority subscriber must get every one, so its queue holds them all.
+    // The slow best-effort consumers lose frames to the budget's tier-2
+    // shedding long before this bound.
+    sc.send_queue_messages = kOverloadQueueFrames;
     sc.budget = &budget;
     sc.backpressure = &gate;
     net::FrameServer server(sc);
@@ -604,6 +610,15 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
+  // A replay must fit one client's queue (FrameServerConfig); the plain
+  // drill's servers keep the default bound.
+  if (opt.replay > net::FrameServerConfig{}.send_queue_messages) {
+    std::fprintf(stderr,
+                 "error: --replay %zu exceeds the per-client queue bound "
+                 "(%zu frames)\n",
+                 opt.replay, net::FrameServerConfig{}.send_queue_messages);
+    return 2;
+  }
   if (opt.epochs == 0 || opt.workers == 0) {
     usage();
     return 2;
@@ -625,13 +640,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<net::ChaosEngine> chaos_engine;
   std::optional<net::ChaosScope> chaos_scope;
   if (!opt.chaos_spec.empty()) {
-    try {
-      chaos_engine = std::make_unique<net::ChaosEngine>(
-          net::parse_chaos_config(opt.chaos_spec));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: bad --chaos spec: %s\n", e.what());
-      return 2;
-    }
+    chaos_engine = std::make_unique<net::ChaosEngine>(tools::flag_spec(
+        "--chaos", opt.chaos_spec, net::parse_chaos_config));
     chaos_scope.emplace(*chaos_engine);
   }
 
@@ -666,7 +676,7 @@ int main(int argc, char** argv) {
     using runtime::HealthState;
     HealthLadder health(opt);
     std::size_t completed = 0, attempts = 0, consecutive = 0;
-    std::size_t denies_total = 0, quota_sheds_total = 0;
+    std::size_t denies_total = 0;
     std::size_t budget_sheds_total = 0, refusals_total = 0;
     std::size_t ring_sheds_total = 0, drops_total = 0;
     std::size_t backpressure_total = 0, peak_bytes_max = 0;
@@ -680,7 +690,6 @@ int main(int argc, char** argv) {
       const OverloadOutcome outcome =
           run_overload_attempt(capture, wc, opt);
       denies_total += outcome.storm_denied;
-      quota_sheds_total += outcome.server.quota_sheds;
       budget_sheds_total += outcome.server.budget_sheds;
       refusals_total += outcome.server.budget_refusals;
       ring_sheds_total += outcome.server.ring_sheds;
@@ -726,10 +735,10 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "soak: %zu/%zu overload epochs over %zu attempts — %zu typed "
-        "denies, %zu quota sheds, %zu drops, %zu budget sheds, %zu "
+        "denies, %zu drops, %zu budget sheds, %zu "
         "refusals, %zu ring sheds, %zu backpressure waits, peak budget "
         "%.1f KiB, rss %.1f -> %.1f MB, health %s\n",
-        completed, opt.epochs, attempts, denies_total, quota_sheds_total,
+        completed, opt.epochs, attempts, denies_total,
         drops_total, budget_sheds_total, refusals_total, ring_sheds_total,
         backpressure_total, peak_bytes_max / 1024.0,
         health.rss_baseline() / 1048576.0, rss_final / 1048576.0,

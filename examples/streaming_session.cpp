@@ -8,11 +8,10 @@
 // capture streams chunk-wise through the worker pipeline, and every decoded
 // frame also fans out live on the runtime's FrameBus.
 #include <cstdio>
-#include <memory>
 
 #include "protocol/reliability.h"
 #include "reader/session.h"
-#include "runtime/session_decoder.h"
+#include "runtime/runtime.h"
 #include "sim/scenario.h"
 
 using namespace lfbs;
@@ -40,9 +39,9 @@ int main() {
   runtime::RuntimeConfig rc;
   rc.windowed.decoder = session_config.decoder;
   rc.workers = 2;
-  auto rt = std::make_shared<runtime::DecodeRuntime>(rc);
+  runtime::DecodeRuntime rt(rc);
   std::size_t bus_frames = 0;
-  rt->bus().subscribe([&](const runtime::FrameEvent& event) {
+  rt.bus().subscribe([&](const runtime::FrameEvent& event) {
     if (event.frame.valid()) ++bus_frames;
   });
   reader::ReaderSession session(
@@ -50,7 +49,7 @@ int main() {
       [&](BitRate max_rate, Seconds) {
         return scenario.capture_epoch(link.epoch_payloads(1), rng, max_rate);
       },
-      runtime::session_decoder(rt));
+      [&rt](const signal::SampleBuffer& b) { return rt.decode(b).decode; });
 
   while (link.pending() > 0 && session.stats().epochs < 30) {
     const auto result = session.run_epoch();

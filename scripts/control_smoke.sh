@@ -4,8 +4,9 @@
 #
 #   1. Serve with --control: a gateway decoding a multi-tag scenario under
 #      the greedy scheduler must log the control plane coming up, step the
-#      loop when the run drains, and broadcast the epoch plan — a tailing
-#      subscriber must print the plan and its per-tag assignments.
+#      loop once when the run drains, and broadcast the epoch plan — a
+#      tailing subscriber must print exactly one plan (epoch 1) and its
+#      per-tag assignments.
 #   2. Remote operability: --control-get against a live gateway must
 #      answer with the loop's state (exit 0, "control:" lines).
 #   3. Typed CLI: malformed --control specs are usage errors (exit 2)
@@ -76,11 +77,15 @@ grep -q "gateway: control epoch=" "$work/serve.err" || {
   cat "$work/serve.err" >&2
   exit 1
 }
-grep -q "^control: epoch=" "$work/tail.out" || {
-  echo "control_smoke: tail never printed the broadcast plan" >&2
+# The loop steps once per run, so the tail sees exactly one plan: epoch 1.
+plan_lines="$(grep -c "^control: epoch=" "$work/tail.out" || true)"
+if [ "$plan_lines" -ne 1 ] || ! grep -q "^control: epoch=1 " "$work/tail.out"
+then
+  echo "control_smoke: tail printed $plan_lines plan lines, expected" \
+       "exactly one 'control: epoch=1'" >&2
   cat "$work/tail.out" >&2
   exit 1
-}
+fi
 grep -q "^control: tag=" "$work/tail.out" || {
   echo "control_smoke: broadcast plan carried no per-tag assignments" >&2
   cat "$work/tail.out" >&2

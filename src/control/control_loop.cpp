@@ -1,27 +1,22 @@
 #include "control/control_loop.h"
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "reader/session.h"
 
 namespace lfbs::control {
 
 ControlLoop::ControlLoop(ControlLoopConfig config, protocol::RatePlan rates)
-    : config_(std::move(config)),
-      tracker_(config_.tracker),
-      scheduler_(make_policy(config_.policy, config_.seed),
-                 std::move(rates)),
-      frozen_(config_.frozen) {
-  scheduler_.set_objective(config_.objective);
+    : policy_(make_policy(config.policy, config.seed)),
+      rates_(std::move(rates)),
+      objective_(config.objective),
+      frozen_(config.frozen) {
+  LFBS_CHECK(policy_ != nullptr);
+  LFBS_CHECK(!rates_.rates.empty());
 }
-
-ControlLoop::~ControlLoop() { stop(); }
 
 void ControlLoop::set_applier(Applier applier) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -31,16 +26,17 @@ void ControlLoop::set_applier(Applier applier) {
 EpochPlan ControlLoop::step(std::uint64_t epoch, Seconds duration) {
   tracker_.end_epoch(epoch, duration);
   const FleetSnapshot snapshot = tracker_.snapshot();
-  // The plan computed after closing epoch E applies to epoch E+1.
-  const EpochPlan plan = scheduler_.schedule(snapshot, epoch + 1);
+  // The plan computed after closing epoch E applies to epoch E+1. It is
+  // planned from a copy of the objective, which a control-set may rewrite
+  // on the server's event-loop thread meanwhile.
+  const EpochPlan plan =
+      policy_->plan(snapshot, rates_, objective(), epoch + 1);
 
   Applier applier;
   bool applied = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     last_plan_ = plan;
-    ++plans_;
-    auto_epoch_ = epoch + 1;
     if (!frozen_) {
       applier = applier_;
       applied = static_cast<bool>(applier);
@@ -49,46 +45,6 @@ EpochPlan ControlLoop::step(std::uint64_t epoch, Seconds duration) {
   publish(plan, snapshot, applied);
   if (applier) applier(plan);
   return plan;
-}
-
-EpochPlan ControlLoop::step() {
-  std::uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    epoch = auto_epoch_;
-  }
-  return step(epoch, config_.epoch_duration);
-}
-
-void ControlLoop::start(Seconds period) {
-  LFBS_CHECK(period > 0.0);
-  stop();
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    running_ = true;
-  }
-  thread_ = std::thread([this, period] {
-    const auto interval = std::chrono::duration<double>(period);
-    std::unique_lock<std::mutex> lock(wake_mutex_);
-    while (running_) {
-      if (wake_.wait_for(lock, interval, [this] { return !running_; })) {
-        break;
-      }
-      lock.unlock();
-      step();
-      lock.lock();
-    }
-  });
-}
-
-void ControlLoop::stop() {
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    if (!running_ && !thread_.joinable()) return;
-    running_ = false;
-  }
-  wake_.notify_all();
-  if (thread_.joinable()) thread_.join();
 }
 
 void ControlLoop::set_frozen(bool frozen) {
@@ -101,14 +57,9 @@ bool ControlLoop::frozen() const {
   return frozen_;
 }
 
-void ControlLoop::set_objective(const ControlObjective& objective) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  scheduler_.set_objective(objective);
-}
-
 ControlObjective ControlLoop::objective() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return scheduler_.objective();
+  return objective_;
 }
 
 EpochPlan ControlLoop::last_plan() const {
@@ -121,13 +72,12 @@ net::ControlPlanMsg ControlLoop::wire_state() const {
   net::ControlPlanMsg msg;
   msg.enabled = true;
   msg.frozen = frozen_;
-  const ControlObjective& objective = scheduler_.objective();
-  msg.target_goodput = objective.target_goodput;
-  msg.min_confidence = objective.min_confidence;
-  msg.max_rate = objective.max_rate;
+  msg.target_goodput = objective_.target_goodput;
+  msg.min_confidence = objective_.min_confidence;
+  msg.max_rate = objective_.max_rate;
   msg.epoch = last_plan_.epoch;
-  msg.policy = last_plan_.policy.empty() ? scheduler_.policy_name()
-                                         : last_plan_.policy;
+  msg.policy =
+      last_plan_.policy.empty() ? policy_->name() : last_plan_.policy;
   msg.predicted_goodput = last_plan_.predicted_goodput_bps;
   msg.collision_pressure = last_plan_.collision_pressure;
   msg.assignments.reserve(last_plan_.assignments.size());
@@ -139,22 +89,24 @@ net::ControlPlanMsg ControlLoop::wire_state() const {
 
 net::ControlPlanMsg ControlLoop::apply_control_set(
     const net::ControlSet& set) {
+  ControlObjective objective;
+  bool frozen = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (set.set_frozen) frozen_ = set.frozen;
-    ControlObjective objective = scheduler_.objective();
-    if (set.set_target_goodput) objective.target_goodput = set.target_goodput;
-    if (set.set_min_confidence) objective.min_confidence = set.min_confidence;
-    if (set.set_max_rate) objective.max_rate = set.max_rate;
-    scheduler_.set_objective(objective);
+    if (set.set_target_goodput) objective_.target_goodput = set.target_goodput;
+    if (set.set_min_confidence) objective_.min_confidence = set.min_confidence;
+    if (set.set_max_rate) objective_.max_rate = set.max_rate;
+    objective = objective_;
+    frozen = frozen_;
   }
   if (obs::EventLog* log = obs::event_log()) {
     log->emit("control",
               {obs::Field::str("action", "set"),
-               obs::Field::flag("frozen", frozen()),
-               obs::Field::num("target_goodput", objective().target_goodput),
-               obs::Field::num("min_confidence", objective().min_confidence),
-               obs::Field::num("max_rate", objective().max_rate)});
+               obs::Field::flag("frozen", frozen),
+               obs::Field::num("target_goodput", objective.target_goodput),
+               obs::Field::num("min_confidence", objective.min_confidence),
+               obs::Field::num("max_rate", objective.max_rate)});
   }
   return wire_state();
 }
@@ -206,33 +158,10 @@ void ControlLoop::publish(const EpochPlan& plan,
       if (tag.key != a.tag) continue;
       fields.push_back(obs::Field::num("observed_goodput", tag.goodput_bps));
       fields.push_back(obs::Field::num("success", tag.success));
-      if (tag.health != reader::HealthState::kHealthy) {
-        fields.push_back(
-            obs::Field::str("health", reader::to_string(tag.health)));
-      }
       break;
     }
     log->emit("control", fields);
   }
-}
-
-ControlLoop::Applier session_applier(reader::ReaderSession& session) {
-  return [&session](const EpochPlan& plan) {
-    BitRate want = 0.0;
-    for (const TagAssignment& a : plan.assignments) {
-      want = std::max(want, a.rate);
-    }
-    if (want <= 0.0) return;
-    const BitRate current = session.current_max_rate();
-    if (want > current * (1 + 1e-9)) {
-      // The plan asking for more rate is the control plane's "healthy
-      // epoch" signal; the controller's hysteresis decides when the step
-      // actually happens.
-      session.controller().step_up(true);
-    } else if (want < current * (1 - 1e-9)) {
-      session.controller().step_down();
-    }
-  };
 }
 
 }  // namespace lfbs::control

@@ -2,38 +2,7 @@
 
 #include <algorithm>
 
-#include "core/tag_identity.h"
-
 namespace lfbs::control {
-
-FleetTracker::FleetTracker(FleetTrackerConfig config) : config_(config) {}
-
-std::uint64_t FleetTracker::key_for_vector_locked(Complex edge_vector) {
-  std::uint64_t best_key = 0;
-  double best_dist = reader::kLedgerVectorTolerance;
-  for (const auto& [key, tag] : tags_) {
-    if (tag.edge_vector == Complex{}) continue;
-    const double dist =
-        core::TagIdentity::compare(edge_vector, tag.edge_vector).distance;
-    if (dist < best_dist) {
-      best_dist = dist;
-      best_key = key;
-    }
-  }
-  // A tag first seen this epoch has no closed state yet — match the open
-  // accumulators too, so two streams of one tag merge instead of forking.
-  for (const auto& [key, acc] : pending_) {
-    if (!acc.has_vector) continue;
-    const double dist =
-        core::TagIdentity::compare(edge_vector, acc.edge_vector).distance;
-    if (dist < best_dist) {
-      best_dist = dist;
-      best_key = key;
-    }
-  }
-  if (best_key != 0) return best_key;
-  return next_vector_key_++;
-}
 
 void FleetTracker::observe_frame(const runtime::FrameEvent& event) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -47,47 +16,6 @@ void FleetTracker::observe_frame(const runtime::FrameEvent& event) {
   acc.confidence_sum += event.confidence;
   acc.confidence_n += 1;
   if (event.frame.valid()) acc.payload_bits += event.frame.payload.size();
-}
-
-void FleetTracker::observe_decode(const core::DecodeResult& result) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const core::DecodedStream& s : result.streams) {
-    Accum& acc = pending_[key_for_vector_locked(s.edge_vector)];
-    acc.rate = s.rate;
-    acc.has_vector = true;
-    acc.edge_vector = s.edge_vector;
-    acc.confidence_sum += s.confidence.score();
-    acc.confidence_n += 1;
-    for (const protocol::ParsedFrame& f : s.frames) {
-      acc.frames += 1;
-      if (f.valid()) {
-        acc.valid += 1;
-        acc.payload_bits += f.payload.size();
-      }
-      acc.collided += s.collided ? 1 : 0;
-    }
-    // A stream that framed nothing still attempted the epoch.
-    if (s.frames.empty()) acc.frames += 1;
-  }
-}
-
-void FleetTracker::observe_health(const reader::HealthLedger& ledger) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const reader::HealthEntry& entry : ledger.entries()) {
-    std::uint64_t best_key = 0;
-    double best_dist = reader::kLedgerVectorTolerance;
-    for (const auto& [key, tag] : tags_) {
-      if (tag.edge_vector == Complex{}) continue;
-      const double dist =
-          core::TagIdentity::compare(entry.edge_vector, tag.edge_vector)
-              .distance;
-      if (dist < best_dist) {
-        best_dist = dist;
-        best_key = key;
-      }
-    }
-    if (best_key != 0) tags_[best_key].health = entry.state;
-  }
 }
 
 void FleetTracker::end_epoch(std::uint64_t epoch, Seconds duration) {
@@ -107,7 +35,6 @@ void FleetTracker::end_epoch(std::uint64_t epoch, Seconds duration) {
     tag.frames_total += acc.frames;
     tag.frames_valid += acc.valid;
     tag.frames_collided += acc.collided;
-    if (acc.has_vector) tag.edge_vector = acc.edge_vector;
 
     const double frames = static_cast<double>(std::max<std::uint64_t>(
         acc.frames, 1));
@@ -118,7 +45,7 @@ void FleetTracker::end_epoch(std::uint64_t epoch, Seconds duration) {
             ? acc.confidence_sum / static_cast<double>(acc.confidence_n)
             : 0.0;
     const double goodput = static_cast<double>(acc.payload_bits) / seconds;
-    const double a = fresh ? 1.0 : config_.alpha;
+    const double a = fresh ? 1.0 : kAlpha;
     tag.success += a * (success - tag.success);
     tag.collision_pressure += a * (collided - tag.collision_pressure);
     tag.confidence += a * (confidence - tag.confidence);
@@ -135,14 +62,14 @@ void FleetTracker::end_epoch(std::uint64_t epoch, Seconds duration) {
   for (auto it = tags_.begin(); it != tags_.end();) {
     if (!pending_.count(it->first)) {
       if (epoch >= it->second.last_epoch &&
-          epoch - it->second.last_epoch >= config_.forget_after) {
+          epoch - it->second.last_epoch >= kForgetAfter) {
         it = tags_.erase(it);
         continue;
       }
       TagState& tag = it->second;
-      tag.success *= 1.0 - config_.alpha;
-      tag.goodput_bps *= 1.0 - config_.alpha;
-      tag.confidence *= 1.0 - config_.alpha;
+      tag.success *= 1.0 - kAlpha;
+      tag.goodput_bps *= 1.0 - kAlpha;
+      tag.confidence *= 1.0 - kAlpha;
     }
     ++it;
   }
@@ -153,7 +80,6 @@ void FleetTracker::end_epoch(std::uint64_t epoch, Seconds duration) {
                        : 0.0;
   fleet_goodput_ = static_cast<double>(fleet_payload_bits) / seconds;
   epoch_ = epoch;
-  any_epoch_closed_ = true;
   pending_.clear();
 }
 

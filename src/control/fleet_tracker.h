@@ -6,25 +6,14 @@
 #include <vector>
 
 #include "common/units.h"
-#include "core/lf_decoder.h"
-#include "reader/health_ledger.h"
 #include "runtime/frame_bus.h"
 
 namespace lfbs::control {
 
 /// Fleet-wide per-tag state, folded from the decoded-frame stream. The
 /// tracker is the control plane's sensor: it turns the firehose of
-/// FrameEvents (gateway path) or whole DecodeResults (reader-session
-/// path) into the per-tag goodput / confidence / collision picture the
-/// EpochScheduler plans against.
-struct FleetTrackerConfig {
-  /// EWMA weight of the newest epoch in the smoothed per-tag signals
-  /// (success ratio, confidence, goodput, collision pressure).
-  double alpha = 0.35;
-  /// Epochs a tag may go unseen before it is forgotten (left range).
-  std::uint64_t forget_after = 16;
-};
-
+/// published FrameEvents into the per-tag goodput / confidence /
+/// collision picture the SchedulingPolicy plans against.
 struct TagState {
   std::uint64_t key = 0;        ///< stable tag key (see FleetTracker)
   BitRate rate = 0.0;           ///< latest observed rate
@@ -37,8 +26,6 @@ struct TagState {
   double success = 0.0;         ///< EWMA of per-epoch valid/attempted ratio
   double goodput_bps = 0.0;     ///< EWMA of decoded payload bits per second
   double collision_pressure = 0.0;  ///< EWMA of per-epoch collided fraction
-  reader::HealthState health = reader::HealthState::kHealthy;
-  Complex edge_vector{};        ///< channel anchor (session path only)
 };
 
 /// One closed epoch's view of the fleet, ready for scheduling.
@@ -49,38 +36,38 @@ struct FleetSnapshot {
   double aggregate_goodput_bps = 0.0;  ///< decoded payload bits/s, last epoch
 };
 
-/// Folds frame/decode observations into per-tag state across epochs.
+/// Folds frame observations into per-tag state across epochs.
 ///
-/// Two feeding disciplines (one per deployment shape, not mixed):
-///  - Gateway: observe_frame() on every published FrameEvent. Tags are
-///    keyed by stitched stream index, which is stable within one decode
-///    run — the gateway's planning horizon.
-///  - Reader session: observe_decode() once per epoch with the session's
-///    DecodeResult (plus observe_health() to stamp ledger status). Tags
-///    are keyed by core::TagIdentity within the ledger's tolerance
-///    (reader::kLedgerVectorTolerance), stable across epochs even as
-///    decode order shifts.
+/// One feed: observe_frame() on every FrameEvent the gateway's runtime
+/// publishes (its frame-bus tap). Tags are keyed by stitched stream
+/// index + 1, which is stable within one decode run — the gateway's
+/// planning horizon.
 ///
 /// end_epoch() closes the open epoch: per-epoch accumulators roll into
-/// the EWMA state and tags unseen for forget_after epochs are dropped.
+/// the EWMA state and tags unseen for kForgetAfter epochs are dropped.
 /// Tracked-but-absent tags have their success/goodput decayed toward
 /// zero — in a fleet where every tag transmits every epoch, absence is
 /// decode failure, and the scheduler must see it.
+///
+/// The smoothing is fixed: the gateway closes one epoch per run, where
+/// every tag is fresh and none is absent, so neither constant can change
+/// a plan until epochs tick on frames.
 ///
 /// All entry points are thread-safe; observe_frame() is deliberately
 /// cheap (one uncontended lock, one map find) because it sits on the
 /// gateway's publish path, which the bench regression gate caps.
 class FleetTracker {
  public:
-  explicit FleetTracker(FleetTrackerConfig config = {});
-
-  const FleetTrackerConfig& config() const { return config_; }
+  /// EWMA weight of the newest epoch in the smoothed per-tag signals
+  /// (success ratio, confidence, goodput, collision pressure).
+  static constexpr double kAlpha = 0.35;
+  /// Epochs a tag may go unseen before it is forgotten (left range).
+  static constexpr std::uint64_t kForgetAfter = 16;
 
   void observe_frame(const runtime::FrameEvent& event);
-  void observe_decode(const core::DecodeResult& result);
-  void observe_health(const reader::HealthLedger& ledger);
 
-  /// Closes the open epoch as index `epoch` lasting `duration` seconds.
+  /// Closes the open epoch as index `epoch` lasting `duration` seconds,
+  /// the goodput denominator.
   void end_epoch(std::uint64_t epoch, Seconds duration);
 
   FleetSnapshot snapshot() const;
@@ -95,22 +82,14 @@ class FleetTracker {
     double confidence_sum = 0.0;
     std::uint64_t confidence_n = 0;
     std::uint64_t payload_bits = 0;
-    bool has_vector = false;
-    Complex edge_vector{};
   };
 
-  /// Finds the tag whose stored edge vector matches, or allocates a key.
-  std::uint64_t key_for_vector_locked(Complex edge_vector);
-
-  FleetTrackerConfig config_;
   mutable std::mutex mutex_;
   std::map<std::uint64_t, Accum> pending_;
   std::map<std::uint64_t, TagState> tags_;
   std::uint64_t epoch_ = 0;
-  bool any_epoch_closed_ = false;
   double fleet_pressure_ = 0.0;
   double fleet_goodput_ = 0.0;
-  std::uint64_t next_vector_key_ = 1;
 };
 
 }  // namespace lfbs::control

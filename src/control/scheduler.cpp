@@ -1,10 +1,6 @@
 #include "control/scheduler.h"
 
 #include <algorithm>
-#include <cmath>
-#include <utility>
-
-#include "common/check.h"
 
 namespace lfbs::control {
 
@@ -104,11 +100,10 @@ EpochPlan GreedyMarginalPolicy::plan(const FleetSnapshot& fleet,
     w.tag = &tag;
     w.level = 0;
     w.p = tag_success(tag);
-    // Quarantined or hopeless tags stay at base: at anything faster they
-    // only densify the edge lattice for everyone else.
-    w.locked = tag.health == reader::HealthState::kQuarantined ||
-               (objective.min_confidence > 0.0 &&
-                tag.confidence < objective.min_confidence);
+    // Hopeless tags stay at base: at anything faster they only densify
+    // the edge lattice for everyone else.
+    w.locked = objective.min_confidence > 0.0 &&
+               tag.confidence < objective.min_confidence;
     w.tiebreak = mix64(seed_ ^ tag.key);
     work.push_back(w);
   }
@@ -180,18 +175,6 @@ std::unique_ptr<SchedulingPolicy> make_policy(std::string_view name,
   if (name == "greedy") return std::make_unique<GreedyMarginalPolicy>(seed);
   if (name == "static") return std::make_unique<StaticAssignmentPolicy>();
   return nullptr;
-}
-
-EpochScheduler::EpochScheduler(std::unique_ptr<SchedulingPolicy> policy,
-                               protocol::RatePlan rates)
-    : policy_(std::move(policy)), rates_(std::move(rates)) {
-  LFBS_CHECK(policy_ != nullptr);
-  LFBS_CHECK(!rates_.rates.empty());
-}
-
-EpochPlan EpochScheduler::schedule(const FleetSnapshot& fleet,
-                                   std::uint64_t epoch) const {
-  return policy_->plan(fleet, rates_, objective_, epoch);
 }
 
 }  // namespace lfbs::control

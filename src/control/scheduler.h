@@ -48,9 +48,12 @@ struct EpochPlan {
   std::vector<TagAssignment> assignments;  ///< sorted by tag key
 };
 
-/// Pluggable epoch-rate assignment. Policies must be deterministic:
-/// identical (snapshot, rates, objective, epoch) inputs — and, for
-/// seeded policies, identical seeds — must produce identical plans.
+/// Pluggable epoch-rate assignment: the planning half of the control
+/// plane. ControlLoop holds one policy with the rate plan and the
+/// objective, and calls plan() once per step. Policies must be
+/// deterministic: identical (snapshot, rates, objective, epoch) inputs —
+/// and, for seeded policies, identical seeds — must produce identical
+/// plans.
 class SchedulingPolicy {
  public:
   virtual ~SchedulingPolicy() = default;
@@ -106,29 +109,5 @@ class GreedyMarginalPolicy final : public SchedulingPolicy {
 /// unknown name — the spec parser turns that into its typed error.
 std::unique_ptr<SchedulingPolicy> make_policy(std::string_view name,
                                               std::uint64_t seed);
-
-/// Owns a policy + objective and solves one epoch at a time. This is the
-/// planning half of the control plane; ControlLoop adds the sensing
-/// (FleetTracker) and actuation (rate appliers) around it.
-class EpochScheduler {
- public:
-  EpochScheduler(std::unique_ptr<SchedulingPolicy> policy,
-                 protocol::RatePlan rates);
-
-  const char* policy_name() const { return policy_->name(); }
-  const protocol::RatePlan& rates() const { return rates_; }
-  const ControlObjective& objective() const { return objective_; }
-  void set_objective(const ControlObjective& objective) {
-    objective_ = objective;
-  }
-
-  /// Plans the assignment for epoch `epoch` from the given fleet view.
-  EpochPlan schedule(const FleetSnapshot& fleet, std::uint64_t epoch) const;
-
- private:
-  std::unique_ptr<SchedulingPolicy> policy_;
-  protocol::RatePlan rates_;
-  ControlObjective objective_;
-};
 
 }  // namespace lfbs::control

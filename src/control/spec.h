@@ -3,19 +3,9 @@
 #include <string>
 
 #include "common/kv_spec.h"
-#include "common/units.h"
 #include "control/control_loop.h"
 
 namespace lfbs::control {
-
-/// Parsed `--control` configuration: the loop itself plus how the
-/// gateway should pace it.
-struct ControlSpec {
-  ControlLoopConfig loop{};
-  /// Background stepping period; 0 = no thread, the gateway steps once
-  /// when its run drains (the deterministic default).
-  Seconds period = 0.0;
-};
 
 /// Parses the gateway's `--control` grammar: comma-separated key=value
 /// clauses, all optional, or the literal "on" for all defaults.
@@ -28,12 +18,9 @@ struct ControlSpec {
 ///   budget=X           aggregate-rate cap, multiples of the base rate
 ///   penalty=X          collision crowding penalty scale (default 1)
 ///   freeze=0|1         plan and publish but never apply
-///   alpha=X            tracker EWMA weight (0, 1]
-///   forget=N           epochs unseen before a tag is forgotten (≥ 1)
-///   period-ms=X        step the loop every X ms while the run streams
 ///
 /// Throws SpecParseError (common/kv_spec.h) on anything else.
-ControlSpec parse_control_spec(const std::string& spec);
+ControlLoopConfig parse_control_spec(const std::string& spec);
 
 /// Validates a `policy=` name ("greedy" | "static"); throws
 /// SpecParseError(kBadValue) on anything else.

@@ -10,8 +10,8 @@ namespace lfbs::core {
 /// i.e. its channel coefficient, stable over an epoch and across windows.
 /// A decode can recover the same tag with inverted levels, which negates
 /// the vector, so the match is polarity-tolerant. The window stitcher, the
-/// fallback ladder, reader::HealthLedger and control::FleetTracker all
-/// match tags with it; each keeps its own tolerance on `distance`.
+/// fallback ladder and reader::HealthLedger all match tags with it; each
+/// keeps its own tolerance on `distance`.
 struct TagIdentity {
   /// min(|candidate − reference|, |candidate + reference|) / |reference|.
   double distance = 0.0;

@@ -56,11 +56,11 @@ constexpr const char* kDenyReason = "connection limit reached";
 
 }  // namespace
 
-/// One queued outbound message; `frame` marks kFrame records so delivery
-/// accounting can distinguish frames from acks/stats/byes.
-struct QueuedMessage {
+/// One queued outbound message; `kind` lets delivery accounting and the
+/// queue bound tell frames and replies from notices.
+struct FrameServer::QueuedMessage {
   std::vector<std::uint8_t> bytes;
-  bool frame = false;
+  Outbound kind = Outbound::kNotice;
 };
 
 struct FrameServer::Client {
@@ -75,14 +75,15 @@ struct FrameServer::Client {
   SubscribeFilter filter;
   std::deque<QueuedMessage> queue;
   std::size_t queued_frames = 0;  ///< frame messages currently in `queue`
+  std::size_t unsent_replies = 0;  ///< replies queued or half-written
   std::size_t queue_bytes = 0;    ///< bytes in `queue` plus unfinished outbuf
   std::size_t budget_bytes = 0;   ///< frame bytes charged to the budget
   std::vector<std::uint8_t> outbuf;
   std::size_t out_off = 0;
-  bool out_is_frame = false;
+  Outbound out_kind = Outbound::kNotice;
   std::size_t frames_sent = 0;
   std::size_t drops = 0;
-  bool evict = false;    ///< set by publish(); the loop closes it
+  bool evict = false;    ///< set at a queue bound; the loop closes it
   bool closing = false;  ///< bye queued; close once flushed
   bool dead = false;     ///< swept at the end of the loop iteration
 
@@ -101,6 +102,8 @@ FrameServer::FrameServer(FrameServerConfig config)
     : config_(std::move(config)) {
   LFBS_CHECK_MSG(config_.admission.max_connections >= 1,
                  "the connection limit must admit at least one client");
+  LFBS_CHECK_MSG(config_.send_queue_messages >= 1,
+                 "the queue bound must hold at least one message");
   LFBS_CHECK_MSG(config_.replay_frames <= config_.send_queue_messages,
                  "a replay must fit one client's queue bound");
   impl_ = std::make_unique<Impl>(config_.bind_address, config_.port);
@@ -199,7 +202,7 @@ void FrameServer::publish(const runtime::FrameEvent& event) {
         encode_frame(*out, bytes);
         encoded = true;
       }
-      enqueue_locked(*client, bytes, /*is_frame=*/true);
+      enqueue_locked(*client, bytes, Outbound::kFrame);
     }
   }
   if (encoded) impl_->wake.wake();
@@ -224,7 +227,7 @@ void FrameServer::broadcast(const std::vector<std::uint8_t>& bytes) {
     for (const auto& client : clients_) {
       if (client->dead || client->closing || client->evict) continue;
       if (!client->subscribed) continue;
-      enqueue_locked(*client, bytes, /*is_frame=*/false);
+      enqueue_locked(*client, bytes, Outbound::kNotice);
     }
   }
   impl_->wake.wake();
@@ -254,7 +257,7 @@ bool FrameServer::drop_oldest_frame_locked(Client& client) {
   // Only frames go: control messages (acks, byes) are part of the protocol
   // and must survive the squeeze.
   for (auto it = client.queue.begin(); it != client.queue.end(); ++it) {
-    if (!it->frame) continue;
+    if (it->kind != Outbound::kFrame) continue;
     const std::size_t bytes = it->bytes.size();
     client.queue.erase(it);
     --client.queued_frames;
@@ -305,16 +308,24 @@ bool FrameServer::shed_for_budget_locked(std::size_t need) {
 
 void FrameServer::enqueue_locked(Client& client,
                                  const std::vector<std::uint8_t>& bytes,
-                                 bool is_frame) {
+                                 Outbound kind) {
   const std::size_t need = bytes.size();
+  const bool is_frame = kind == Outbound::kFrame;
   const bool priority = client.cls == ClientClass::kPriority;
-  // The queue bound counts frames only: control messages (acks, byes,
-  // stats) are part of the protocol and must get through.
+  // The queue bound counts frames, and separately the replies to the
+  // client's own requests; notices (stats, control broadcasts, byes) are
+  // part of the protocol and must get through. A peer that keeps asking
+  // and never reads cannot lose a reply silently, so at the bound it is
+  // evicted, like a priority client at its frame bound.
+  if (kind == Outbound::kReply &&
+      client.unsent_replies >= config_.send_queue_messages) {
+    client.evict = true;
+    return;
+  }
   if (is_frame && client.queued_frames >= config_.send_queue_messages) {
     // At the bound the client's class decides. A priority consumer must
     // never silently miss a frame, so it is evicted (typed) instead; a
-    // best-effort one loses its oldest queued frame, or is evicted when
-    // it has none to lose (a zero bound).
+    // best-effort one loses its oldest queued frame.
     if (priority || !drop_oldest_frame_locked(client)) {
       client.evict = true;
       return;
@@ -341,10 +352,12 @@ void FrameServer::enqueue_locked(Client& client,
     }
     client.budget_bytes += need;
   }
-  client.queue.push_back({bytes, is_frame});
+  client.queue.push_back({bytes, kind});
   if (is_frame) {
     ++client.queued_frames;
     ++counters_.frames_enqueued;
+  } else if (kind == Outbound::kReply) {
+    ++client.unsent_replies;
   }
   note_queue_bytes_locked(client, static_cast<std::ptrdiff_t>(need));
 }
@@ -473,7 +486,7 @@ void FrameServer::deny_locked(Client& client) {
   }
   std::vector<std::uint8_t> bye;
   encode_bye({ByeReason::kAdmissionDenied, kDenyReason, retry_after}, bye);
-  enqueue_locked(client, bye, /*is_frame=*/false);
+  enqueue_locked(client, bye, Outbound::kNotice);
   client.closing = true;
 }
 
@@ -486,7 +499,8 @@ void FrameServer::close_client_locked(Client& client, const char* cause) {
   // sent / dropped / shed / discarded).
   const std::size_t discarded_frames =
       client.queued_frames +
-      ((!client.outbuf.empty() && client.out_is_frame) ? 1 : 0);
+      ((!client.outbuf.empty() && client.out_kind == Outbound::kFrame) ? 1
+                                                                       : 0);
   if (discarded_frames > 0) {
     counters_.frames_discarded += discarded_frames;
     net_metrics().frames_discarded.add(discarded_frames);
@@ -499,6 +513,7 @@ void FrameServer::close_client_locked(Client& client, const char* cause) {
                           -static_cast<std::ptrdiff_t>(client.queue_bytes));
   client.queue.clear();
   client.queued_frames = 0;
+  client.unsent_replies = 0;
   client.outbuf.clear();
   client.out_off = 0;
   ++counters_.disconnects;
@@ -521,7 +536,7 @@ void FrameServer::bye_and_close_locked(Client& client, ByeReason reason,
 void FrameServer::handle_incoming(Client& client) {
   std::uint8_t buf[4096];
   for (;;) {
-    if (client.closing || client.dead) return;
+    if (client.closing || client.dead || client.evict) return;
     const std::ptrdiff_t n = client.conn.read_some(buf, sizeof(buf));
     if (n == -1) break;  // drained
     if (n == 0) {
@@ -531,7 +546,8 @@ void FrameServer::handle_incoming(Client& client) {
     try {
       client.reader.feed(buf, static_cast<std::size_t>(n));
       while (auto message = client.reader.next()) {
-        if (client.closing) break;  // deny already queued; ignore the rest
+        // A deny is queued or an eviction is due: ignore the rest.
+        if (client.closing || client.evict) break;
         if (!client.greeted) {
           const Hello hello =
               expect_hello(*message, PeerRole::kFrameSubscriber);
@@ -544,7 +560,7 @@ void FrameServer::handle_incoming(Client& client) {
           }
           std::vector<std::uint8_t> ack;
           encode_ack({0, "lfbs-gateway"}, ack);
-          enqueue_locked(client, ack, /*is_frame=*/false);
+          enqueue_locked(client, ack, Outbound::kReply);
           emit_event("hello", client.id);
         } else if (message->type == MsgType::kRelayHello) {
           const RelayHello relay = decode_relay_hello(message->body);
@@ -552,7 +568,7 @@ void FrameServer::handle_incoming(Client& client) {
           client.relay_id = relay.gateway_id;
           std::vector<std::uint8_t> ack;
           encode_ack({0, "relay"}, ack);
-          enqueue_locked(client, ack, /*is_frame=*/false);
+          enqueue_locked(client, ack, Outbound::kReply);
           if (obs::EventLog* log = obs::event_log()) {
             log->emit("net",
                       {obs::Field::str("action", "relay-hello"),
@@ -611,7 +627,7 @@ void FrameServer::handle_incoming(Client& client) {
           }
           std::vector<std::uint8_t> ack;
           encode_ack(subscribed, ack);
-          enqueue_locked(client, ack, /*is_frame=*/false);
+          enqueue_locked(client, ack, Outbound::kReply);
           emit_event("subscribe", client.id);
           if (!replay.empty()) {
             // Heal a resubscriber's partition gap from the snapshot,
@@ -622,7 +638,7 @@ void FrameServer::handle_incoming(Client& client) {
             std::size_t replayed = 0;
             for (const std::vector<std::uint8_t>& bytes : replay) {
               if (client.evict) break;
-              enqueue_locked(client, bytes, /*is_frame=*/true);
+              enqueue_locked(client, bytes, Outbound::kFrame);
               ++replayed;
             }
             counters_.replays_sent += replayed;
@@ -646,7 +662,7 @@ void FrameServer::handle_incoming(Client& client) {
           }
           std::vector<std::uint8_t> bytes;
           encode_control_plan(reply, bytes);
-          enqueue_locked(client, bytes, /*is_frame=*/false);
+          enqueue_locked(client, bytes, Outbound::kReply);
           emit_event(message->type == MsgType::kControlGet ? "control-get"
                                                            : "control-set",
                      client.id, reply.assignments.size());
@@ -677,8 +693,8 @@ void FrameServer::pump_writes(Client& client) {
       client.queue.pop_front();
       client.outbuf = std::move(message.bytes);
       client.out_off = 0;
-      client.out_is_frame = message.frame;
-      if (client.out_is_frame) --client.queued_frames;
+      client.out_kind = message.kind;
+      if (client.out_kind == Outbound::kFrame) --client.queued_frames;
     }
     const std::ptrdiff_t n =
         client.conn.write_some(client.outbuf.data() + client.out_off,
@@ -692,7 +708,7 @@ void FrameServer::pump_writes(Client& client) {
     net_metrics().bytes_sent.add(static_cast<std::uint64_t>(n));
     if (client.out_off == client.outbuf.size()) {
       const std::size_t done = client.outbuf.size();
-      if (client.out_is_frame) {
+      if (client.out_kind == Outbound::kFrame) {
         ++client.frames_sent;
         ++counters_.frames_sent;
         net_metrics().frames_sent.add();
@@ -702,12 +718,14 @@ void FrameServer::pump_writes(Client& client) {
           config_.budget->release(done);
           client.budget_bytes -= done;
         }
+      } else if (client.out_kind == Outbound::kReply) {
+        --client.unsent_replies;
       }
       note_queue_bytes_locked(client,
                               -static_cast<std::ptrdiff_t>(done));
       client.outbuf.clear();
       client.out_off = 0;
-      client.out_is_frame = false;
+      client.out_kind = Outbound::kNotice;
     }
   }
   if (client.closing && client.queue.empty() && client.outbuf.empty()) {
@@ -799,9 +817,9 @@ void FrameServer::loop() {
           pump_writes(client);
         }
       }
-      // Evictions decided by the publisher: the client's socket is
-      // already jammed, so the Bye is a single best-effort write, never a
-      // drain.
+      // Evictions decided at a queue bound (a frame in publish(), a reply
+      // in handle_incoming): the client's socket is already jammed, so the
+      // Bye is a single best-effort write, never a drain.
       for (auto& client : clients_) {
         if (client->evict && !client->dead) {
           ++counters_.evictions;
@@ -815,7 +833,7 @@ void FrameServer::loop() {
           if (client->dead || client->closing) continue;
           std::vector<std::uint8_t> bye;
           encode_bye({ByeReason::kEndOfStream, "stream complete"}, bye);
-          enqueue_locked(*client, bye, /*is_frame=*/false);
+          enqueue_locked(*client, bye, Outbound::kNotice);
           client->closing = true;
         }
         // Unsubscribed stragglers flush instantly; subscribed ones close

@@ -33,9 +33,14 @@ struct FrameServerConfig {
   /// the action: best-effort loses its oldest queued frame (queue_drops),
   /// priority is evicted with Bye(kEvicted) and never loses a frame
   /// silently. Combined with the kernel send buffer this is the total
-  /// slack a slow consumer gets. Must be ≥ replay_frames, so a replay fits
-  /// a fresh subscription and a priority resubscriber (a relay) is not
-  /// evicted by its own replay.
+  /// slack a slow consumer gets. Must be ≥ 1, since every handshake
+  /// queues an ack, and ≥ replay_frames, so a replay fits a fresh
+  /// subscription and a priority resubscriber (a relay) is not evicted by
+  /// its own replay. The same number bounds the unsent replies
+  /// to a client's own requests (acks, kControlPlan answers): a client
+  /// whose replies reach it is evicted with Bye(kEvicted), whatever its
+  /// class. Messages the server sends on its own (stats digests, control
+  /// broadcasts, byes) are not bounded.
   std::size_t send_queue_messages = 256;
   /// Kernel send-buffer cap per accepted connection; 0 keeps the OS
   /// default. Tests set this small to exercise the queue bound.
@@ -172,13 +177,18 @@ class FrameServer {
   Counters counters() const;
 
  private:
+  /// What a queued message is, for the queue bound and delivery
+  /// accounting: a frame, a reply to the client's own request, or a
+  /// notice the server sends on its own.
+  enum class Outbound : std::uint8_t { kNotice, kFrame, kReply };
+  struct QueuedMessage;
   struct Client;
 
   void loop();
   void handle_incoming(Client& client);
   void pump_writes(Client& client);
   void enqueue_locked(Client& client, const std::vector<std::uint8_t>& bytes,
-                      bool is_frame);
+                      Outbound kind);
   void close_client_locked(Client& client, const char* cause);
   /// Writes one best-effort Bye(reason), then closes the client.
   void bye_and_close_locked(Client& client, ByeReason reason,

@@ -14,28 +14,32 @@ RateController::RateController(RatePlan plan, BitRate initial_max,
   std::sort(plan_.rates.begin(), plan_.rates.end());
 }
 
+std::size_t RateController::level() const {
+  const auto it =
+      std::find_if(plan_.rates.begin(), plan_.rates.end(),
+                   [&](BitRate r) { return r >= current_max_ * (1 - 1e-9); });
+  LFBS_CHECK(it != plan_.rates.end());
+  return static_cast<std::size_t>(it - plan_.rates.begin());
+}
+
 std::optional<BitRate> RateController::on_epoch(std::size_t frames_attempted,
                                                 std::size_t frames_failed) {
   if (frames_attempted == 0) return std::nullopt;
   const double loss = static_cast<double>(frames_failed) /
                       static_cast<double>(frames_attempted);
+  const std::size_t at = level();
 
-  const auto it =
-      std::find_if(plan_.rates.begin(), plan_.rates.end(),
-                   [&](BitRate r) { return r >= current_max_ * (1 - 1e-9); });
-  LFBS_CHECK(it != plan_.rates.end());
-
-  if (loss > config_.lower_threshold && it != plan_.rates.begin()) {
+  if (loss > config_.lower_threshold && at > 0) {
     clean_epochs_ = 0;
-    current_max_ = *(it - 1);
+    current_max_ = plan_.rates[at - 1];
     return current_max_;
   }
   if (loss < config_.raise_threshold) {
     ++clean_epochs_;
     if (clean_epochs_ >= config_.raise_patience &&
-        it + 1 != plan_.rates.end()) {
+        at + 1 < plan_.rates.size()) {
       clean_epochs_ = 0;
-      current_max_ = *(it + 1);
+      current_max_ = plan_.rates[at + 1];
       return current_max_;
     }
   } else {
@@ -46,30 +50,9 @@ std::optional<BitRate> RateController::on_epoch(std::size_t frames_attempted,
 
 std::optional<BitRate> RateController::step_down() {
   clean_epochs_ = 0;
-  healthy_streak_ = 0;
-  const auto it =
-      std::find_if(plan_.rates.begin(), plan_.rates.end(),
-                   [&](BitRate r) { return r >= current_max_ * (1 - 1e-9); });
-  LFBS_CHECK(it != plan_.rates.end());
-  if (it == plan_.rates.begin()) return std::nullopt;
-  current_max_ = *(it - 1);
-  return current_max_;
-}
-
-std::optional<BitRate> RateController::step_up(bool healthy_epoch) {
-  if (!healthy_epoch) {
-    healthy_streak_ = 0;
-    return std::nullopt;
-  }
-  ++healthy_streak_;
-  if (healthy_streak_ < config_.step_up_patience) return std::nullopt;
-  const auto it =
-      std::find_if(plan_.rates.begin(), plan_.rates.end(),
-                   [&](BitRate r) { return r >= current_max_ * (1 - 1e-9); });
-  LFBS_CHECK(it != plan_.rates.end());
-  if (it + 1 == plan_.rates.end()) return std::nullopt;
-  healthy_streak_ = 0;
-  current_max_ = *(it + 1);
+  const std::size_t at = level();
+  if (at == 0) return std::nullopt;
+  current_max_ = plan_.rates[at - 1];
   return current_max_;
 }
 

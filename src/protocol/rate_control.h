@@ -1,7 +1,8 @@
 #pragma once
-#include <utility>
 
+#include <cstddef>
 #include <optional>
+#include <utility>
 
 #include "common/units.h"
 #include "protocol/epoch.h"
@@ -22,11 +23,6 @@ class RateController {
     double raise_threshold = 0.02;
     /// Epochs of clean decoding required before raising.
     std::size_t raise_patience = 3;
-    /// Consecutive healthy epochs reported to step_up() before the rate
-    /// actually rises one notch. Hysteresis for the out-of-band path: a
-    /// single clean epoch after a quarantine-triggered step_down() must
-    /// not bounce straight back into the rate that caused the trouble.
-    std::size_t step_up_patience = 3;
   };
 
   RateController(RatePlan plan, BitRate initial_max, Config config);
@@ -47,24 +43,14 @@ class RateController {
   /// already at the slowest rate. Resets the raise patience either way.
   std::optional<BitRate> step_down();
 
-  /// Counterpart to step_down() for out-of-band good news (the fleet
-  /// control plane observing a recovered tag): records one epoch's health
-  /// and requests a step back up. The raise only happens after
-  /// `step_up_patience` consecutive healthy epochs; an unhealthy epoch
-  /// resets the streak, and step_down() resets it too. Returns the new
-  /// max to broadcast, or nullopt when the streak is still building or
-  /// the rate is already at the plan ceiling.
-  std::optional<BitRate> step_up(bool healthy_epoch = true);
-
-  /// Healthy epochs accumulated toward the next step_up() (test/debug).
-  std::size_t healthy_streak() const { return healthy_streak_; }
-
  private:
+  /// Index of the current max in the sorted plan.
+  std::size_t level() const;
+
   RatePlan plan_;
   BitRate current_max_;
   Config config_;
   std::size_t clean_epochs_ = 0;
-  std::size_t healthy_streak_ = 0;
 };
 
 }  // namespace lfbs::protocol

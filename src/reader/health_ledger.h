@@ -41,8 +41,6 @@ struct HealthLedgerConfig {
 };
 
 /// Tag-identity tolerance of the ledger (core::TagIdentity distance).
-/// control::FleetTracker matches the ledger's entries to its tags with the
-/// same value.
 inline constexpr double kLedgerVectorTolerance = 0.35;
 
 enum class HealthState { kHealthy, kQuarantined, kProbation };

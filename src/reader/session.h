@@ -18,6 +18,11 @@ namespace lfbs::reader {
 /// the commanded maximum bitrate and hand back the captured samples. In the
 /// simulator that is a Scenario; on hardware it would be a carrier-gated
 /// SDR capture.
+///
+/// The session's rate commands are its own: the loss-ratio trigger
+/// (RateController::on_epoch) and the health ledger's step_down(). The
+/// fleet control plane (src/control) plans for the gateway and does not
+/// drive a session.
 struct SessionConfig {
   protocol::EpochConfig epoch{};
   core::DecoderConfig decoder{};
@@ -64,9 +69,9 @@ class ReaderSession {
       std::function<signal::SampleBuffer(BitRate max_rate, Seconds duration)>;
 
   /// Decodes one epoch capture. The default (empty) hook decodes serially
-  /// with core::LfDecoder on the calling thread; runtime::session_decoder
-  /// swaps in the concurrent streaming pipeline without the session (or
-  /// its callers) changing shape.
+  /// with core::LfDecoder on the calling thread; a one-line lambda over
+  /// runtime::DecodeRuntime::decode swaps in the concurrent streaming
+  /// pipeline without the session (or its callers) changing shape.
   using Decode =
       std::function<core::DecodeResult(const signal::SampleBuffer&)>;
 
@@ -76,12 +81,6 @@ class ReaderSession {
   const SessionStats& stats() const { return stats_; }
   const HealthLedger& health() const { return ledger_; }
   BitRate current_max_rate() const;
-
-  /// Direct access to the broadcast rate controller, so the fleet control
-  /// plane (src/control) can drive step_up()/step_down() between epochs
-  /// through the same hooks the session's own health ledger uses.
-  protocol::RateController& controller() { return controller_; }
-  const protocol::RateController& controller() const { return controller_; }
 
   /// Runs one full epoch cycle: capture, decode, account, and (optionally)
   /// issue a broadcast rate command for the *next* epoch.

@@ -193,7 +193,7 @@ TEST(SpecGrammar, EveryGrammarRejectsTheSameBadInputsTyped) {
        "conns", {"conns=0", "retry-after=-1"}},
       {"--control",
        [](const std::string& s) { control::parse_control_spec(s); }, "seed",
-       {"min-confidence=1.5", "period-ms=-5"}},
+       {"min-confidence=1.5", "penalty=-1"}},
       {"--chaos", [](const std::string& s) { net::parse_chaos_config(s); },
        "seed", {"refuse=1.5", "reset=-0.2", "stall-ms=-5", "jitter-ms=-1"}},
       {"--inject-faults",

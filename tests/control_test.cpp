@@ -1,17 +1,20 @@
 // Tests for the fleet control plane (src/control): FleetTracker state
-// folding, EpochScheduler determinism and knobs, the step-up hysteresis
-// it drives through RateController, the LFBW1 v5 control messages (codec
-// and live round-trip over a FrameServer), and the two acceptance
+// folding, the scheduling policies' determinism and knobs, the LFBW1 v5
+// control messages (codec and live round-trip over a FrameServer), the
+// loop's step racing remote control-sets, and the two acceptance
 // properties — the greedy scheduler strictly beats the static baseline
 // on a collision-heavy fleet, and a run with the control loop merely
 // observing stays bit-identical to the serial WindowedDecoder reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "control/control_loop.h"
@@ -24,8 +27,6 @@
 #include "net/wire.h"
 #include "obs/events.h"
 #include "obs/json.h"
-#include "protocol/rate_control.h"
-#include "reader/health_ledger.h"
 #include "runtime/runtime.h"
 #include "sim/scenario.h"
 
@@ -44,27 +45,6 @@ runtime::FrameEvent make_frame(std::size_t stream, BitRate rate, bool valid,
   event.frame.anchor_ok = valid;
   event.frame.crc_ok = valid;
   return event;
-}
-
-core::DecodedStream make_stream(Complex edge_vector, BitRate rate,
-                                std::size_t valid_frames,
-                                std::size_t bad_frames, bool collided) {
-  core::DecodedStream s;
-  s.rate = rate;
-  s.collided = collided;
-  s.edge_vector = edge_vector;
-  s.confidence.edge_confidence = 0.9;
-  for (std::size_t i = 0; i < valid_frames; ++i) {
-    protocol::ParsedFrame f;
-    f.payload.assign(96, true);
-    f.anchor_ok = true;
-    f.crc_ok = true;
-    s.frames.push_back(f);
-  }
-  for (std::size_t i = 0; i < bad_frames; ++i) {
-    s.frames.emplace_back();
-  }
-  return s;
 }
 
 TagState make_tag(std::uint64_t key, BitRate rate, double success,
@@ -119,75 +99,29 @@ TEST(FleetTracker, FoldsFrameEventsIntoPerTagState) {
 }
 
 TEST(FleetTracker, AbsentTagsDecayAndAreEventuallyForgotten) {
-  FleetTrackerConfig config;
-  config.alpha = 0.5;
-  config.forget_after = 3;
-  FleetTracker tracker(config);
+  FleetTracker tracker;
   tracker.observe_frame(make_frame(0, 100e3, true, false, 1.0));
   tracker.end_epoch(0, 1e-3);
   const double s0 = tracker.snapshot().tags[0].success;
   EXPECT_DOUBLE_EQ(s0, 1.0);
 
   // Absence is decode failure: success decays by (1 - alpha) per epoch.
+  const double keep = 1.0 - FleetTracker::kAlpha;
   tracker.end_epoch(1, 1e-3);
-  EXPECT_DOUBLE_EQ(tracker.snapshot().tags[0].success, 0.5);
+  EXPECT_DOUBLE_EQ(tracker.snapshot().tags[0].success, keep);
   tracker.end_epoch(2, 1e-3);
-  EXPECT_DOUBLE_EQ(tracker.snapshot().tags[0].success, 0.25);
+  EXPECT_DOUBLE_EQ(tracker.snapshot().tags[0].success, keep * keep);
+  for (std::uint64_t e = 3; e < FleetTracker::kForgetAfter; ++e) {
+    tracker.end_epoch(e, 1e-3);
+  }
   ASSERT_EQ(tracker.tags_tracked(), 1u);
 
-  // Unseen for forget_after epochs: the tag left range, drop it.
-  tracker.end_epoch(3, 1e-3);
+  // Unseen for kForgetAfter epochs: the tag left range, drop it.
+  tracker.end_epoch(FleetTracker::kForgetAfter, 1e-3);
   EXPECT_EQ(tracker.tags_tracked(), 0u);
 }
 
-TEST(FleetTracker, SessionPathMergesPolarityFlippedStreams) {
-  // Two streams of one tag: the second decode recovered the same channel
-  // vector with flipped levels. The polarity-tolerant identity (the
-  // HealthLedger convention) must fold them into one tracked tag.
-  FleetTracker tracker;
-  core::DecodeResult result;
-  result.streams.push_back(make_stream({0.1, 0.05}, 100e3, 2, 0, false));
-  result.streams.push_back(
-      make_stream({-0.101, -0.0502}, 100e3, 1, 1, false));
-  tracker.observe_decode(result);
-  tracker.end_epoch(0, 1e-3);
-  ASSERT_EQ(tracker.tags_tracked(), 1u);
-  const TagState tag = tracker.snapshot().tags[0];
-  EXPECT_EQ(tag.frames_total, 4u);
-  EXPECT_EQ(tag.frames_valid, 3u);
-
-  // A genuinely different vector forks a second tag.
-  core::DecodeResult other;
-  other.streams.push_back(make_stream({0.02, -0.09}, 50e3, 1, 0, false));
-  tracker.observe_decode(other);
-  tracker.end_epoch(1, 1e-3);
-  EXPECT_EQ(tracker.tags_tracked(), 2u);
-}
-
-TEST(FleetTracker, ObserveHealthStampsLedgerStateOntoTags) {
-  const Complex vector{0.1, 0.02};
-  FleetTracker tracker;
-  core::DecodeResult seen;
-  seen.streams.push_back(make_stream(vector, 100e3, 1, 0, false));
-  tracker.observe_decode(seen);
-  tracker.end_epoch(0, 1e-3);
-
-  // Drive a ledger entry with the same vector into quarantine.
-  reader::HealthLedger ledger;
-  core::DecodeResult failing;
-  failing.streams.push_back(make_stream(vector, 100e3, 0, 1, false));
-  for (std::size_t i = 0; i < ledger.config().quarantine_after; ++i) {
-    ledger.observe(failing);
-  }
-  ASSERT_EQ(ledger.entries().size(), 1u);
-  ASSERT_EQ(ledger.entries()[0].state, reader::HealthState::kQuarantined);
-
-  tracker.observe_health(ledger);
-  EXPECT_EQ(tracker.snapshot().tags[0].health,
-            reader::HealthState::kQuarantined);
-}
-
-// --- EpochScheduler ---------------------------------------------------------
+// --- scheduling policies --------------------------------------------------
 
 FleetSnapshot mixed_fleet() {
   FleetSnapshot fleet;
@@ -282,25 +216,21 @@ TEST(EpochScheduler, PolicyFactoryKnowsItsNames) {
 // --- control spec parsing (the gateway's typed CLI surface) -----------------
 
 TEST(ControlSpec, ParsesTheFullGrammar) {
-  const ControlSpec spec = parse_control_spec(
+  const ControlLoopConfig spec = parse_control_spec(
       "policy=static,seed=9,target-goodput=5e5,min-confidence=0.4,"
-      "max-rate=50e3,budget=12,penalty=2.5,freeze=1,alpha=0.5,forget=4,"
-      "period-ms=8");
-  EXPECT_EQ(spec.loop.policy, "static");
-  EXPECT_EQ(spec.loop.seed, 9u);
-  EXPECT_EQ(spec.loop.objective.target_goodput, 5e5);
-  EXPECT_EQ(spec.loop.objective.min_confidence, 0.4);
-  EXPECT_EQ(spec.loop.objective.max_rate, 50e3);
-  EXPECT_EQ(spec.loop.objective.epoch_budget, 12.0);
-  EXPECT_EQ(spec.loop.objective.collision_penalty, 2.5);
-  EXPECT_TRUE(spec.loop.frozen);
-  EXPECT_EQ(spec.loop.tracker.alpha, 0.5);
-  EXPECT_EQ(spec.loop.tracker.forget_after, 4u);
-  EXPECT_NEAR(spec.period, 8e-3, 1e-12);
+      "max-rate=50e3,budget=12,penalty=2.5,freeze=1");
+  EXPECT_EQ(spec.policy, "static");
+  EXPECT_EQ(spec.seed, 9u);
+  EXPECT_EQ(spec.objective.target_goodput, 5e5);
+  EXPECT_EQ(spec.objective.min_confidence, 0.4);
+  EXPECT_EQ(spec.objective.max_rate, 50e3);
+  EXPECT_EQ(spec.objective.epoch_budget, 12.0);
+  EXPECT_EQ(spec.objective.collision_penalty, 2.5);
+  EXPECT_TRUE(spec.frozen);
 
-  const ControlSpec defaults = parse_control_spec("on");
-  EXPECT_EQ(defaults.loop.policy, "greedy");
-  EXPECT_EQ(defaults.period, 0.0);
+  const ControlLoopConfig defaults = parse_control_spec("on");
+  EXPECT_EQ(defaults.policy, "greedy");
+  EXPECT_FALSE(defaults.frozen);
 }
 
 TEST(ControlSpec, RejectionsAreTyped) {
@@ -316,67 +246,23 @@ TEST(ControlSpec, RejectionsAreTyped) {
   EXPECT_EQ(code_of(""), SpecError::kEmpty);
   EXPECT_EQ(code_of(",,"), SpecError::kEmpty);  // clauses all empty
   EXPECT_EQ(code_of("warp=9"), SpecError::kBadKey);
+  // The loop steps once per run: there is no timer to pace, and the
+  // tracker's smoothing cannot change a one-epoch plan.
+  EXPECT_EQ(code_of("period-ms=8"), SpecError::kBadKey);
+  EXPECT_EQ(code_of("alpha=0.5"), SpecError::kBadKey);
+  EXPECT_EQ(code_of("forget=4"), SpecError::kBadKey);
   EXPECT_EQ(code_of("policy=chaotic"), SpecError::kBadValue);
-  EXPECT_EQ(code_of("alpha=1.5"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("freeze=0.5"), SpecError::kBadValue);
   EXPECT_EQ(code_of("min-confidence=2"), SpecError::kBadValue);
   EXPECT_EQ(code_of("budget=-1"), SpecError::kBadValue);
-  EXPECT_EQ(code_of("forget=0"), SpecError::kBadValue);
-  EXPECT_EQ(code_of("forget=-1"), SpecError::kBadValue);  // no sign
-  EXPECT_EQ(code_of("alpha=0.5oops"), SpecError::kBadValue);
+  EXPECT_EQ(code_of("seed=-1"), SpecError::kBadValue);  // no sign
+  EXPECT_EQ(code_of("penalty=0.5oops"), SpecError::kBadValue);
   EXPECT_EQ(code_of("budget=nan"), SpecError::kBadValue);
   EXPECT_EQ(code_of("budget=12x"), SpecError::kBadValue);
   EXPECT_EQ(code_of("budget=inf"), SpecError::kBadValue);
 
   EXPECT_THROW(parse_policy_name("sorcery"), SpecParseError);
   EXPECT_EQ(parse_policy_name("static"), "static");
-}
-
-// --- RateController step-up hysteresis (satellite 1) ------------------------
-
-TEST(RateControllerStepUp, RequiresAStreakOfHealthyEpochs) {
-  protocol::RateController::Config config;
-  config.step_up_patience = 3;
-  protocol::RateController controller(protocol::RatePlan::paper_rates(),
-                                      100e3, config);
-  ASSERT_EQ(controller.step_down().value(), 50e3);
-
-  // Two healthy epochs build the streak but do not step yet.
-  EXPECT_FALSE(controller.step_up(true).has_value());
-  EXPECT_FALSE(controller.step_up(true).has_value());
-  EXPECT_EQ(controller.healthy_streak(), 2u);
-  // The third completes the streak: one notch up, streak spent.
-  EXPECT_EQ(controller.step_up(true).value(), 100e3);
-  EXPECT_EQ(controller.healthy_streak(), 0u);
-  EXPECT_EQ(controller.current_max(), 100e3);
-}
-
-TEST(RateControllerStepUp, UnhealthyEpochAndStepDownResetTheStreak) {
-  protocol::RateController::Config config;
-  config.step_up_patience = 2;
-  protocol::RateController controller(protocol::RatePlan::paper_rates(),
-                                      100e3, config);
-  ASSERT_TRUE(controller.step_down().has_value());
-
-  EXPECT_FALSE(controller.step_up(true).has_value());
-  EXPECT_FALSE(controller.step_up(false).has_value());  // resets
-  EXPECT_EQ(controller.healthy_streak(), 0u);
-  EXPECT_FALSE(controller.step_up(true).has_value());
-  // A step_down mid-streak also resets: one healthy epoch after bad news
-  // must not complete a pre-existing streak.
-  ASSERT_TRUE(controller.step_down().has_value());  // 50k -> 10k, streak 0
-  EXPECT_FALSE(controller.step_up(true).has_value());
-  EXPECT_EQ(controller.step_up(true).value(), 50e3);
-}
-
-TEST(RateControllerStepUp, CeilingHoldsWithoutBurningTheStreak) {
-  protocol::RateController::Config config;
-  config.step_up_patience = 1;
-  protocol::RateController controller(protocol::RatePlan::paper_rates(),
-                                      100e3, config);
-  // Already at the plan ceiling: never steps, never throws.
-  EXPECT_FALSE(controller.step_up(true).has_value());
-  EXPECT_FALSE(controller.step_up(true).has_value());
-  EXPECT_EQ(controller.current_max(), 100e3);
 }
 
 // --- LFBW1 v5 control messages ---------------------------------------------
@@ -586,6 +472,52 @@ TEST(ControlLoop, LiveRoundTripOverAFrameServer) {
   server.shutdown(/*drain=*/false);
 }
 
+TEST(ControlLoop, ControlSetsWhileAStepPlansDoNotRace) {
+  // The gateway steps on its main thread while a remote control-set
+  // rewrites the objective on the FrameServer's event-loop thread. step()
+  // must plan from a copy of the objective taken under the loop's lock;
+  // ThreadSanitizer reports the policy's read of the shared objective
+  // otherwise.
+  ControlLoop loop(ControlLoopConfig{}, protocol::RatePlan::paper_rates());
+  constexpr std::size_t kSets = 2000;
+  std::atomic<bool> stepping{false};
+  std::atomic<bool> setting{true};
+  std::thread setter([&] {
+    while (!stepping.load()) std::this_thread::yield();
+    for (std::size_t i = 0; i < kSets; ++i) {
+      net::ControlSet set;
+      set.set_target_goodput = true;
+      set.target_goodput = 1e6 + static_cast<double>(i);
+      set.set_min_confidence = true;
+      set.min_confidence = i % 2 == 0 ? 0.0 : 0.5;
+      set.set_max_rate = true;
+      set.max_rate = i % 2 == 0 ? 50e3 : 100e3;
+      loop.apply_control_set(set);
+    }
+    setting.store(false);
+  });
+
+  std::uint64_t epoch = 0;
+  do {
+    for (std::size_t s = 0; s < 16; ++s) {
+      loop.tracker().observe_frame(
+          make_frame(s, 100e3, s % 3 != 0, s % 2 == 0, 0.3 + 0.04 * s));
+    }
+    const EpochPlan plan = loop.step(epoch++, 1e-3);
+    stepping.store(true);
+    for (const TagAssignment& a : plan.assignments) {
+      EXPECT_LE(a.rate, 100e3);
+    }
+  } while (setting.load());
+  setter.join();
+
+  EXPECT_GT(epoch, 1u);
+  // The last set (odd index) wins.
+  EXPECT_EQ(loop.objective().target_goodput, 1e6 + (kSets - 1));
+  EXPECT_EQ(loop.objective().max_rate, 100e3);
+  EXPECT_EQ(loop.objective().min_confidence, 0.5);
+}
+
 TEST(ControlLoop, ServerWithoutAControlPlaneAnswersDisabled) {
   net::FrameServer server(net::FrameServerConfig{});
   const net::ControlPlanMsg probe =
@@ -630,10 +562,10 @@ std::size_t run_policy_arm(const std::string& policy) {
   // 20 ms epoch (11.3 ms at 10 kbps).
   protocol::RatePlan candidates;
   candidates.rates = {10.0 * kKbps, 50.0 * kKbps, 100.0 * kKbps};
-  EpochScheduler scheduler(make_policy(policy, 0x1f53c0de), candidates);
+  const std::unique_ptr<SchedulingPolicy> scheduler =
+      make_policy(policy, 0x1f53c0de);
   ControlObjective objective;
   objective.collision_penalty = 4.0;
-  scheduler.set_objective(objective);
 
   constexpr double kAlpha = 0.5;
   std::vector<double> success(cfg.num_tags, 0.0);
@@ -677,18 +609,11 @@ std::size_t run_policy_arm(const std::string& policy) {
       tag.confidence = 1.0;  // identity is ground truth here
       fleet.tags.push_back(tag);
     }
-    const EpochPlan plan = scheduler.schedule(fleet, e + 1);
+    const EpochPlan plan =
+        scheduler->plan(fleet, candidates, objective, e + 1);
     for (const TagAssignment& assign : plan.assignments) {
       scenario.set_tag_rate(static_cast<std::size_t>(assign.tag - 1),
                             assign.rate);
-    }
-    if (std::getenv("LFBS_AB_DEBUG") != nullptr) {
-      std::printf("[%s] epoch %zu: bits=%zu pressure=%.2f rates:",
-                  policy.c_str(), e, scheduled_bits, pressure);
-      for (const TagAssignment& a : plan.assignments) {
-        std::printf(" %g", a.rate / 1e3);
-      }
-      std::printf("\n");
     }
   }
   return scheduled_bits;

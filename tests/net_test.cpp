@@ -845,6 +845,53 @@ TEST(FrameServer, GarbageSpeakerIsClosedAsProtocolError) {
   server.shutdown(false);
 }
 
+TEST(FrameServer, PeerThatAsksAndNeverReadsIsEvictedAtTheReplyBound) {
+  // One connection sends a hello and a burst of control-gets and never
+  // reads. Replies to its own requests count against the per-client
+  // queue bound: it is evicted once, and its queue never holds more than
+  // the bound's worth of replies plus the hello ack.
+  FrameServerConfig sc;
+  sc.send_buffer_bytes = 4096;
+  FrameServer server(sc);
+  TcpConnection conn = TcpConnection::connect("127.0.0.1", server.port(), 5.0);
+  constexpr std::size_t kGets = 20000;
+  std::vector<std::uint8_t> bytes;
+  encode_hello({PeerRole::kFrameSubscriber, 0.0, "asker"}, bytes);
+  for (std::size_t i = 0; i < kGets; ++i) encode_control_get(bytes);
+
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(10);
+  std::size_t sent = 0;
+  while (server.counters().evictions == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    const std::ptrdiff_t n =
+        sent < bytes.size()
+            ? conn.write_some(bytes.data() + sent, bytes.size() - sent)
+            : -1;
+    if (n == 0) break;  // the server closed the connection
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  while (server.counters().evictions == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::vector<std::uint8_t> ack;
+  encode_ack({0, "lfbs-gateway"}, ack);
+  std::vector<std::uint8_t> reply;
+  encode_control_plan(ControlPlanMsg{}, reply);
+  const auto counters = server.counters();
+  EXPECT_EQ(counters.evictions, 1u);
+  EXPECT_LT(counters.control_gets, kGets);
+  EXPECT_LE(counters.queue_bytes_peak,
+            sc.send_queue_messages * reply.size() + ack.size());
+  server.shutdown(false);
+}
+
 TEST(FrameServer, WaitForSubscriberTimesOutCleanly) {
   FrameServerConfig sc;
   FrameServer server(sc);
@@ -861,6 +908,11 @@ TEST(FrameServer, RejectsAZeroConnectionLimitAndAReplayPastTheBound) {
   FrameServerConfig long_replay;
   long_replay.replay_frames = long_replay.send_queue_messages + 1;
   EXPECT_THROW(FrameServer{long_replay}, CheckError);
+  // Every handshake queues an ack against the queue bound, so a zero
+  // bound would evict each client before it subscribed.
+  FrameServerConfig no_queue;
+  no_queue.send_queue_messages = 0;
+  EXPECT_THROW(FrameServer{no_queue}, CheckError);
 }
 
 TEST(FrameServer, ConnectsLeaveTheMetricsRegistryUnchanged) {

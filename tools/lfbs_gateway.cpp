@@ -30,9 +30,10 @@
 //   --port-file PATH    write the bound frame port to PATH (for scripts)
 //   --wait-subscriber S wait up to S seconds for a subscriber before
 //                       decoding starts (so a tail sees the whole stream)
-//   --client-queue N    per-client queue bound, frames (default 256); at
-//                       the bound a best-effort client loses its oldest
-//                       queued frame, a priority client is evicted
+//   --client-queue N    per-client queue bound, frames (default 256,
+//                       N ≥ 1); at the bound a best-effort client loses
+//                       its oldest queued frame, a priority client is
+//                       evicted. N also bounds a client's unsent replies.
 //   --send-buffer N     kernel send-buffer bytes per client (testing)
 //   --workers N         decode worker threads (default 4)
 //   --crc5 / --payload N / --windowed MS   decoder knobs (as lfbs_decode)
@@ -78,10 +79,11 @@
 //                        published frame stream (key=value[,key=value...]
 //                        or the literal "on"): policy=greedy|static,
 //                        seed=N, target-goodput=X, min-confidence=X,
-//                        max-rate=X, budget=X, penalty=X, freeze=0|1,
-//                        alpha=X, forget=N, period-ms=X. The plan is
-//                        broadcast as a kControlPlan after the run drains
-//                        (and every period-ms while it streams).
+//                        max-rate=X, budget=X, penalty=X, freeze=0|1.
+//                        The loop steps once, after the run drains, over
+//                        the capture's own duration, and broadcasts its
+//                        plan as a kControlPlan; the plan is advisory
+//                        (nothing is applied locally).
 //   --control-get HOST:PORT   one-shot client: fetch and print a serving
 //                        gateway's live control state/plan, then exit
 #include <atomic>
@@ -90,7 +92,6 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -456,6 +457,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (queue_frames == 0) {
+    // Every handshake queues an ack, so a zero bound would evict every
+    // client before it subscribed.
+    std::fprintf(stderr, "error: --client-queue wants an integer >= 1, "
+                         "got '0'\n");
+    return 2;
+  }
   if (replay_frames > queue_frames) {
     std::fprintf(stderr, "error: --replay %zu exceeds --client-queue %zu\n",
                  replay_frames, queue_frames);
@@ -471,7 +479,7 @@ int main(int argc, char** argv) {
   if (!quota_spec.empty()) {
     admission = tools::flag_spec("--quota", quota_spec, net::parse_quota_spec);
   }
-  std::optional<control::ControlSpec> control_cfg;
+  std::optional<control::ControlLoopConfig> control_cfg;
   if (!control_spec.empty()) {
     control_cfg = tools::flag_spec("--control", control_spec,
                                    control::parse_control_spec);
@@ -648,34 +656,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // Control plane: the loop is built only after the source exists (its
-    // rate plan can come from the scenario's decoder config), but clients
-    // can send control-get/-set the moment the server binds — so the
-    // server hooks indirect through this slot. An unset slot answers
-    // enabled=false, same as a gateway run without --control.
-    std::mutex control_mutex;
-    std::shared_ptr<control::ControlLoop> control_loop;
-
-    net::FrameServerConfig sc = server_config();
-    if (control_cfg.has_value()) {
-      sc.control_get = [&control_mutex, &control_loop] {
-        std::lock_guard<std::mutex> lock(control_mutex);
-        return control_loop ? control_loop->wire_state()
-                            : net::ControlPlanMsg{};
-      };
-      sc.control_set = [&control_mutex,
-                        &control_loop](const net::ControlSet& set) {
-        std::lock_guard<std::mutex> lock(control_mutex);
-        return control_loop ? control_loop->apply_control_set(set)
-                            : net::ControlPlanMsg{};
-      };
-    }
-    net::FrameServer server(sc);
-    std::fprintf(stderr, "gateway: serving frames on port %u\n",
-                 server.port());
-    if (!write_port_file("--port-file", port_file, server.port())) return 2;
-
-    install_shutdown_handlers();
     runtime::RuntimeConfig rc;
     rc.windowed.decoder = dc;
     if (window_ms > 0.0) rc.windowed.window = window_ms * 1e-3;
@@ -683,17 +663,43 @@ int main(int argc, char** argv) {
     rc.stop_flag = &shutdown_flag();
     if (gate.has_value()) rc.backpressure = &*gate;
 
-    // Build the source last: --iq-listen blocks here for a pusher.
+    // The scenario comes before the server: its decoder config carries the
+    // rate plan the control loop plans over, and the loop must exist before
+    // the server binds, because clients can send control-get/-set the
+    // moment it does.
     Rng rng(2025);
-    sim::ScenarioConfig scenario_config;
-    scenario_config.num_tags = tags;
     std::unique_ptr<sim::Scenario> scenario;
+    if (scenario_mode) {
+      sim::ScenarioConfig scenario_config;
+      scenario_config.num_tags = tags;
+      scenario = std::make_unique<sim::Scenario>(scenario_config, rng);
+      rc.windowed.decoder = scenario->default_decoder();
+    }
+    std::optional<control::ControlLoop> control_loop;
+    net::FrameServerConfig sc = server_config();
+    if (control_cfg.has_value()) {
+      control_loop.emplace(*control_cfg, rc.windowed.decoder.rate_plan);
+      sc.control_get = [&control_loop] { return control_loop->wire_state(); };
+      sc.control_set = [&control_loop](const net::ControlSet& set) {
+        return control_loop->apply_control_set(set);
+      };
+    }
+    net::FrameServer server(sc);
+    std::fprintf(stderr, "gateway: serving frames on port %u\n",
+                 server.port());
+    if (!write_port_file("--port-file", port_file, server.port())) return 2;
+    if (control_loop) {
+      std::fprintf(stderr, "gateway: control plane on (policy=%s%s)\n",
+                   control_loop->policy_name(),
+                   control_loop->frozen() ? ", frozen" : "");
+    }
+
+    install_shutdown_handlers();
+    // Build the source last: --iq-listen blocks here for a pusher.
     std::unique_ptr<runtime::SampleSource> source;
     if (!capture.empty()) {
       source = std::make_unique<runtime::IqFileSource>(capture, 1 << 16);
-    } else if (scenario_mode) {
-      scenario = std::make_unique<sim::Scenario>(scenario_config, rng);
-      rc.windowed.decoder = scenario->default_decoder();
+    } else if (scenario) {
       runtime::ScenarioSource::Config scfg;
       scfg.epochs = epochs;
       scfg.chunk_samples = 1 << 14;
@@ -713,16 +719,6 @@ int main(int argc, char** argv) {
       source = std::move(remote);
     }
 
-    if (control_cfg.has_value()) {
-      auto loop = std::make_shared<control::ControlLoop>(
-          control_cfg->loop, rc.windowed.decoder.rate_plan);
-      {
-        std::lock_guard<std::mutex> lock(control_mutex);
-        control_loop = loop;
-      }
-      std::fprintf(stderr, "gateway: control plane on (policy=%s%s)\n",
-                   loop->policy_name(), loop->frozen() ? ", frozen" : "");
-    }
     // One serve path: the runtime decodes on its worker threads, or on
     // remote worker processes when --shard names a pool; the sharded
     // result is bit-identical to the local one.
@@ -744,17 +740,16 @@ int main(int argc, char** argv) {
     }
     runtime::DecodeRuntime rt(rc);
     server.attach(rt.bus());
-    // Feed every published frame to the tracker; step the loop in the
-    // background only when the spec asks (period-ms). Either way a final
-    // deterministic step after the run drains closes the last epoch and
-    // broadcasts the plan before the stats digest, so a tail always sees
-    // control → stats → bye.
+    // Feed every published frame to the tracker. Frames are published only
+    // once the stitch finishes, so the loop steps once, after the run
+    // drains: it closes the run as one epoch lasting the capture's own
+    // duration and broadcasts the plan before the stats digest, so a tail
+    // always sees control → stats → bye.
     runtime::FrameBus::SubscriberId control_tap = 0;
     if (control_loop) {
       control_tap = rt.bus().subscribe([&](const runtime::FrameEvent& event) {
         control_loop->tracker().observe_frame(event);
       });
-      if (control_cfg->period > 0.0) control_loop->start(control_cfg->period);
     }
     if (wait_subscriber > 0.0 &&
         !server.wait_for_subscriber(wait_subscriber)) {
@@ -765,9 +760,12 @@ int main(int argc, char** argv) {
     const runtime::RuntimeResult run =
         shards ? rt.run(*source, *shards) : rt.run(*source);
     if (control_loop) {
-      control_loop->stop();
       rt.bus().unsubscribe(control_tap);
-      const control::EpochPlan plan = control_loop->step();
+      const Seconds captured =
+          static_cast<double>(run.stats.samples_in + run.stats.samples_gap) /
+          source->sample_rate();
+      const control::EpochPlan plan =
+          control_loop->step(rc.epoch_index, captured);
       server.publish_control(control_loop->wire_state());
       std::fprintf(stderr,
                    "gateway: control epoch=%llu policy=%s tags=%zu "

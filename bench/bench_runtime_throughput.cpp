@@ -3,16 +3,16 @@
 // FrameServer::publish costs the thread that calls it).
 //
 // It measures, in thread-CPU time of the publishing thread:
-//   - publish_kfps: FrameServer::publish rate with a connection limit set;
-//   - publish_admission_overhead_pct: that limit set vs the default one;
+//   - publish_kfps: FrameServer::publish rate on the default config;
 //   - publish_control_overhead_pct: the control plane's FleetTracker bus
 //     tap on vs off.
-// Each overhead is the minimum over 5 interleaved pairs. Decode speed is
-// perfbench's job (perfbench/run.py); scripts/perf_gate.py gates both
-// against the parent commit.
+// Both come from 5 interleaved pairs: the rate is the best plain run, the
+// overhead the minimum over the pairs. Decode speed is perfbench's job
+// (perfbench/run.py); scripts/perf_gate.py gates both against the parent
+// commit.
 //
 // Usage: bench_runtime_throughput [--json PATH]
-//   --json writes the three numbers above as one JSON object.
+//   --json writes the two numbers above as one JSON object.
 #include <cstdio>
 #include <ctime>
 #include <string>
@@ -47,8 +47,7 @@ double thread_cpu_seconds() {
 /// event loop blocks in poll and the timed loop is exactly the path the
 /// decode pipeline pays per frame: encode + bounded enqueue (steady-state:
 /// each publish also drops the oldest queued frame).
-double publish_rate_once(bool admission,
-                         control::FleetTracker* tracker = nullptr) {
+double publish_rate_once(control::FleetTracker* tracker) {
   runtime::FrameEvent event;
   event.stream_start = 1234.5;
   event.rate = 100.0 * kKbps;
@@ -60,7 +59,6 @@ double publish_rate_once(bool admission,
     net::FrameServerConfig sc;
     sc.drain_timeout = 0.1;
     sc.send_buffer_bytes = 4096;  // park the event loop early
-    if (admission) sc.admission.max_connections = 8;
     net::FrameServer server(sc);
     // A raw subscriber that handshakes and then never reads.
     net::TcpConnection conn =
@@ -68,7 +66,7 @@ double publish_rate_once(bool admission,
     std::vector<std::uint8_t> handshake;
     net::Hello hello;
     hello.role = net::PeerRole::kFrameSubscriber;
-    hello.name = admission ? "admitted" : "plain";
+    hello.name = "parked";
     net::encode_hello(hello, handshake);
     net::encode_subscribe({}, handshake);
     std::size_t sent = 0;
@@ -111,63 +109,37 @@ int main(int argc, char** argv) {
 
   sim::print_banner(
       "Extension: gateway publish path",
-      "FrameServer::publish rate and the cost of admission and the "
-      "control-plane tap",
+      "FrameServer::publish rate and the cost of the control-plane tap",
       "one parked subscriber, 50000 frames per run, thread-CPU time of the "
       "publishing thread");
 
-  // Publish-path admission overhead: the connection limit is enforced at
-  // accept time and the queue bound is the same for every config, so a
-  // gateway with --quota must cost the publishing thread nothing more per
-  // frame than one without.
-  std::string json;
-  {
-    // Interleaved pairs: alternating the two configs inside one loop
-    // keeps slow system phases (frequency scaling, a background task)
-    // from landing entirely on one side of the comparison, and taking
-    // the minimum per-pair ratio makes the estimate robust — a real
-    // regression (extra work on every publish) shows up in every pair,
-    // one noisy rep does not.
-    double plain_fps = 0.0, admitted_fps = 0.0;
-    double overhead_pct = 1e30;
-    for (int rep = 0; rep < 5; ++rep) {
-      const double plain = publish_rate_once(false);
-      const double admitted = publish_rate_once(true);
-      plain_fps = std::max(plain_fps, plain);
-      admitted_fps = std::max(admitted_fps, admitted);
-      overhead_pct = std::min(overhead_pct, (plain / admitted - 1.0) * 100.0);
-    }
-    std::printf(
-        "publish path: %.0f kframes/s plain, %.0f kframes/s with a "
-        "connection limit of 8 (%.2f%% overhead)\n",
-        plain_fps / 1e3, admitted_fps / 1e3, overhead_pct);
-    json += "{\n  \"publish_kfps\": " + sim::fmt(admitted_fps / 1e3, 1) +
-            ",\n  \"publish_admission_overhead_pct\": " +
-            sim::fmt(overhead_pct, 2);
-  }
   // Control-plane sensing overhead: a serving gateway with --control taps
   // the frame bus and folds every published frame into the FleetTracker on
-  // this same publishing thread. Same interleaved-pairs / min-over-pairs
-  // methodology as the admission stanza; sensing must be nearly free, the
-  // scheduling work happens off the publish path at epoch boundaries.
-  {
-    double tapped_fps = 0.0;
-    double overhead_pct = 1e30;
-    for (int rep = 0; rep < 5; ++rep) {
-      const double plain = publish_rate_once(false);
-      control::FleetTracker tracker;
-      const double tapped = publish_rate_once(false, &tracker);
-      tapped_fps = std::max(tapped_fps, tapped);
-      overhead_pct = std::min(overhead_pct, (plain / tapped - 1.0) * 100.0);
-    }
-    std::printf(
-        "publish path: %.0f kframes/s with the control-plane tracker "
-        "tapping the bus (%.2f%% overhead)\n",
-        tapped_fps / 1e3, overhead_pct);
-    json += ",\n  \"publish_control_overhead_pct\": " +
-            sim::fmt(overhead_pct, 2);
+  // this same publishing thread; sensing must be nearly free, the
+  // scheduling work happens off the publish path once the run drains.
+  // Interleaved pairs: alternating the two configs inside one loop keeps
+  // slow system phases (frequency scaling, a background task) from landing
+  // entirely on one side of the comparison, and taking the minimum
+  // per-pair ratio makes the estimate robust — a real regression (extra
+  // work on every publish) shows up in every pair, one noisy rep does not.
+  double plain_fps = 0.0, tapped_fps = 0.0;
+  double overhead_pct = 1e30;
+  for (int rep = 0; rep < 5; ++rep) {
+    const double plain = publish_rate_once(nullptr);
+    control::FleetTracker tracker;
+    const double tapped = publish_rate_once(&tracker);
+    plain_fps = std::max(plain_fps, plain);
+    tapped_fps = std::max(tapped_fps, tapped);
+    overhead_pct = std::min(overhead_pct, (plain / tapped - 1.0) * 100.0);
   }
-  json += "\n}\n";
+  std::printf(
+      "publish path: %.0f kframes/s plain, %.0f kframes/s with the "
+      "control-plane tracker tapping the bus (%.2f%% overhead)\n",
+      plain_fps / 1e3, tapped_fps / 1e3, overhead_pct);
+  const std::string json =
+      "{\n  \"publish_kfps\": " + sim::fmt(plain_fps / 1e3, 1) +
+      ",\n  \"publish_control_overhead_pct\": " +
+      sim::fmt(overhead_pct, 2) + "\n}\n";
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");

@@ -26,8 +26,7 @@ for b in build/bench/bench_*; do
   metric=""
   case "$name" in
     bench_runtime_throughput)
-      for k in publish_kfps publish_admission_overhead_pct \
-               publish_control_overhead_pct; do
+      for k in publish_kfps publish_control_overhead_pct; do
         v=$(sed -n "s/.*\"$k\": \(-\{0,1\}[0-9.]*\).*/\1/p" BENCH_runtime.json | head -n 1)
         [ -n "$v" ] && metric="$metric, \"$k\": $v"
       done

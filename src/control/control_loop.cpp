@@ -18,11 +18,6 @@ ControlLoop::ControlLoop(ControlLoopConfig config, protocol::RatePlan rates)
   LFBS_CHECK(!rates_.rates.empty());
 }
 
-void ControlLoop::set_applier(Applier applier) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  applier_ = std::move(applier);
-}
-
 EpochPlan ControlLoop::step(std::uint64_t epoch, Seconds duration) {
   tracker_.end_epoch(epoch, duration);
   const FleetSnapshot snapshot = tracker_.snapshot();
@@ -32,18 +27,13 @@ EpochPlan ControlLoop::step(std::uint64_t epoch, Seconds duration) {
   const EpochPlan plan =
       policy_->plan(snapshot, rates_, objective(), epoch + 1);
 
-  Applier applier;
-  bool applied = false;
+  bool frozen = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     last_plan_ = plan;
-    if (!frozen_) {
-      applier = applier_;
-      applied = static_cast<bool>(applier);
-    }
+    frozen = frozen_;
   }
-  publish(plan, snapshot, applied);
-  if (applier) applier(plan);
+  publish(plan, snapshot, frozen);
   return plan;
 }
 
@@ -112,11 +102,9 @@ net::ControlPlanMsg ControlLoop::apply_control_set(
 }
 
 void ControlLoop::publish(const EpochPlan& plan,
-                          const FleetSnapshot& snapshot, bool applied) {
+                          const FleetSnapshot& snapshot, bool frozen) {
   static obs::Counter& plans = obs::metrics().counter("control.plans");
-  static obs::Counter& applies = obs::metrics().counter("control.applies");
   plans.add();
-  if (applied) applies.add();
   obs::metrics().gauge("control.collision_pressure")
       .set(plan.collision_pressure);
   obs::metrics().gauge("control.predicted_goodput")
@@ -144,7 +132,7 @@ void ControlLoop::publish(const EpochPlan& plan,
              obs::Field::num("max_rate", plan.max_rate),
              obs::Field::num("predicted_goodput", plan.predicted_goodput_bps),
              obs::Field::num("collision_pressure", plan.collision_pressure),
-             obs::Field::flag("applied", applied)});
+             obs::Field::flag("frozen", frozen)});
   for (const TagAssignment& a : plan.assignments) {
     std::vector<obs::Field> fields = {
         obs::Field::str("action", "assign"),

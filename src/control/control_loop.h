@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -17,40 +16,35 @@ struct ControlLoopConfig {
   ControlObjective objective{};
   std::string policy = "greedy";
   std::uint64_t seed = 0x1f53c0de;
-  /// Freeze: keep sensing, planning and publishing, but never apply —
-  /// the operator's "look, don't touch" switch.
+  /// Freeze: the operator's "look, don't touch" flag. The loop keeps
+  /// sensing, planning and publishing; the flag travels in the wire state
+  /// and the plan event, for whoever acts on the plan downstream.
   bool frozen = false;
 };
 
-/// The closed loop of the fleet control plane: sense (FleetTracker),
-/// plan (a SchedulingPolicy over the rate plan and the objective), act
-/// (the installed applier), tell (typed "control" events, control.*
-/// metrics, and — via the gateway glue — LFBW1 kControlPlan broadcasts).
+/// The fleet control plane's loop: sense (FleetTracker), plan (a
+/// SchedulingPolicy over the rate plan and the objective), tell (typed
+/// "control" events, control.* metrics, and — via the gateway glue —
+/// LFBW1 kControlPlan broadcasts). The plan is advisory: nothing here
+/// applies it; consumers of the broadcast act on it.
 ///
-/// step() closes the tracker's open epoch, plans the next one, publishes
-/// the decision, and applies it unless frozen. The caller sets the pace:
-/// the gateway steps once per run, after the run drains, with the
-/// capture's own duration; tests step directly.
+/// step() closes the tracker's open epoch, plans the next one, and
+/// publishes the decision. The caller sets the pace: the gateway steps
+/// once per run, after the run drains, with the capture's own duration;
+/// tests step directly.
 ///
 /// All entry points are thread-safe. The knob setters mirror the LFBW1
 /// control-set message, so a remote operator and the local loop see one
 /// consistent state.
 class ControlLoop {
  public:
-  /// Applies one plan to the world — commands simulated tags, or nothing
-  /// (gateway serve mode installs none: the plan is advisory and
-  /// consumed downstream).
-  using Applier = std::function<void(const EpochPlan&)>;
-
   ControlLoop(ControlLoopConfig config, protocol::RatePlan rates);
 
   FleetTracker& tracker() { return tracker_; }
   const char* policy_name() const { return policy_->name(); }
 
-  void set_applier(Applier applier);
-
   /// Close epoch `epoch` (duration seconds of air time), plan the next
-  /// epoch, publish, apply unless frozen. Returns the new plan.
+  /// epoch, publish. Returns the new plan.
   EpochPlan step(std::uint64_t epoch, Seconds duration);
 
   // --- knobs (the LFBW1 control-set surface) -----------------------------
@@ -69,7 +63,7 @@ class ControlLoop {
 
  private:
   void publish(const EpochPlan& plan, const FleetSnapshot& snapshot,
-               bool applied);
+               bool frozen);
 
   FleetTracker tracker_;
   const std::unique_ptr<SchedulingPolicy> policy_;
@@ -77,7 +71,6 @@ class ControlLoop {
 
   mutable std::mutex mutex_;
   ControlObjective objective_;
-  Applier applier_;
   bool frozen_ = false;
   EpochPlan last_plan_;
 };

@@ -17,7 +17,7 @@ namespace lfbs::control {
 ///   max-rate=X         manual cap on every assignment, bits/s (0 = plan)
 ///   budget=X           aggregate-rate cap, multiples of the base rate
 ///   penalty=X          collision crowding penalty scale (default 1)
-///   freeze=0|1         plan and publish but never apply
+///   freeze=0|1         report the plan as frozen (the flag is advisory)
 ///
 /// Throws SpecParseError (common/kv_spec.h) on anything else.
 ControlLoopConfig parse_control_spec(const std::string& spec);

@@ -12,6 +12,17 @@
 
 namespace lfbs::core {
 
+namespace {
+
+/// Lattice-phase continuity tolerance at a stitch, in samples, plus a
+/// drift allowance proportional to the gap.
+constexpr double kPhaseTolerance = 8.0;
+/// Edge-vector continuity: the core::TagIdentity distance
+/// min(|e_s - e_t|, |e_s + e_t|) / |e_t| must not exceed this.
+constexpr double kVectorTolerance = 0.4;
+
+}  // namespace
+
 WindowStitcher::WindowStitcher(const WindowedDecoderConfig& config,
                                SampleRate sample_rate)
     : config_(config), fs_(sample_rate) {
@@ -96,14 +107,14 @@ void WindowStitcher::add_window(DecodeResult window,
       const double span = std::max(abs_start - thread.anchor_pos, 0.0);
       const double drift_allowance =
           (thread.period_refined ? 60e-6 : 400e-6) * span;
-      const double tol = config_.phase_tolerance + drift_allowance;
+      const double tol = kPhaseTolerance + drift_allowance;
       const double residual =
           std::abs(std::remainder(gap, period));
       if (residual > tol) continue;
       // Edge-vector continuity, allowing a polarity flip.
       const TagIdentity id =
           TagIdentity::compare(s.edge_vector, thread.edge_vector);
-      if (id.distance > config_.vector_tolerance) continue;
+      if (id.distance > kVectorTolerance) continue;
       double score = residual / tol + id.distance;
       if (expand > 1) score += 0.5;  // prefer exact-rate matches
       if (score < best_score) {
@@ -226,8 +237,6 @@ DecodeResult WindowStitcher::finish() {
 WindowedDecoder::WindowedDecoder(WindowedDecoderConfig config)
     : config_(std::move(config)) {
   LFBS_CHECK(config_.window > 0.0);
-  LFBS_CHECK(config_.phase_tolerance > 0.0);
-  LFBS_CHECK(config_.vector_tolerance > 0.0);
 }
 
 std::size_t WindowedDecoder::window_samples(SampleRate fs) const {

@@ -44,12 +44,6 @@ struct WindowedDecoderConfig {
   /// shows min_edges edges per window, short enough that relative drift
   /// within a window stays inside the grouping tolerance.
   Seconds window = 20e-3;
-  /// Lattice-phase continuity tolerance at a stitch, in samples, plus a
-  /// drift allowance proportional to the gap.
-  double phase_tolerance = 8.0;
-  /// Edge-vector continuity: the core::TagIdentity distance
-  /// min(|e_s - e_t|, |e_s + e_t|) / |e_t| must not exceed this.
-  double vector_tolerance = 0.4;
 };
 
 /// Serial half of the windowed decode: consumes per-window DecodeResults

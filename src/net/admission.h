@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -8,8 +7,8 @@
 
 namespace lfbs::net {
 
-/// Overload protection for the gateway: three limits, each enforced in
-/// one place by the FrameServer.
+/// Overload protection for the gateway: two limits, each enforced in one
+/// place by the FrameServer.
 ///
 ///   Connections (AdmissionConfig) — at most max_connections at once.
 ///     A dial past it gets a typed Bye(kAdmissionDenied) with a
@@ -22,11 +21,8 @@ namespace lfbs::net {
 ///     (queue_drops); a priority client is evicted with Bye(kEvicted) and
 ///     never loses a frame silently.
 ///
-///   ResourceBudget (optional) — a global byte ceiling across every
-///     per-client send queue, the replay ring, and (when shared) the shard
-///     coordinator's in-flight windows. Saturation triggers tiered
-///     shedding in the FrameServer and engages the runtime's
-///     BackpressureGate, so memory stays flat under overload.
+/// Together they cap queue memory: at most max_connections queues of
+/// send_queue_messages frames each, plus the replay ring's replay_frames.
 
 /// The connection limit and its deny.
 struct AdmissionConfig {
@@ -46,65 +42,5 @@ struct AdmissionConfig {
 /// Throws SpecParseError (common/kv_spec.h) on anything else, the empty
 /// spec included.
 AdmissionConfig parse_quota_spec(const std::string& spec);
-
-/// Global byte ceiling shared by every component that queues memory on
-/// behalf of remote peers. Atomic, so the runtime's publishing thread, the
-/// server loop thread (drain/close) and a shard coordinator can charge
-/// and release concurrently without sharing a lock.
-///
-/// try_charge is the polite path (refused at the limit, caller sheds);
-/// charge is the priority path (always succeeds — priority subscribers
-/// are never shed; each priority queue's send_queue_messages bounds the
-/// overshoot, and the BackpressureGate throttles the producer).
-class ResourceBudget {
- public:
-  explicit ResourceBudget(std::size_t limit_bytes) : limit_(limit_bytes) {}
-
-  std::size_t limit() const { return limit_; }
-
-  bool try_charge(std::size_t bytes) {
-    std::size_t used = used_.load(std::memory_order_relaxed);
-    for (;;) {
-      if (used + bytes > limit_) return false;
-      if (used_.compare_exchange_weak(used, used + bytes,
-                                      std::memory_order_relaxed)) {
-        note_peak(used + bytes);
-        return true;
-      }
-    }
-  }
-
-  void charge(std::size_t bytes) {
-    const std::size_t now =
-        used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    note_peak(now);
-  }
-
-  void release(std::size_t bytes) {
-    used_.fetch_sub(bytes, std::memory_order_relaxed);
-  }
-
-  std::size_t used() const { return used_.load(std::memory_order_relaxed); }
-  /// Deepest the pool has ever been — the overload report's headline.
-  std::size_t peak() const { return peak_.load(std::memory_order_relaxed); }
-
-  bool saturated() const { return used() >= limit_; }
-  /// Below this the backpressure gate releases; the hysteresis stops the
-  /// gate from chattering at the limit.
-  bool below_low_water() const { return used() < (limit_ / 4) * 3; }
-
- private:
-  void note_peak(std::size_t now) {
-    std::size_t peak = peak_.load(std::memory_order_relaxed);
-    while (now > peak &&
-           !peak_.compare_exchange_weak(peak, now,
-                                        std::memory_order_relaxed)) {
-    }
-  }
-
-  std::size_t limit_;
-  std::atomic<std::size_t> used_{0};
-  std::atomic<std::size_t> peak_{0};
-};
 
 }  // namespace lfbs::net

@@ -81,10 +81,9 @@ void FrameRelay::start() {
     cc.reconnect_on_evict = true;  // relay links heal themselves
     cc.reconnect_on_protocol_error = true;
     cc.relay_hello = {config_.gateway_id, config_.hop_limit, config_.name};
-    // Federation links are infrastructure: an overloaded upstream sheds
-    // best-effort tailers and backpressures its decoder, and never drops
-    // a frame destined for another gateway silently; a link that falls a
-    // whole queue behind is evicted and heals through the replay ring.
+    // Federation links are infrastructure: an upstream never drops a frame
+    // destined for another gateway silently; a link that falls a whole
+    // queue behind is evicted and heals through the replay ring.
     cc.client_class = ClientClass::kPriority;
     link->client = std::make_unique<FrameClient>(std::move(cc));
     Link* raw = link.get();

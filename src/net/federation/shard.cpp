@@ -34,10 +34,6 @@ struct WorkerLink {
       : peer(std::move(connection)) {}
 };
 
-std::size_t job_bytes(const core::WindowJob& job) {
-  return job.samples.size() * sizeof(Complex);
-}
-
 }  // namespace
 
 /// One run's pool state: the connected links, the windows in flight, and
@@ -77,16 +73,6 @@ struct ShardPool::Session {
       encode_hello(hello, hello_bytes);
       link->peer.send(hello_bytes);
       links.push_back(std::move(link));
-    }
-  }
-
-  // Squares the budget books on every exit path — including a failed run —
-  // so the gateway's pool never leaks the bytes of windows still in flight.
-  ~Session() {
-    if (config.budget == nullptr) return;
-    for (const auto& [index, job] : pending) {
-      (void)index;
-      config.budget->release(job_bytes(job));
     }
   }
 
@@ -152,13 +138,7 @@ struct ShardPool::Session {
             latency_hist.record(ms);
             run.latency.record(ms / 1e3);
             link.dispatched_at.erase(it);
-            const auto pit = pending.find(result.window_index);
-            if (pit != pending.end()) {
-              if (config.budget != nullptr) {
-                config.budget->release(job_bytes(pit->second));
-              }
-              pending.erase(pit);
-            }
+            pending.erase(result.window_index);
             ++delivered;
             run.deliver(static_cast<std::size_t>(result.window_index),
                         std::move(result.result));
@@ -241,8 +221,6 @@ struct ShardPool::Session {
     assign.sample_count = job.samples.size();
     assign.sample_rate = run.sample_rate;
     assign.window_seconds = wc.window;
-    assign.phase_tolerance = wc.phase_tolerance;
-    assign.vector_tolerance = wc.vector_tolerance;
     assign.seed = wc.decoder.seed;
     assign.payload_bits =
         static_cast<std::uint32_t>(wc.decoder.frame.payload_bits);
@@ -322,29 +300,6 @@ struct ShardPool::Session {
     check_deadlines();
   }
 
-  // Bounded saturation throttle: while the shared pool is full, drain
-  // results (a landing result frees its window's bytes) instead of growing
-  // the overshoot. Past the deadline charge unconditionally — dispatch must
-  // make progress even when the gateway's subscribers hold the pool at its
-  // limit, and the overshoot is bounded by one window.
-  void charge_budget(std::size_t bytes) {
-    static obs::Counter& budget_throttles_counter =
-        obs::metrics().counter("net.shard_budget_throttles");
-    if (config.budget == nullptr || bytes == 0) return;
-    if (config.budget->try_charge(bytes)) return;
-    budget_throttles_counter.add();
-    const auto throttle_deadline = Clock::now() + std::chrono::seconds(2);
-    while (Clock::now() < throttle_deadline) {
-      if (std::all_of(links.begin(), links.end(),
-                      [](const auto& l) { return l->dead; })) {
-        break;
-      }
-      poll_and_drain(50);
-      if (config.budget->try_charge(bytes)) return;
-    }
-    config.budget->charge(bytes);
-  }
-
   // Dispatches one job to its round-robin worker (or a survivor).
   void submit(core::WindowJob job) {
     static obs::Counter& windows_counter =
@@ -357,7 +312,6 @@ struct ShardPool::Session {
       throw SocketError("shard failover: no workers left to assign window " +
                         std::to_string(job.index));
     }
-    charge_budget(job_bytes(job));
     const std::uint64_t index = job.index;
     const auto it = pending.emplace(index, std::move(job)).first;
     transmit(*link, it->second);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/windowed_decoder.h"
-#include "net/admission.h"
 #include "net/socket.h"
 #include "runtime/runtime.h"
 
@@ -32,16 +31,6 @@ struct ShardConfig {
   /// bounds the post-run wait for a worker's Bye. Generous default — a
   /// window decode is milliseconds; 30 s means genuinely wedged.
   Seconds worker_deadline = 30.0;
-  /// Optional overload budget, usually the same pool the gateway's
-  /// FrameServer charges its send queues against. Every retained in-flight
-  /// window's sample bytes are charged while the window is outstanding and
-  /// released when its result lands (or the run ends), so a gateway
-  /// coordinating shards sees its true memory footprint in one number.
-  /// While the pool is saturated, dispatch throttles (bounded — it drains
-  /// results to free budget, then proceeds regardless; results must flow
-  /// or nothing ever frees). Caller-owned; must outlive run(). nullptr =
-  /// unbudgeted.
-  ResourceBudget* budget = nullptr;
 };
 
 /// The remote WindowExecutor: decodes a DecodeRuntime run's window jobs on

@@ -14,8 +14,6 @@ void encode_shard_assign(const ShardAssign& assign,
   put_u64(out, assign.sample_count);
   put_f64(out, assign.sample_rate);
   put_f64(out, assign.window_seconds);
-  put_f64(out, assign.phase_tolerance);
-  put_f64(out, assign.vector_tolerance);
   put_u64(out, assign.seed);
   put_u32(out, assign.payload_bits);
   put_u8(out, assign.crc_kind);
@@ -30,8 +28,6 @@ ShardAssign decode_shard_assign(std::span<const std::uint8_t> body) {
   assign.sample_count = c.get_u64();
   assign.sample_rate = c.get_f64();
   assign.window_seconds = c.get_f64();
-  assign.phase_tolerance = c.get_f64();
-  assign.vector_tolerance = c.get_f64();
   assign.seed = c.get_u64();
   assign.payload_bits = c.get_u32();
   assign.crc_kind = c.get_u8();

@@ -15,12 +15,13 @@ namespace lfbs::net::federation {
 /// total, with window-local first_sample offsets.
 ///
 /// The assign repeats the decode parameters the gateway exposes — window
-/// geometry, stitch tolerances, frame layout, base seed — per window: a few
-/// dozen bytes against megabytes of IQ, and it makes workers stateless
-/// across assignments. Decoder knobs beyond these (stage toggles, edge
-/// config, ...) must be left at their defaults on both sides; the gateway
-/// does not expose them, and the bit-identity contract covers exactly the
-/// configuration the assign can describe.
+/// geometry, frame layout, base seed — per window: a few dozen bytes
+/// against megabytes of IQ, and it makes workers stateless across
+/// assignments. Decoder knobs beyond these (stage toggles, edge config,
+/// ...) must be left at their defaults on both sides; the gateway does not
+/// expose them, and the bit-identity contract covers exactly the
+/// configuration the assign can describe. The stitch runs on the
+/// coordinator, so nothing of it travels.
 struct ShardAssign {
   std::uint64_t window_index = 0;
   /// Whole-capture fallback (capture ≤ 1.5 windows): decode with the plain
@@ -30,8 +31,6 @@ struct ShardAssign {
   std::uint64_t sample_count = 0;  ///< samples following as kIqChunk
   double sample_rate = 0.0;
   double window_seconds = 0.0;     ///< WindowedDecoderConfig::window
-  double phase_tolerance = 0.0;
-  double vector_tolerance = 0.0;
   std::uint64_t seed = 0;          ///< base decoder seed (pre window mix)
   std::uint32_t payload_bits = 0;  ///< protocol::FrameConfig::payload_bits
   std::uint8_t crc_kind = 0;       ///< protocol::CrcKind

@@ -19,8 +19,6 @@ namespace {
 core::WindowedDecoderConfig config_from_assign(const ShardAssign& assign) {
   core::WindowedDecoderConfig wc;
   wc.window = assign.window_seconds;
-  wc.phase_tolerance = assign.phase_tolerance;
-  wc.vector_tolerance = assign.vector_tolerance;
   wc.decoder.seed = assign.seed;
   wc.decoder.frame.payload_bits = assign.payload_bits;
   wc.decoder.frame.crc = static_cast<protocol::CrcKind>(assign.crc_kind);

@@ -146,12 +146,6 @@ Bye FrameClient::run(const Callbacks& callbacks) {
               throw WireFormatError(WireError::kMalformed,
                                     "server refused: " + ack.text);
             }
-            if (ack.replay_shortfall > 0) {
-              counters_.replay_shortfall += ack.replay_shortfall;
-              obs::metrics()
-                  .counter("net.client_replay_shortfall")
-                  .add(ack.replay_shortfall);
-            }
             if (acks_pending > 0 && --acks_pending == 0) {
               ++counters_.connects;
               if (ever_connected) {

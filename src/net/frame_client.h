@@ -58,10 +58,9 @@ struct FrameClientConfig {
   /// can log/count its downstream relays.
   RelayHello relay_hello;
   /// Service class announced in the hello. A priority subscriber never
-  /// loses a frame silently: the server's budget never sheds it, and at
-  /// its queue bound it is evicted (Bye(kEvicted)); best-effort ones lose
-  /// their oldest frames. The relay always announces priority —
-  /// federation links are infrastructure.
+  /// loses a frame silently: at its queue bound it is evicted
+  /// (Bye(kEvicted)); best-effort ones lose their oldest frames. The relay
+  /// always announces priority — federation links are infrastructure.
   ClientClass client_class = ClientClass::kBestEffort;
   /// How many typed admission denies (Bye(kAdmissionDenied)) to absorb by
   /// waiting out the server's retry-after hint (at most connect_timeout)
@@ -97,10 +96,6 @@ class FrameClient {
     std::size_t admission_denies = 0;  ///< Bye(kAdmissionDenied) received
     std::size_t retry_after_waits = 0;  ///< denies absorbed by waiting the
                                         ///< server's retry-after hint
-    /// Sum of the replay shortfalls the server acked: frames of configured
-    /// replay history it had already shed before this client resubscribed
-    /// (0 = every replay healed the full configured window).
-    std::uint64_t replay_shortfall = 0;
   };
 
   struct Callbacks {

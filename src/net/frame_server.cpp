@@ -25,12 +25,6 @@ struct NetCounters {
   obs::Counter& replays_sent = obs::metrics().counter("net.replays_sent");
   obs::Counter& admission_denies =
       obs::metrics().counter("net.admission_denies");
-  obs::Counter& budget_sheds = obs::metrics().counter("net.budget_sheds");
-  obs::Counter& budget_refusals =
-      obs::metrics().counter("net.budget_refusals");
-  obs::Counter& ring_sheds = obs::metrics().counter("net.ring_sheds");
-  obs::Counter& replay_truncated =
-      obs::metrics().counter("net.replay_truncated");
   obs::Counter& frames_discarded =
       obs::metrics().counter("net.frames_discarded");
   obs::Counter& priority_clients =
@@ -77,7 +71,6 @@ struct FrameServer::Client {
   std::size_t queued_frames = 0;  ///< frame messages currently in `queue`
   std::size_t unsent_replies = 0;  ///< replies queued or half-written
   std::size_t queue_bytes = 0;    ///< bytes in `queue` plus unfinished outbuf
-  std::size_t budget_bytes = 0;   ///< frame bytes charged to the budget
   std::vector<std::uint8_t> outbuf;
   std::size_t out_off = 0;
   Outbound out_kind = Outbound::kNotice;
@@ -121,18 +114,10 @@ FrameServer::~FrameServer() {
   {
     std::lock_guard lock(mutex_);
     stop_ = true;
-    if (config_.budget != nullptr) {
-      config_.budget->release(ring_bytes_);
-      ring_bytes_ = 0;
-      replay_ring_.clear();
-    }
   }
   impl_->wake.wake();
   if (thread_.joinable()) thread_.join();
   detach();
-  // Never leave a decode pipeline throttled by a server that no longer
-  // exists.
-  if (config_.backpressure != nullptr) config_.backpressure->release();
 }
 
 std::uint16_t FrameServer::port() const { return impl_->listener.port(); }
@@ -170,30 +155,13 @@ void FrameServer::publish(const runtime::FrameEvent& event) {
     if (config_.replay_frames > 0) {
       encode_frame(*out, bytes);
       encoded = true;
-      ++ring_frames_total_;
-      const std::size_t need = bytes.size();
-      // The ring is the lowest shedding tier: it gives up its own history
-      // before it competes with live queues for budget.
-      bool charged =
-          config_.budget == nullptr || config_.budget->try_charge(need);
-      while (!charged && !replay_ring_.empty()) {
-        drop_ring_front_locked();
-        ++counters_.ring_sheds;
-        net_metrics().ring_sheds.add();
-        charged = config_.budget->try_charge(need);
+      ring_bytes_ += bytes.size();
+      replay_ring_.push_back({*out, bytes.size()});
+      if (replay_ring_.size() > config_.replay_frames) {
+        ring_bytes_ -= replay_ring_.front().bytes;
+        replay_ring_.pop_front();
       }
-      if (charged) {
-        ring_bytes_ += need;
-        replay_ring_.push_back({*out, need});
-        while (replay_ring_.size() > config_.replay_frames) {
-          // Normal rotation at the configured cap — not a shed.
-          drop_ring_front_locked();
-        }
-      } else {
-        // Budget would not even hold this one frame of history.
-        ++counters_.ring_sheds;
-        net_metrics().ring_sheds.add();
-      }
+      note_peak_locked();
     }
     for (const auto& client : clients_) {
       if (client->dead || client->closing || client->evict) continue;
@@ -206,7 +174,6 @@ void FrameServer::publish(const runtime::FrameEvent& event) {
     }
   }
   if (encoded) impl_->wake.wake();
-  signal_backpressure();
 }
 
 void FrameServer::publish_stats(const runtime::RuntimeStats& stats) {
@@ -239,18 +206,14 @@ void FrameServer::note_queue_bytes_locked(Client& client,
       static_cast<std::ptrdiff_t>(client.queue_bytes) + delta);
   queue_bytes_total_ = static_cast<std::size_t>(
       static_cast<std::ptrdiff_t>(queue_bytes_total_) + delta);
+  note_peak_locked();
+}
+
+void FrameServer::note_peak_locked() {
   counters_.queue_bytes_peak = std::max(counters_.queue_bytes_peak,
                                         queue_bytes_total_ + ring_bytes_);
   net_metrics().queue_bytes_total.set(
       static_cast<double>(queue_bytes_total_ + ring_bytes_));
-}
-
-void FrameServer::drop_ring_front_locked() {
-  if (replay_ring_.empty()) return;
-  const std::size_t bytes = replay_ring_.front().bytes;
-  replay_ring_.pop_front();
-  ring_bytes_ -= bytes;
-  if (config_.budget != nullptr) config_.budget->release(bytes);
 }
 
 bool FrameServer::drop_oldest_frame_locked(Client& client) {
@@ -262,56 +225,16 @@ bool FrameServer::drop_oldest_frame_locked(Client& client) {
     client.queue.erase(it);
     --client.queued_frames;
     note_queue_bytes_locked(client, -static_cast<std::ptrdiff_t>(bytes));
-    if (config_.budget != nullptr) {
-      config_.budget->release(bytes);
-      client.budget_bytes -= bytes;
-    }
     ++client.drops;
     return true;
   }
   return false;
 }
 
-bool FrameServer::shed_one_best_effort_locked() {
-  Client* worst = nullptr;
-  for (const auto& client : clients_) {
-    if (client->dead || client->cls == ClientClass::kPriority) continue;
-    if (client->queued_frames == 0) continue;
-    if (worst == nullptr || client->queue_bytes > worst->queue_bytes) {
-      worst = client.get();
-    }
-  }
-  if (worst == nullptr || !drop_oldest_frame_locked(*worst)) return false;
-  ++counters_.budget_sheds;
-  net_metrics().budget_sheds.add();
-  return true;
-}
-
-bool FrameServer::shed_for_budget_locked(std::size_t need) {
-  ResourceBudget& budget = *config_.budget;
-  // Tier 1: replay history — it only exists to heal partitions, live
-  // traffic outranks it.
-  while (!replay_ring_.empty()) {
-    if (budget.try_charge(need)) return true;
-    drop_ring_front_locked();
-    ++counters_.ring_sheds;
-    net_metrics().ring_sheds.add();
-  }
-  if (budget.try_charge(need)) return true;
-  // Tier 2: the oldest queued best-effort frames, deepest queue first.
-  // Priority queues are never touched.
-  while (shed_one_best_effort_locked()) {
-    if (budget.try_charge(need)) return true;
-  }
-  return budget.try_charge(need);
-}
-
 void FrameServer::enqueue_locked(Client& client,
                                  const std::vector<std::uint8_t>& bytes,
                                  Outbound kind) {
-  const std::size_t need = bytes.size();
   const bool is_frame = kind == Outbound::kFrame;
-  const bool priority = client.cls == ClientClass::kPriority;
   // The queue bound counts frames, and separately the replies to the
   // client's own requests; notices (stats, control broadcasts, byes) are
   // part of the protocol and must get through. A peer that keeps asking
@@ -326,31 +249,13 @@ void FrameServer::enqueue_locked(Client& client,
     // At the bound the client's class decides. A priority consumer must
     // never silently miss a frame, so it is evicted (typed) instead; a
     // best-effort one loses its oldest queued frame.
-    if (priority || !drop_oldest_frame_locked(client)) {
+    if (client.cls == ClientClass::kPriority ||
+        !drop_oldest_frame_locked(client)) {
       client.evict = true;
       return;
     }
     ++counters_.queue_drops;
     net_metrics().queue_drops.add();
-  }
-  // Global budget. Only frames are charged — control messages (acks,
-  // byes) are tiny, bounded, and unsheddable, so charging them would just
-  // push the budget past its limit and trigger a spurious tier-2 shed.
-  // Frames shed in tiers, and a priority frame that still cannot fit
-  // charges anyway: the queue bound above caps that overshoot per client,
-  // and the BackpressureGate throttles the producer.
-  if (config_.budget != nullptr && is_frame) {
-    if (!config_.budget->try_charge(need) &&
-        !shed_for_budget_locked(need)) {
-      if (priority) {
-        config_.budget->charge(need);
-      } else {
-        ++counters_.budget_refusals;
-        net_metrics().budget_refusals.add();
-        return;
-      }
-    }
-    client.budget_bytes += need;
   }
   client.queue.push_back({bytes, kind});
   if (is_frame) {
@@ -359,16 +264,7 @@ void FrameServer::enqueue_locked(Client& client,
   } else if (kind == Outbound::kReply) {
     ++client.unsent_replies;
   }
-  note_queue_bytes_locked(client, static_cast<std::ptrdiff_t>(need));
-}
-
-void FrameServer::signal_backpressure() {
-  if (config_.backpressure == nullptr || config_.budget == nullptr) return;
-  if (config_.budget->saturated()) {
-    config_.backpressure->engage();
-  } else if (config_.budget->below_low_water()) {
-    config_.backpressure->release();
-  }
+  note_queue_bytes_locked(client, static_cast<std::ptrdiff_t>(bytes.size()));
 }
 
 bool FrameServer::wait_for_subscriber(Seconds timeout) {
@@ -432,13 +328,8 @@ void FrameServer::emit_event(const char* action, std::uint64_t client_id,
 
 void FrameServer::emit_overload_summary_locked() {
   if (overload_summary_emitted_) return;
-  const bool active =
-      config_.budget != nullptr ||
-      counters_.admission_denies + counters_.budget_sheds +
-              counters_.budget_refusals + counters_.ring_sheds +
-              counters_.replay_truncated >
-          0;
-  if (!active) return;
+  // Only a server whose connection limit turned someone away reports.
+  if (counters_.admission_denies == 0) return;
   overload_summary_emitted_ = true;
   if (obs::EventLog* log = obs::event_log()) {
     const auto n = [](std::size_t v) {
@@ -448,16 +339,10 @@ void FrameServer::emit_overload_summary_locked() {
         "net",
         {obs::Field::str("action", "overload"),
          obs::Field::integer("denies", n(counters_.admission_denies)),
-         obs::Field::integer("budget_sheds", n(counters_.budget_sheds)),
-         obs::Field::integer("budget_refusals",
-                             n(counters_.budget_refusals)),
-         obs::Field::integer("ring_sheds", n(counters_.ring_sheds)),
          obs::Field::integer("queue_drops", n(counters_.queue_drops)),
          obs::Field::integer("enqueued", n(counters_.frames_enqueued)),
          obs::Field::integer("sent", n(counters_.frames_sent)),
          obs::Field::integer("discarded", n(counters_.frames_discarded)),
-         obs::Field::integer("replay_truncated",
-                             n(counters_.replay_truncated)),
          obs::Field::integer("peak_queue_bytes",
                              n(counters_.queue_bytes_peak)),
          obs::Field::num("retry_after", config_.admission.retry_after)});
@@ -496,7 +381,7 @@ void FrameServer::close_client_locked(Client& client, const char* cause) {
   client.conn.close();
   // Whatever was still queued for this client dies with it; the ledger
   // records every frame (frames_enqueued ends up fully partitioned into
-  // sent / dropped / shed / discarded).
+  // sent / dropped / discarded).
   const std::size_t discarded_frames =
       client.queued_frames +
       ((!client.outbuf.empty() && client.out_kind == Outbound::kFrame) ? 1
@@ -504,10 +389,6 @@ void FrameServer::close_client_locked(Client& client, const char* cause) {
   if (discarded_frames > 0) {
     counters_.frames_discarded += discarded_frames;
     net_metrics().frames_discarded.add(discarded_frames);
-  }
-  if (config_.budget != nullptr && client.budget_bytes > 0) {
-    config_.budget->release(client.budget_bytes);
-    client.budget_bytes = 0;
   }
   note_queue_bytes_locked(client,
                           -static_cast<std::ptrdiff_t>(client.queue_bytes));
@@ -587,63 +468,29 @@ void FrameServer::handle_incoming(Client& client) {
             client.subscribed = true;
             ++counters_.subscribers;
           }
-          Ack subscribed{0, "subscribed"};
-          // Snapshot the surviving history before anything is enqueued:
-          // charging the budget for each replayed copy can itself shed
-          // ring entries (tier 1), so both the acked shortfall and the
-          // frames delivered must reflect the ring as it stood when the
-          // subscribe arrived. (Enqueuing while iterating the live ring
-          // would also invalidate the iterator when a shed pops it.)
-          std::vector<std::vector<std::uint8_t>> replay;
-          if (client.filter.replay_recent && config_.replay_frames > 0) {
-            for (const ReplayEntry& past : replay_ring_) {
-              if (!client.filter.accepts(past.event)) continue;
-              replay.emplace_back();
-              encode_frame(past.event, replay.back());
-            }
-            // How much of the configured history the budget has already
-            // shed out from under this resubscriber. The old behaviour
-            // was to replay fewer frames silently; now the gap is typed,
-            // counted, and in the ack.
-            const std::uint64_t retained_target = std::min<std::uint64_t>(
-                ring_frames_total_, config_.replay_frames);
-            const std::uint64_t shortfall =
-                retained_target - replay_ring_.size();
-            if (shortfall > 0) {
-              subscribed.replay_shortfall = shortfall;
-              ++counters_.replay_truncated;
-              net_metrics().replay_truncated.add();
-              if (obs::EventLog* log = obs::event_log()) {
-                log->emit(
-                    "net",
-                    {obs::Field::str("action", "replay-truncated"),
-                     obs::Field::integer(
-                         "client", static_cast<std::int64_t>(client.id)),
-                     obs::Field::integer(
-                         "shortfall",
-                         static_cast<std::int64_t>(shortfall))});
-              }
-            }
-          }
           std::vector<std::uint8_t> ack;
-          encode_ack(subscribed, ack);
+          encode_ack({0, "subscribed"}, ack);
           enqueue_locked(client, ack, Outbound::kReply);
           emit_event("subscribe", client.id);
-          if (!replay.empty()) {
-            // Heal a resubscriber's partition gap from the snapshot,
-            // oldest first, through the subscriber's filter (applied
-            // above) and the same queue bound as live traffic.
-            // The overlap with frames it already saw is the consumer's
-            // to dedup (by frame identity).
+          if (client.filter.replay_recent) {
+            // Heal a resubscriber's partition gap from the ring, oldest
+            // first, through the subscriber's filter and the same queue
+            // bound as live traffic. The overlap with frames it already
+            // saw is the consumer's to dedup (by frame identity).
             std::size_t replayed = 0;
-            for (const std::vector<std::uint8_t>& bytes : replay) {
+            for (const ReplayEntry& past : replay_ring_) {
               if (client.evict) break;
+              if (!client.filter.accepts(past.event)) continue;
+              std::vector<std::uint8_t> bytes;
+              encode_frame(past.event, bytes);
               enqueue_locked(client, bytes, Outbound::kFrame);
               ++replayed;
             }
-            counters_.replays_sent += replayed;
-            net_metrics().replays_sent.add(replayed);
-            emit_event("replay", client.id, replayed);
+            if (replayed > 0) {
+              counters_.replays_sent += replayed;
+              net_metrics().replays_sent.add(replayed);
+              emit_event("replay", client.id, replayed);
+            }
           }
           cv_.notify_all();
         } else if (message->type == MsgType::kControlGet ||
@@ -712,12 +559,6 @@ void FrameServer::pump_writes(Client& client) {
         ++client.frames_sent;
         ++counters_.frames_sent;
         net_metrics().frames_sent.add();
-        // Only frames were charged; control messages never touched the
-        // budget.
-        if (config_.budget != nullptr) {
-          config_.budget->release(done);
-          client.budget_bytes -= done;
-        }
       } else if (client.out_kind == Outbound::kReply) {
         --client.unsent_replies;
       }
@@ -851,7 +692,6 @@ void FrameServer::loop() {
           clients_.end());
       if (draining_ && clients_.empty()) cv_.notify_all();
     }
-    signal_backpressure();
   }
 }
 

@@ -7,7 +7,6 @@
 #include "net/admission.h"
 #include "net/wire.h"
 #include "runtime/frame_bus.h"
-#include "runtime/ring_buffer.h"
 #include "runtime/stats.h"
 
 #include <condition_variable>
@@ -61,19 +60,6 @@ struct FrameServerConfig {
   /// and dedups the overlap by frame identity. 0 (default) keeps no
   /// history and replays nothing.
   std::size_t replay_frames = 0;
-  /// Global byte budget over every per-client send queue plus the replay
-  /// ring (callers may share the same budget with a shard coordinator's
-  /// in-flight windows). When a frame cannot be charged the server sheds
-  /// in tiers — replay-ring history first, then the oldest best-effort
-  /// queued frames — and priority subscribers are never shed; their
-  /// frames charge regardless, bounded per client by send_queue_messages.
-  /// nullptr = unbounded. Caller-owned; must outlive the server.
-  ResourceBudget* budget = nullptr;
-  /// Engaged while `budget` is saturated, released once it drains below
-  /// the low-water mark. Hand the same gate to RuntimeConfig::backpressure
-  /// and the decode pipeline throttles chunk admission instead of letting
-  /// queues grow. Caller-owned; optional.
-  runtime::BackpressureGate* backpressure = nullptr;
   /// Fleet control plane hooks (wire v5). When set, a subscriber's
   /// kControlGet / kControlSet is answered with a kControlPlan reply;
   /// when null the server replies with enabled=false, so tools can probe
@@ -112,24 +98,16 @@ class FrameServer {
     std::size_t replays_sent = 0;     ///< ring frames queued to resubscribers
     // Overload protection. The frame ledger closes exactly after a
     // drained shutdown:
-    //   frames_enqueued == frames_sent + queue_drops
-    //                      + budget_sheds + frames_discarded
+    //   frames_enqueued == frames_sent + queue_drops + frames_discarded
     std::size_t admission_denies = 0;  ///< typed Bye(kAdmissionDenied) sent
-    std::size_t budget_sheds = 0;   ///< best-effort queued frames shed when
-                                    ///< the global budget saturated
-    std::size_t budget_refusals = 0;  ///< best-effort frames refused at
-                                      ///< enqueue (budget still saturated
-                                      ///< after shedding) — never counted
-                                      ///< in frames_enqueued
-    std::size_t ring_sheds = 0;     ///< replay-ring frames trimmed early by
-                                    ///< the budget (beyond normal rotation)
     std::size_t frames_enqueued = 0;   ///< frames admitted to client queues
     std::size_t frames_discarded = 0;  ///< queued frames dropped when their
                                        ///< client closed before delivery
-    std::size_t replay_truncated = 0;  ///< resubscribes whose replay fell
-                                       ///< short of the configured ring
     std::size_t priority_clients = 0;  ///< hellos that announced kPriority
-    std::size_t queue_bytes_peak = 0;  ///< deepest queues+ring byte total
+    /// Deepest queues+ring byte total. The two limits bound it:
+    /// connections × (send_queue_messages + 1) frames, plus replay_frames
+    /// in the ring, plus the replies and notices in flight.
+    std::size_t queue_bytes_peak = 0;
     std::size_t control_gets = 0;      ///< kControlGet messages answered
     std::size_t control_sets = 0;      ///< kControlSet messages answered
   };
@@ -200,22 +178,13 @@ class FrameServer {
   /// Queues a typed admission deny and marks the client to close once the
   /// bye flushes.
   void deny_locked(Client& client);
-  /// Frees `need` bytes of budget headroom by shedding, in tier order:
-  /// replay-ring history first, then the oldest queued best-effort frames
-  /// (deepest queue first). Returns true once try_charge(need) succeeds.
-  bool shed_for_budget_locked(std::size_t need);
-  /// Drops the oldest queued frame of the best-effort client currently
-  /// holding the most queued bytes. False when no best-effort frame is
-  /// queued anywhere (only priority traffic remains — never shed).
-  bool shed_one_best_effort_locked();
-  /// Drops the client's oldest queued frame, releasing its budget. False
-  /// when the client has no frame queued.
+  /// Drops the client's oldest queued frame. False when the client has no
+  /// frame queued.
   bool drop_oldest_frame_locked(Client& client);
   void note_queue_bytes_locked(Client& client, std::ptrdiff_t delta);
-  void drop_ring_front_locked();
-  /// Engages the backpressure gate while the budget is saturated and
-  /// releases it below the low-water mark.
-  void signal_backpressure();
+  /// Folds the queues + ring byte total into queue_bytes_peak and the
+  /// net.queue_bytes_total gauge.
+  void note_peak_locked();
   std::size_t alive_clients_locked() const;
   /// Emits the one typed "overload" summary event whose numbers
   /// lfbs_report's == overload == section renders. Called at shutdown.
@@ -228,14 +197,13 @@ class FrameServer {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<std::unique_ptr<Client>> clients_;
-  /// Replay history plus each entry's approximate wire size, so the
-  /// budget can account for it without re-encoding.
+  /// Replay history plus each entry's wire size, so queue_bytes_peak can
+  /// count the ring without re-encoding it.
   struct ReplayEntry {
     runtime::FrameEvent event;
     std::size_t bytes = 0;
   };
   std::deque<ReplayEntry> replay_ring_;
-  std::uint64_t ring_frames_total_ = 0;  ///< frames ever pushed to the ring
   std::size_t ring_bytes_ = 0;
   std::size_t queue_bytes_total_ = 0;  ///< all client queues + outbufs
   Counters counters_;

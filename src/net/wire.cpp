@@ -160,7 +160,6 @@ void encode_ack(const Ack& ack, std::vector<std::uint8_t>& out) {
   const std::size_t at = begin_message(out, MsgType::kAck);
   put_u8(out, ack.status);
   put_string(out, ack.text);
-  put_u64(out, ack.replay_shortfall);
   end_message(out, at);
 }
 
@@ -169,7 +168,6 @@ Ack decode_ack(std::span<const std::uint8_t> body) {
   Ack ack;
   ack.status = c.get_u8();
   ack.text = c.get_string();
-  ack.replay_shortfall = c.get_u64();
   return ack;
 }
 

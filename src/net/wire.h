@@ -42,9 +42,12 @@ constexpr char kWireMagic[6] = {'L', 'F', 'B', 'W', '1', '\0'};
 /// kControlSet let a subscriber read and adjust the gateway's scheduling
 /// knobs, kControlPlan carries the control state plus the current per-tag
 /// rate assignments (broadcast after each planning step and as the reply
-/// to get/set). Each change is incompatible with older peers, and the
-/// hello check rejects them before any frame is parsed.
-constexpr std::uint16_t kWireVersion = 5;
+/// to get/set). Version 6: kAck lost the replay shortfall, which read 0
+/// once nothing shed the replay ring, and kShardAssign lost the two stitch
+/// tolerances, which only the coordinator's stitcher reads. Each change is
+/// incompatible with older peers, and the hello check rejects them before
+/// any frame is parsed.
+constexpr std::uint16_t kWireVersion = 6;
 
 /// Upper bound on one message body. Protects the receiver from a garbled
 /// (or hostile) length prefix triggering a huge allocation — the same
@@ -105,15 +108,14 @@ enum class PeerRole : std::uint8_t {
   kShardWorker = 5,      ///< decode worker accepting shard assignments
 };
 
-/// Service class a subscriber announces in its hello. The overload layer
-/// treats the two very differently: best-effort traffic is the first to
-/// be shed when the gateway's ResourceBudget saturates, while priority
-/// subscribers (relays, downstream federated gateways, operators' own
-/// consumers) are never shed — the server backpressures its own decode
-/// pipeline before it drops a priority frame.
+/// Service class a subscriber announces in its hello. It picks what the
+/// client loses at its queue bound: a best-effort client its oldest queued
+/// frame, a priority client (relays, downstream federated gateways,
+/// operators' own consumers) its connection — evicted with a typed bye,
+/// never a frame silently.
 enum class ClientClass : std::uint8_t {
-  kBestEffort = 0,  ///< sheddable under overload (default)
-  kPriority = 1,    ///< never shed; protected by admission + backpressure
+  kBestEffort = 0,  ///< drops its oldest frame at the bound (default)
+  kPriority = 1,    ///< evicted at the bound; never drops a frame
 };
 
 const char* to_string(ClientClass cls);
@@ -123,7 +125,7 @@ struct Hello {
   /// IQ pushers declare their capture rate here; 0 for frame peers.
   SampleRate sample_rate = 0.0;
   std::string name;  ///< free-form peer name for logs
-  /// Service class under overload (v4). Trailing member so the many
+  /// Service class at the queue bound (v4). Trailing member so the many
   /// positional aggregate initializers predating v4 keep compiling.
   ClientClass client_class = ClientClass::kBestEffort;
 };
@@ -158,12 +160,6 @@ struct SubscribeFilter {
 struct Ack {
   std::uint8_t status = 0;  ///< 0 = ok, anything else = refused
   std::string text;
-  /// On a subscribe ack with replay_recent set (v4): how many frames the
-  /// server's replay ring had already shed beyond what it could replay —
-  /// 0 means the resubscriber healed everything the ring was configured
-  /// to retain. Silent truncation was the old behaviour; now the consumer
-  /// knows exactly how large its unhealable gap is.
-  std::uint64_t replay_shortfall = 0;
 };
 
 enum class ByeReason : std::uint8_t {
@@ -213,7 +209,7 @@ struct IqEnd {
 /// others — operators' tools race against each other, not just the loop.
 struct ControlSet {
   bool set_frozen = false;
-  bool frozen = false;  ///< freeze: keep planning/publishing, stop applying
+  bool frozen = false;  ///< the operator's advisory look-don't-touch flag
   bool set_target_goodput = false;
   double target_goodput = 0.0;  ///< stop stepping up once predicted ≥ this
   bool set_min_confidence = false;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -9,52 +8,6 @@
 #include <optional>
 
 namespace lfbs::runtime {
-
-/// Cooperative producer throttle. A downstream component under memory
-/// pressure (the gateway's ResourceBudget saturating) engages the gate;
-/// the decode runtime's ingest loop then pauses — bounded, never more
-/// than its configured max wait per chunk — before admitting the next
-/// chunk to the ring. Releasing wakes every waiter immediately.
-///
-/// The wait is deliberately bounded rather than indefinite: the gate
-/// slows the producer so queues drain, it must never be able to deadlock
-/// the pipeline if the releasing side dies. Safe from any thread.
-class BackpressureGate {
- public:
-  void engage() {
-    std::lock_guard lock(mutex_);
-    engaged_ = true;
-  }
-
-  void release() {
-    {
-      std::lock_guard lock(mutex_);
-      engaged_ = false;
-    }
-    released_.notify_all();
-  }
-
-  bool engaged() const {
-    std::lock_guard lock(mutex_);
-    return engaged_;
-  }
-
-  /// Blocks until the gate releases or `max_wait` passes, whichever comes
-  /// first. Returns true when the caller actually waited (for the
-  /// caller's throttle accounting).
-  template <typename Rep, typename Period>
-  bool wait(std::chrono::duration<Rep, Period> max_wait) {
-    std::unique_lock lock(mutex_);
-    if (!engaged_) return false;
-    released_.wait_for(lock, max_wait, [&] { return !engaged_; });
-    return true;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable released_;
-  bool engaged_ = false;
-};
 
 /// Bounded queue with explicit backpressure. The decode runtime uses one
 /// instance as the SPSC chunk ring (ingest thread → window slicer) and

@@ -195,8 +195,6 @@ RuntimeResult DecodeRuntime::run(SampleSource& source,
   };
   std::atomic<bool> failed{false};
   bool stopped_early = false;
-  std::size_t backpressure_waits = 0;
-  Seconds backpressure_seconds = 0.0;
   std::thread ingest([&] {
     while (!failed.load()) {
       if (stop_requested()) {
@@ -206,21 +204,6 @@ RuntimeResult DecodeRuntime::run(SampleSource& source,
       auto chunk = supervisor.next_chunk(source);
       if (!chunk) break;
       supervisor.scrub(*chunk);
-      // Downstream backpressure: when the serving side's budget saturates,
-      // pause (bounded) before admitting the chunk. A delay, never a drop
-      // — the chunk goes into the ring either way.
-      if (config_.backpressure != nullptr &&
-          config_.backpressure->engaged()) {
-        const auto wait_start = std::chrono::steady_clock::now();
-        if (config_.backpressure->wait(std::chrono::duration<double>(
-                config_.backpressure_max_wait))) {
-          ++backpressure_waits;
-          backpressure_seconds +=
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - wait_start)
-                  .count();
-        }
-      }
       if (config_.drop_when_full) {
         ring.offer(std::move(*chunk));
       } else {
@@ -273,8 +256,6 @@ RuntimeResult DecodeRuntime::run(SampleSource& source,
   out.stats.ring_high_watermark = ring.high_watermark();
   out.stats.samples_in = slicer.samples_in();
   out.stats.samples_gap = slicer.samples_gap();
-  out.stats.backpressure_waits = backpressure_waits;
-  out.stats.backpressure_seconds = backpressure_seconds;
   out.stats.windows_dispatched = windows_dispatched;
   out.stats.windows_decoded = windows_decoded.load();
   out.stats.streams = out.decode.streams.size();

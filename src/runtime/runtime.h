@@ -23,11 +23,10 @@ namespace lfbs::runtime {
 ///
 /// An ingest thread reads the source through the Supervisor (transient
 /// errors retried with backoff, non-finite samples scrubbed, stalls
-/// counted), honours the stop flag and the backpressure gate, and feeds a
-/// bounded chunk ring (blocking, or drop-on-overflow per
-/// `drop_when_full`). The thread that called run() — the publishing
-/// thread — cuts the stream on the window lattice and hands each job to a
-/// WindowExecutor, which decodes it with
+/// counted), honours the stop flag, and feeds a bounded chunk ring
+/// (blocking, or drop-on-overflow per `drop_when_full`). The thread that
+/// called run() — the publishing thread — cuts the stream on the window
+/// lattice and hands each job to a WindowExecutor, which decodes it with
 /// core::WindowedDecoder::decode_job wherever it likes and delivers the
 /// result in any order. The caller picks the executor by the object it
 /// passes: run(source) uses an in-process pool of `workers` threads;
@@ -75,17 +74,6 @@ struct RuntimeConfig {
   /// frames from different runs stay distinguishable across the
   /// federation's dedup.
   std::uint64_t epoch_index = 0;
-  /// Optional downstream throttle (gateway overload protection). When the
-  /// serving side's ResourceBudget saturates it engages this gate and the
-  /// ingest loop pauses — at most backpressure_max_wait per chunk — before
-  /// admitting the next chunk to the ring, so queue memory stays flat
-  /// instead of growing until eviction. Bounded by construction: a dead
-  /// releasing side slows ingest, it can never deadlock the pipeline, and
-  /// no chunk is ever dropped by the gate — fault-free runs stay
-  /// bit-identical to the serial decoder. The gate is only read here;
-  /// the caller owns it and must outlive run().
-  BackpressureGate* backpressure = nullptr;
-  Seconds backpressure_max_wait = 0.05;
 };
 
 struct RuntimeResult {

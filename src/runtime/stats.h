@@ -68,12 +68,6 @@ struct RuntimeStats {
   std::uint64_t samples_in = 0;     ///< real samples decoded
   std::uint64_t samples_gap = 0;    ///< zero-filled samples (dropped chunks)
   std::size_t ring_high_watermark = 0;  ///< deepest ring occupancy (chunks)
-  /// Downstream backpressure (RuntimeConfig::backpressure): chunks whose
-  /// ring admission was throttled, and the total time ingest spent paused
-  /// at the gate. Throttling delays, it never drops — output bits are
-  /// untouched.
-  std::size_t backpressure_waits = 0;
-  Seconds backpressure_seconds = 0.0;
 
   // Decode.
   std::size_t windows_dispatched = 0;

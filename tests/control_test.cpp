@@ -365,23 +365,23 @@ TEST(ControlLoop, StepPublishesTypedEventsAndAppliesUnlessFrozen) {
 
   ControlLoopConfig config;
   ControlLoop loop(config, protocol::RatePlan::paper_rates());
-  std::size_t applies = 0;
-  loop.set_applier([&](const EpochPlan&) { ++applies; });
 
   loop.tracker().observe_frame(make_frame(0, 100e3, true, false, 0.9));
   const EpochPlan plan = loop.step(0, 1e-3);
   EXPECT_EQ(plan.epoch, 1u);  // the plan applies to the epoch after the close
-  EXPECT_EQ(applies, 1u);
 
+  // Frozen: the loop still plans and publishes; the flag is reported.
   loop.set_frozen(true);
-  loop.step(1, 1e-3);
-  EXPECT_EQ(applies, 1u);  // frozen: planned and published, not applied
+  const EpochPlan frozen_plan = loop.step(1, 1e-3);
+  EXPECT_EQ(frozen_plan.epoch, 2u);
+  EXPECT_EQ(loop.last_plan().epoch, 2u);
 
   obs::set_event_log(nullptr);
   writer.flush();
 
   std::size_t plan_events = 0;
   std::size_t assign_events = 0;
+  std::vector<bool> plan_frozen;
   std::string line;
   std::istringstream in(jsonl.str());
   while (std::getline(in, line)) {
@@ -392,6 +392,7 @@ TEST(ControlLoop, StepPublishesTypedEventsAndAppliesUnlessFrozen) {
     if (action == "plan") {
       ++plan_events;
       EXPECT_EQ(parsed->member_str("policy", ""), "greedy");
+      plan_frozen.push_back(parsed->member_bool("frozen", false));
     } else if (action == "assign") {
       ++assign_events;
       EXPECT_EQ(parsed->member_num("tag", 0.0), 1.0);
@@ -399,6 +400,7 @@ TEST(ControlLoop, StepPublishesTypedEventsAndAppliesUnlessFrozen) {
   }
   EXPECT_EQ(plan_events, 2u);
   EXPECT_EQ(assign_events, 2u);
+  EXPECT_EQ(plan_frozen, (std::vector<bool>{false, true}));
 }
 
 TEST(ControlLoop, ControlSetAdjustsKnobsAndWireStateReflectsThem) {

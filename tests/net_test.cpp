@@ -606,14 +606,12 @@ TEST(FrameServerClient, StalledClientDropsOldestWithoutDelayingHealthy) {
 }
 
 TEST(FrameServerClient, StalledPriorityClientIsEvictedAtItsBound) {
-  // Whatever else the server is configured with — the defaults, a
-  // connection limit, a byte budget — a priority subscriber that stops
-  // reading is evicted once, at its queue bound, and never loses a frame
-  // silently: every queue-bound drop is the best-effort tail's.
+  // With the defaults or a connection limit, a priority subscriber that
+  // stops reading is evicted once, at its queue bound, and never loses a
+  // frame silently: every queue-bound drop is the best-effort tail's.
   constexpr std::size_t kBound = 64;  // see the best-effort test above
   constexpr std::size_t kFrames = 512;
-  ResourceBudget budget(256 * 1024);
-  for (const char* config : {"default", "connection limit", "budget"}) {
+  for (const char* config : {"default", "connection limit"}) {
     SCOPED_TRACE(config);
     FrameServerConfig sc;
     sc.send_queue_messages = kBound;
@@ -622,55 +620,48 @@ TEST(FrameServerClient, StalledPriorityClientIsEvictedAtItsBound) {
     if (std::string(config) == "connection limit") {
       sc.admission.max_connections = 8;
     }
-    if (std::string(config) == "budget") sc.budget = &budget;
-    {
-      FrameServer server(sc);
-      StalledSubscriber stalled(server.port(), ClientClass::kPriority);
+    FrameServer server(sc);
+    StalledSubscriber stalled(server.port(), ClientClass::kPriority);
 
-      std::atomic<std::size_t> healthy_frames{0};
-      FrameClientConfig cc;
-      cc.port = server.port();
-      FrameClient client(cc);
-      std::thread tail([&] {
-        FrameClient::Callbacks callbacks;
-        callbacks.on_frame = [&](const runtime::FrameEvent&) {
-          ++healthy_frames;
-        };
-        client.run(callbacks);
-      });
+    std::atomic<std::size_t> healthy_frames{0};
+    FrameClientConfig cc;
+    cc.port = server.port();
+    FrameClient client(cc);
+    std::thread tail([&] {
+      FrameClient::Callbacks callbacks;
+      callbacks.on_frame = [&](const runtime::FrameEvent&) {
+        ++healthy_frames;
+      };
+      client.run(callbacks);
+    });
 
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::seconds(5);
-      while (server.counters().subscribers < 2 &&
-             std::chrono::steady_clock::now() < deadline) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(5);
+    while (server.counters().subscribers < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server.counters().subscribers, 2u);
+
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+      server.publish(make_event(static_cast<std::size_t>(i), i));
+      if (i % 2 == 1) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-      ASSERT_EQ(server.counters().subscribers, 2u);
-
-      for (std::uint64_t i = 0; i < kFrames; ++i) {
-        server.publish(make_event(static_cast<std::size_t>(i), i));
-        if (i % 2 == 1) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      }
-      server.shutdown(/*drain=*/true);
-      tail.join();
-
-      const auto c = server.counters();
-      EXPECT_EQ(c.priority_clients, 1u);
-      EXPECT_EQ(c.evictions, 1u);
-      // What the evicted client still held is discarded at its close: at
-      // most the bound plus the one message half-written to its socket.
-      EXPECT_LE(c.frames_discarded, kBound + 1);
-      // Drops, sheds and refusals, all the tail's, account for every frame
-      // it did not receive.
-      EXPECT_EQ(healthy_frames.load() + c.queue_drops + c.budget_sheds +
-                    c.budget_refusals,
-                kFrames);
-      EXPECT_EQ(c.frames_enqueued, c.frames_sent + c.queue_drops +
-                                       c.budget_sheds + c.frames_discarded);
     }
-    EXPECT_EQ(budget.used(), 0u);
+    server.shutdown(/*drain=*/true);
+    tail.join();
+
+    const auto c = server.counters();
+    EXPECT_EQ(c.priority_clients, 1u);
+    EXPECT_EQ(c.evictions, 1u);
+    // What the evicted client still held is discarded at its close: at
+    // most the bound plus the one message half-written to its socket.
+    EXPECT_LE(c.frames_discarded, kBound + 1);
+    // Drops, all the tail's, account for every frame it did not receive.
+    EXPECT_EQ(healthy_frames.load() + c.queue_drops, kFrames);
+    EXPECT_EQ(c.frames_enqueued,
+              c.frames_sent + c.queue_drops + c.frames_discarded);
   }
 }
 

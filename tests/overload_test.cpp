@@ -1,22 +1,21 @@
 // Tests for the gateway's overload protection (src/net/admission.* plus
-// the FrameServer/FrameClient/DecodeRuntime integration): the --quota
-// grammar and its typed errors, the resource budget, typed
-// Bye(kAdmissionDenied) at the connection limit with a retry-after hint
-// the client waits out, tiered budget shedding that never touches a
-// priority subscriber, bounded (never deadlocking) backpressure into the
-// decode pipeline, typed replay-ring truncation, and — the load-bearing
-// invariant — a frame ledger that closes exactly:
-//   frames_enqueued == frames_sent + queue_drops + budget_sheds
-//                      + frames_discarded
+// the FrameServer/FrameClient integration): the --quota grammar and its
+// typed errors, typed Bye(kAdmissionDenied) at the connection limit with a
+// retry-after hint the client waits out, queue memory held within what the
+// connection limit and the per-client queue bound allow, and — the
+// load-bearing invariant — a frame ledger that closes exactly:
+//   frames_enqueued == frames_sent + queue_drops + frames_discarded
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <set>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "channel/channel_model.h"
 #include "common/kv_spec.h"
 #include "common/rng.h"
 #include "net/admission.h"
@@ -24,12 +23,8 @@
 #include "net/frame_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "protocol/frame.h"
-#include "reader/receiver.h"
-#include "runtime/ring_buffer.h"
-#include "runtime/runtime.h"
-#include "runtime/sample_source.h"
-#include "tag/tag.h"
+#include "obs/events.h"
+#include "obs/json.h"
 
 namespace lfbs::net {
 namespace {
@@ -59,7 +54,7 @@ std::size_t encoded_frame_bytes(const runtime::FrameEvent& event) {
 }
 
 /// Raw subscriber with an explicit class that completes the handshake and
-/// then never reads — the shed target of the budget tests.
+/// then never reads, so its queue fills to the bound.
 struct StalledSubscriber {
   TcpConnection conn;
 
@@ -90,11 +85,10 @@ void wait_for_subscribers(const FrameServer& server, std::size_t want) {
 }
 
 void expect_ledger_closes(const FrameServer::Counters& c) {
-  EXPECT_EQ(c.frames_enqueued, c.frames_sent + c.queue_drops +
-                                   c.budget_sheds + c.frames_discarded)
+  EXPECT_EQ(c.frames_enqueued,
+            c.frames_sent + c.queue_drops + c.frames_discarded)
       << "enqueued " << c.frames_enqueued << " sent " << c.frames_sent
-      << " drops " << c.queue_drops << " sheds " << c.budget_sheds
-      << " discarded " << c.frames_discarded;
+      << " drops " << c.queue_drops << " discarded " << c.frames_discarded;
 }
 
 // --- quota grammar -------------------------------------------------------
@@ -148,53 +142,6 @@ TEST(QuotaSpec, ErrorsAreTyped) {
   EXPECT_THROW(parse_quota_spec("nope=1"), CheckError);
 }
 
-// --- admission primitives ------------------------------------------------
-
-TEST(ResourceBudgetTest, ChargesReleasesAndTracksPeak) {
-  ResourceBudget budget(1000);
-  EXPECT_TRUE(budget.try_charge(600));
-  EXPECT_TRUE(budget.try_charge(400));
-  EXPECT_FALSE(budget.try_charge(1));  // full
-  EXPECT_TRUE(budget.saturated());
-  EXPECT_FALSE(budget.below_low_water());
-  budget.release(400);
-  EXPECT_FALSE(budget.saturated());
-  EXPECT_TRUE(budget.below_low_water());  // 600 < 750
-  // charge() is the priority path: it may overshoot the limit.
-  budget.charge(900);
-  EXPECT_EQ(budget.used(), 1500u);
-  EXPECT_EQ(budget.peak(), 1500u);
-  budget.release(1500);
-  EXPECT_EQ(budget.used(), 0u);
-  EXPECT_EQ(budget.peak(), 1500u);  // peak is sticky
-}
-
-TEST(BackpressureGateTest, WaitIsBoundedAndReleaseWakes) {
-  runtime::BackpressureGate gate;
-  // Disengaged: wait returns immediately, reporting no throttle.
-  EXPECT_FALSE(gate.wait(std::chrono::milliseconds(250)));
-
-  // Engaged with no one releasing: the wait is bounded by max_wait — this
-  // is the "never deadlocks" contract.
-  gate.engage();
-  const auto t0 = Clock::now();
-  EXPECT_TRUE(gate.wait(std::chrono::milliseconds(50)));
-  const auto bounded = Clock::now() - t0;
-  EXPECT_GE(bounded, std::chrono::milliseconds(45));
-  EXPECT_LT(bounded, std::chrono::seconds(5));
-
-  // A release wakes a waiter well before its bound.
-  std::thread releaser([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    gate.release();
-  });
-  const auto t1 = Clock::now();
-  EXPECT_TRUE(gate.wait(std::chrono::seconds(10)));
-  EXPECT_LT(Clock::now() - t1, std::chrono::seconds(5));
-  releaser.join();
-  EXPECT_FALSE(gate.engaged());
-}
-
 // --- wire v4 -------------------------------------------------------------
 
 TEST(WireV4, ClassRetryAfterAndShortfallRoundTrip) {
@@ -204,7 +151,7 @@ TEST(WireV4, ClassRetryAfterAndShortfallRoundTrip) {
   hello.name = "prio";
   hello.client_class = ClientClass::kPriority;
   encode_hello(hello, bytes);
-  encode_ack({0, "replay", /*replay_shortfall=*/17}, bytes);
+  encode_ack({0, "replay"}, bytes);
   encode_bye({ByeReason::kAdmissionDenied, "full", /*retry_after=*/0.5},
              bytes);
 
@@ -215,8 +162,7 @@ TEST(WireV4, ClassRetryAfterAndShortfallRoundTrip) {
   ASSERT_EQ(messages.size(), 3u);
   const Hello h = decode_hello(messages[0].body);
   EXPECT_EQ(h.client_class, ClientClass::kPriority);
-  const Ack ack = decode_ack(messages[1].body);
-  EXPECT_EQ(ack.replay_shortfall, 17u);
+  EXPECT_EQ(decode_ack(messages[1].body).text, "replay");
   const Bye bye = decode_bye(messages[2].body);
   EXPECT_EQ(bye.reason, ByeReason::kAdmissionDenied);
   EXPECT_EQ(bye.retry_after, 0.5);
@@ -357,166 +303,102 @@ TEST(Admission, RetryAfterHintIsWaitedInFull) {
   EXPECT_EQ(client.counters().retry_after_waits, 1u);
 }
 
-TEST(Overload, TieredSheddingNeverTouchesThePrioritySubscriber) {
-  const std::size_t frame_bytes = encoded_frame_bytes(make_event(1));
-  ResourceBudget budget(24 * frame_bytes);
+TEST(Overload, QueueMemoryStaysWithinTheQueueBound) {
+  // No global byte budget: the queue bound alone caps queue memory. K
+  // never-reading best-effort subscribers and one never-reading priority
+  // subscriber hold at most B + 1 frames each (the queue plus the one
+  // half-written to the socket), the ring R more, plus the handshake acks.
+  constexpr std::size_t kBestEffort = 4;  // K
+  constexpr std::size_t kBound = 64;      // B
+  constexpr std::size_t kReplay = 32;     // R <= B
+  // Far more than a 2 KiB send buffer and a never-read socket absorb.
+  constexpr std::size_t kFrames = 64 * kBound;
+  // An ack is a 5-byte header, a status byte and a short text.
+  constexpr std::size_t kAckBytes = 64;
+
+  std::ostringstream jsonl;
+  obs::JsonlWriter writer(jsonl);
+  obs::EventLog log(writer);
+  obs::set_event_log(&log);
 
   FrameServerConfig sc;
-  sc.replay_frames = 64;  // ring history is the first shed tier
-  sc.budget = &budget;
-  sc.drain_timeout = 5.0;
-  // Tiny kernel send buffer: without it the stalled client's frames drain
-  // into the OS and its server-side queue (the tier-2 shed target) stays
-  // empty.
+  sc.send_queue_messages = kBound;
+  sc.replay_frames = kReplay;
   sc.send_buffer_bytes = 2048;
   FrameServer server(sc);
-
-  // The shed target: a best-effort subscriber that never reads.
-  StalledSubscriber stalled(server.port(), ClientClass::kBestEffort);
-
-  // The protected party: a priority tail that reads everything.
-  std::vector<runtime::FrameEvent> priority_got;
-  FrameClientConfig pc;
-  pc.port = server.port();
-  pc.name = "priority";
-  pc.client_class = ClientClass::kPriority;
-  FrameClient priority_tail(pc);
-  std::thread priority_thread([&] {
-    FrameClient::Callbacks callbacks;
-    callbacks.on_frame = [&](const runtime::FrameEvent& event) {
-      priority_got.push_back(event);
-    };
-    EXPECT_EQ(priority_tail.run(callbacks).reason, ByeReason::kEndOfStream);
-  });
-  wait_for_subscribers(server, 2);
-
-  std::vector<runtime::FrameEvent> sent;
-  for (std::uint64_t i = 0; i < 256; ++i) {
-    sent.push_back(make_event(i));
-    server.publish(sent.back());
-    if (i % 4 == 3) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // The ring counts from the first frame, subscribers or not.
+  for (std::uint64_t i = 0; i < kReplay; ++i) server.publish(make_event(i));
+  EXPECT_EQ(server.counters().queue_bytes_peak,
+            kReplay * encoded_frame_bytes(make_event(0)));
+  std::vector<std::unique_ptr<StalledSubscriber>> stalled;
+  for (std::size_t i = 0; i < kBestEffort; ++i) {
+    stalled.push_back(std::make_unique<StalledSubscriber>(
+        server.port(), ClientClass::kBestEffort));
   }
-  server.shutdown(/*drain=*/true);
-  stalled.conn.close();
-  priority_thread.join();
+  stalled.push_back(std::make_unique<StalledSubscriber>(
+      server.port(), ClientClass::kPriority));
+  wait_for_subscribers(server, kBestEffort + 1);
 
-  // Priority delivery is complete and bit-identical, in order.
-  ASSERT_EQ(priority_got.size(), sent.size());
-  for (std::size_t i = 0; i < sent.size(); ++i) {
-    EXPECT_EQ(priority_got[i].window_index, sent[i].window_index);
-    EXPECT_EQ(priority_got[i].frame.payload, sent[i].frame.payload);
-    EXPECT_EQ(priority_got[i].stream_start, sent[i].stream_start);
+  std::size_t frame_bytes = 0;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    const runtime::FrameEvent event = make_event(i);
+    frame_bytes = std::max(frame_bytes, encoded_frame_bytes(event));
+    server.publish(event);
   }
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (server.counters().evictions == 0 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.shutdown(/*drain=*/false);
+  obs::set_event_log(nullptr);
+  writer.flush();
 
-  // The budget bit: history and best-effort queues were shed, typed.
   const auto c = server.counters();
-  EXPECT_GT(c.ring_sheds, 0u);
-  EXPECT_GT(c.budget_sheds + c.budget_refusals, 0u);
-  EXPECT_GT(c.queue_bytes_peak, 0u);
+  EXPECT_EQ(c.priority_clients, 1u);
+  EXPECT_EQ(c.evictions, 1u);
   expect_ledger_closes(c);
-}
 
-TEST(Overload, BudgetDrainsToZeroAfterTeardown) {
-  const std::size_t frame_bytes = encoded_frame_bytes(make_event(1));
-  ResourceBudget budget(16 * frame_bytes);
-  {
-    FrameServerConfig sc;
-    sc.replay_frames = 32;
-    sc.budget = &budget;
-    sc.drain_timeout = 1.0;
-    FrameServer server(sc);
-    StalledSubscriber stalled(server.port(), ClientClass::kBestEffort);
-    wait_for_subscribers(server, 1);
-    for (std::uint64_t i = 0; i < 128; ++i) server.publish(make_event(i));
-    // No drained shutdown: the destructor path must still square the
-    // books — queued bytes on close, ring bytes on destruction.
+  // Each close event carries the client's frames sent and dropped. For a
+  // best-effort subscriber, what is neither was still queued at its close,
+  // at most the bound plus the half-written one: drops + sent + queued
+  // account for every published frame. The evicted priority subscriber
+  // dropped nothing.
+  std::size_t closes = 0, drops = 0, queued = 0, priority_sent = 0;
+  std::string line;
+  std::istringstream in(jsonl.str());
+  while (std::getline(in, line)) {
+    const auto parsed = obs::parse_json(line, nullptr);
+    ASSERT_TRUE(parsed.has_value() && parsed->is_object()) << line;
+    if (parsed->member_str("type", "") != "net") continue;
+    const std::string action{parsed->member_str("action", "")};
+    const auto sent = static_cast<std::size_t>(parsed->member_num("frames", 0));
+    const auto dropped =
+        static_cast<std::size_t>(parsed->member_num("drops", 0));
+    if (action == "shutdown") {
+      ++closes;
+      ASSERT_LE(sent + dropped, kFrames);
+      EXPECT_LE(kFrames - sent - dropped, kBound + 1);
+      drops += dropped;
+      queued += kFrames - sent - dropped;
+    } else if (action == "evict") {
+      EXPECT_EQ(dropped, 0u);
+      priority_sent = sent;
+    }
   }
-  EXPECT_EQ(budget.used(), 0u);
-  EXPECT_GT(budget.peak(), 0u);
-}
+  EXPECT_EQ(closes, kBestEffort);
+  EXPECT_EQ(drops, c.queue_drops);
+  const std::size_t priority_enqueued =
+      c.frames_enqueued - kBestEffort * kFrames;
+  EXPECT_LE(priority_enqueued, kFrames);
+  EXPECT_EQ(queued + priority_enqueued - priority_sent, c.frames_discarded);
 
-TEST(Overload, BackpressureBoundsIngestWithoutDeadlock) {
-  // A permanently engaged gate (its releasing server has died, say) must
-  // throttle ingest by at most max_wait per chunk — the decode still
-  // completes, and the throttles are counted.
-  Rng rng(7);
-  reader::ReceiverConfig rcfg;
-  rcfg.sample_rate = 5.0 * kMsps;
-  rcfg.noise_power = 1e-5;
-  channel::ChannelModel ch;
-  ch.add_tag(std::polar(0.15, 1.0));
-  tag::TagConfig tc;
-  tc.incoming_energy = 1.0;
-  tag::Tag tag(tc, rng);
-  protocol::FrameConfig fc;
-  std::vector<std::vector<bool>> frames;
-  for (int i = 0; i < 4; ++i) frames.push_back(
-      protocol::build_frame(rng.bits(96), fc));
-  const Seconds duration = 0.02;
-  std::vector<signal::StateTimeline> timelines{
-      tag.transmit_epoch(frames, duration, rng).timeline};
-  reader::Receiver receiver(rcfg, ch);
-  const signal::SampleBuffer capture =
-      receiver.receive_epoch(timelines, duration, rng);
-
-  runtime::BackpressureGate gate;
-  gate.engage();
-
-  runtime::RuntimeConfig rc;
-  rc.workers = 2;
-  rc.backpressure = &gate;
-  rc.backpressure_max_wait = 0.02;
-  runtime::DecodeRuntime rt(rc);
-  runtime::MemorySource source(capture, 1 << 14);
-  const auto t0 = Clock::now();
-  const runtime::RuntimeResult result = rt.run(source);
-  const Seconds wall =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-
-  EXPECT_GT(result.stats.backpressure_waits, 0u);
-  EXPECT_GT(result.stats.backpressure_seconds, 0.0);
-  // ~7 chunks * 20 ms bound each: far under this ceiling unless the gate
-  // deadlocked the ingest loop.
-  EXPECT_LT(wall, 10.0);
-  EXPECT_GT(result.stats.frames_published, 0u);
-  gate.release();
-}
-
-TEST(Overload, ReplayTruncationIsTypedAndAcked) {
-  const std::size_t frame_bytes = encoded_frame_bytes(make_event(1));
-  // Budget holds ~8 frames of ring history; the configured ring wants 32.
-  ResourceBudget budget(8 * frame_bytes);
-  FrameServerConfig sc;
-  sc.replay_frames = 32;
-  sc.budget = &budget;
-  FrameServer server(sc);
-
-  // Fill the ring with no subscribers attached: the budget trims history
-  // as it rotates in.
-  for (std::uint64_t i = 0; i < 64; ++i) server.publish(make_event(i));
-  ASSERT_GT(server.counters().ring_sheds, 0u);
-
-  // A healing resubscriber asks for replay and is told, in the ack, how
-  // many frames of the configured window the budget already shed.
-  std::atomic<std::size_t> replayed{0};
-  FrameClientConfig cc;
-  cc.port = server.port();
-  cc.name = "healer";
-  cc.filter.replay_recent = true;
-  FrameClient healer(cc);
-  std::thread tail([&] {
-    FrameClient::Callbacks callbacks;
-    callbacks.on_frame = [&](const runtime::FrameEvent&) { ++replayed; };
-    EXPECT_EQ(healer.run(callbacks).reason, ByeReason::kEndOfStream);
-  });
-  wait_for_subscribers(server, 1);
-  server.shutdown(/*drain=*/true);
-  tail.join();
-
-  EXPECT_GT(healer.counters().replay_shortfall, 0u);
-  EXPECT_GT(server.counters().replay_truncated, 0u);
-  EXPECT_GT(replayed.load(), 0u);  // what history survived still replays
-  EXPECT_EQ(replayed.load() + healer.counters().replay_shortfall, 32u);
+  // The bound holds, and it is not vacuous: every best-effort queue and
+  // the ring filled.
+  const std::size_t bound =
+      ((kBestEffort + 1) * (kBound + 1) + kReplay) * frame_bytes +
+      (kBestEffort + 1) * 2 * kAckBytes;
+  EXPECT_LE(c.queue_bytes_peak, bound);
+  EXPECT_GE(c.queue_bytes_peak, (kBestEffort * kBound + kReplay) * frame_bytes);
 }
 
 TEST(Overload, ThirtyTwoClientStormAccountingClosesExactly) {

@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <thread>
 
 #include <sstream>
@@ -361,18 +363,61 @@ TEST(DecodeRuntime, FrameBusDeliversEveryStitchedFrame) {
   EXPECT_GT(valid, 0u);
 }
 
+/// A MemorySource that signals once it has handed out its last chunk.
+class DrainSignalingSource : public SampleSource {
+ public:
+  DrainSignalingSource(const signal::SampleBuffer& buffer,
+                       std::size_t chunk_samples)
+      : inner_(buffer, chunk_samples) {}
+
+  SampleRate sample_rate() const override { return inner_.sample_rate(); }
+
+  std::optional<SampleChunk> next_chunk() override {
+    auto chunk = inner_.next_chunk();
+    if (!chunk) {
+      {
+        std::lock_guard lock(mutex_);
+        drained_ = true;
+      }
+      drained_cv_.notify_all();
+    }
+    return chunk;
+  }
+
+  /// Blocks until end-of-stream or `timeout`; true once drained.
+  bool wait_drained(std::chrono::seconds timeout) {
+    std::unique_lock lock(mutex_);
+    return drained_cv_.wait_for(lock, timeout, [&] { return drained_; });
+  }
+
+ private:
+  MemorySource inner_;
+  std::mutex mutex_;
+  std::condition_variable drained_cv_;
+  bool drained_ = false;
+};
+
 TEST(DecodeRuntime, BackpressureBoundsRingAndCountsDrops) {
-  // Live-source policy: a consumer slower than the producer (decode is
-  // orders of magnitude slower than an in-memory source) must never grow
-  // the ring past its capacity; overflow surfaces as counted chunk drops,
-  // and the assembler zero-fills the gaps so decode still completes.
+  // Live-source policy: a consumer slower than the producer must never
+  // grow the ring past its capacity; overflow surfaces as counted chunk
+  // drops, and the assembler zero-fills the gaps so decode still completes.
+  // The consumer is made slower by construction, not by timing: the one
+  // worker holds its first window until the source has run dry, and 5 ms
+  // windows cut the capture into 12 jobs, more than the worker plus its
+  // 4-job queue hold. So the slicer blocks, and the 2-chunk ring must
+  // overflow while ingest reads on.
   const auto cap = make_capture(2, 60e-3, 150.0, 45);
+  DrainSignalingSource source(cap.buffer, 2048);
   RuntimeConfig rc;
+  rc.windowed.window = 5e-3;
   rc.workers = 1;
   rc.ring_capacity = 2;
   rc.drop_when_full = true;
+  rc.supervision.decode_fault_hook = [&source](std::size_t) {
+    EXPECT_TRUE(source.wait_drained(std::chrono::seconds(30)));
+  };
   DecodeRuntime rt(rc);
-  const auto run = rt.decode(cap.buffer, 2048);
+  const auto run = rt.run(source);
   EXPECT_GT(run.stats.chunks_dropped, 0u);
   EXPECT_LE(run.stats.ring_high_watermark, 2u);
   // Every chunk is accounted for: decoded, zero-filled, or dropped off the

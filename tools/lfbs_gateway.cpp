@@ -39,17 +39,13 @@
 //   --crc5 / --payload N / --windowed MS   decoder knobs (as lfbs_decode)
 //   --trace-out PATH    JSONL telemetry incl. net.* events ("-" = stdout)
 //
-// Overload protection (serve/relay; see docs/DESIGN.md §4h), three limits:
+// Overload protection (serve/relay; see docs/DESIGN.md §4h), two limits
+// that together cap queue memory at conns × (--client-queue + 1) frames
+// plus the --replay ring:
 //   --quota SPEC        the connection limit: conns=N (default 64, N ≥ 1)
 //                       and retry-after=S (default 0.5). Dials past it get
 //                       a typed Bye(admission-denied) with the hint.
 //   --client-queue N    the per-client queue bound (above).
-//   --queue-budget-kb N global byte budget across every per-client send
-//                       queue, the replay ring, and the shard
-//                       coordinator's in-flight windows. Saturation sheds
-//                       best-effort traffic in tiers (ring history first)
-//                       and backpressures the decode pipeline; priority
-//                       subscribers are never shed.
 //   --priority          tail only: announce ClientClass::kPriority
 //
 // The server publishes a final stats message (frames_published et al.)
@@ -141,7 +137,7 @@ void usage() {
       "               [--crc5] [--payload N]\n"
       "               [--windowed MS] [--gateway-id N] [--shard HOST:PORT]\n"
       "               [--replay N] [--trace-out PATH] [--chaos SPEC]\n"
-      "overload:      [--quota SPEC] [--queue-budget-kb N]\n"
+      "overload:      [--quota SPEC]\n"
       "               (tail: [--priority])\n"
       "control plane: [--control SPEC]   (client: --control-get HOST:PORT)\n");
 }
@@ -374,7 +370,6 @@ int main(int argc, char** argv) {
   std::string quota_spec;
   std::string control_spec;
   std::string control_get_spec;
-  std::size_t queue_budget_kb = 0;
   bool tail_priority = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -411,8 +406,6 @@ int main(int argc, char** argv) {
       control_spec = argv[++i];
     } else if (arg == "--control-get" && i + 1 < argc) {
       control_get_spec = argv[++i];
-    } else if (arg == "--queue-budget-kb" && i + 1 < argc) {
-      queue_budget_kb = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--priority") {
       tail_priority = true;
     } else if (arg == "--send-buffer" && i + 1 < argc) {
@@ -471,10 +464,7 @@ int main(int argc, char** argv) {
   }
 
   // Every spec is parsed up front, so a malformed one is a typed usage
-  // error (exit 2, clause named) before anything binds. The budget and
-  // gate live here — main's scope — because the FrameServer, the
-  // DecodeRuntime, and a shard coordinator all borrow them and must not
-  // outlive them.
+  // error (exit 2, clause named) before anything binds.
   net::AdmissionConfig admission;
   if (!quota_spec.empty()) {
     admission = tools::flag_spec("--quota", quota_spec, net::parse_quota_spec);
@@ -483,12 +473,6 @@ int main(int argc, char** argv) {
   if (!control_spec.empty()) {
     control_cfg = tools::flag_spec("--control", control_spec,
                                    control::parse_control_spec);
-  }
-  std::optional<net::ResourceBudget> budget;
-  std::optional<runtime::BackpressureGate> gate;
-  if (queue_budget_kb > 0) {
-    budget.emplace(queue_budget_kb * 1024);
-    gate.emplace();
   }
   // Serve and relay mode run the same frame server.
   const auto server_config = [&] {
@@ -499,8 +483,6 @@ int main(int argc, char** argv) {
     sc.origin_id = gateway_id;
     sc.replay_frames = replay_frames;
     sc.admission = admission;
-    if (budget.has_value()) sc.budget = &*budget;
-    if (gate.has_value()) sc.backpressure = &*gate;
     return sc;
   };
 
@@ -661,7 +643,6 @@ int main(int argc, char** argv) {
     if (window_ms > 0.0) rc.windowed.window = window_ms * 1e-3;
     rc.workers = workers;
     rc.stop_flag = &shutdown_flag();
-    if (gate.has_value()) rc.backpressure = &*gate;
 
     // The scenario comes before the server: its decoder config carries the
     // rate plan the control loop plans over, and the loop must exist before
@@ -726,7 +707,6 @@ int main(int argc, char** argv) {
     if (!shard_specs.empty()) {
       net::federation::ShardConfig shc;
       shc.name = "lfbs_gateway --shard";
-      if (budget.has_value()) shc.budget = &*budget;
       for (const auto& spec : shard_specs) {
         net::federation::ShardWorkerEndpoint endpoint;
         if (!split_host_port(spec, endpoint.host, endpoint.port)) {

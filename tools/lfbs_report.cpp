@@ -15,9 +15,9 @@
 //   net      → gateway activity: connects, subscribes, per-client
 //              disconnect accounting (frames sent / queue drops),
 //              evictions, protocol errors; "overload" summary events
-//              render an extra section with the typed shed ledger
-//              (admission denies, budget/ring sheds, replay
-//              truncation) and check that the frame ledger closes
+//              render an extra section with the typed ledger (admission
+//              denies, slow-consumer drops, peak queue bytes) and check
+//              that the frame ledger closes
 //   chaos    → injected-fault breakdown per fault class, when the run
 //              carried a --chaos spec
 //   control  → fleet control plane: plan history (epoch, policy,
@@ -77,16 +77,13 @@ int main(int argc, char** argv) {
   std::size_t net_frames_sent = 0;
   std::size_t net_drops = 0;
   // Overload-protection summary: one "overload" event per server at
-  // shutdown carries its lifetime shed/admission ledger; aggregated here
+  // shutdown carries its lifetime admission/frame ledger; aggregated here
   // across every server in the stream.
   struct OverloadTotals {
     bool seen = false;
-    std::size_t denies = 0, budget_sheds = 0,
-                budget_refusals = 0, ring_sheds = 0, queue_drops = 0,
-                enqueued = 0, sent = 0, discarded = 0, replay_truncated = 0,
-                peak_queue_bytes = 0;
+    std::size_t denies = 0, queue_drops = 0, enqueued = 0, sent = 0,
+                discarded = 0, peak_queue_bytes = 0;
   } overload;
-  std::size_t replay_shortfall_frames = 0;
   std::map<std::string, std::size_t> federation_actions;
   std::vector<std::string> federation_log;
   std::map<std::string, std::size_t> chaos_faults;
@@ -95,7 +92,6 @@ int main(int argc, char** argv) {
   // first ("when did tag 3 get demoted, and did it come back?").
   std::map<std::string, std::size_t> control_actions;
   std::vector<std::string> control_log;
-  std::size_t control_plans_applied = 0;
   std::map<std::int64_t, std::vector<double>> control_rate_traj;
   std::map<std::int64_t, std::size_t> control_assign_counts;
   std::int64_t relay_max_hops = 0;
@@ -166,19 +162,12 @@ int main(int argc, char** argv) {
         };
         overload.seen = true;
         overload.denies += u("denies");
-        overload.budget_sheds += u("budget_sheds");
-        overload.budget_refusals += u("budget_refusals");
-        overload.ring_sheds += u("ring_sheds");
         overload.queue_drops += u("queue_drops");
         overload.enqueued += u("enqueued");
         overload.sent += u("sent");
         overload.discarded += u("discarded");
-        overload.replay_truncated += u("replay_truncated");
         overload.peak_queue_bytes =
             std::max(overload.peak_queue_bytes, u("peak_queue_bytes"));
-      } else if (action == "replay-truncated") {
-        replay_shortfall_frames +=
-            static_cast<std::size_t>(v.member_num("shortfall", 0.0));
       }
     } else if (type == "federation") {
       const std::string action = v.member_str("action", "?");
@@ -194,7 +183,6 @@ int main(int argc, char** argv) {
       const std::string action = v.member_str("action", "?");
       ++control_actions[action];
       if (action == "plan") {
-        if (v.member_bool("applied", false)) ++control_plans_applied;
         control_log.push_back(
             "epoch " +
             std::to_string(
@@ -206,7 +194,7 @@ int main(int argc, char** argv) {
             sim::fmt(v.member_num("predicted_goodput", 0.0), 0) +
             " b/s, pressure " +
             sim::fmt(v.member_num("collision_pressure", 0.0), 2) +
-            (v.member_bool("applied", false) ? "" : " (not applied)"));
+            (v.member_bool("frozen", false) ? " (frozen)" : ""));
       } else if (action == "assign") {
         const auto tag =
             static_cast<std::int64_t>(v.member_num("tag", 0.0));
@@ -291,9 +279,9 @@ int main(int argc, char** argv) {
       const auto it = control_actions.find(key);
       return it == control_actions.end() ? std::size_t{0} : it->second;
     };
-    std::printf("%zu plans (%zu applied), %zu assignments, %zu knob sets\n",
-                action_count("plan"), control_plans_applied,
-                action_count("assign"), action_count("set"));
+    std::printf("%zu plans, %zu assignments, %zu knob sets\n",
+                action_count("plan"), action_count("assign"),
+                action_count("set"));
     for (const auto& c : control_log) std::printf("  %s\n", c.c_str());
     if (!control_rate_traj.empty()) {
       std::printf("per-tag rate trajectories:\n");
@@ -325,39 +313,27 @@ int main(int argc, char** argv) {
     std::printf("\n== overload ==\n");
     sim::Table table({"metric", "count"});
     table.add_row({"admission denies", std::to_string(overload.denies)});
-    table.add_row({"budget sheds (queued)",
-                   std::to_string(overload.budget_sheds)});
-    table.add_row({"budget refusals (incoming)",
-                   std::to_string(overload.budget_refusals)});
-    table.add_row({"ring sheds (history)",
-                   std::to_string(overload.ring_sheds)});
     table.add_row({"slow-consumer drops",
                    std::to_string(overload.queue_drops)});
-    table.add_row({"replay truncations",
-                   std::to_string(overload.replay_truncated)});
     table.add_row({"peak queue+ring bytes",
                    std::to_string(overload.peak_queue_bytes)});
     table.print();
     // The frame ledger from the overload summary events: every enqueued
     // frame is either sent or accounted to a typed loss.
-    const std::size_t accounted = overload.sent + overload.queue_drops +
-                                  overload.budget_sheds + overload.discarded;
+    const std::size_t accounted =
+        overload.sent + overload.queue_drops + overload.discarded;
     if (overload.enqueued == accounted) {
       std::printf(
           "frame ledger closes: %zu enqueued == %zu sent + %zu dropped + "
-          "%zu shed + %zu discarded\n",
+          "%zu discarded\n",
           overload.enqueued, overload.sent, overload.queue_drops,
-          overload.budget_sheds, overload.discarded);
+          overload.discarded);
     } else {
       std::printf(
           "frame ledger MISMATCH: %zu enqueued vs %zu accounted "
-          "(%zu sent + %zu dropped + %zu shed + %zu discarded)\n",
+          "(%zu sent + %zu dropped + %zu discarded)\n",
           overload.enqueued, accounted, overload.sent, overload.queue_drops,
-          overload.budget_sheds, overload.discarded);
-    }
-    if (replay_shortfall_frames > 0) {
-      std::printf("replay shortfall acked to resubscribers: %zu frames\n",
-                  replay_shortfall_frames);
+          overload.discarded);
     }
   }
   if (!federation_actions.empty()) {

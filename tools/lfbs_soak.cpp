@@ -27,19 +27,22 @@
 // --max-consecutive-failures), printing every transition.
 //
 // With --overload the topology changes to the overload drill: one
-// DecodeRuntime gateway with a connection limit (--admitted), a per-client
-// queue bound of one epoch, and a global byte budget and backpressure
-// gate; a 32-connection dial storm (each expecting a typed admission
-// deny with a retry-after hint), 4 deliberately slow best-effort
-// consumers, and 1 priority subscriber. Per epoch the drill asserts the
-// priority subscriber saw every published frame (bit-identity to the
-// serial reference), every denied dial got Bye(admission-denied) with a
-// positive retry hint, the server's typed shed ledger closes exactly
-// (enqueued == sent + drops + sheds + discarded), and the budget drains
-// back to zero bytes; across the run RSS stays bounded as usual.
+// DecodeRuntime gateway with a connection limit (--admitted) and a
+// per-client queue bound of one epoch; a 32-connection dial storm (each
+// expecting a typed admission deny with a retry-after hint), 4
+// deliberately slow best-effort consumers, and 1 priority subscriber. Per
+// epoch the drill asserts the priority subscriber saw every published
+// frame (bit-identity to the serial reference), every denied dial got
+// Bye(admission-denied) with a positive retry hint, the server's frame
+// ledger closes exactly (enqueued == sent + drops + discarded), and its
+// peak queue bytes stay within what the two limits allow: --admitted
+// queues of (bound + 1) frames plus the --replay ring, plus each
+// connection's acks, stats digest and bye. Across the run RSS stays
+// bounded as usual.
 //
 // Exit status: 0 soak completed healthy or degraded-but-recovered, 1 any
 // soak assertion failed, 2 usage error. 130/143 after SIGINT/SIGTERM.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -87,7 +90,7 @@ void usage() {
       "                 [--worker-deadline S] [--max-consecutive-failures N]\n"
       "                 [--report-every N] [--trace-out PATH]\n"
       "                 [--overload] [--storm N] [--slow-consumers N]\n"
-      "                 [--admitted N] [--budget-kb N]\n");
+      "                 [--admitted N]\n");
 }
 
 /// Current resident set in bytes, from /proc/self/status (0 if unreadable).
@@ -151,8 +154,7 @@ struct SoakOptions {
   bool overload = false;
   std::size_t storm = 32;           ///< dial-storm connections per epoch
   std::size_t slow_consumers = 4;   ///< deliberately slow best-effort tails
-  std::size_t admitted = 8;         ///< admission connection budget
-  std::size_t budget_kb = 256;      ///< global queue/ring byte budget, KiB
+  std::size_t admitted = 8;         ///< the connection limit
 };
 
 /// The soak's health ladder — healthy → degraded on any failed attempt →
@@ -348,6 +350,9 @@ AttemptOutcome run_attempt(const signal::SampleBuffer& capture,
 
 /// The overload drill's per-client queue bound, in frames: one epoch.
 constexpr std::size_t kOverloadQueueFrames = 1024;
+/// What one connection's queue may hold besides frames: a hello ack and a
+/// subscribe ack, the stats digest and a bye, each under 80 bytes.
+constexpr std::size_t kNoticeBytesPerClient = 256;
 
 struct OverloadOutcome {
   bool ok = false;
@@ -357,22 +362,20 @@ struct OverloadOutcome {
   std::size_t storm_denied = 0;        ///< dials that got the typed deny
   std::size_t storm_admitted = 0;      ///< dials that got a subscription
   net::FrameServer::Counters server;
-  std::size_t backpressure_waits = 0;
-  std::size_t budget_peak = 0;
-  std::size_t budget_leak = 0;  ///< bytes still charged after teardown
+  std::size_t queue_bytes_bound = 0;  ///< what the two limits allow
 };
 
-/// One overload epoch: DecodeRuntime gateway under budget + admission,
-/// dial storm + slow best-effort consumers + one priority subscriber.
+/// One overload epoch: DecodeRuntime gateway under the connection limit
+/// and the queue bound, dial storm + slow best-effort consumers + one
+/// priority subscriber.
 OverloadOutcome run_overload_attempt(const signal::SampleBuffer& capture,
                                      const core::WindowedDecoderConfig& wc,
                                      const SoakOptions& opt) {
   OverloadOutcome out;
-  net::ResourceBudget budget(opt.budget_kb * 1024);
-  runtime::BackpressureGate gate;
 
   std::mutex keys_mutex;
   std::set<std::uint64_t> published_keys;
+  std::size_t frame_bytes = 0;  ///< largest published frame on the wire
   std::set<std::uint64_t> priority_keys;
   std::string priority_error;
   std::atomic<std::size_t> denied{0}, admitted{0};
@@ -387,22 +390,20 @@ OverloadOutcome run_overload_attempt(const signal::SampleBuffer& capture,
     // One epoch per client: the run publishes its frames (about 350 at
     // --tags 4 --duration-ms 100) in one burst when it drains, and the
     // priority subscriber must get every one, so its queue holds them all.
-    // The slow best-effort consumers lose frames to the budget's tier-2
-    // shedding long before this bound.
     sc.send_queue_messages = kOverloadQueueFrames;
-    sc.budget = &budget;
-    sc.backpressure = &gate;
     net::FrameServer server(sc);
 
     runtime::RuntimeConfig rc;
     rc.windowed = wc;
     rc.workers = 2;
-    rc.backpressure = &gate;
     runtime::DecodeRuntime rt(rc);
     server.attach(rt.bus());
     const auto sub = rt.bus().subscribe([&](const runtime::FrameEvent& e) {
+      std::vector<std::uint8_t> bytes;
+      net::encode_frame(e, bytes);
       std::lock_guard lock(keys_mutex);
       published_keys.insert(runtime::frame_identity(e).key());
+      frame_bytes = std::max(frame_bytes, bytes.size());
     });
 
     // The priority subscriber: must end the epoch with every published
@@ -427,8 +428,8 @@ OverloadOutcome run_overload_attempt(const signal::SampleBuffer& capture,
     });
 
     // Slow best-effort consumers: a sleep per frame makes their queues the
-    // shed targets. Whatever they lose is the policy working; only the
-    // ledger has to account for it.
+    // deepest. Whatever they lose at the bound is the policy working; only
+    // the ledger has to account for it.
     std::vector<std::unique_ptr<net::FrameClient>> slow_tails;
     std::vector<std::thread> slow_threads;
     for (std::size_t i = 0; i < opt.slow_consumers; ++i) {
@@ -452,7 +453,7 @@ OverloadOutcome run_overload_attempt(const signal::SampleBuffer& capture,
     }
 
     // Let every legitimate subscriber land before the storm competes for
-    // the connection budget.
+    // the connection limit.
     const auto sub_deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
     const std::size_t want_subs = 1 + opt.slow_consumers;
@@ -501,7 +502,6 @@ OverloadOutcome run_overload_attempt(const signal::SampleBuffer& capture,
     } catch (const std::exception& e) {
       run_error = e.what();
     }
-    out.backpressure_waits = stats.backpressure_waits;
 
     server.detach();
     rt.bus().unsubscribe(sub);
@@ -512,18 +512,19 @@ OverloadOutcome run_overload_attempt(const signal::SampleBuffer& capture,
     for (auto& thread : storm_threads) thread.join();
     out.server = server.counters();
     if (!run_error.empty()) out.error = "runtime: " + run_error;
-  }  // server destroyed: every queued byte and the ring must be released
+  }
 
   out.published = published_keys.size();
   out.priority_delivered = priority_keys.size();
   out.storm_denied = denied.load();
   out.storm_admitted = admitted.load();
-  out.budget_peak = budget.peak();
-  out.budget_leak = budget.used();
+  out.queue_bytes_bound =
+      (opt.admitted * (kOverloadQueueFrames + 1) + opt.replay) * frame_bytes +
+      (1 + opt.slow_consumers + opt.storm) * kNoticeBytesPerClient;
 
   const auto& c = out.server;
-  const std::size_t accounted = c.frames_sent + c.queue_drops +
-                                c.budget_sheds + c.frames_discarded;
+  const std::size_t accounted =
+      c.frames_sent + c.queue_drops + c.frames_discarded;
   if (!out.error.empty()) {
     // keep the runtime error
   } else if (out.published == 0) {
@@ -544,15 +545,15 @@ OverloadOutcome run_overload_attempt(const signal::SampleBuffer& capture,
                 std::to_string(c.admission_denies) + ", storm received " +
                 std::to_string(out.storm_denied);
   } else if (c.frames_enqueued != accounted) {
-    out.error = "shed ledger does not close: enqueued " +
+    out.error = "frame ledger does not close: enqueued " +
                 std::to_string(c.frames_enqueued) + " != sent " +
                 std::to_string(c.frames_sent) + " + drops " +
-                std::to_string(c.queue_drops) + " + sheds " +
-                std::to_string(c.budget_sheds) + " + discarded " +
+                std::to_string(c.queue_drops) + " + discarded " +
                 std::to_string(c.frames_discarded);
-  } else if (out.budget_leak != 0) {
-    out.error = "budget leaked " + std::to_string(out.budget_leak) +
-                " bytes after teardown";
+  } else if (c.queue_bytes_peak > out.queue_bytes_bound) {
+    out.error = "queue bytes peaked at " + std::to_string(c.queue_bytes_peak) +
+                ", past the limits' bound of " +
+                std::to_string(out.queue_bytes_bound);
   }
   out.ok = out.error.empty();
   return out;
@@ -599,14 +600,12 @@ int main(int argc, char** argv) {
       opt.slow_consumers = tools::flag_u64(arg, argv[++i]);
     } else if (arg == "--admitted" && i + 1 < argc) {
       opt.admitted = tools::flag_u64(arg, argv[++i]);
-    } else if (arg == "--budget-kb" && i + 1 < argc) {
-      opt.budget_kb = tools::flag_u64(arg, argv[++i]);
     } else {
       usage();
       return 2;
     }
   }
-  if (opt.overload && (opt.admitted == 0 || opt.budget_kb == 0)) {
+  if (opt.overload && opt.admitted == 0) {
     usage();
     return 2;
   }
@@ -670,16 +669,15 @@ int main(int argc, char** argv) {
   if (opt.overload) {
     std::fprintf(stderr,
                  "soak: overload drill — %zu-dial storm, %zu slow consumers, "
-                 "%zu admitted, %zu KiB budget\n",
-                 opt.storm, opt.slow_consumers, opt.admitted, opt.budget_kb);
+                 "%zu admitted, %zu-frame queues\n",
+                 opt.storm, opt.slow_consumers, opt.admitted,
+                 kOverloadQueueFrames);
     install_shutdown_handlers();
     using runtime::HealthState;
     HealthLadder health(opt);
     std::size_t completed = 0, attempts = 0, consecutive = 0;
-    std::size_t denies_total = 0;
-    std::size_t budget_sheds_total = 0, refusals_total = 0;
-    std::size_t ring_sheds_total = 0, drops_total = 0;
-    std::size_t backpressure_total = 0, peak_bytes_max = 0;
+    std::size_t denies_total = 0, drops_total = 0;
+    std::size_t peak_bytes_max = 0, bound_bytes = 0;
     bool interrupted = false;
     while (completed < opt.epochs) {
       if (shutdown_flag().load()) {
@@ -690,12 +688,10 @@ int main(int argc, char** argv) {
       const OverloadOutcome outcome =
           run_overload_attempt(capture, wc, opt);
       denies_total += outcome.storm_denied;
-      budget_sheds_total += outcome.server.budget_sheds;
-      refusals_total += outcome.server.budget_refusals;
-      ring_sheds_total += outcome.server.ring_sheds;
       drops_total += outcome.server.queue_drops;
-      backpressure_total += outcome.backpressure_waits;
-      peak_bytes_max = std::max(peak_bytes_max, outcome.budget_peak);
+      peak_bytes_max =
+          std::max(peak_bytes_max, outcome.server.queue_bytes_peak);
+      bound_bytes = std::max(bound_bytes, outcome.queue_bytes_bound);
       if (outcome.ok && outcome.published != reference_frames) {
         health.raise(HealthState::kFailed,
                      "overloaded gateway published " +
@@ -712,9 +708,9 @@ int main(int argc, char** argv) {
           std::fprintf(
               stderr,
               "soak: %zu/%zu overload epochs, %zu denies, %zu drops, "
-              "%zu budget sheds, rss %.1f MB\n",
+              "rss %.1f MB\n",
               completed, opt.epochs, denies_total, drops_total,
-              budget_sheds_total, rss_bytes() / 1048576.0);
+              rss_bytes() / 1048576.0);
         }
       } else {
         ++consecutive;
@@ -735,12 +731,10 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "soak: %zu/%zu overload epochs over %zu attempts — %zu typed "
-        "denies, %zu drops, %zu budget sheds, %zu "
-        "refusals, %zu ring sheds, %zu backpressure waits, peak budget "
-        "%.1f KiB, rss %.1f -> %.1f MB, health %s\n",
-        completed, opt.epochs, attempts, denies_total,
-        drops_total, budget_sheds_total, refusals_total, ring_sheds_total,
-        backpressure_total, peak_bytes_max / 1024.0,
+        "denies, %zu drops, peak queue bytes %.1f KiB (bound %.1f KiB), "
+        "rss %.1f -> %.1f MB, health %s\n",
+        completed, opt.epochs, attempts, denies_total, drops_total,
+        peak_bytes_max / 1024.0, bound_bytes / 1024.0,
         health.rss_baseline() / 1048576.0, rss_final / 1048576.0,
         runtime::to_string(health.state()));
     if (telemetry_writer) telemetry_writer->flush();

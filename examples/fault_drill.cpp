@@ -46,7 +46,6 @@ int main() {
   runtime::RuntimeConfig rc;
   rc.windowed.decoder = scenario.default_decoder();
   rc.workers = 2;
-  rc.supervision.retry_backoff_initial = 0.5e-3;
   runtime::DecodeRuntime rt(rc);
 
   std::printf("drill: %zu epochs from %zu tags through a faulty link...\n",

@@ -27,13 +27,13 @@ struct FrameClientConfig {
   /// arrived means the stream lost its framing (WireFormatError kTruncated,
   /// see reconnect_on_protocol_error).
   Seconds connect_timeout = 5.0;
-  /// Reconnect policy. The defaults are literally the Supervisor's source
-  /// retry policy — a lost gateway link is the same kind of transient fault
-  /// as a flaky local source, so it gets the same budget and backoff shape.
-  std::size_t max_connect_attempts =
-      runtime::SupervisorConfig{}.max_source_retries;
-  Seconds backoff_initial = runtime::SupervisorConfig{}.retry_backoff_initial;
-  Seconds backoff_max = runtime::SupervisorConfig{}.retry_backoff_max;
+  /// Reconnect policy. The defaults are the runtime's source retry
+  /// constants (runtime/supervisor.h) — a lost gateway link is the same
+  /// kind of transient fault as a flaky local source, so it gets the same
+  /// budget and backoff shape.
+  std::size_t max_connect_attempts = runtime::kMaxSourceRetries;
+  Seconds backoff_initial = runtime::kRetryBackoffInitial;
+  Seconds backoff_max = runtime::kRetryBackoffMax;
   /// Seed for the full-jitter backoff (sleep = U[0, cap), cap doubling up
   /// to backoff_max); without jitter every client evicted by one server
   /// death would redial in lockstep forever. 0 (default) derives a

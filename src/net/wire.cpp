@@ -71,7 +71,6 @@ WireStats to_wire_stats(const runtime::RuntimeStats& stats) {
   out.windows_decoded = stats.windows_decoded;
   out.frames_published = stats.frames_published;
   out.streams = stats.streams;
-  out.chunks_dropped = stats.chunks_dropped;
   out.faults_total = stats.faults.total();
   out.mean_confidence = stats.mean_confidence;
   return out;
@@ -228,7 +227,6 @@ void encode_stats(const WireStats& stats, std::vector<std::uint8_t>& out) {
   put_u64(out, stats.windows_decoded);
   put_u64(out, stats.frames_published);
   put_u64(out, stats.streams);
-  put_u64(out, stats.chunks_dropped);
   put_u64(out, stats.faults_total);
   put_f64(out, stats.mean_confidence);
   end_message(out, at);
@@ -247,7 +245,6 @@ WireStats decode_stats(std::span<const std::uint8_t> body) {
   stats.windows_decoded = c.get_u64();
   stats.frames_published = c.get_u64();
   stats.streams = c.get_u64();
-  stats.chunks_dropped = c.get_u64();
   stats.faults_total = c.get_u64();
   stats.mean_confidence = c.get_f64();
   return stats;

@@ -44,10 +44,11 @@ constexpr char kWireMagic[6] = {'L', 'F', 'B', 'W', '1', '\0'};
 /// rate assignments (broadcast after each planning step and as the reply
 /// to get/set). Version 6: kAck lost the replay shortfall, which read 0
 /// once nothing shed the replay ring, and kShardAssign lost the two stitch
-/// tolerances, which only the coordinator's stitcher reads. Each change is
-/// incompatible with older peers, and the hello check rejects them before
-/// any frame is parsed.
-constexpr std::uint16_t kWireVersion = 6;
+/// tolerances, which only the coordinator's stitcher reads. Version 7:
+/// kStats lost chunks_dropped, which read 0 once the runtime's chunk ring
+/// stopped dropping. Each change is incompatible with older peers, and the
+/// hello check rejects them before any frame is parsed.
+constexpr std::uint16_t kWireVersion = 7;
 
 /// Upper bound on one message body. Protects the receiver from a garbled
 /// (or hostile) length prefix triggering a huge allocation — the same
@@ -192,7 +193,6 @@ struct WireStats {
   std::uint64_t windows_decoded = 0;
   std::uint64_t frames_published = 0;
   std::uint64_t streams = 0;
-  std::uint64_t chunks_dropped = 0;
   std::uint64_t faults_total = 0;
   double mean_confidence = 0.0;
 };

@@ -29,7 +29,8 @@ struct FaultPlan {
   /// ±Inf, or rail saturation.
   double corrupt_sample = 0.0;
   /// P(a read stalls for `stall_duration` before proceeding) — a blocking
-  /// driver hiccup. Exercises the supervisor's stall watchdog.
+  /// hiccup in the device read. Latency, not loss: the read then delivers
+  /// its data, so a stalled run decodes exactly what a clean one does.
   double stall = 0.0;
   Seconds stall_duration = 5e-3;
   /// P(a read throws a transient SourceError *before* touching the inner
@@ -71,8 +72,8 @@ struct FaultInjectionStats {
 /// stalls, early EOF) fire before the inner read, so a supervised retry
 /// re-reads the same data; data faults (drop, truncate, corrupt) apply to
 /// the chunk just read. Chunk positions are preserved — a dropped or
-/// truncated span shows up as a `first_sample` gap exactly like a ring
-/// overflow on a live capture would.
+/// truncated span shows up as a `first_sample` gap, which the runtime's
+/// slicer zero-fills.
 class FaultInjectingSource : public SampleSource {
  public:
   /// The inner source is borrowed and must outlive the injector.

@@ -55,8 +55,11 @@ class ReorderInbox {
 /// it. One run per instance.
 class WorkerPool final : public WindowExecutor {
  public:
-  explicit WorkerPool(std::size_t workers)
-      : workers_(workers), jobs_(std::max<std::size_t>(2 * workers, 4)) {}
+  WorkerPool(std::size_t workers,
+             std::function<void(std::size_t)> decode_fault_hook)
+      : workers_(workers),
+        decode_fault_hook_(std::move(decode_fault_hook)),
+        jobs_(std::max<std::size_t>(2 * workers, 4)) {}
   ~WorkerPool() override { cancel(); }
 
   void begin(const WindowRun& run) override {
@@ -90,10 +93,7 @@ class WorkerPool final : public WindowExecutor {
       // the run degrades instead of terminating the process.
       core::DecodeResult result;
       try {
-        const auto activity = run.supervisor.track_worker(w);
-        if (run.supervisor.config().decode_fault_hook) {
-          run.supervisor.config().decode_fault_hook(job->index);
-        }
+        if (decode_fault_hook_) decode_fault_hook_(job->index);
         result = run.decoder.decode_job(*job);
       } catch (const std::exception&) {
         result = core::DecodeResult{};
@@ -107,6 +107,7 @@ class WorkerPool final : public WindowExecutor {
   }
 
   std::size_t workers_;
+  std::function<void(std::size_t)> decode_fault_hook_;
   BoundedRing<core::WindowJob> jobs_;
   std::vector<std::thread> threads_;
 };
@@ -119,7 +120,8 @@ DecodeRuntime::DecodeRuntime(RuntimeConfig config)
 }
 
 RuntimeResult DecodeRuntime::run(SampleSource& source) {
-  WorkerPool pool(std::max<std::size_t>(1, config_.workers));
+  WorkerPool pool(std::max<std::size_t>(1, config_.workers),
+                  config_.decode_fault_hook);
   return run(source, pool);
 }
 
@@ -141,8 +143,7 @@ RuntimeResult DecodeRuntime::run(SampleSource& source,
       std::max<std::size_t>(1, config_.ring_capacity));
   ReorderInbox inbox;
   LatencyRecorder latency;
-  Supervisor supervisor(config_.supervision,
-                        std::max<std::size_t>(1, config_.workers));
+  Supervisor supervisor(config_.stop_flag);
   const std::size_t bus_exceptions_before = bus_.handler_exceptions();
   std::atomic<std::size_t> windows_decoded{0};
   const WindowRun window_run{
@@ -156,7 +157,6 @@ RuntimeResult DecodeRuntime::run(SampleSource& source,
 
   const auto t0 = std::chrono::steady_clock::now();
   executor.begin(window_run);
-  supervisor.start();
 
   // The publishing thread (this one): chunk ring → slicer → executor,
   // folding results back in window order as they arrive.
@@ -181,34 +181,18 @@ RuntimeResult DecodeRuntime::run(SampleSource& source,
     }
   };
 
-  // Ingest thread: source → chunk ring, with the configured overflow
-  // policy. Reads go through the supervisor — retry with backoff on
-  // transient errors, scrub non-finite samples — so a flaky source
-  // degrades the run instead of wedging or killing it. A stop request
-  // (signal handler flag or request_stop) ends ingest early but everything
-  // already ingested still decodes and publishes. Its locals are read only
-  // after it joins.
-  const auto stop_requested = [&] {
-    return stop_requested_.load(std::memory_order_relaxed) ||
-           (config_.stop_flag != nullptr &&
-            config_.stop_flag->load(std::memory_order_relaxed));
-  };
+  // Ingest thread: source → chunk ring, blocking while the ring is full.
+  // Reads go through the supervisor — retry with backoff on transient
+  // errors, scrub non-finite samples — so a flaky source degrades the run
+  // instead of wedging or killing it. A stop request ends ingest early but
+  // everything already ingested still decodes and publishes.
   std::atomic<bool> failed{false};
-  bool stopped_early = false;
   std::thread ingest([&] {
     while (!failed.load()) {
-      if (stop_requested()) {
-        stopped_early = true;
-        break;
-      }
       auto chunk = supervisor.next_chunk(source);
       if (!chunk) break;
       supervisor.scrub(*chunk);
-      if (config_.drop_when_full) {
-        ring.offer(std::move(*chunk));
-      } else {
-        ring.push(std::move(*chunk));
-      }
+      ring.push(std::move(*chunk));
     }
     ring.close();
   });
@@ -227,7 +211,6 @@ RuntimeResult DecodeRuntime::run(SampleSource& source,
     ring.close();
     executor.cancel();
     ingest.join();
-    supervisor.stop();
     throw;
   }
   ingest.join();
@@ -238,13 +221,10 @@ RuntimeResult DecodeRuntime::run(SampleSource& source,
   const std::size_t frames_published =
       publish_frames(bus_, out.decode, config_.epoch_index, window_samples);
   frames_counter.add(frames_published);
-  supervisor.stop();
 
-  // Data lost in flight (ring overflow, zero-filled gaps) is a contained
-  // fault: the output is no longer the full capture's decode.
-  if (ring.dropped() > 0 || slicer.samples_gap() > 0) {
-    supervisor.record_data_loss();
-  }
+  // A gap in the source's stream, zero-filled by the slicer, is a
+  // contained fault: the output is no longer the full capture's decode.
+  if (slicer.samples_gap() > 0) supervisor.record_data_loss();
   supervisor.record_subscriber_exceptions(bus_.handler_exceptions() -
                                           bus_exceptions_before);
 
@@ -252,7 +232,6 @@ RuntimeResult DecodeRuntime::run(SampleSource& source,
                                std::chrono::steady_clock::now() - t0)
                                .count();
   out.stats.chunks_in = ring.pushed();
-  out.stats.chunks_dropped = ring.dropped();
   out.stats.ring_high_watermark = ring.high_watermark();
   out.stats.samples_in = slicer.samples_in();
   out.stats.samples_gap = slicer.samples_gap();
@@ -264,17 +243,12 @@ RuntimeResult DecodeRuntime::run(SampleSource& source,
   // Decode-confidence digest: the supervisor treats low-confidence output
   // as a contained fault so the health state reflects decode quality, not
   // just software faults.
-  out.stats.erasures = out.decode.diagnostics.erasures;
-  out.stats.fallback_passes = out.decode.diagnostics.fallback_passes;
-  out.stats.fallback_recoveries = out.decode.diagnostics.fallback_recoveries;
   if (!out.decode.streams.empty()) {
     double sum = 0.0;
-    double min_score = 1.0;
     std::size_t low = 0;
     for (const auto& stream : out.decode.streams) {
       const double score = stream.confidence.score();
       sum += score;
-      min_score = std::min(min_score, score);
       const bool degraded =
           stream.confidence.stage != core::FallbackStage::kPrimary;
       if (degraded) ++out.stats.degraded_streams;
@@ -282,13 +256,12 @@ RuntimeResult DecodeRuntime::run(SampleSource& source,
     }
     out.stats.mean_confidence =
         sum / static_cast<double>(out.decode.streams.size());
-    out.stats.min_confidence = min_score;
     supervisor.record_low_confidence(low);
   }
 
   out.stats.health = supervisor.health();
   out.stats.faults = supervisor.counters();
-  out.stats.stopped_early = stopped_early;
+  out.stats.stopped_early = supervisor.stopped();
   latency.summarize(out.stats);
   obs::metrics().gauge("runtime.ring_high_watermark")
       .set(static_cast<double>(out.stats.ring_high_watermark));

@@ -22,9 +22,9 @@ namespace lfbs::runtime {
 ///     → publish_frames → FrameBus, RuntimeStats
 ///
 /// An ingest thread reads the source through the Supervisor (transient
-/// errors retried with backoff, non-finite samples scrubbed, stalls
-/// counted), honours the stop flag, and feeds a bounded chunk ring
-/// (blocking, or drop-on-overflow per `drop_when_full`). The thread that
+/// errors retried with backoff, non-finite samples scrubbed, the stop flag
+/// honoured) and feeds a bounded chunk ring that blocks when full, so the
+/// pipeline never drops what the source delivered. The thread that
 /// called run() — the publishing thread — cuts the stream on the window
 /// lattice and hands each job to a WindowExecutor, which decodes it with
 /// core::WindowedDecoder::decode_job wherever it likes and delivers the
@@ -53,19 +53,12 @@ struct RuntimeConfig {
   core::WindowedDecoderConfig windowed{};
   /// Window decode threads. 0 is clamped to 1.
   std::size_t workers = 4;
-  /// Chunk ring capacity, in chunks.
+  /// Chunk ring capacity, in chunks. When the decode side falls behind,
+  /// the ring blocks the ingest thread, which stops reading the source.
   std::size_t ring_capacity = 64;
-  /// Overflow policy when the decode side falls behind the source: false
-  /// blocks the producer (lossless — replay and in-memory decode); true
-  /// drops whole chunks and counts them (live capture can't wait), and the
-  /// slicer zero-fills the gap to keep the window lattice aligned.
-  bool drop_when_full = false;
-  /// Fault supervision: source retry/backoff, stall watchdog, worker
-  /// exception containment, non-finite scrubbing, health accounting. The
-  /// defaults are inert on fault-free runs (bit-identical output).
-  SupervisorConfig supervision{};
-  /// Optional external stop flag (e.g. a signal handler's atomic). When it
-  /// becomes true the ingest loop stops pulling from the source; every
+  /// Optional external stop flag (e.g. a signal handler's atomic), the one
+  /// way to end a run early. When it becomes true the ingest thread stops
+  /// reading the source, also between the retries of a failing read; every
   /// chunk already ingested still decodes, stitches, and publishes before
   /// run() returns with stats.stopped_early set. The flag is only read.
   const std::atomic<bool>* stop_flag = nullptr;
@@ -74,6 +67,11 @@ struct RuntimeConfig {
   /// frames from different runs stay distinguishable across the
   /// federation's dedup.
   std::uint64_t epoch_index = 0;
+  /// Fault-drill hook for the in-process worker pool, called with the
+  /// window index before each window decode: a throwing hook exercises
+  /// worker exception containment exactly like a throwing decoder would,
+  /// and a sleeping one a slow decode. Unset in production.
+  std::function<void(std::size_t window_index)> decode_fault_hook{};
 };
 
 struct RuntimeResult {
@@ -138,15 +136,9 @@ class DecodeRuntime {
   RuntimeResult decode(const signal::SampleBuffer& buffer,
                        std::size_t chunk_samples = 1 << 16);
 
-  /// Asks the active run to stop ingesting and drain (same semantics as
-  /// RuntimeConfig::stop_flag). Safe from any thread; sticky for the
-  /// runtime's lifetime.
-  void request_stop() { stop_requested_.store(true); }
-
  private:
   RuntimeConfig config_;
   FrameBus bus_;
-  std::atomic<bool> stop_requested_{false};
 };
 
 }  // namespace lfbs::runtime

@@ -48,8 +48,8 @@ class SampleSource {
 
 /// In-memory capture, served in fixed-size chunks. The buffer is borrowed:
 /// the caller keeps it alive for the source's lifetime. This is the test
-/// source, and what ReaderSession uses to feed an epoch capture through
-/// the runtime.
+/// source, and what DecodeRuntime::decode streams an in-memory capture
+/// through.
 class MemorySource : public SampleSource {
  public:
   MemorySource(const signal::SampleBuffer& buffer, std::size_t chunk_samples);

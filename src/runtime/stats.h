@@ -15,7 +15,7 @@ namespace lfbs::runtime {
 ///   kHealthy:  no fault observed; output is bit-identical to the serial
 ///              WindowedDecoder path.
 ///   kDegraded: faults occurred but were contained — retried reads, zero-
-///              filled windows, scrubbed samples, dropped chunks, isolated
+///              filled windows and sample gaps, scrubbed samples, isolated
 ///              subscriber exceptions. The run completed and decoded what
 ///              survived.
 ///   kFailed:   the source died unrecoverably (retries exhausted or a
@@ -32,8 +32,6 @@ struct FaultCounters {
   std::size_t source_retries = 0;           ///< retry attempts issued
   std::size_t source_failures = 0;  ///< reads abandoned (retries exhausted
                                     ///< or non-transient error)
-  std::size_t source_stalls = 0;    ///< watchdog: source reads over timeout
-  std::size_t worker_stalls = 0;    ///< watchdog: window decodes over timeout
   std::size_t worker_exceptions = 0;     ///< windows zero-filled after throw
   std::size_t subscriber_exceptions = 0; ///< FrameBus handlers that threw
   std::uint64_t samples_scrubbed = 0;    ///< non-finite samples zeroed
@@ -48,32 +46,29 @@ struct FaultCounters {
   std::size_t workers_lost = 0;
   std::size_t windows_reassigned = 0;
 
-  /// Total contained faults (stall detections excluded from double counts).
+  /// Total contained faults.
   std::size_t total() const {
-    return source_transient_errors + source_failures + source_stalls +
-           worker_stalls + worker_exceptions + subscriber_exceptions +
-           low_confidence_streams + workers_lost +
+    return source_transient_errors + source_failures + worker_exceptions +
+           subscriber_exceptions + low_confidence_streams + workers_lost +
            static_cast<std::size_t>(samples_scrubbed > 0 ? 1 : 0);
   }
 
   bool operator==(const FaultCounters&) const = default;
 };
 
-/// Snapshot of one runtime run, taken after the pipeline drains (or on
-/// demand mid-run via DecodeRuntime — counters are monotonic).
+/// Snapshot of one runtime run, taken after the pipeline drains.
 struct RuntimeStats {
   // Ingest.
-  std::size_t chunks_in = 0;        ///< chunks accepted into the ring
-  std::size_t chunks_dropped = 0;   ///< chunks lost to ring overflow
+  std::size_t chunks_in = 0;        ///< chunks read into the ring
   std::uint64_t samples_in = 0;     ///< real samples decoded
-  std::uint64_t samples_gap = 0;    ///< zero-filled samples (dropped chunks)
+  std::uint64_t samples_gap = 0;    ///< zero-filled samples (source gaps)
   std::size_t ring_high_watermark = 0;  ///< deepest ring occupancy (chunks)
 
   // Decode.
   std::size_t windows_dispatched = 0;
   std::size_t windows_decoded = 0;
   /// Per-window latency: decode time on worker threads, dispatch to
-  /// result on a shard pool.
+  /// result on a shard pool. A stalled window decode shows here.
   double window_latency_p50_ms = 0.0;
   double window_latency_p90_ms = 0.0;
   double window_latency_p99_ms = 0.0;
@@ -83,21 +78,18 @@ struct RuntimeStats {
   std::size_t streams = 0;
   std::size_t frames_published = 0;
 
-  // Decode confidence (soft-decision pipeline). Means are over the run's
-  // stitched streams; zero when the run decoded none.
+  // Decode confidence (soft-decision pipeline), over the run's stitched
+  // streams; zero when the run decoded none. The decode's own diagnostics
+  // (erasures, fallback passes) are in RuntimeResult::decode.
   double mean_confidence = 0.0;
-  double min_confidence = 0.0;
-  std::size_t erasures = 0;           ///< low-confidence boundary slots
-  std::size_t fallback_passes = 0;    ///< degraded-mode decode attempts
-  std::size_t fallback_recoveries = 0;  ///< streams only fallback found
   std::size_t degraded_streams = 0;   ///< streams decoded past kPrimary
 
   // Supervision.
   HealthState health = HealthState::kHealthy;
   FaultCounters faults;
-  /// The run was cut short by a stop request (operator signal or
-  /// DecodeRuntime::request_stop) rather than draining its source. What
-  /// was ingested before the stop is fully decoded and published.
+  /// The run was cut short by RuntimeConfig::stop_flag rather than
+  /// draining its source. What was ingested before the stop is fully
+  /// decoded and published.
   bool stopped_early = false;
 
   // Throughput.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -9,108 +10,43 @@
 
 namespace lfbs::runtime {
 
-namespace {
+Supervisor::Supervisor(const std::atomic<bool>* stop_flag)
+    : stop_flag_(stop_flag) {}
 
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
-Supervisor::Supervisor(SupervisorConfig config, std::size_t workers)
-    : config_(std::move(config)), slots_(1 + workers) {}
-
-Supervisor::~Supervisor() { stop(); }
-
-Supervisor::ScopedActivity::ScopedActivity(Supervisor& supervisor,
-                                           std::size_t slot)
-    : supervisor_(supervisor), slot_(slot) {
-  supervisor_.slots_[slot_].busy_since_ns.store(now_ns(),
-                                               std::memory_order_release);
-}
-
-Supervisor::ScopedActivity::~ScopedActivity() {
-  auto& slot = supervisor_.slots_[slot_];
-  slot.busy_since_ns.store(-1, std::memory_order_release);
-  slot.flagged.store(false, std::memory_order_release);
-}
-
-void Supervisor::start() {
-  watchdog_ = std::thread([this] { watch(); });
-}
-
-void Supervisor::stop() {
-  {
-    std::lock_guard lock(watchdog_mutex_);
-    stop_requested_ = true;
-  }
-  watchdog_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
-}
-
-void Supervisor::watch() {
-  // Poll at a quarter of the tightest timeout so a stall is flagged soon
-  // after it crosses the line, clamped to keep the thread near-idle.
-  const Seconds tightest =
-      std::min(config_.source_stall_timeout, config_.worker_stall_timeout);
-  const auto interval = std::chrono::duration<double>(
-      std::clamp(tightest / 4.0, 0.5e-3, 250e-3));
-  std::unique_lock lock(watchdog_mutex_);
-  while (!stop_requested_) {
-    watchdog_cv_.wait_for(lock, interval, [&] { return stop_requested_; });
-    if (stop_requested_) break;
-    const std::int64_t now = now_ns();
-    check_slot(slots_[0], config_.source_stall_timeout, source_stalls_, now);
-    for (std::size_t w = 1; w < slots_.size(); ++w) {
-      check_slot(slots_[w], config_.worker_stall_timeout, worker_stalls_,
-                 now);
-    }
-  }
-}
-
-void Supervisor::check_slot(Slot& slot, Seconds timeout,
-                            std::atomic<std::size_t>& counter,
-                            std::int64_t now) {
-  const std::int64_t busy_since =
-      slot.busy_since_ns.load(std::memory_order_acquire);
-  if (busy_since < 0) return;
-  if (static_cast<double>(now - busy_since) < timeout * 1e9) return;
-  // Count each stall episode once; the flag clears when the slot idles.
-  if (!slot.flagged.exchange(true, std::memory_order_acq_rel)) {
-    counter.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().counter("supervisor.stalls").add();
-    degrade();
-  }
+bool Supervisor::stop_requested() const {
+  return stop_flag_ != nullptr &&
+         stop_flag_->load(std::memory_order_relaxed);
 }
 
 std::optional<SampleChunk> Supervisor::next_chunk(SampleSource& source) {
-  Seconds backoff = config_.retry_backoff_initial;
-  std::size_t attempts = 0;
-  for (;;) {
+  Seconds backoff = kRetryBackoffInitial;
+  for (std::size_t attempt = 0;; ++attempt) {
+    if (stop_requested()) {
+      stopped_.store(true);
+      return std::nullopt;
+    }
+    if (attempt > 0) {
+      source_retries_.fetch_add(1, std::memory_order_relaxed);
+      static obs::Counter& retries =
+          obs::metrics().counter("supervisor.source_retries");
+      retries.add();
+    }
     try {
-      auto activity = track_source();
       return source.next_chunk();
     } catch (const SourceError& e) {
       source_transient_errors_.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter& transient_errors =
           obs::metrics().counter("supervisor.source_transient_errors");
       transient_errors.add();
-      if (!e.transient() || attempts >= config_.max_source_retries) {
+      if (!e.transient() || attempt >= kMaxSourceRetries) {
         source_failures_.fetch_add(1, std::memory_order_relaxed);
         obs::metrics().counter("supervisor.source_failures").add();
         fail();
         return std::nullopt;
       }
-      ++attempts;
-      source_retries_.fetch_add(1, std::memory_order_relaxed);
-      static obs::Counter& retries =
-          obs::metrics().counter("supervisor.source_retries");
-      retries.add();
       degrade();
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      backoff = std::min(backoff * 2.0, config_.retry_backoff_max);
+      backoff = std::min(backoff * 2.0, kRetryBackoffMax);
     } catch (const std::exception&) {
       // Anything else out of a source is unrecoverable by construction.
       source_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -195,8 +131,6 @@ FaultCounters Supervisor::counters() const {
   out.source_transient_errors = source_transient_errors_.load();
   out.source_retries = source_retries_.load();
   out.source_failures = source_failures_.load();
-  out.source_stalls = source_stalls_.load();
-  out.worker_stalls = worker_stalls_.load();
   out.worker_exceptions = worker_exceptions_.load();
   out.subscriber_exceptions = subscriber_exceptions_.load();
   out.samples_scrubbed = samples_scrubbed_.load();

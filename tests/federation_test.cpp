@@ -625,8 +625,7 @@ class StoppingSource : public runtime::SampleSource {
 TEST(ShardedDecode, StopRequestDrainsTheIngestedPrefixOnBothExecutors) {
   // A stop mid-capture ends ingest after the chunk in hand; what was
   // ingested still decodes, stitches and publishes exactly as the serial
-  // decoder would decode that prefix — on either executor, through either
-  // stop mechanism.
+  // decoder would decode that prefix — on either executor.
   const LongCapture cap = make_capture(3, 70e-3, 40.0, 9);
   constexpr std::size_t kChunk = 8192;
   constexpr std::size_t kStopAt = 20;  // 32.8 ms: one window plus a tail
@@ -643,39 +642,31 @@ TEST(ShardedDecode, StopRequestDrainsTheIngestedPrefixOnBothExecutors) {
   ASSERT_GT(serial_frames, 0u);
 
   for (const bool sharded : {false, true}) {
-    for (const bool via_flag : {true, false}) {
-      SCOPED_TRACE(std::string(sharded ? "shard pool" : "worker threads") +
-                   (via_flag ? ", stop_flag" : ", request_stop"));
-      std::atomic<bool> flag{false};
-      runtime::RuntimeConfig rc;
-      rc.workers = 2;
-      rc.stop_flag = &flag;
-      runtime::DecodeRuntime rt(rc);
-      std::size_t published = 0;
-      rt.bus().subscribe([&](const runtime::FrameEvent&) { ++published; });
-      StoppingSource source(cap.buffer, kChunk, kStopAt, [&] {
-        if (via_flag) {
-          flag.store(true);
-        } else {
-          rt.request_stop();
-        }
-      });
-      runtime::RuntimeResult run;
-      if (sharded) {
-        WorkerPair workers;
-        ShardConfig sc;
-        sc.workers = workers.endpoints();
-        ShardPool pool(sc);
-        run = rt.run(source, pool);
-      } else {
-        run = rt.run(source);
-      }
-      EXPECT_TRUE(run.stats.stopped_early);
-      EXPECT_EQ(run.stats.samples_in, kChunk * kStopAt);
-      expect_identical(serial, run.decode);
-      EXPECT_EQ(run.stats.frames_published, serial_frames);
-      EXPECT_EQ(published, serial_frames);
+    SCOPED_TRACE(sharded ? "shard pool" : "worker threads");
+    std::atomic<bool> flag{false};
+    runtime::RuntimeConfig rc;
+    rc.workers = 2;
+    rc.stop_flag = &flag;
+    runtime::DecodeRuntime rt(rc);
+    std::size_t published = 0;
+    rt.bus().subscribe([&](const runtime::FrameEvent&) { ++published; });
+    StoppingSource source(cap.buffer, kChunk, kStopAt,
+                          [&] { flag.store(true); });
+    runtime::RuntimeResult run;
+    if (sharded) {
+      WorkerPair workers;
+      ShardConfig sc;
+      sc.workers = workers.endpoints();
+      ShardPool pool(sc);
+      run = rt.run(source, pool);
+    } else {
+      run = rt.run(source);
     }
+    EXPECT_TRUE(run.stats.stopped_early);
+    EXPECT_EQ(run.stats.samples_in, kChunk * kStopAt);
+    expect_identical(serial, run.decode);
+    EXPECT_EQ(run.stats.frames_published, serial_frames);
+    EXPECT_EQ(published, serial_frames);
   }
 }
 

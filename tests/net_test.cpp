@@ -152,7 +152,6 @@ TEST(Wire, StatsRoundTrip) {
   stats.windows_decoded = 42;
   stats.frames_published = 17;
   stats.streams = 5;
-  stats.chunks_dropped = 3;
   stats.faults.worker_exceptions = 2;
   stats.mean_confidence = 0.875;
   std::vector<std::uint8_t> bytes;
@@ -168,7 +167,6 @@ TEST(Wire, StatsRoundTrip) {
   EXPECT_EQ(back.windows_decoded, 42u);
   EXPECT_EQ(back.frames_published, 17u);
   EXPECT_EQ(back.streams, 5u);
-  EXPECT_EQ(back.chunks_dropped, 3u);
   EXPECT_GE(back.faults_total, 2u);
   EXPECT_EQ(back.mean_confidence, 0.875);
 }
@@ -948,12 +946,10 @@ TEST(FrameClient, ConnectFailureExhaustsSupervisorStyleBackoff) {
   FrameClient::Callbacks callbacks;
   EXPECT_THROW(client.run(callbacks), SocketError);
   EXPECT_EQ(client.counters().connects, 0u);
-  // The defaults really are the Supervisor's retry policy.
-  EXPECT_EQ(cc.max_connect_attempts,
-            runtime::SupervisorConfig{}.max_source_retries);
-  EXPECT_EQ(cc.backoff_initial,
-            runtime::SupervisorConfig{}.retry_backoff_initial);
-  EXPECT_EQ(cc.backoff_max, runtime::SupervisorConfig{}.retry_backoff_max);
+  // The defaults really are the runtime's source retry policy.
+  EXPECT_EQ(cc.max_connect_attempts, runtime::kMaxSourceRetries);
+  EXPECT_EQ(cc.backoff_initial, runtime::kRetryBackoffInitial);
+  EXPECT_EQ(cc.backoff_max, runtime::kRetryBackoffMax);
 }
 
 // --- Peer: the one blocking LFBW1 endpoint -------------------------------

@@ -40,41 +40,24 @@ TEST(BoundedRing, PushPopOrderAndClose) {
   EXPECT_FALSE(ring.push(3));
 }
 
-TEST(BoundedRing, OfferDropsWhenFullAndCounts) {
-  BoundedRing<int> ring(2);
-  EXPECT_TRUE(ring.offer(1));
-  EXPECT_TRUE(ring.offer(2));
-  EXPECT_FALSE(ring.offer(3));
-  EXPECT_FALSE(ring.offer(4));
-  EXPECT_EQ(ring.dropped(), 2u);
-  EXPECT_EQ(ring.depth(), 2u);
-  EXPECT_EQ(ring.high_watermark(), 2u);
-  ring.close();
-}
-
 TEST(BoundedRing, SlowConsumerBoundsMemory) {
-  // A producer far faster than the consumer: the ring must never exceed
-  // its capacity and must account for every dropped item.
+  // A producer far faster than the consumer: push blocks, so the ring
+  // never exceeds its capacity and every item arrives, in order.
   BoundedRing<int> ring(8);
-  std::atomic<int> consumed{0};
+  std::vector<int> consumed;
   std::thread consumer([&] {
-    while (ring.pop().has_value()) {
-      ++consumed;
+    while (auto item = ring.pop()) {
+      consumed.push_back(*item);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
   const int produced = 2000;
-  int accepted = 0;
-  for (int i = 0; i < produced; ++i) {
-    if (ring.offer(i)) ++accepted;
-  }
+  for (int i = 0; i < produced; ++i) EXPECT_TRUE(ring.push(i));
   ring.close();
   consumer.join();
   EXPECT_LE(ring.high_watermark(), 8u);
-  EXPECT_GT(ring.dropped(), 0u);
-  EXPECT_EQ(ring.dropped() + static_cast<std::size_t>(accepted),
-            static_cast<std::size_t>(produced));
-  EXPECT_EQ(consumed.load(), accepted);
+  ASSERT_EQ(consumed.size(), static_cast<std::size_t>(produced));
+  for (int i = 0; i < produced; ++i) EXPECT_EQ(consumed[i], i);
 }
 
 TEST(IqReader, StreamsSameSamplesAsWholeFileLoad) {
@@ -309,7 +292,6 @@ TEST(DecodeRuntime, ParallelMatchesSerialBitForBit) {
     expect_identical(serial, run.decode);
     EXPECT_EQ(run.stats.samples_in, cap.buffer.size());
     EXPECT_EQ(run.stats.samples_gap, 0u);
-    EXPECT_EQ(run.stats.chunks_dropped, 0u);
     EXPECT_EQ(run.stats.windows_decoded, run.stats.windows_dispatched);
   }
 }
@@ -363,74 +345,91 @@ TEST(DecodeRuntime, FrameBusDeliversEveryStitchedFrame) {
   EXPECT_GT(valid, 0u);
 }
 
-/// A MemorySource that signals once it has handed out its last chunk.
-class DrainSignalingSource : public SampleSource {
+/// A MemorySource that counts its reads and lets another thread wait for
+/// a count.
+class ReadCountingSource : public SampleSource {
  public:
-  DrainSignalingSource(const signal::SampleBuffer& buffer,
-                       std::size_t chunk_samples)
+  ReadCountingSource(const signal::SampleBuffer& buffer,
+                     std::size_t chunk_samples)
       : inner_(buffer, chunk_samples) {}
 
   SampleRate sample_rate() const override { return inner_.sample_rate(); }
 
   std::optional<SampleChunk> next_chunk() override {
-    auto chunk = inner_.next_chunk();
-    if (!chunk) {
-      {
-        std::lock_guard lock(mutex_);
-        drained_ = true;
-      }
-      drained_cv_.notify_all();
+    {
+      std::lock_guard lock(mutex_);
+      ++reads_;
     }
-    return chunk;
+    read_cv_.notify_all();
+    return inner_.next_chunk();
   }
 
-  /// Blocks until end-of-stream or `timeout`; true once drained.
-  bool wait_drained(std::chrono::seconds timeout) {
+  /// Blocks until `reads` reads have begun or `timeout`; true on the first.
+  bool wait_reads(std::size_t reads, std::chrono::seconds timeout) {
     std::unique_lock lock(mutex_);
-    return drained_cv_.wait_for(lock, timeout, [&] { return drained_; });
+    return read_cv_.wait_for(lock, timeout, [&] { return reads_ >= reads; });
   }
 
  private:
   MemorySource inner_;
   std::mutex mutex_;
-  std::condition_variable drained_cv_;
-  bool drained_ = false;
+  std::condition_variable read_cv_;
+  std::size_t reads_ = 0;
 };
 
 TEST(DecodeRuntime, BackpressureBoundsRingAndCountsDrops) {
-  // Live-source policy: a consumer slower than the producer must never
-  // grow the ring past its capacity; overflow surfaces as counted chunk
-  // drops, and the assembler zero-fills the gaps so decode still completes.
-  // The consumer is made slower by construction, not by timing: the one
-  // worker holds its first window until the source has run dry, and 5 ms
-  // windows cut the capture into 12 jobs, more than the worker plus its
-  // 4-job queue hold. So the slicer blocks, and the 2-chunk ring must
-  // overflow while ingest reads on.
+  // One overflow policy, and it loses nothing: a consumer slower than the
+  // source blocks ingest at the ring's capacity instead of dropping. The
+  // consumer is made slower by construction, not by timing: the one
+  // worker holds window 0 until the source has been read as far as the
+  // pipeline can buffer — the slicer blocked submitting window 5 (behind
+  // the held window and the worker's 4-job queue), the 2-chunk ring full,
+  // and one more chunk in the ingest thread's hand. That read can only
+  // happen once the ring is full, so the watermark must equal the
+  // capacity, and nothing past it can be read until the worker lets go.
   const auto cap = make_capture(2, 60e-3, 150.0, 45);
-  DrainSignalingSource source(cap.buffer, 2048);
+  constexpr std::size_t kChunk = 2048;
+  constexpr std::size_t kRing = 2;
+  core::WindowedDecoderConfig wc;
+  wc.window = 5e-3;
+  const core::WindowedDecoder serial_decoder(wc);
+  // The chunks the slicer consumes before it emits window 5.
+  std::size_t slicer_chunks = 0;
+  {
+    core::WindowSlicer slicer(serial_decoder, cap.buffer.sample_rate());
+    std::size_t jobs = 0;
+    for (std::size_t at = 0; jobs < 6; at += kChunk) {
+      ASSERT_LT(at, cap.buffer.size());
+      ++slicer_chunks;
+      slicer.push(at,
+                  cap.buffer.slice(at, std::min(at + kChunk,
+                                                cap.buffer.size())),
+                  [&](core::WindowJob) { ++jobs; });
+    }
+  }
+
+  ReadCountingSource source(cap.buffer, kChunk);
   RuntimeConfig rc;
-  rc.windowed.window = 5e-3;
+  rc.windowed = wc;
   rc.workers = 1;
-  rc.ring_capacity = 2;
-  rc.drop_when_full = true;
-  rc.supervision.decode_fault_hook = [&source](std::size_t) {
-    EXPECT_TRUE(source.wait_drained(std::chrono::seconds(30)));
+  rc.ring_capacity = kRing;
+  rc.decode_fault_hook = [&](std::size_t index) {
+    if (index == 0) {
+      EXPECT_TRUE(source.wait_reads(slicer_chunks + kRing + 1,
+                                    std::chrono::seconds(30)));
+    }
   };
   DecodeRuntime rt(rc);
   const auto run = rt.run(source);
-  EXPECT_GT(run.stats.chunks_dropped, 0u);
-  EXPECT_LE(run.stats.ring_high_watermark, 2u);
-  // Every chunk is accounted for: decoded, zero-filled, or dropped off the
-  // tail (a trailing drop has no later chunk to reveal the gap).
-  EXPECT_LE(run.stats.samples_in + run.stats.samples_gap,
-            cap.buffer.size());
-  EXPECT_EQ(run.stats.chunks_in + run.stats.chunks_dropped,
-            (cap.buffer.size() + 2047) / 2048);
-  EXPECT_GT(run.stats.samples_in, 0u);
+  EXPECT_EQ(run.stats.ring_high_watermark, kRing);
+  EXPECT_EQ(run.stats.samples_in, cap.buffer.size());
+  EXPECT_EQ(run.stats.samples_gap, 0u);
+  EXPECT_EQ(run.stats.chunks_in, (cap.buffer.size() + kChunk - 1) / kChunk);
+  expect_identical(serial_decoder.decode(cap.buffer), run.decode);
 }
 
-/// A source with a hole in the middle, as left behind by ring overflow on
-/// a live capture: the assembler must zero-fill the missing span so the
+/// A source with a hole in the middle, as left behind by a lost transfer
+/// on a live capture: the assembler must zero-fill the missing span so the
 /// surviving samples keep their absolute window positions.
 class GappySource : public SampleSource {
  public:

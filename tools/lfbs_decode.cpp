@@ -31,7 +31,7 @@
 //   --metrics-out PATH    Prometheus text exposition of the run's metrics
 //   --stats-interval SEC  periodic stats line on stderr + snapshot events
 //   --stats-json PATH     one final JSON document: decode diagnostics,
-//                         runtime stats + fault counters, per-tag ledger
+//                         runtime stats + fault counters
 //
 // Exit status: 0 when at least one CRC-valid frame was decoded (from a
 // stream above the confidence floor); 1 when the decode ran but produced
@@ -56,7 +56,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "reader/health_ledger.h"
 #include "runtime/fault_injector.h"
 #include "runtime/runtime.h"
 #include "signal/iq_io.h"
@@ -87,10 +86,9 @@ std::string num(double v) {
   return buf;
 }
 
-/// Writes the --stats-json document: decode diagnostics, the runtime's
-/// stats and fault counters (streaming path only), and a per-tag health
-/// ledger summary built by folding the final result in as one epoch.
-/// Schema documented in README ("Observability").
+/// Writes the --stats-json document: decode diagnostics, and the runtime's
+/// stats and fault counters (streaming path only). Schema documented in
+/// README ("Observability").
 bool write_stats_json(const std::string& path, const std::string& capture,
                       double sample_rate, std::size_t sample_count,
                       const core::DecodeResult& result,
@@ -128,7 +126,6 @@ bool write_stats_json(const std::string& path, const std::string& capture,
        << ", \"p90\": " << num(s.window_latency_p90_ms)
        << ", \"p99\": " << num(s.window_latency_p99_ms)
        << ", \"max\": " << num(s.window_latency_max_ms) << "}"
-       << ", \"chunks_dropped\": " << s.chunks_dropped
        << ", \"samples_gap\": " << s.samples_gap
        << ", \"ring_high_watermark\": " << s.ring_high_watermark
        << ", \"mean_confidence\": " << num(s.mean_confidence)
@@ -137,36 +134,13 @@ bool write_stats_json(const std::string& path, const std::string& capture,
        << f.source_transient_errors
        << ", \"source_retries\": " << f.source_retries
        << ", \"source_failures\": " << f.source_failures
-       << ", \"source_stalls\": " << f.source_stalls
-       << ", \"worker_stalls\": " << f.worker_stalls
        << ", \"worker_exceptions\": " << f.worker_exceptions
        << ", \"subscriber_exceptions\": " << f.subscriber_exceptions
        << ", \"samples_scrubbed\": " << f.samples_scrubbed
        << ", \"low_confidence_streams\": " << f.low_confidence_streams
        << "}}";
   }
-
-  // Per-tag health from one ledger epoch over the final result: each
-  // stream keyed by its channel edge vector, exactly how a long-running
-  // ReaderSession would track it.
-  reader::HealthLedger ledger;
-  const reader::EpochHealth epoch = ledger.observe(result);
-  os << ",\n  \"health_ledger\": {\"tracked\": " << epoch.tracked
-     << ", \"quarantined\": " << epoch.quarantined
-     << ", \"probation\": " << epoch.probation
-     << ", \"mean_confidence\": " << num(epoch.mean_confidence)
-     << ", \"entries\": [";
-  for (std::size_t i = 0; i < ledger.entries().size(); ++i) {
-    const reader::HealthEntry& e = ledger.entries()[i];
-    os << (i > 0 ? ", " : "") << "{\"edge_re\": " << num(e.edge_vector.real())
-       << ", \"edge_im\": " << num(e.edge_vector.imag()) << ", \"state\": \""
-       << reader::to_string(e.state)
-       << "\", \"consecutive_failures\": " << e.consecutive_failures
-       << ", \"epochs_seen\": " << e.epochs_seen
-       << ", \"epochs_failed\": " << e.epochs_failed
-       << ", \"last_confidence\": " << num(e.last_confidence) << "}";
-  }
-  os << "]}\n}\n";
+  os << "\n}\n";
   return os.good();
 }
 
@@ -342,10 +316,10 @@ int main(int argc, char** argv) {
       run_stats = run.stats;
       std::printf(
           "runtime: %zu workers, %zu windows, %.2f effective Msps, "
-          "window p50/p99 %.1f/%.1f ms, ring high-water %zu, dropped %zu\n",
+          "window p50/p99 %.1f/%.1f ms, ring high-water %zu\n",
           workers, run.stats.windows_decoded, run.stats.effective_msps(),
           run.stats.window_latency_p50_ms, run.stats.window_latency_p99_ms,
-          run.stats.ring_high_watermark, run.stats.chunks_dropped);
+          run.stats.ring_high_watermark);
       if (inject_faults) {
         const auto& in = faulty.injected();
         const auto& f = run.stats.faults;
@@ -389,9 +363,9 @@ int main(int argc, char** argv) {
         result = std::move(run.decode);
         run_stats = run.stats;
         std::printf("runtime: %zu workers, %zu windows, %.2f effective "
-                    "Msps, dropped %zu\n",
+                    "Msps\n",
                     workers, run.stats.windows_decoded,
-                    run.stats.effective_msps(), run.stats.chunks_dropped);
+                    run.stats.effective_msps());
       } else if (window_ms > 0.0) {
         result = core::WindowedDecoder(wc).decode(buffer);
       } else {

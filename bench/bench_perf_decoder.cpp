@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/collision_separator.h"
+#include "core/decode_stages.h"
 #include "core/lf_decoder.h"
 #include "core/windowed_decoder.h"
 #include "dsp/kmeans.h"
@@ -88,11 +89,15 @@ void BM_FullDecode16Tags(benchmark::State& state) {
 }
 BENCHMARK(BM_FullDecode16Tags)->Unit(benchmark::kMillisecond);
 
+// The stages of one decode pass over a 16-tag epoch, each with the stage
+// objects LfDecoder builds (PassContext): at 25 Msps, edge detection runs
+// the auto-scaled detector (window 3, guard 1, min_separation 5).
 void BM_EdgeDetection(benchmark::State& state) {
   const auto buffer = make_epoch(16, 12);
-  const signal::EdgeDetector detector{signal::EdgeDetectorConfig{}};
+  const core::DecoderConfig cfg;
+  const core::PassContext ctx(buffer, cfg);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detector.detect(buffer));
+    benchmark::DoNotOptimize(core::detect_edges(ctx));
   }
   state.counters["samples/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) *
@@ -100,6 +105,36 @@ void BM_EdgeDetection(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_EdgeDetection)->Unit(benchmark::kMillisecond);
+
+void BM_GroupStreams(benchmark::State& state) {
+  const auto buffer = make_epoch(16, 12);
+  const core::DecoderConfig cfg;
+  const core::PassContext ctx(buffer, cfg);
+  const core::Edges edges = core::detect_edges(ctx);
+  state.counters["edges"] = static_cast<double>(edges.size());
+  state.counters["groups"] =
+      static_cast<double>(core::group_streams(ctx, edges).size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::group_streams(ctx, edges));
+  }
+}
+BENCHMARK(BM_GroupStreams)->Unit(benchmark::kMicrosecond);
+
+void BM_ExtractSlots(benchmark::State& state) {
+  // One iteration extracts the slots of every group of the epoch.
+  const auto buffer = make_epoch(16, 12);
+  const core::DecoderConfig cfg;
+  const core::PassContext ctx(buffer, cfg);
+  const core::Edges edges = core::detect_edges(ctx);
+  const core::Groups groups = core::group_streams(ctx, edges);
+  state.counters["groups"] = static_cast<double>(groups.size());
+  for (auto _ : state) {
+    for (const core::StreamGroup& group : groups) {
+      benchmark::DoNotOptimize(core::extract_slots(ctx, edges, group));
+    }
+  }
+}
+BENCHMARK(BM_ExtractSlots)->Unit(benchmark::kMicrosecond);
 
 void BM_MedianMad(benchmark::State& state) {
   // 37,500: one 1.5 ms epoch at 25 Msps, the values of |dS| whose median

@@ -19,14 +19,20 @@ The gate fails when
   - stream3 latency_tail_ms rises above 1.15 x the parent's;
   - publish_kfps falls below 0.85 x the parent's;
   - the median over the change's runs of the publish-path overhead of the
-    control-plane tap is above 2%.
+    control-plane tap is above 2%;
+  - stream3's frame_recovery or frame_precision, averaged over the gate's
+    seeds, is below the parent's.
 stream3 gets the wider throughput bound because its own A/A pairs spread
 about 10%; epoch16, one thread and no queues, is the check that catches a
-slowdown in the decoder itself.
+slowdown in the decoder itself. stream3's recovery and precision score the
+serial reference decode of its 12 captures, so each is deterministic per
+seed: a change that loses or fabricates frames moves them, with no noise
+to hide in, while the speed checks above pass a wrong-but-fast decode.
 
 For every workload and every end-to-end metric in BENCHMARK.json, the
 report prints both sides' medians with quartiles, their ratio and the
-change's wins out of the pairs. It exits 0 when every check passes, 1 when
+change's wins out of the pairs, and for stream3's recovery and precision
+both sides' value at every seed. It exits 0 when every check passes, 1 when
 one fails and 2 when a tree does not build or a run prints no result.
 """
 
@@ -51,6 +57,12 @@ PERFBENCH_CHECKS = (
     ("epoch16", "throughput_msps", 0.95),
     ("stream3", "throughput_msps", 0.85),
     ("stream3", "latency_tail_ms", 1.15),
+)
+# (workload, metric): the change's mean over the gate's seeds must be at
+# least the parent's. Deterministic per seed, so compared exactly.
+QUALITY_CHECKS = (
+    ("stream3", "frame_recovery"),
+    ("stream3", "frame_precision"),
 )
 PUBLISH_RUNS = 6
 PUBLISH_MIN_RATIO = 0.85
@@ -189,6 +201,24 @@ def check(failures, label, parent, change, bound, higher):
         failures.append(f"{label} ratio {r:.3f} past {bound}")
 
 
+def check_quality(failures, label, parent, change):
+    """Gates a per-seed deterministic quality metric: the change's mean over
+    the seeds must be at least the parent's. Prints every seed's pair."""
+    if None in parent or None in change:
+        failures.append(f"{label} missing from a run")
+        return
+    print(f"{label} per seed, parent/change: " + ", ".join(
+        f"{seed}: {p:.6f}/{c:.6f}"
+        for seed, (p, c) in enumerate(zip(parent, change), start=1)))
+    p_mean, c_mean = statistics.mean(parent), statistics.mean(change)
+    ok = c_mean >= p_mean
+    print(f"check {label}: change's mean {c_mean:.6f} >= parent's "
+          f"{p_mean:.6f} -> {'OK' if ok else 'FAIL'}")
+    if not ok:
+        failures.append(f"{label} mean {c_mean:.6f} below the parent's "
+                        f"{p_mean:.6f}")
+
+
 def compare_perfbench(parent_tree, change_tree, workload, pairs, seconds,
                       end_to_end, failures):
     """Runs one workload in pairs, prints its table and records every run
@@ -243,6 +273,11 @@ def gate(parent_tree, change_tree):
                 check(failures, f"{workload} {name}",
                       [value(r, name) for r in parent],
                       [value(r, name) for r in change], bound, higher[name])
+        for check_workload, name in QUALITY_CHECKS:
+            if check_workload == workload:
+                check_quality(failures, f"{workload} {name}",
+                              [value(r, name) for r in parent],
+                              [value(r, name) for r in change])
 
     parent, change = interleave(PUBLISH_RUNS,
                                 lambda _: run_publish(parent_bench),

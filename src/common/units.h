@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <string>
@@ -11,6 +12,12 @@ namespace lfbs {
 /// is numerically gentler in double, and the pipelines are nowhere near
 /// memory-bandwidth bound at the simulated sample counts.
 using Complex = std::complex<double>;
+
+/// |z| as sqrt(norm(z)), for loops that run per sample or per point:
+/// std::abs calls libm's hypot, about ten times slower. Within one ulp of
+/// std::abs; unlike hypot it gives up the guard against overflow, which
+/// decode values (IQ samples and their differences) never approach.
+inline double magnitude(Complex z) { return std::sqrt(std::norm(z)); }
 
 /// Bits per second. Tag bitrates in the paper range 0.5 kbps – 250 kbps.
 using BitRate = double;

@@ -53,7 +53,7 @@ class GridMatcher {
     for (std::size_t i = 0; i < n_; ++i) {
       double row_min = kInf;
       for (std::size_t j = 0; j < n_; ++j) {
-        const double d = std::abs(centroids[i] - grid[j]);
+        const double d = magnitude(centroids[i] - grid[j]);
         entries_[i * n_ + j] = {d, i, j};
         row_min = std::min(row_min, d);
         col_min_[j] = std::min(col_min_[j], d);
@@ -217,7 +217,7 @@ std::optional<SeparationResult> CollisionSeparator::separate(
     for (const auto& [a, b] : kCombos) {
       const Complex expected = offset + static_cast<double>(a) * best_e1 +
                                static_cast<double>(b) * best_e2;
-      const double d = std::abs(p - expected);
+      const double d = magnitude(p - expected);
       if (d < best_d) {
         best_d = d;
         best_combo = {a, b};
@@ -366,7 +366,7 @@ std::optional<Separation3Result> CollisionSeparator::separate_three(
       const Complex expected = offset + static_cast<double>(combo[0]) * be1 +
                                static_cast<double>(combo[1]) * be2 +
                                static_cast<double>(combo[2]) * be3;
-      const double d = std::abs(p - expected);
+      const double d = magnitude(p - expected);
       if (d < best_d) {
         best_d = d;
         best_combo = combo;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <optional>
 #include <utility>
 
@@ -371,25 +370,39 @@ BoundarySlots extract_slots(const PassContext& ctx, const Edges& edges,
   std::vector<bool> member(edges.size(), false);
   for (std::size_t ei : group.edge_indices) member[ei] = true;
 
+  // The group's measured edges, one per lattice slot, in slot order.
   struct MeasuredEdge {
+    std::int64_t slot;
     double lead, trail;
     double confidence, snr_db;
   };
-  std::map<std::int64_t, MeasuredEdge> measured;
+  std::vector<MeasuredEdge> measured;
+  measured.reserve(group.edge_indices.size());
   for (std::size_t k = 0; k < group.edge_indices.size(); ++k) {
     const signal::Edge& e = edges[group.edge_indices[k]];
     const auto epos = static_cast<double>(e.position);
-    const std::int64_t slot = group.lattice_indices[k];
-    auto [it, inserted] = measured.try_emplace(
-        slot, MeasuredEdge{epos, epos, e.confidence, e.snr_db});
-    if (!inserted) {
-      it->second.lead = std::min(it->second.lead, epos);
-      it->second.trail = std::max(it->second.trail, epos);
+    measured.push_back(
+        {group.lattice_indices[k], epos, epos, e.confidence, e.snr_db});
+  }
+  // Stable: detections sharing a slot fold in member order.
+  std::stable_sort(measured.begin(), measured.end(),
+                   [](const MeasuredEdge& a, const MeasuredEdge& b) {
+                     return a.slot < b.slot;
+                   });
+  std::size_t folded = 0;
+  for (const MeasuredEdge& m : measured) {
+    if (folded > 0 && measured[folded - 1].slot == m.slot) {
+      MeasuredEdge& merged = measured[folded - 1];
+      merged.lead = std::min(merged.lead, m.lead);
+      merged.trail = std::max(merged.trail, m.trail);
       // Merged (colliding) detections: keep the weakest link.
-      it->second.confidence = std::min(it->second.confidence, e.confidence);
-      it->second.snr_db = std::min(it->second.snr_db, e.snr_db);
+      merged.confidence = std::min(merged.confidence, m.confidence);
+      merged.snr_db = std::min(merged.snr_db, m.snr_db);
+    } else {
+      measured[folded++] = m;
     }
   }
+  measured.resize(folded);
   std::vector<double> foreign_positions;
   foreign_positions.reserve(edges.size());
   for (std::size_t ei = 0; ei < edges.size(); ++ei) {
@@ -406,17 +419,19 @@ BoundarySlots extract_slots(const PassContext& ctx, const Edges& edges,
   const double tail_margin = static_cast<double>(wmax) + kBoundaryGuard + 1.0;
 
   BoundarySlots slots;
+  // The walk visits slots in ascending order, and so does `next`.
+  auto next = measured.begin();
   for (std::int64_t n = group.start_index;; n += group.step) {
     const double predicted = group.position_of(n);
     double lead = predicted, trail = predicted;
     double slot_conf = 1.0;
     double slot_snr = kNoEdgeSnr;
-    const auto it = measured.find(n);
-    if (it != measured.end()) {
-      lead = it->second.lead;
-      trail = it->second.trail;
-      slot_conf = it->second.confidence;
-      slot_snr = it->second.snr_db;
+    while (next != measured.end() && next->slot < n) ++next;
+    if (next != measured.end() && next->slot == n) {
+      lead = next->lead;
+      trail = next->trail;
+      slot_conf = next->confidence;
+      slot_snr = next->snr_db;
     }
     if (trail >= static_cast<double>(buffer.size()) - tail_margin) break;
     if (lead < tail_margin) continue;

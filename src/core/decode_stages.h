@@ -1,7 +1,8 @@
 #pragma once
 
 // The Fig 9 stages of one LfDecoder pass, over typed intermediates. Private
-// to lfbs_core (and its tests): the public entry point is LfDecoder.
+// to lfbs_core (and its tests and bench_perf_decoder's stage rows): the
+// public entry point is LfDecoder.
 //
 // LfDecoder::decode_pass calls them in this order (DESIGN.md §4):
 //

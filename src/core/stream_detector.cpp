@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <numeric>
+#include <utility>
 
 #include "common/check.h"
 
@@ -48,6 +48,54 @@ struct WorkingGroup {
   StreamGroup group;
   LatticeFit fit;
   double last_position = 0.0;
+};
+
+/// Members of a phase group split into residue classes of their lattice
+/// indices modulo one step, as runs of one sorted array: the classes in
+/// ascending residue order, each class in member order. build() reuses the
+/// buffers of the last build, so classing costs no allocation per class.
+class ResidueClasses {
+ public:
+  /// Classes `members` (positions into `indices`) by indices[m] mod step.
+  void build(std::span<const std::int64_t> indices,
+             std::span<const std::size_t> members, std::int64_t step) {
+    keyed_.clear();
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      std::int64_t residue = indices[members[k]] % step;
+      if (residue < 0) residue += step;
+      keyed_.emplace_back(residue, k);
+    }
+    // (residue, k) keys are unique, so the order is fully determined.
+    std::sort(keyed_.begin(), keyed_.end());
+    ids_.resize(keyed_.size());
+    starts_.clear();
+    for (std::size_t i = 0; i < keyed_.size(); ++i) {
+      ids_[i] = members[keyed_[i].second];
+      if (i == 0 || keyed_[i].first != keyed_[i - 1].first) {
+        starts_.push_back(i);
+      }
+    }
+    starts_.push_back(keyed_.size());
+  }
+
+  std::size_t count() const { return starts_.size() - 1; }
+  std::span<const std::size_t> members(std::size_t c) const {
+    return std::span<const std::size_t>(ids_).subspan(
+        starts_[c], starts_[c + 1] - starts_[c]);
+  }
+  /// The largest class; of equal ones, the lowest residue. Needs a class.
+  std::size_t dominant() const {
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < count(); ++c) {
+      if (members(c).size() > members(best).size()) best = c;
+    }
+    return best;
+  }
+
+ private:
+  std::vector<std::pair<std::int64_t, std::size_t>> keyed_;  ///< (residue, k)
+  std::vector<std::size_t> ids_;     ///< members[k], in keyed_ order
+  std::vector<std::size_t> starts_;  ///< class c is [starts_[c], starts_[c+1])
 };
 
 }  // namespace
@@ -304,7 +352,7 @@ std::vector<StreamDetector::SubStream> StreamDetector::split_streams(
   // that leave the lattice nearly empty are artifacts (e.g. two co-phased
   // slow tags whose residues happen to share a parity).
   constexpr double kMinOccupancy = 0.15;
-  const auto occupancy = [&](const std::vector<std::size_t>& members,
+  const auto occupancy = [&](std::span<const std::size_t> members,
                              std::int64_t step) {
     std::int64_t lo = indices[members.front()], hi = lo;
     for (std::size_t m : members) {
@@ -315,6 +363,12 @@ std::vector<StreamDetector::SubStream> StreamDetector::split_streams(
                              static_cast<double>(step) + 1.0;
     return static_cast<double>(members.size()) / slots;
   };
+
+  // One set of residue classes per step, rebuilt for every frame.
+  // Hypothesis B runs only when hypothesis A found no strong step, that is
+  // after A built the classes of every step, so B reads A's.
+  std::vector<ResidueClasses> classes_by_step(steps.size());
+  std::vector<std::size_t> big;  // hypothesis B's classes of one step
 
   while (!stack.empty()) {
     Frame frame = std::move(stack.back());
@@ -328,22 +382,21 @@ std::vector<StreamDetector::SubStream> StreamDetector::split_streams(
     bool single_strong = false;
     std::vector<std::size_t> single_members = members;
     std::vector<std::size_t> single_leftover;
-    for (std::int64_t step : steps) {
-      std::map<std::int64_t, std::vector<std::size_t>> classes;
-      for (std::size_t m : members) {
-        classes[((indices[m] % step) + step) % step].push_back(m);
-      }
-      auto dominant = classes.begin();
-      for (auto it = classes.begin(); it != classes.end(); ++it) {
-        if (it->second.size() > dominant->second.size()) dominant = it;
-      }
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+      const std::int64_t step = steps[s];
+      ResidueClasses& classes = classes_by_step[s];
+      classes.build(indices, members, step);
+      const std::size_t dominant = classes.dominant();
+      const std::span<const std::size_t> dominant_members =
+          classes.members(dominant);
       // Consensus over *structured* edges only: classes too small to be a
       // stream are background (spurious edges, or a faster tag drifting
       // through this phase group mid-epoch) and must not veto a clear
       // periodic stream.
       std::size_t structured_total = 0;
-      for (const auto& [residue, cls] : classes) {
-        if (cls.size() >= config_.min_edges) structured_total += cls.size();
+      for (std::size_t c = 0; c < classes.count(); ++c) {
+        const std::size_t size = classes.members(c).size();
+        if (size >= config_.min_edges) structured_total += size;
       }
       // The dominant class must be a meaningful fraction of the *whole*
       // group (not just of the structured subset): a fast stream's edges
@@ -353,18 +406,19 @@ std::vector<StreamDetector::SubStream> StreamDetector::split_streams(
       const std::size_t dominant_floor = std::max<std::size_t>(
           config_.min_edges,
           static_cast<std::size_t>(0.15 * static_cast<double>(members.size())));
-      if (dominant->second.size() < dominant_floor) continue;
-      const double share = static_cast<double>(dominant->second.size()) /
+      if (dominant_members.size() < dominant_floor) continue;
+      const double share = static_cast<double>(dominant_members.size()) /
                            static_cast<double>(std::max<std::size_t>(
                                structured_total, 1));
       if (share < kStepConsensus) continue;
-      const bool strong = occupancy(dominant->second, step) >= kMinOccupancy;
+      const bool strong = occupancy(dominant_members, step) >= kMinOccupancy;
       if (!single_strong || strong) {
         single_step = step;
-        single_members = dominant->second;
+        single_members.assign(dominant_members.begin(), dominant_members.end());
         single_leftover.clear();
-        for (const auto& [residue, cls] : classes) {
-          if (residue == dominant->first) continue;
+        for (std::size_t c = 0; c < classes.count(); ++c) {
+          if (c == dominant) continue;
+          const std::span<const std::size_t> cls = classes.members(c);
           single_leftover.insert(single_leftover.end(), cls.begin(),
                                  cls.end());
         }
@@ -383,19 +437,18 @@ std::vector<StreamDetector::SubStream> StreamDetector::split_streams(
       std::int64_t split_step = 0;
       std::size_t split_class_count = SIZE_MAX;
       std::vector<std::vector<std::size_t>> split_classes;
-      for (std::int64_t step : steps) {
+      for (std::size_t s = 0; s < steps.size(); ++s) {
+        const std::int64_t step = steps[s];
         if (step <= 1) break;
-        std::map<std::int64_t, std::vector<std::size_t>> classes;
-        for (std::size_t m : members) {
-          classes[((indices[m] % step) + step) % step].push_back(m);
-        }
-        std::vector<std::vector<std::size_t>> big;
+        const ResidueClasses& classes = classes_by_step[s];
+        big.clear();
         std::size_t covered = 0;
-        for (auto& [residue, cls] : classes) {
+        for (std::size_t c = 0; c < classes.count(); ++c) {
+          const std::span<const std::size_t> cls = classes.members(c);
           if (cls.size() >= config_.min_edges &&
               occupancy(cls, step) >= kMinOccupancy) {
             covered += cls.size();
-            big.push_back(std::move(cls));
+            big.push_back(c);
           }
         }
         const double coverage = static_cast<double>(covered) /
@@ -405,7 +458,11 @@ std::vector<StreamDetector::SubStream> StreamDetector::split_streams(
             big.size() < split_class_count) {
           split_step = step;
           split_class_count = big.size();
-          split_classes = std::move(big);
+          split_classes.clear();
+          for (std::size_t c : big) {
+            const std::span<const std::size_t> cls = classes.members(c);
+            split_classes.emplace_back(cls.begin(), cls.end());
+          }
         }
       }
       if (split_step > 0) {
@@ -456,26 +513,20 @@ std::pair<std::int64_t, std::int64_t> consensus_step(
     std::span<const std::int64_t> indices, std::vector<std::int64_t> steps,
     double consensus, std::int64_t max_step) {
   std::sort(steps.begin(), steps.end(), std::greater<>());
+  std::vector<std::size_t> all(indices.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  ResidueClasses classes;
   for (std::int64_t step : steps) {
     if (step > max_step) continue;
     // Largest valid step with residue-class consensus wins: a slower lattice
     // explains the data with fewer free slots, so prefer it when consistent.
-    std::map<std::int64_t, std::size_t> residues;
-    const auto residue = [step](std::int64_t n) {
-      return ((n % step) + step) % step;
-    };
-    for (std::int64_t n : indices) ++residues[residue(n)];
-    const auto dominant = std::max_element(
-        residues.begin(), residues.end(),
-        [](const auto& a, const auto& b) { return a.second < b.second; });
-    const double share = static_cast<double>(dominant->second) /
+    classes.build(indices, all, step);
+    const std::span<const std::size_t> dominant =
+        classes.members(classes.dominant());
+    const double share = static_cast<double>(dominant.size()) /
                          static_cast<double>(indices.size());
-    if (share >= consensus) {
-      // Anchor the lattice at the first index in the dominant class.
-      for (std::int64_t n : indices) {
-        if (residue(n) == dominant->first) return {step, n};
-      }
-    }
+    // Anchor the lattice at the first index in the dominant class.
+    if (share >= consensus) return {step, indices[dominant.front()]};
   }
   return {1, indices.front()};
 }

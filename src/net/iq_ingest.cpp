@@ -24,6 +24,9 @@ int ms_until(Clock::time_point deadline) {
   return static_cast<int>(std::max<std::int64_t>(0, left.count()));
 }
 
+/// The longest next_chunk waits before it looks at the stop flag again.
+constexpr int kStopPollMs = 50;
+
 }  // namespace
 
 RemoteIqSource::RemoteIqSource(IqIngestConfig config)
@@ -81,7 +84,8 @@ std::optional<runtime::SampleChunk> RemoteIqSource::next_chunk() {
   const auto deadline = deadline_after(config_.read_timeout);
   for (;;) {
     try {
-      if (const auto message = peer_->receive(ms_until(deadline))) {
+      const int wait_ms = std::min(ms_until(deadline), kStopPollMs);
+      if (const auto message = peer_->receive(wait_ms)) {
         switch (message->type) {
           case MsgType::kIqChunk: {
             runtime::SampleChunk chunk = decode_iq_chunk(message->body);
@@ -113,6 +117,10 @@ std::optional<runtime::SampleChunk> RemoteIqSource::next_chunk() {
       }
     } catch (const WireFormatError& error) {
       fail_protocol(error.what());
+    }
+    if (config_.stop_flag != nullptr &&
+        config_.stop_flag->load(std::memory_order_relaxed)) {
+      return std::nullopt;
     }
     if (peer_->closed()) {
       // EOF with no IqEnd: the capture process died. Retrying cannot help.

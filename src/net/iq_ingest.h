@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -21,6 +22,10 @@ struct IqIngestConfig {
   /// link: it throws a *transient* SourceError so the runtime supervisor
   /// applies its usual retry-with-backoff policy before failing the run.
   Seconds read_timeout = 30.0;
+  /// The run's stop flag (RuntimeConfig::stop_flag; may be null), only
+  /// read. next_chunk waits in slices of at most 50 ms and ends the stream
+  /// once it is set, so a stop does not wait out a silent pusher's read.
+  const std::atomic<bool>* stop_flag = nullptr;
 };
 
 /// A runtime::SampleSource fed over TCP: the decoder end of remote IQ
@@ -34,6 +39,7 @@ struct IqIngestConfig {
 ///     samples received so far
 ///   - no message within read_timeout  → SourceError, transient (retried)
 ///   - unparseable bytes               → SourceError, non-transient
+///   - stop_flag set while waiting     → std::nullopt, end of stream
 ///
 /// Pull-model like every other source: all socket work happens inside
 /// next_chunk on the runtime's producer thread — no extra thread, no queue.

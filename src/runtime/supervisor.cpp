@@ -32,7 +32,11 @@ std::optional<SampleChunk> Supervisor::next_chunk(SampleSource& source) {
       retries.add();
     }
     try {
-      return source.next_chunk();
+      std::optional<SampleChunk> chunk = source.next_chunk();
+      // A source that watches the stop flag itself (net::RemoteIqSource)
+      // ends its stream on it.
+      if (!chunk && stop_requested()) stopped_.store(true);
+      return chunk;
     } catch (const SourceError& e) {
       source_transient_errors_.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter& transient_errors =

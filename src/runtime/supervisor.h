@@ -44,7 +44,8 @@ class Supervisor {
   /// included, so a stop never waits out a failing source's retries.
   std::optional<SampleChunk> next_chunk(SampleSource& source);
 
-  /// True once next_chunk ended the stream on a stop request.
+  /// True once the stream ended on a stop request: next_chunk saw the flag
+  /// before a read, or the source ended its stream while it was set.
   bool stopped() const { return stopped_.load(); }
 
   /// Zeroes non-finite (NaN/Inf) samples in place and counts them, so a

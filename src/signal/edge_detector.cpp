@@ -14,10 +14,11 @@ namespace lfbs::signal {
 namespace {
 
 /// |after - before| of the two windowed means, from their sums and sample
-/// counts: the one formula of the |dS| series.
+/// counts: the one formula of the |dS| series. One value per sample, so it
+/// takes lfbs::magnitude, not std::abs.
 double step_magnitude(Complex before_sum, double nb, Complex after_sum,
                       double na) {
-  return std::abs(after_sum / na - before_sum / nb);
+  return magnitude(after_sum / na - before_sum / nb);
 }
 
 /// Differential magnitude series |S(t+) - S(t-)| for every sample.

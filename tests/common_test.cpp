@@ -2,7 +2,9 @@
 // key=value spec grammar every spec flag shares.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <set>
@@ -164,6 +166,21 @@ TEST(Units, FormatDuration) {
   EXPECT_EQ(format_duration(2.0), "2 s");
   EXPECT_EQ(format_duration(1.5e-3), "1.5 ms");
   EXPECT_EQ(format_duration(10e-6), "10 us");
+}
+
+TEST(Units, MagnitudeWithinOneUlpOfStdAbs) {
+  // Magnitudes log-uniform over [1e-6, 10], phases uniform. Positive
+  // doubles order like their bit patterns, so one ulp is a bit distance
+  // of one.
+  Rng rng(29);
+  for (int i = 0; i < 100000; ++i) {
+    const double r = std::exp(rng.uniform(std::log(1e-6), std::log(10.0)));
+    const Complex z = std::polar(r, rng.uniform(0.0, 6.283185307179586));
+    const auto exact = std::bit_cast<std::int64_t>(std::abs(z));
+    const auto fast = std::bit_cast<std::int64_t>(magnitude(z));
+    ASSERT_LE(std::abs(exact - fast), 1) << "z = " << z;
+  }
+  EXPECT_EQ(magnitude(Complex{0.0, 0.0}), 0.0);
 }
 
 TEST(Check, ThrowsOnViolation) {

@@ -167,7 +167,8 @@ TEST(CollisionSeparator, ThreeWayRejectsTwoTagData) {
 // ---------------------------------------------------------------------------
 // Reference separators: the search before the grid-match bound and the
 // three-way screen, sorting every hypothesis's n² distances. The separators
-// must return exactly what these return.
+// must return exactly what these return. Grid and classification distances
+// use lfbs::magnitude, the separators' own formula at those sites.
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -207,7 +208,8 @@ double reference_match(const std::vector<Complex>& centroids,
   std::vector<Entry> entries;
   for (std::size_t i = 0; i < centroids.size(); ++i) {
     for (std::size_t j = 0; j < combos.size(); ++j) {
-      entries.push_back({std::abs(centroids[i] - combine(combos[j], axes)), i, j});
+      entries.push_back(
+          {magnitude(centroids[i] - combine(combos[j], axes)), i, j});
     }
   }
   std::sort(entries.begin(), entries.end(),
@@ -274,7 +276,7 @@ std::optional<ReferenceResult> reference_finish(
       for (std::size_t t = 0; t < axes.size(); ++t) {
         expected += static_cast<double>(combo[t]) * axes[t];
       }
-      const double d = std::abs(p - expected);
+      const double d = magnitude(p - expected);
       if (d < best_d) {
         best_d = d;
         best_combo = &combo;

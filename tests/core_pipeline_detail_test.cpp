@@ -256,6 +256,53 @@ TEST(DecodeGroupDetail, OverMergedGroupSplitsIntoTwoStreams) {
   EXPECT_GE(splits, 1u);
 }
 
+TEST(ExtractSlotsDetail, OneSlotPerLatticeIndex) {
+  // A step-1 group on the 250-sample lattice from sample 1000: slot 3
+  // holds two detections (a merged collision), slot 5 none.
+  const signal::SampleBuffer buffer(25.0 * kMsps,
+                                    std::vector<Complex>(37500));
+  const DecoderConfig cfg;
+  const PassContext ctx(buffer, cfg);
+  StreamGroup group;
+  group.intercept = 1000.0;
+  group.slope = 250.0;
+  Edges edges;
+  const auto detect = [&](std::int64_t n, double position, double snr_db,
+                          double confidence) {
+    edges.push_back({.position = position,
+                     .differential = {0.1, 0.0},
+                     .strength = 0.1,
+                     .snr_db = snr_db,
+                     .confidence = confidence});
+    group.lattice_indices.push_back(n);
+  };
+  for (std::int64_t n = 0; n < 8; ++n) {
+    const double at = group.position_of(n);
+    if (n == 3) {
+      detect(n, at - 2.0, 9.0, 0.9);
+      detect(n, at + 1.5, 14.0, 0.4);
+    } else if (n != 5) {
+      detect(n, at, 20.0, 0.8);
+    }
+  }
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    group.edge_indices.push_back(i);
+  }
+  const BoundarySlots slots = extract_slots(ctx, edges, group);
+  ASSERT_GE(slots.positions.size(), 8u);
+  // Slot 3 spans [1748, 1751.5] of its two detections, and keeps the lower
+  // confidence of one and the lower SNR of the other.
+  EXPECT_EQ(slots.positions[3], 0.5 * (1748.0 + 1751.5));
+  EXPECT_EQ(slots.confidences[3], 0.4);
+  EXPECT_EQ(slots.snrs[3], 9.0);
+  // Slot 5 has no detection: the lattice position, confidence 1 and no SNR.
+  EXPECT_EQ(slots.positions[5], group.position_of(5));
+  EXPECT_EQ(slots.confidences[5], 1.0);
+  EXPECT_EQ(slots.snrs[5], kNoEdgeSnr);
+  EXPECT_EQ(slots.confidences[4], 0.8);
+  EXPECT_EQ(slots.snrs[4], 20.0);
+}
+
 TEST(CancelInterferenceDetail, RepairsACrcFailedStream) {
   // In this epoch a stream fails its CRC because another tag's edges sit
   // inside its boundary measurements; subtracting the CRC-valid streams'

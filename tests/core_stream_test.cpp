@@ -2,7 +2,9 @@
 // estimation, and stream splitting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/stream_detector.h"
 
@@ -161,6 +163,53 @@ TEST(StreamDetector, ContaminatedSlowStreamSurvives) {
     if (sub.step == 100 && sub.members.size() >= 25) found_slow = true;
   }
   EXPECT_TRUE(found_slow);
+}
+
+TEST(StreamDetector, LeftoverClassesRecurseInResidueOrder) {
+  // A step-10 stream on residue 0 plus four background edges: two on
+  // residue 7 early in the group, two on residue 3 later. Each background
+  // class is too small to veto step 10, so they become its leftover, and
+  // the leftover decodes as one step-2 stream (all four are odd). Its
+  // members list residue 3's class before residue 7's, each in member
+  // order, so it starts at index 33, not at the group's first index 7.
+  const StreamDetector det(paper_config());
+  std::vector<std::int64_t> idx;
+  for (int k = 0; k < 20; ++k) idx.push_back(10 * k);
+  for (std::int64_t n : {7, 17, 33, 43}) idx.push_back(n);
+  std::sort(idx.begin(), idx.end());
+  const auto position = [&](std::int64_t n) {
+    return static_cast<std::size_t>(
+        std::find(idx.begin(), idx.end(), n) - idx.begin());
+  };
+  const auto subs = det.split_streams(idx);
+  ASSERT_EQ(subs.size(), 2u);
+  EXPECT_EQ(subs[0].step, 10);
+  EXPECT_EQ(subs[0].start, 0);
+  EXPECT_EQ(subs[0].members.size(), 20u);
+  EXPECT_EQ(subs[1].step, 2);
+  EXPECT_EQ(subs[1].start, 33);
+  EXPECT_EQ(subs[1].members,
+            (std::vector<std::size_t>{position(33), position(43), position(7),
+                                      position(17)}));
+}
+
+TEST(StreamDetector, ConsensusStepAnchorsAtTheDominantClassFirstIndex) {
+  // Residue 2 holds 4 of 5 indices; the anchor is its first index in
+  // input order (12), not the first index overall (5).
+  const std::vector<std::int64_t> idx = {5, 12, 22, 32, 42};
+  EXPECT_EQ(consensus_step(idx, {10}, 0.8),
+            (std::pair<std::int64_t, std::int64_t>{10, 12}));
+  // No step reaches consensus: step 1 at the first index.
+  EXPECT_EQ(consensus_step(idx, {10}, 0.9),
+            (std::pair<std::int64_t, std::int64_t>{1, 5}));
+}
+
+TEST(StreamDetector, ConsensusStepTieGoesToTheLowestResidue) {
+  // Residues 3 and 1 hold two indices each. The lower residue, 1, is
+  // dominant, anchored at its first index in input order (21, not 11).
+  const std::vector<std::int64_t> idx = {3, 13, 21, 11};
+  EXPECT_EQ(consensus_step(idx, {10}, 0.5),
+            (std::pair<std::int64_t, std::int64_t>{10, 21}));
 }
 
 TEST(StreamDetector, EstimateStepConsensus) {

@@ -1281,6 +1281,57 @@ TEST(RemoteIqSource, ChunkSkippingAheadIsRejected) {
   pusher.join();
 }
 
+TEST(RemoteIqSource, StopEndsTheStreamOfASilentPusher) {
+  // The pusher sends one chunk, then falls silent with the link open. A
+  // stop must end the run promptly, not wait out the read in hand.
+  std::atomic<bool> stop{false};
+  IqIngestConfig ic;
+  ic.read_timeout = 5.0;
+  ic.stop_flag = &stop;
+  RemoteIqSource source(ic);
+  std::atomic<bool> hang_up{false};
+  std::thread pusher([&] {
+    TcpConnection conn =
+        TcpConnection::connect("127.0.0.1", source.port(), 5.0);
+    std::vector<std::uint8_t> bytes;
+    encode_hello({PeerRole::kIqPusher, 1e6, "silent"}, bytes);
+    runtime::SampleChunk chunk;
+    chunk.samples.assign(100, Complex{0.5, -0.5});
+    encode_iq_chunk(chunk, true, bytes);
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const std::ptrdiff_t n =
+          conn.write_some(bytes.data() + sent, bytes.size() - sent);
+      if (n > 0) sent += static_cast<std::size_t>(n);
+    }
+    while (!hang_up.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  source.wait_for_pusher();
+
+  runtime::RuntimeConfig rc;
+  rc.workers = 1;
+  rc.stop_flag = &stop;
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    stop.store(true);
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  const runtime::RuntimeResult result = runtime::DecodeRuntime(rc).run(source);
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  stopper.join();
+  hang_up.store(true);
+  pusher.join();
+
+  EXPECT_LT(elapsed, 1.0);
+  EXPECT_TRUE(result.stats.stopped_early);
+  EXPECT_NE(result.stats.health, runtime::HealthState::kFailed);
+  EXPECT_EQ(result.stats.samples_in, 100u);
+}
+
 TEST(RemoteIqSource, WrongRolePeerIsRejected) {
   IqIngestConfig ic;
   RemoteIqSource source(ic);

@@ -688,6 +688,7 @@ int main(int argc, char** argv) {
     } else {
       net::IqIngestConfig ic;
       ic.port = iq_port;
+      ic.stop_flag = &shutdown_flag();
       auto remote = std::make_unique<net::RemoteIqSource>(ic);
       std::fprintf(stderr, "gateway: listening for IQ on port %u\n",
                    remote->port());

@@ -5,7 +5,9 @@
 # headline metrics. A record only: no gate reads it (scripts/perf_gate.py
 # compares a change with its parent instead).
 set -e
-cmake -B build -G Ninja
+# Reuses an existing build tree with whatever generator and build type it
+# was configured with; a fresh tree gets CMake's defaults.
+cmake -S . -B build
 cmake --build build
 ctest --test-dir build --output-on-failure
 

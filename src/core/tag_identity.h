@@ -9,9 +9,9 @@ namespace lfbs::core {
 /// A tag's identity is its edge vector: the rising-edge IQ differential,
 /// i.e. its channel coefficient, stable over an epoch and across windows.
 /// A decode can recover the same tag with inverted levels, which negates
-/// the vector, so the match is polarity-tolerant. The window stitcher, the
-/// fallback ladder and reader::HealthLedger all match tags with it; each
-/// keeps its own tolerance on `distance`.
+/// the vector, so the match is polarity-tolerant. The window stitcher and
+/// the fallback ladder both match tags with it; each keeps its own
+/// tolerance on `distance`.
 struct TagIdentity {
   /// min(|candidate − reference|, |candidate + reference|) / |reference|.
   double distance = 0.0;

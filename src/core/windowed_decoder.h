@@ -156,8 +156,8 @@ class WindowedDecoder {
 /// The window lattice over a chunked sample stream, emitting exactly the
 /// jobs WindowedDecoder::decode slices from the same capture:
 ///   - gap zero-fill: a chunk starting past the samples seen so far (a
-///     chunk lost to ring overflow or a dropout) is preceded by zeros, so
-///     surviving samples keep their absolute window positions;
+///     source skipped samples, e.g. a dropped chunk) is preceded by zeros,
+///     so surviving samples keep their absolute window positions;
 ///   - overlap skip: samples before that point (a rewinding source) are
 ///     ignored;
 ///   - short-capture hold-back: full windows are held until the stream is

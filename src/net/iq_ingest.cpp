@@ -24,7 +24,8 @@ int ms_until(Clock::time_point deadline) {
   return static_cast<int>(std::max<std::int64_t>(0, left.count()));
 }
 
-/// The longest next_chunk waits before it looks at the stop flag again.
+/// The longest a wait on the pusher runs before it looks at the stop flag
+/// again.
 constexpr int kStopPollMs = 50;
 
 }  // namespace
@@ -38,15 +39,26 @@ void RemoteIqSource::fail_protocol(const std::string& what) {
   throw runtime::SourceError("remote iq: " + what, /*transient=*/false);
 }
 
-SampleRate RemoteIqSource::wait_for_pusher() {
+bool RemoteIqSource::stop_requested() const {
+  return config_.stop_flag != nullptr &&
+         config_.stop_flag->load(std::memory_order_relaxed);
+}
+
+std::optional<SampleRate> RemoteIqSource::wait_for_pusher() {
+  const auto accept_deadline = deadline_after(config_.accept_timeout);
   std::vector<PollItem> items{{listener_.fd(), true, false}};
-  poll_fds(items, static_cast<int>(config_.accept_timeout * 1e3));
-  FdHandle fd = listener_.accept();
-  if (!fd.valid()) {
-    throw runtime::SourceError("remote iq: no pusher connected within " +
-                                   std::to_string(config_.accept_timeout) +
-                                   "s",
-                               /*transient=*/false);
+  FdHandle fd;
+  for (;;) {
+    if (stop_requested()) return std::nullopt;
+    poll_fds(items, std::min(ms_until(accept_deadline), kStopPollMs));
+    fd = listener_.accept();
+    if (fd.valid()) break;
+    if (Clock::now() >= accept_deadline) {
+      throw runtime::SourceError("remote iq: no pusher connected within " +
+                                     std::to_string(config_.accept_timeout) +
+                                     "s",
+                                 /*transient=*/false);
+    }
   }
   peer_.emplace(TcpConnection(std::move(fd)));
   obs::metrics().counter("net.connects").add();
@@ -54,8 +66,13 @@ SampleRate RemoteIqSource::wait_for_pusher() {
   // Read until the hello arrives; anything else first is a protocol error.
   const auto deadline = deadline_after(config_.accept_timeout);
   for (;;) {
+    if (stop_requested()) {
+      peer_.reset();
+      return std::nullopt;
+    }
     try {
-      if (const auto message = peer_->receive(ms_until(deadline))) {
+      const int wait_ms = std::min(ms_until(deadline), kStopPollMs);
+      if (const auto message = peer_->receive(wait_ms)) {
         const Hello hello = expect_hello(*message, PeerRole::kIqPusher);
         if (!(hello.sample_rate > 0.0)) {
           fail_protocol("pusher declared no sample rate");
@@ -118,10 +135,7 @@ std::optional<runtime::SampleChunk> RemoteIqSource::next_chunk() {
     } catch (const WireFormatError& error) {
       fail_protocol(error.what());
     }
-    if (config_.stop_flag != nullptr &&
-        config_.stop_flag->load(std::memory_order_relaxed)) {
-      return std::nullopt;
-    }
+    if (stop_requested()) return std::nullopt;
     if (peer_->closed()) {
       // EOF with no IqEnd: the capture process died. Retrying cannot help.
       peer_.reset();

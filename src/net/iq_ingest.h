@@ -23,8 +23,9 @@ struct IqIngestConfig {
   /// applies its usual retry-with-backoff policy before failing the run.
   Seconds read_timeout = 30.0;
   /// The run's stop flag (RuntimeConfig::stop_flag; may be null), only
-  /// read. next_chunk waits in slices of at most 50 ms and ends the stream
-  /// once it is set, so a stop does not wait out a silent pusher's read.
+  /// read. wait_for_pusher and next_chunk wait in slices of at most 50 ms
+  /// and give up once it is set, so a stop waits out neither an absent
+  /// pusher's accept nor a silent pusher's read.
   const std::atomic<bool>* stop_flag = nullptr;
 };
 
@@ -50,10 +51,11 @@ class RemoteIqSource : public runtime::SampleSource {
   std::uint16_t port() const { return listener_.port(); }
 
   /// Blocks until a pusher connects and completes its hello; returns the
-  /// sample rate it declared. Must be called (successfully) before the
-  /// runtime starts, since RuntimeConfig needs the rate up front. Throws
-  /// SourceError (non-transient) on timeout or a bad handshake.
-  SampleRate wait_for_pusher();
+  /// sample rate it declared, or std::nullopt once stop_flag is set. Must
+  /// be called (successfully) before the runtime starts, since
+  /// RuntimeConfig needs the rate up front. Throws SourceError
+  /// (non-transient) on timeout or a bad handshake.
+  std::optional<SampleRate> wait_for_pusher();
 
   SampleRate sample_rate() const override { return rate_; }
   std::optional<runtime::SampleChunk> next_chunk() override;
@@ -64,6 +66,7 @@ class RemoteIqSource : public runtime::SampleSource {
 
  private:
   [[noreturn]] void fail_protocol(const std::string& what);
+  bool stop_requested() const;
 
   IqIngestConfig config_;
   TcpListener listener_;

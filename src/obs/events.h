@@ -62,11 +62,11 @@ struct Field {
 };
 
 /// Typed structured event log: every line is one JSON object with at least
-/// {"type": ..., "ts_us": ...}. This is the machine-readable trail the
-/// tentpole asks for — frame deliveries (with confidence and fallback
-/// stage), health transitions, ledger quarantines, rate-control decisions,
-/// and periodic metric snapshots all land here, interleaved with span
-/// records when the tracer shares the same writer.
+/// {"type": ..., "ts_us": ...}. This is the machine-readable trail: frame
+/// deliveries (with confidence and fallback stage), health transitions,
+/// gateway, federation, chaos and control-plane events, and periodic
+/// metric snapshots all land here, interleaved with span records when the
+/// tracer shares the same writer.
 class EventLog {
  public:
   explicit EventLog(JsonlWriter& out) : out_(out) {}

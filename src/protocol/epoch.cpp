@@ -12,26 +12,11 @@ RatePlan RatePlan::paper_rates() {
                    10.0 * kKbps, 50.0 * kKbps, 100.0 * kKbps}};
 }
 
-bool RatePlan::is_valid(BitRate rate, double tolerance) const {
+bool RatePlan::is_valid(BitRate rate) const {
+  constexpr double kTolerance = 1e-6;
   return std::any_of(rates.begin(), rates.end(), [&](BitRate r) {
-    return std::abs(r - rate) <= tolerance * r;
+    return std::abs(r - rate) <= kTolerance * r;
   });
-}
-
-BitRate RatePlan::snap_period(Seconds period) const {
-  LFBS_CHECK(!rates.empty());
-  LFBS_CHECK(period > 0.0);
-  const double target = 1.0 / period;
-  BitRate best = rates.front();
-  double best_err = std::abs(std::log(target / best));
-  for (BitRate r : rates) {
-    const double err = std::abs(std::log(target / r));
-    if (err < best_err) {
-      best_err = err;
-      best = r;
-    }
-  }
-  return best;
 }
 
 BitRate RatePlan::max() const {

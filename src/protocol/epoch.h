@@ -6,19 +6,6 @@
 
 namespace lfbs::protocol {
 
-/// Reader-side epoch structure (§3.2): the reader chops time into epochs by
-/// shutting off and restarting its carrier. Every epoch restart re-triggers
-/// every tag's comparator, re-randomizing their start offsets — which is
-/// what breaks persistent collisions across epochs.
-struct EpochConfig {
-  Seconds duration = 4e-3;     ///< carrier-on time per epoch
-  Seconds gap = 100e-6;        ///< carrier-off time between epochs
-  BitRate base_rate = 100.0;   ///< all tag rates are multiples of this
-  BitRate max_rate = 100.0 * kKbps;
-
-  Seconds cycle() const { return duration + gap; }
-};
-
 /// The set of bitrates tags may use: the paper requires every rate to be a
 /// multiple of the base rate, and the evaluation uses rates that also divide
 /// the max rate so that all streams fold to a single offset at the max-rate
@@ -30,11 +17,8 @@ struct RatePlan {
   /// {0.5, 1, 2, 5, 10, 50, 100} kbps.
   static RatePlan paper_rates();
 
-  /// True when `rate` is (within tolerance) one of the valid rates.
-  bool is_valid(BitRate rate, double tolerance = 1e-6) const;
-
-  /// The valid rate nearest to an estimated bit period of `period` seconds.
-  BitRate snap_period(Seconds period) const;
+  /// True when `rate` is within a relative 1e-6 of one of the valid rates.
+  bool is_valid(BitRate rate) const;
 
   BitRate max() const;
   BitRate min() const;

@@ -1,14 +1,14 @@
 #include "protocol/rate_control.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
 namespace lfbs::protocol {
 
-RateController::RateController(RatePlan plan, BitRate initial_max,
-                               Config config)
-    : plan_(std::move(plan)), current_max_(initial_max), config_(config) {
+RateController::RateController(RatePlan plan, BitRate initial_max)
+    : plan_(std::move(plan)), current_max_(initial_max) {
   LFBS_CHECK(!plan_.rates.empty());
   LFBS_CHECK(plan_.is_valid(initial_max));
   std::sort(plan_.rates.begin(), plan_.rates.end());
@@ -29,15 +29,14 @@ std::optional<BitRate> RateController::on_epoch(std::size_t frames_attempted,
                       static_cast<double>(frames_attempted);
   const std::size_t at = level();
 
-  if (loss > config_.lower_threshold && at > 0) {
+  if (loss > kLowerThreshold && at > 0) {
     clean_epochs_ = 0;
     current_max_ = plan_.rates[at - 1];
     return current_max_;
   }
-  if (loss < config_.raise_threshold) {
+  if (loss < kRaiseThreshold) {
     ++clean_epochs_;
-    if (clean_epochs_ >= config_.raise_patience &&
-        at + 1 < plan_.rates.size()) {
+    if (clean_epochs_ >= kRaisePatience && at + 1 < plan_.rates.size()) {
       clean_epochs_ = 0;
       current_max_ = plan_.rates[at + 1];
       return current_max_;
@@ -46,14 +45,6 @@ std::optional<BitRate> RateController::on_epoch(std::size_t frames_attempted,
     clean_epochs_ = 0;
   }
   return std::nullopt;
-}
-
-std::optional<BitRate> RateController::step_down() {
-  clean_epochs_ = 0;
-  const std::size_t at = level();
-  if (at == 0) return std::nullopt;
-  current_max_ = plan_.rates[at - 1];
-  return current_max_;
 }
 
 }  // namespace lfbs::protocol

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <utility>
 
 #include "common/units.h"
 #include "protocol/epoch.h"
@@ -16,18 +15,14 @@ namespace lfbs::protocol {
 /// ignore the command, which is safe because their edges are sparse.
 class RateController {
  public:
-  struct Config {
-    /// Lower the max rate when more than this fraction of frames failed.
-    double lower_threshold = 0.25;
-    /// Raise it again when fewer than this fraction failed.
-    double raise_threshold = 0.02;
-    /// Epochs of clean decoding required before raising.
-    std::size_t raise_patience = 3;
-  };
+  /// Lower the max rate when more than this fraction of frames failed.
+  static constexpr double kLowerThreshold = 0.25;
+  /// Raise it again when fewer than this fraction failed.
+  static constexpr double kRaiseThreshold = 0.02;
+  /// Epochs of clean decoding required before raising.
+  static constexpr std::size_t kRaisePatience = 3;
 
-  RateController(RatePlan plan, BitRate initial_max, Config config);
-  RateController(RatePlan plan, BitRate initial_max)
-      : RateController(std::move(plan), initial_max, Config{}) {}
+  RateController(RatePlan plan, BitRate initial_max);
 
   BitRate current_max() const { return current_max_; }
 
@@ -36,20 +31,12 @@ class RateController {
   std::optional<BitRate> on_epoch(std::size_t frames_attempted,
                                   std::size_t frames_failed);
 
-  /// Unconditionally lowers the max rate by one plan notch — the escape
-  /// hatch for out-of-band bad news (e.g. the session health ledger
-  /// quarantining a chronically failing tag), which must not wait for the
-  /// loss-ratio trigger. Returns the new max to broadcast, or nullopt when
-  /// already at the slowest rate. Resets the raise patience either way.
-  std::optional<BitRate> step_down();
-
  private:
   /// Index of the current max in the sorted plan.
   std::size_t level() const;
 
   RatePlan plan_;
   BitRate current_max_;
-  Config config_;
   std::size_t clean_epochs_ = 0;
 };
 

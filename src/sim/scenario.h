@@ -76,9 +76,9 @@ class Scenario {
       Rng& rng);
 
   /// Puts the given payloads on the air and returns the raw epoch capture
-  /// without decoding — the hook for driving a reader::ReaderSession (or
-  /// recording with signal::save_iq). Tags whose rate exceeds `max_rate`
-  /// and that listen to the reader are slowed to it (§3.6 rate commands).
+  /// without decoding — what runtime::ScenarioSource streams, or what
+  /// signal::save_iq records. Tags whose rate exceeds `max_rate` and that
+  /// listen to the reader are slowed to it (§3.6 rate commands).
   signal::SampleBuffer capture_epoch(
       const std::vector<std::vector<std::vector<bool>>>& payloads_per_tag,
       Rng& rng, BitRate max_rate = 0.0);

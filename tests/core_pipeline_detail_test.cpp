@@ -16,7 +16,6 @@
 #include "core/stream_detector.h"
 #include "core/tag_identity.h"
 #include "core/windowed_decoder.h"
-#include "reader/health_ledger.h"
 #include "reader/receiver.h"
 #include "signal/waveform.h"
 #include "sim/scenario.h"
@@ -446,31 +445,6 @@ TEST(TagIdentity, LadderToleranceIsOneHalf) {
             1u);
   EXPECT_EQ(merge_one(v, stretched(v, 0.52)).diagnostics.fallback_recoveries,
             0u);
-}
-
-/// One decode result holding a single stream with edge vector `vec`.
-DecodeResult one_stream(Complex vec) {
-  DecodeResult r;
-  DecodedStream s;
-  s.rate = 100e3;
-  s.edge_vector = vec;
-  r.streams.push_back(s);
-  return r;
-}
-
-// The ledger matches a tag at kLedgerVectorTolerance: just inside it two
-// streams are one entry, just outside they are two. (The fleet tracker
-// keys published streams by index and matches no edge vectors.)
-TEST(TagIdentity, LedgerAndTrackerShareOneTolerance) {
-  const Complex v{0.1, 0.04};
-  const double tol = reader::kLedgerVectorTolerance;
-  for (const auto& [delta, tags] :
-       {std::pair{tol - 0.02, 1u}, std::pair{tol + 0.02, 2u}}) {
-    reader::HealthLedger ledger;
-    ledger.observe(one_stream(v));
-    ledger.observe(one_stream(stretched(v, delta)));
-    EXPECT_EQ(ledger.entries().size(), tags) << delta;
-  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Coverage for smaller public surfaces not exercised elsewhere: windowed
-// polarity stitching, session accounting math, Buzz goodput, Gen 2 timing
-// identities, and assorted edge cases.
+// polarity stitching, Buzz goodput, Gen 2 timing identities, and assorted
+// edge cases.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,6 @@
 #include "core/windowed_decoder.h"
 #include "dsp/kmeans.h"
 #include "reader/receiver.h"
-#include "reader/session.h"
 #include "tag/tag.h"
 #include "protocol/rate_control.h"
 #include "sim/table.h"
@@ -47,14 +46,6 @@ TEST(WindowedPolarity, FlipDetectionViaEdgeVector) {
   ASSERT_FALSE(result.streams.empty());
   // edge_vector ≈ +h (anchor normalization makes rising = +h).
   EXPECT_LT(std::abs(result.streams[0].edge_vector - h), 0.35 * std::abs(h));
-}
-
-TEST(SessionStats, GoodputMath) {
-  reader::SessionStats stats;
-  EXPECT_DOUBLE_EQ(stats.goodput(96), 0.0);
-  stats.frames_valid = 10;
-  stats.air_time = 1e-3;
-  EXPECT_NEAR(stats.goodput(96), 960.0 / 1e-3, 1e-6);
 }
 
 TEST(BuzzGoodput, ZeroOnFailureOrNoAirTime) {

@@ -1281,6 +1281,61 @@ TEST(RemoteIqSource, ChunkSkippingAheadIsRejected) {
   pusher.join();
 }
 
+TEST(RemoteIqSource, StopEndsTheWaitForAPusher) {
+  // No pusher ever connects. A stop must end the wait promptly, not wait
+  // out accept_timeout.
+  std::atomic<bool> stop{false};
+  IqIngestConfig ic;
+  ic.accept_timeout = 5.0;
+  ic.stop_flag = &stop;
+  RemoteIqSource source(ic);
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    stop.store(true);
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  std::optional<SampleRate> rate;
+  EXPECT_NO_THROW(rate = source.wait_for_pusher());
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  stopper.join();
+
+  EXPECT_LT(elapsed, 1.0);
+  EXPECT_FALSE(rate.has_value());
+}
+
+TEST(RemoteIqSource, StopEndsTheWaitForAHello) {
+  // A pusher connects but never says hello. A stop must end the handshake
+  // wait promptly, not wait out accept_timeout.
+  std::atomic<bool> stop{false};
+  IqIngestConfig ic;
+  ic.accept_timeout = 5.0;
+  ic.stop_flag = &stop;
+  RemoteIqSource source(ic);
+  std::atomic<bool> hang_up{false};
+  std::thread pusher([&] {
+    TcpConnection conn =
+        TcpConnection::connect("127.0.0.1", source.port(), 5.0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    stop.store(true);
+    while (!hang_up.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  std::optional<SampleRate> rate;
+  EXPECT_NO_THROW(rate = source.wait_for_pusher());
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  hang_up.store(true);
+  pusher.join();
+
+  EXPECT_LT(elapsed, 1.0);
+  EXPECT_FALSE(rate.has_value());
+}
+
 TEST(RemoteIqSource, StopEndsTheStreamOfASilentPusher) {
   // The pusher sends one chunk, then falls silent with the link open. A
   // stop must end the run promptly, not wait out the read in hand.

@@ -301,13 +301,6 @@ TEST(RatePlan, PaperRatesAllDivideMax) {
   }
 }
 
-TEST(RatePlan, SnapPeriodPicksNearestRate) {
-  const RatePlan plan = RatePlan::paper_rates();
-  EXPECT_DOUBLE_EQ(plan.snap_period(1.0 / (100.0 * kKbps)), 100.0 * kKbps);
-  EXPECT_DOUBLE_EQ(plan.snap_period(1.05e-4), 10.0 * kKbps);
-  EXPECT_DOUBLE_EQ(plan.snap_period(1.0), 0.5 * kKbps);  // slower than all
-}
-
 TEST(RatePlan, ValidityTolerance) {
   const RatePlan plan = RatePlan::paper_rates();
   EXPECT_TRUE(plan.is_valid(100.0 * kKbps));
@@ -346,31 +339,28 @@ TEST(RateController, NeverLeavesThePlan) {
   EXPECT_DOUBLE_EQ(rc.current_max(), 0.5 * kKbps);
 }
 
-TEST(RateController, StepDownLowersOneNotchAndStopsAtFloor) {
+// Exactly a quarter failed holds the rate; one frame more lowers it.
+TEST(RateController, LowersOnlyAboveOneQuarterFailed) {
   RateController rc(RatePlan::paper_rates(), 100.0 * kKbps);
-  const auto cmd = rc.step_down();
+  EXPECT_FALSE(rc.on_epoch(100, 25).has_value());
+  EXPECT_DOUBLE_EQ(rc.current_max(), 100.0 * kKbps);
+  const auto cmd = rc.on_epoch(100, 26);
   ASSERT_TRUE(cmd.has_value());
   EXPECT_DOUBLE_EQ(*cmd, 50.0 * kKbps);
-  EXPECT_DOUBLE_EQ(rc.current_max(), 50.0 * kKbps);
-  // Walk all the way down; at the slowest rate step_down is a no-op.
-  while (rc.step_down().has_value()) {
-  }
-  EXPECT_DOUBLE_EQ(rc.current_max(), 0.5 * kKbps);
-  EXPECT_FALSE(rc.step_down().has_value());
 }
 
-TEST(RateController, StepDownResetsRaisePatience) {
+// 1 failed in 100 is a clean epoch; 2 in 100 is not and restarts the
+// patience count.
+TEST(RateController, CleanMeansUnderTwoPercentFailed) {
   RateController rc(RatePlan::paper_rates(), 50.0 * kKbps);
-  EXPECT_FALSE(rc.on_epoch(100, 0).has_value());
-  EXPECT_FALSE(rc.on_epoch(100, 0).has_value());
-  // One clean epoch short of raising; a step_down must restart the count
-  // (from the new, lower rate).
-  ASSERT_TRUE(rc.step_down().has_value());
-  EXPECT_FALSE(rc.on_epoch(100, 0).has_value());
-  EXPECT_FALSE(rc.on_epoch(100, 0).has_value());
-  const auto raise = rc.on_epoch(100, 0);
+  EXPECT_FALSE(rc.on_epoch(100, 1).has_value());
+  EXPECT_FALSE(rc.on_epoch(100, 1).has_value());
+  EXPECT_FALSE(rc.on_epoch(100, 2).has_value());
+  EXPECT_FALSE(rc.on_epoch(100, 1).has_value());
+  EXPECT_FALSE(rc.on_epoch(100, 1).has_value());
+  const auto raise = rc.on_epoch(100, 1);
   ASSERT_TRUE(raise.has_value());
-  EXPECT_DOUBLE_EQ(*raise, 50.0 * kKbps);
+  EXPECT_DOUBLE_EQ(*raise, 100.0 * kKbps);
 }
 
 TEST(Identification, RandomEpcsAreUniqueAnd96Bits) {

@@ -1,5 +1,4 @@
-// Tests for the reader library: carrier bookkeeping, the receive front
-// end, and the high-level session loop.
+// Tests for the reader library: the receive front end.
 #include <gtest/gtest.h>
 
 #include "channel/channel_model.h"
@@ -7,19 +6,10 @@
 #include "common/check.h"
 #include "protocol/frame.h"
 #include "reader/receiver.h"
-#include "reader/session.h"
 #include "tag/tag.h"
 
 namespace lfbs::reader {
 namespace {
-
-TEST(Carrier, EpochSchedule) {
-  const Carrier carrier(4e-3, 0.1e-3);
-  EXPECT_DOUBLE_EQ(carrier.cycle(), 4.1e-3);
-  EXPECT_DOUBLE_EQ(carrier.epoch_start(0), 0.0);
-  EXPECT_DOUBLE_EQ(carrier.epoch_start(3), 3 * 4.1e-3);
-  EXPECT_DOUBLE_EQ(carrier.total_time(5), 5 * 4.1e-3);
-}
 
 TEST(Receiver, ComposesTagsThroughChannel) {
   Rng rng(1);
@@ -96,220 +86,6 @@ TEST(Receiver, SparseCompositionMatchesDense) {
   dc.frame = fc;
   EXPECT_EQ(core::LfDecoder(dc).decode(b).valid_payloads().size(),
             core::LfDecoder(dc).decode(a).valid_payloads().size());
-}
-
-/// A fake air interface: one tag per epoch sending a fresh frame, honoring
-/// the commanded max rate.
-class FakeAir {
- public:
-  explicit FakeAir(std::uint64_t seed) : rng_(seed) {}
-
-  signal::SampleBuffer operator()(BitRate max_rate, Seconds duration) {
-    last_rate = max_rate;
-    channel::ChannelModel ch;
-    ch.add_tag({0.12, 0.05});
-    ReceiverConfig rc;
-    rc.sample_rate = 5.0 * kMsps;
-    Receiver receiver(rc, ch);
-    tag::TagConfig tc;
-    tc.rate = max_rate;
-    tag::Tag tag(tc, rng_);
-    protocol::FrameConfig fc;
-    const auto tx = tag.transmit_epoch(
-        {protocol::build_frame(rng_.bits(fc.payload_bits), fc)}, duration,
-        rng_);
-    return receiver.receive_epoch({{tx.timeline}}, duration, rng_);
-  }
-
-  BitRate last_rate = 0.0;
-
- private:
-  Rng rng_;
-};
-
-TEST(ReaderSession, RunsEpochsAndAccounts) {
-  SessionConfig sc;
-  sc.epoch.duration = 1.5e-3;
-  FakeAir air(7);
-  ReaderSession session(sc, std::ref(air));
-  for (int e = 0; e < 4; ++e) {
-    const auto result = session.run_epoch();
-    EXPECT_GE(result.streams.size(), 1u);
-  }
-  EXPECT_EQ(session.stats().epochs, 4u);
-  EXPECT_GE(session.stats().frames_valid, 4u);
-  EXPECT_GT(session.stats().air_time, 0.0);
-  EXPECT_GT(session.stats().goodput(96), 0.0);
-}
-
-TEST(ReaderSession, RateControlLowersOnLoss) {
-  SessionConfig sc;
-  sc.epoch.duration = 1.5e-3;
-  // Air interface that returns pure noise: every epoch fails.
-  auto noise_air = [rng = Rng(9)](BitRate, Seconds duration) mutable {
-    signal::SampleBuffer buf(5.0 * kMsps,
-                             static_cast<std::size_t>(duration * 5.0 * kMsps));
-    channel::add_awgn(buf, 0.05, rng);
-    return buf;
-  };
-  ReaderSession session(sc, noise_air);
-  for (int e = 0; e < 6; ++e) session.run_epoch();
-  // Junk decodes produce failed frames; the controller must have stepped
-  // the max rate down (or decoded nothing at all and held steady).
-  EXPECT_LE(session.current_max_rate(), 100.0 * kKbps);
-}
-
-TEST(ReaderSession, RejectsInvalidMaxRate) {
-  SessionConfig sc;
-  sc.epoch.max_rate = 37.0 * kKbps;  // not in the paper rate plan
-  FakeAir air(1);
-  EXPECT_THROW(ReaderSession(sc, std::ref(air)), CheckError);
-}
-
-TEST(ReaderSession, RateControlCanBeDisabled) {
-  SessionConfig sc;
-  sc.rate_control = false;
-  FakeAir air(11);
-  ReaderSession session(sc, std::ref(air));
-  session.run_epoch();
-  EXPECT_EQ(session.stats().rate_commands, 0u);
-  EXPECT_DOUBLE_EQ(session.current_max_rate(), 100.0 * kKbps);
-}
-
-/// Synthetic decode results for driving the health ledger directly: a
-/// stream identified by its edge vector whose frames either all fail CRC
-/// or contain one valid frame.
-core::DecodeResult ledger_epoch(Complex edge_vector, bool valid) {
-  core::DecodeResult result;
-  core::DecodedStream s;
-  s.edge_vector = edge_vector;
-  s.rate = 100.0 * kKbps;
-  s.bits = std::vector<bool>(113, true);
-  protocol::ParsedFrame frame;
-  frame.anchor_ok = valid;
-  frame.crc_ok = valid;
-  s.frames.push_back(frame);
-  result.streams.push_back(std::move(s));
-  return result;
-}
-
-TEST(HealthLedger, QuarantinesAfterConsecutiveFailures) {
-  HealthLedger ledger;
-  const Complex v{0.1, 0.05};
-  for (int e = 0; e < 2; ++e) {
-    const auto h = ledger.observe(ledger_epoch(v, false));
-    EXPECT_EQ(h.newly_quarantined, 0u);
-    EXPECT_EQ(h.quarantined, 0u);
-  }
-  const auto h = ledger.observe(ledger_epoch(v, false));
-  EXPECT_EQ(h.newly_quarantined, 1u);
-  EXPECT_EQ(h.quarantined, 1u);
-  EXPECT_EQ(h.tracked, 1u);
-  EXPECT_EQ(ledger.total_quarantines(), 1u);
-  // The polarity-flipped vector is the same tag, not a second entry.
-  const auto h2 = ledger.observe(ledger_epoch(-v, false));
-  EXPECT_EQ(h2.tracked, 1u);
-}
-
-TEST(HealthLedger, OneCleanEpochBreaksTheStreak) {
-  HealthLedger ledger;
-  const Complex v{0.1, 0.05};
-  ledger.observe(ledger_epoch(v, false));
-  ledger.observe(ledger_epoch(v, false));
-  ledger.observe(ledger_epoch(v, true));  // streak broken
-  ledger.observe(ledger_epoch(v, false));
-  ledger.observe(ledger_epoch(v, false));
-  const auto h = ledger.observe(ledger_epoch(v, false));
-  // Three consecutive failures only after the clean epoch.
-  EXPECT_EQ(h.newly_quarantined, 1u);
-}
-
-TEST(HealthLedger, ProbationThenRecovery) {
-  HealthLedgerConfig cfg;
-  cfg.quarantine_after = 2;
-  cfg.probation_epochs = 2;
-  HealthLedger ledger(cfg);
-  const Complex v{0.08, -0.03};
-  ledger.observe(ledger_epoch(v, false));
-  EXPECT_EQ(ledger.observe(ledger_epoch(v, false)).quarantined, 1u);
-  // First clean epoch: quarantine -> probation, not yet healthy.
-  auto h = ledger.observe(ledger_epoch(v, true));
-  EXPECT_EQ(h.quarantined, 0u);
-  EXPECT_EQ(h.probation, 1u);
-  EXPECT_EQ(h.recovered, 0u);
-  // A failure on probation goes straight back to quarantine.
-  h = ledger.observe(ledger_epoch(v, false));
-  EXPECT_EQ(h.quarantined, 1u);
-  EXPECT_EQ(h.newly_quarantined, 1u);
-  // Clean run: probation for probation_epochs, then healthy.
-  ledger.observe(ledger_epoch(v, true));
-  ledger.observe(ledger_epoch(v, true));
-  h = ledger.observe(ledger_epoch(v, true));
-  EXPECT_EQ(h.recovered, 1u);
-  EXPECT_EQ(h.probation, 0u);
-  EXPECT_EQ(h.quarantined, 0u);
-  ASSERT_EQ(ledger.entries().size(), 1u);
-  EXPECT_EQ(ledger.entries()[0].state, HealthState::kHealthy);
-}
-
-TEST(HealthLedger, ForgetsDepartedTags) {
-  HealthLedgerConfig cfg;
-  cfg.forget_after = 2;
-  HealthLedger ledger(cfg);
-  ledger.observe(ledger_epoch({0.1, 0.0}, true));
-  EXPECT_EQ(ledger.entries().size(), 1u);
-  // A different tag appears; the first goes silent.
-  const Complex other{-0.02, 0.12};
-  ledger.observe(ledger_epoch(other, true));
-  ledger.observe(ledger_epoch(other, true));
-  const auto h = ledger.observe(ledger_epoch(other, true));
-  EXPECT_EQ(h.tracked, 1u);  // departed tag forgotten
-}
-
-TEST(HealthLedger, LowConfidenceCountsAsFailure) {
-  HealthLedgerConfig cfg;
-  cfg.quarantine_after = 2;
-  cfg.min_confidence = 0.5;
-  HealthLedger ledger(cfg);
-  const Complex v{0.1, 0.05};
-  // CRC-clean but decoded with a rock-bottom confidence score.
-  auto low = ledger_epoch(v, true);
-  low.streams[0].confidence.edge_confidence = 0.1;
-  low.streams[0].confidence.stage = core::FallbackStage::kRelaxedDetection;
-  ledger.observe(low);
-  const auto h = ledger.observe(low);
-  EXPECT_EQ(h.newly_quarantined, 1u);
-}
-
-TEST(ReaderSession, QuarantineForcesRateStepDown) {
-  SessionConfig sc;
-  sc.epoch.duration = 1.5e-3;
-  sc.health.quarantine_after = 3;
-  FakeAir air(21);
-  // Injected decode hook: the same stream fails CRC every epoch — invisible
-  // to the loss-ratio controller (too few frames to trip it) but exactly
-  // what the ledger exists to catch.
-  auto failing_decode = [](const signal::SampleBuffer&) {
-    return ledger_epoch({0.1, 0.05}, false);
-  };
-  ReaderSession session(sc, std::ref(air), failing_decode);
-  for (int e = 0; e < 3; ++e) session.run_epoch();
-  EXPECT_EQ(session.stats().quarantines, 1u);
-  EXPECT_EQ(session.stats().health_step_downs, 1u);
-  EXPECT_LT(session.current_max_rate(), 100.0 * kKbps);
-  EXPECT_EQ(session.health().entries().size(), 1u);
-  EXPECT_EQ(session.health().entries()[0].state, HealthState::kQuarantined);
-}
-
-TEST(ReaderSession, HealthyEpochsReportConfidence) {
-  SessionConfig sc;
-  sc.epoch.duration = 1.5e-3;
-  FakeAir air(31);
-  ReaderSession session(sc, std::ref(air));
-  for (int e = 0; e < 3; ++e) session.run_epoch();
-  EXPECT_EQ(session.stats().quarantines, 0u);
-  EXPECT_EQ(session.stats().health_step_downs, 0u);
-  EXPECT_GT(session.stats().mean_confidence(), 0.5);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@
 //
 // Observability (see README "Observability"):
 //   --trace-out PATH      JSONL telemetry: stage spans, frame events,
-//                         health/ledger/rate transitions ("-" = stdout)
+//                         health transitions ("-" = stdout)
 //   --trace-chrome PATH   Chrome trace-event JSON (chrome://tracing); holds
 //                         the most recent spans up to the tracer's ring
 //   --metrics-out PATH    Prometheus text exposition of the run's metrics

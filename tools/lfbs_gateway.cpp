@@ -695,9 +695,15 @@ int main(int argc, char** argv) {
       if (!write_port_file("--iq-port-file", iq_port_file, remote->port())) {
         return 2;
       }
-      const SampleRate rate = remote->wait_for_pusher();
+      const std::optional<SampleRate> rate = remote->wait_for_pusher();
+      if (!rate.has_value()) {
+        std::fprintf(stderr,
+                     "gateway: interrupted before a pusher connected\n");
+        flush_telemetry();
+        return shutdown_exit_code(1);
+      }
       std::fprintf(stderr, "gateway: pusher connected at %.6g Msps\n",
-                   rate / 1e6);
+                   *rate / 1e6);
       source = std::move(remote);
     }
 

@@ -10,8 +10,6 @@
 //   frame    → frame accounting: per fallback stage, CRC results,
 //              confidence distribution
 //   health   → supervisor health transitions, in order
-//   ledger   → per-tag quarantine/recovery transitions
-//   rate     → rate-control decisions
 //   net      → gateway activity: connects, subscribes, per-client
 //              disconnect accounting (frames sent / queue drops),
 //              evictions, protocol errors; "overload" summary events
@@ -70,8 +68,6 @@ int main(int argc, char** argv) {
   std::size_t frames_collided = 0;
   std::vector<double> confidences;
   std::vector<std::string> health_log;
-  std::vector<std::string> ledger_log;
-  std::vector<std::string> rate_log;
   std::map<std::string, std::size_t> net_actions;
   std::vector<std::string> net_log;
   std::size_t net_frames_sent = 0;
@@ -127,17 +123,6 @@ int main(int argc, char** argv) {
     } else if (type == "health") {
       health_log.push_back(std::string(v.member_str("from", "?")) + " -> " +
                            std::string(v.member_str("to", "?")));
-    } else if (type == "ledger") {
-      ledger_log.push_back(std::string(v.member_str("transition", "?")) +
-                           " (conf " +
-                           sim::fmt(v.member_num("last_confidence", 0.0), 2) +
-                           ")");
-    } else if (type == "rate") {
-      rate_log.push_back(std::string(v.member_str("cause", "?")) + ": " +
-                         sim::fmt(v.member_num("from_rate", 0.0) / 1e3, 0) +
-                         " -> " +
-                         sim::fmt(v.member_num("to_rate", 0.0) / 1e3, 0) +
-                         " kbps");
     } else if (type == "net") {
       const std::string action = v.member_str("action", "?");
       ++net_actions[action];
@@ -264,14 +249,6 @@ int main(int argc, char** argv) {
   if (!health_log.empty()) {
     std::printf("\n== health transitions ==\n");
     for (const auto& h : health_log) std::printf("  %s\n", h.c_str());
-  }
-  if (!ledger_log.empty()) {
-    std::printf("\n== ledger transitions ==\n");
-    for (const auto& l : ledger_log) std::printf("  %s\n", l.c_str());
-  }
-  if (!rate_log.empty()) {
-    std::printf("\n== rate commands ==\n");
-    for (const auto& r : rate_log) std::printf("  %s\n", r.c_str());
   }
   if (!control_actions.empty()) {
     std::printf("\n== control ==\n");

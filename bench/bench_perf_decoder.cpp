@@ -3,6 +3,8 @@
 // paper's USRP front end produces, plus microbenchmarks of the hot stages.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "core/collision_separator.h"
 #include "core/decode_stages.h"
 #include "core/lf_decoder.h"
@@ -135,6 +137,44 @@ void BM_ExtractSlots(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExtractSlots)->Unit(benchmark::kMicrosecond);
+
+// The same two stages over one stream3 window (20 ms at 5 Msps), where a
+// group holds hundreds of edges (`largest`) instead of the epoch's 70, so
+// per-member costs dominate.
+void BM_GroupStreamsCapture3(benchmark::State& state) {
+  const auto buffer = make_capture3(20e-3, 16);
+  const core::DecoderConfig cfg;
+  const core::PassContext ctx(buffer, cfg);
+  const core::Edges edges = core::detect_edges(ctx);
+  const core::Groups groups = core::group_streams(ctx, edges);
+  std::size_t largest = 0;
+  for (const core::StreamGroup& group : groups) {
+    largest = std::max(largest, group.edge_indices.size());
+  }
+  state.counters["edges"] = static_cast<double>(edges.size());
+  state.counters["groups"] = static_cast<double>(groups.size());
+  state.counters["largest"] = static_cast<double>(largest);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::group_streams(ctx, edges));
+  }
+}
+BENCHMARK(BM_GroupStreamsCapture3)->Unit(benchmark::kMicrosecond);
+
+void BM_ExtractSlotsCapture3(benchmark::State& state) {
+  // One iteration extracts the slots of every group of the window.
+  const auto buffer = make_capture3(20e-3, 16);
+  const core::DecoderConfig cfg;
+  const core::PassContext ctx(buffer, cfg);
+  const core::Edges edges = core::detect_edges(ctx);
+  const core::Groups groups = core::group_streams(ctx, edges);
+  state.counters["groups"] = static_cast<double>(groups.size());
+  for (auto _ : state) {
+    for (const core::StreamGroup& group : groups) {
+      benchmark::DoNotOptimize(core::extract_slots(ctx, edges, group));
+    }
+  }
+}
+BENCHMARK(BM_ExtractSlotsCapture3)->Unit(benchmark::kMicrosecond);
 
 void BM_MedianMad(benchmark::State& state) {
   // 37,500: one 1.5 ms epoch at 25 Msps, the values of |dS| whose median

@@ -20,26 +20,35 @@ The gate fails when
   - publish_kfps falls below 0.85 x the parent's;
   - the median over the change's runs of the publish-path overhead of the
     control-plane tap is above 2%;
-  - stream3's frame_recovery or frame_precision, averaged over the gate's
-    seeds, is below the parent's.
+  - stream3's or shard2's frame_recovery or frame_precision, averaged over
+    the gate's seeds, is below the parent's.
 stream3 gets the wider throughput bound because its own A/A pairs spread
 about 10%; epoch16, one thread and no queues, is the check that catches a
-slowdown in the decoder itself. stream3's recovery and precision score the
-serial reference decode of its 12 captures, so each is deterministic per
-seed: a change that loses or fabricates frames moves them, with no noise
-to hide in, while the speed checks above pass a wrong-but-fast decode.
+slowdown in the decoder itself. shard2 runs stream3's captures through
+forked ShardWorker processes; it has no speed bound, and runs so that a
+wrong decode or a change in decode quality on that path fails the gate.
+stream3's and shard2's recovery and precision score the serial reference
+decode of their 12 captures, so each is deterministic per seed: a change
+that loses or fabricates frames moves them, with no noise to hide in,
+while the speed checks above pass a wrong-but-fast decode.
 
 For every workload and every end-to-end metric in BENCHMARK.json, the
 report prints both sides' medians with quartiles, their ratio and the
-change's wins out of the pairs, and for stream3's recovery and precision
-both sides' value at every seed. It exits 0 when every check passes, 1 when
-one fails and 2 when a tree does not build or a run prints no result.
+change's wins out of the pairs, and for the quality checks both sides'
+value at every seed. Every host-scaled figure is divided by the speed of
+perfbench's calibration kernel, HostSpeed::sample, whose own speed can
+move with its address in the binary; so for each side the report also
+prints that address (nm -C), and over its epoch16 runs the median kernel
+time and the median raw, unscaled throughput. That is a report, not a
+check. The gate exits 0 when every check passes, 1 when one fails and 2
+when a tree does not build or a run prints no result.
 """
 
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -49,8 +58,10 @@ import time
 
 # (workload, pairs, seconds per run): an even number of pairs, so each side
 # runs first equally often. epoch16 gets more pairs because its bound is
-# the tight one; stream3's latency tail needs the longer runs.
-PERFBENCH_RUNS = (("epoch16", 8, 4.0), ("stream3", 4, 10.0))
+# the tight one; stream3's latency tail needs the longer runs. shard2 is
+# checked only for correctness and quality, which do not need long runs.
+PERFBENCH_RUNS = (("epoch16", 8, 4.0), ("stream3", 4, 10.0),
+                  ("shard2", 2, 5.0))
 # (workload, metric, bound): the change's median over the parent's must be
 # at least the bound for a higher-is-better metric, at most for a lower one.
 PERFBENCH_CHECKS = (
@@ -63,7 +74,16 @@ PERFBENCH_CHECKS = (
 QUALITY_CHECKS = (
     ("stream3", "frame_recovery"),
     ("stream3", "frame_precision"),
+    ("shard2", "frame_recovery"),
+    ("shard2", "frame_precision"),
 )
+# The workload whose runs the host-speed report summarizes, the kernel's
+# symbol, and the two perfbench stdout lines it reads.
+HOST_SPEED_WORKLOAD = "epoch16"
+KERNEL_SYMBOL = "perfbench::HostSpeed::sample()"
+KERNEL_MS = re.compile(r"^host speed: calibration kernel median ([0-9.]+) ms",
+                       re.M)
+RAW_MSPS = re.compile(r"^as measured: .*; ([0-9.]+) Msps over", re.M)
 PUBLISH_RUNS = 6
 PUBLISH_MIN_RATIO = 0.85
 OVERHEAD_CAP_PCT = 2.0
@@ -78,7 +98,7 @@ class GateError(Exception):
 
 def build(tree):
     """Builds the tree's perfbench (via its run.py) and its publish bench;
-    returns the bench binary's path."""
+    returns the two binaries' paths, perfbench's first."""
     run_py = os.path.join(tree, "perfbench", "run.py")
     spec = importlib.util.spec_from_file_location("perfbench_run", run_py)
     module = importlib.util.module_from_spec(spec)
@@ -98,11 +118,13 @@ def build(tree):
            "-j", str(os.cpu_count() or 1)]
     if subprocess.run(cmd, stdout=sys.stderr).returncode != 0:
         raise GateError(f"{tree}: {BENCH} does not build")
-    return os.path.join(build_dir, "bench", BENCH)
+    return module.BINARY, os.path.join(build_dir, "bench", BENCH)
 
 
 def run_perfbench(tree, workload, seed, seconds):
-    """One run of the tree's own perfbench; returns its result object."""
+    """One run of the tree's own perfbench; returns its result object, with
+    the run's calibration kernel median and raw throughput from its stdout
+    under "host" (None where a line is missing)."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
@@ -110,10 +132,47 @@ def run_perfbench(tree, workload, seed, seconds):
                           stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, ValueError):
         raise GateError(f"{tree}: perfbench {workload} seed {seed} printed "
                         f"no result (exit {proc.returncode})") from None
+    kernel = KERNEL_MS.search(proc.stdout)
+    raw = RAW_MSPS.search(proc.stdout)
+    result["host"] = {"kernel_ms": float(kernel.group(1)) if kernel else None,
+                      "raw_msps": float(raw.group(1)) if raw else None}
+    return result
+
+
+def kernel_address(binary):
+    """The calibration kernel's address in a perfbench binary, as nm -C
+    prints it, or a note why there is none."""
+    try:
+        proc = subprocess.run(["nm", "-C", binary], stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True)
+    except OSError:
+        return "n/a (no nm)"
+    for line in proc.stdout.splitlines():
+        if line.endswith(" " + KERNEL_SYMBOL):
+            return "0x" + line.split()[0].lstrip("0")
+    return "n/a (symbol not found)"
+
+
+def report_host_speed(parent_binary, change_binary, parent, change):
+    """Prints, for each side, the kernel's address in its perfbench binary
+    and the medians of its kernel time and raw throughput over the given
+    runs."""
+    print(f"\n== host-speed kernel over the {HOST_SPEED_WORKLOAD} runs "
+          f"(a report, not a check) ==")
+    for side, binary, results in (("parent", parent_binary, parent),
+                                  ("change", change_binary, change)):
+        medians = []
+        for key in ("kernel_ms", "raw_msps"):
+            values = [r["host"][key] for r in results]
+            medians.append("n/a" if None in values
+                           else f"{statistics.median(values):.4f}")
+        print(f"{side}: {KERNEL_SYMBOL} at {kernel_address(binary)}; kernel "
+              f"median {medians[0]} ms; raw throughput median {medians[1]} "
+              f"Msps")
 
 
 def run_publish(binary):
@@ -261,8 +320,8 @@ def gate(parent_tree, change_tree):
         print("note: perfbench/ differs between the trees; each side is "
               "measured with its own harness")
 
-    parent_bench = build(parent_tree)
-    change_bench = build(change_tree)
+    parent_perfbench, parent_bench = build(parent_tree)
+    change_perfbench, change_bench = build(change_tree)
 
     for workload, pairs, seconds in PERFBENCH_RUNS:
         parent, change = compare_perfbench(parent_tree, change_tree,
@@ -278,6 +337,9 @@ def gate(parent_tree, change_tree):
                 check_quality(failures, f"{workload} {name}",
                               [value(r, name) for r in parent],
                               [value(r, name) for r in change])
+        if workload == HOST_SPEED_WORKLOAD:
+            report_host_speed(parent_perfbench, change_perfbench, parent,
+                              change)
 
     parent, change = interleave(PUBLISH_RUNS,
                                 lambda _: run_publish(parent_bench),

@@ -419,8 +419,18 @@ BoundarySlots extract_slots(const PassContext& ctx, const Edges& edges,
   const double tail_margin = static_cast<double>(wmax) + kBoundaryGuard + 1.0;
 
   BoundarySlots slots;
-  // The walk visits slots in ascending order, and so does `next`.
+  // The walk visits slots in ascending order, and so does `next`. The
+  // foreign-edge cursors move with it: `lo` is the first foreign edge at or
+  // past lead - tol and `hi` the first past trail + tol (lower_bound and
+  // upper_bound). Their keys rise with the walk, so each cursor steps
+  // forward; a key that falls back past the edge just before its cursor (a
+  // detection more than a bit period before its lattice position) searches
+  // again from the start.
   auto next = measured.begin();
+  const auto foreign_begin = foreign_positions.cbegin();
+  const auto foreign_end = foreign_positions.cend();
+  auto lo = foreign_begin;
+  auto hi = foreign_begin;
   for (std::int64_t n = group.start_index;; n += group.step) {
     const double predicted = group.position_of(n);
     double lead = predicted, trail = predicted;
@@ -436,13 +446,20 @@ BoundarySlots extract_slots(const PassContext& ctx, const Edges& edges,
     if (trail >= static_cast<double>(buffer.size()) - tail_margin) break;
     if (lead < tail_margin) continue;
 
+    const double lo_key = lead - tol;
+    if (lo != foreign_begin && !(*(lo - 1) < lo_key)) {
+      lo = std::lower_bound(foreign_begin, lo, lo_key);
+    }
+    while (lo != foreign_end && *lo < lo_key) ++lo;
+    const double hi_key = trail + tol;
+    if (hi != foreign_begin && hi_key < *(hi - 1)) {
+      hi = std::upper_bound(foreign_begin, hi, hi_key);
+    }
+    while (hi != foreign_end && !(hi_key < *hi)) ++hi;
+
     double before_gap = 1e9, after_gap = 1e9;
-    const auto lo = std::lower_bound(foreign_positions.begin(),
-                                     foreign_positions.end(), lead - tol);
-    if (lo != foreign_positions.begin()) before_gap = lead - *(lo - 1);
-    const auto hi = std::upper_bound(foreign_positions.begin(),
-                                     foreign_positions.end(), trail + tol);
-    if (hi != foreign_positions.end()) after_gap = *hi - trail;
+    if (lo != foreign_begin) before_gap = lead - *(lo - 1);
+    if (hi != foreign_end) after_gap = *hi - trail;
     const double gb = std::clamp(before_gap / 3.0, 1.0, kBoundaryGuard);
     const double ga = std::clamp(after_gap / 3.0, 1.0, kBoundaryGuard);
     const auto wb = static_cast<std::size_t>(

@@ -51,31 +51,39 @@ struct WorkingGroup {
 };
 
 /// Members of a phase group split into residue classes of their lattice
-/// indices modulo one step, as runs of one sorted array: the classes in
-/// ascending residue order, each class in member order. build() reuses the
-/// buffers of the last build, so classing costs no allocation per class.
+/// indices modulo one step, as runs of one array placed by a counting sort:
+/// the non-empty classes in ascending residue order, each class in member
+/// order. build() reuses the buffers of the last build, so classing costs
+/// no allocation per class.
 class ResidueClasses {
  public:
-  /// Classes `members` (positions into `indices`) by indices[m] mod step.
+  /// Classes `members` (positions into `indices`) by indices[m] mod step,
+  /// in O(members + step). The count array holds one entry per residue:
+  /// steps are bit-period ratios within the rate plan, and the paper's
+  /// plan tops out at 200.
   void build(std::span<const std::int64_t> indices,
              std::span<const std::size_t> members, std::int64_t step) {
-    keyed_.clear();
+    const auto residues = static_cast<std::size_t>(step);
+    residue_.resize(members.size());
+    next_.assign(residues + 1, 0);
     for (std::size_t k = 0; k < members.size(); ++k) {
       std::int64_t residue = indices[members[k]] % step;
       if (residue < 0) residue += step;
-      keyed_.emplace_back(residue, k);
+      residue_[k] = static_cast<std::size_t>(residue);
+      ++next_[residue_[k] + 1];
     }
-    // (residue, k) keys are unique, so the order is fully determined.
-    std::sort(keyed_.begin(), keyed_.end());
-    ids_.resize(keyed_.size());
+    // next_[r] becomes the start of residue r's run.
     starts_.clear();
-    for (std::size_t i = 0; i < keyed_.size(); ++i) {
-      ids_[i] = members[keyed_[i].second];
-      if (i == 0 || keyed_[i].first != keyed_[i - 1].first) {
-        starts_.push_back(i);
-      }
+    for (std::size_t r = 0; r < residues; ++r) {
+      if (next_[r + 1] > 0) starts_.push_back(next_[r]);
+      next_[r + 1] += next_[r];
     }
-    starts_.push_back(keyed_.size());
+    starts_.push_back(members.size());
+    // Placing in member order keeps each class in member order.
+    ids_.resize(members.size());
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      ids_[next_[residue_[k]]++] = members[k];
+    }
   }
 
   std::size_t count() const { return starts_.size() - 1; }
@@ -93,9 +101,10 @@ class ResidueClasses {
   }
 
  private:
-  std::vector<std::pair<std::int64_t, std::size_t>> keyed_;  ///< (residue, k)
-  std::vector<std::size_t> ids_;     ///< members[k], in keyed_ order
-  std::vector<std::size_t> starts_;  ///< class c is [starts_[c], starts_[c+1])
+  std::vector<std::size_t> residue_;  ///< residue of members[k]
+  std::vector<std::size_t> next_;     ///< per residue: next free run slot
+  std::vector<std::size_t> ids_;      ///< members, by (residue, k)
+  std::vector<std::size_t> starts_;   ///< class c is [starts_[c], starts_[c+1])
 };
 
 }  // namespace

@@ -14,8 +14,8 @@ namespace lfbs::signal {
 namespace {
 
 /// |after - before| of the two windowed means, from their sums and sample
-/// counts: the one formula of the |dS| series. One value per sample, so it
-/// takes lfbs::magnitude, not std::abs.
+/// counts: the |dS| formula of the border samples, whose windows clip. One
+/// value per sample, so it takes lfbs::magnitude, not std::abs.
 double step_magnitude(Complex before_sum, double nb, Complex after_sum,
                       double na) {
   return magnitude(after_sum / na - before_sum / nb);
@@ -52,14 +52,23 @@ std::vector<double> differential_magnitude(std::span<const Complex> xs,
   // Interior samples [mid_lo, mid_hi): both windows hold exactly w samples.
   const SampleIndex mid_lo = std::min(g + w, n);
   const SampleIndex mid_hi = std::max(mid_lo, n - g - w + 1);
-  const auto full = static_cast<double>(w);
   for (SampleIndex i = 0; i < mid_lo; ++i) border(i);
+  for (SampleIndex i = mid_hi; i < n; ++i) border(i);
+
+  // The full-window mean M[s] of samples [s, s + w) is sample s + g + w's
+  // before-mean and sample s - g's after-mean, the same expression on the
+  // same operands either way, so each is divided once. M[s] overwrites
+  // prefix[s]: prefix[s + w] is read before anything overwrites it.
+  std::vector<Complex>& mean = prefix;
+  const auto full = static_cast<double>(w);
+  for (SampleIndex s = 0; s + w <= n; ++s) {
+    mean[static_cast<std::size_t>(s)] = (at(s + w) - at(s)) / full;
+  }
   for (SampleIndex i = mid_lo; i < mid_hi; ++i) {
     out[static_cast<std::size_t>(i)] =
-        step_magnitude(at(i - g) - at(i - g - w), full,
-                       at(i + g + w) - at(i + g), full);
+        magnitude(mean[static_cast<std::size_t>(i + g)] -
+                  mean[static_cast<std::size_t>(i - g - w)]);
   }
-  for (SampleIndex i = mid_hi; i < n; ++i) border(i);
   return out;
 }
 

@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "channel/channel_model.h"
+#include "common/rng.h"
 #include "core/collision_detector.h"
 #include "core/decode_stages.h"
 #include "core/error_corrector.h"
@@ -17,6 +19,7 @@
 #include "core/tag_identity.h"
 #include "core/windowed_decoder.h"
 #include "reader/receiver.h"
+#include "signal/sample_buffer.h"
 #include "signal/waveform.h"
 #include "sim/scenario.h"
 
@@ -300,6 +303,88 @@ TEST(ExtractSlotsDetail, OneSlotPerLatticeIndex) {
   EXPECT_EQ(slots.snrs[5], kNoEdgeSnr);
   EXPECT_EQ(slots.confidences[4], 0.8);
   EXPECT_EQ(slots.snrs[4], 20.0);
+}
+
+TEST(ExtractSlotsDetail, ForeignGapsWhenSlotsRunBackwards) {
+  // A step-1 group on the 250-sample lattice from sample 1000 over a noisy
+  // buffer, with one foreign edge at a random offset between every two
+  // slots. Slot 10's detection sits 300 samples, more than a bit period,
+  // before its lattice position and just before a foreign edge, so slot
+  // 10's search keys fall back past the foreign edges slot 9 found. Every
+  // slot's diff equals the one from a brute-force search for the nearest
+  // foreign edge on each side, under extract_slots' window rule.
+  Rng rng(29);
+  std::vector<Complex> samples(37500);
+  for (Complex& x : samples) {
+    x = {rng.gaussian(0.3, 0.05), rng.gaussian(-0.1, 0.05)};
+  }
+  const signal::SampleBuffer buffer(25.0 * kMsps, std::move(samples));
+  const DecoderConfig cfg;
+  const PassContext ctx(buffer, cfg);
+  StreamGroup group;
+  group.intercept = 1000.0;
+  group.slope = 250.0;
+  constexpr std::int64_t kDetected = 140;  // slots 0..139 hold a detection
+  std::vector<double> lead(kDetected);
+  std::vector<std::pair<double, std::int64_t>> placed;  // slot -1: foreign
+  for (std::int64_t n = 0; n < kDetected; ++n) {
+    const double at = group.position_of(n);
+    lead[static_cast<std::size_t>(n)] =
+        n == 10 ? at - 300.0 : at + rng.uniform(-1.0, 1.0);
+    placed.emplace_back(lead[static_cast<std::size_t>(n)], n);
+    placed.emplace_back(at + rng.uniform(20.0, 230.0), -1);
+  }
+  placed.emplace_back(group.position_of(10) - 280.0, -1);
+  std::sort(placed.begin(), placed.end());
+  Edges edges;
+  std::vector<double> foreign;
+  for (const auto& [position, n] : placed) {
+    if (n >= 0) {
+      group.edge_indices.push_back(edges.size());
+      group.lattice_indices.push_back(n);
+    } else {
+      foreign.push_back(position);
+    }
+    edges.push_back({.position = position,
+                     .differential = {0.1, 0.0},
+                     .strength = 0.1,
+                     .snr_db = 20.0,
+                     .confidence = 0.8});
+  }
+  const BoundarySlots slots = extract_slots(ctx, edges, group);
+
+  // extract_slots' rule: kBoundaryGuard 4, wmax = bit period / 3 in
+  // [2, 40], and no slot skipped at the start (the first lies far past the
+  // tail margin), so slot k is lattice index k.
+  constexpr double kGuard = 4.0;
+  constexpr double kWmax = 40.0;
+  const double tol = ctx.group_tolerance;
+  ASSERT_GT(slots.diffs.size(), static_cast<std::size_t>(kDetected));
+  for (std::size_t k = 0; k < slots.diffs.size(); ++k) {
+    const double at =
+        k < lead.size() ? lead[k]
+                        : group.position_of(static_cast<std::int64_t>(k));
+    ASSERT_EQ(slots.positions[k], at) << "slot " << k;
+    double before_gap = 1e9, after_gap = 1e9;
+    for (double p : foreign) {
+      if (p < at - tol) before_gap = std::min(before_gap, at - p);
+      if (p > at + tol) after_gap = std::min(after_gap, p - at);
+    }
+    const double gb = std::clamp(before_gap / 3.0, 1.0, kGuard);
+    const double ga = std::clamp(after_gap / 3.0, 1.0, kGuard);
+    const auto wb =
+        static_cast<std::size_t>(std::clamp(before_gap - gb - 1.0, 2.0, kWmax));
+    const auto wa =
+        static_cast<std::size_t>(std::clamp(after_gap - ga - 1.0, 2.0, kWmax));
+    const Complex expected =
+        signal::windowed_mean_after(
+            buffer.span(), static_cast<SampleIndex>(std::llround(at + ga)),
+            wa) -
+        signal::windowed_mean_before(
+            buffer.span(), static_cast<SampleIndex>(std::llround(at - gb)),
+            wb);
+    EXPECT_EQ(slots.diffs[k], expected) << "slot " << k;
+  }
 }
 
 TEST(CancelInterferenceDetail, RepairsACrcFailedStream) {

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <utility>
 
+#include "common/rng.h"
 #include "core/stream_detector.h"
 
 namespace lfbs::core {
@@ -210,6 +213,70 @@ TEST(StreamDetector, ConsensusStepTieGoesToTheLowestResidue) {
   const std::vector<std::int64_t> idx = {3, 13, 21, 11};
   EXPECT_EQ(consensus_step(idx, {10}, 0.5),
             (std::pair<std::int64_t, std::int64_t>{10, 21}));
+}
+
+TEST(StreamDetector, ConsensusStepMatchesSortedResidueReference) {
+  // consensus_step against a reference that classes each step's indices
+  // as runs of sorted (residue, position) pairs, over random index sets
+  // with negative and repeated indices and step lists drawn from 1-250.
+  // Most indices sit on one step of the list, so consensus at a large
+  // step, at a small one and at step 1 (listed, or the fallback) all occur.
+  const auto reference = [](const std::vector<std::int64_t>& indices,
+                            std::vector<std::int64_t> steps, double consensus,
+                            std::int64_t max_step) {
+    std::sort(steps.begin(), steps.end(), std::greater<>());
+    for (std::int64_t step : steps) {
+      if (step > max_step) continue;
+      std::vector<std::pair<std::int64_t, std::size_t>> keyed;
+      for (std::size_t k = 0; k < indices.size(); ++k) {
+        keyed.emplace_back(((indices[k] % step) + step) % step, k);
+      }
+      std::sort(keyed.begin(), keyed.end());
+      // The first of the largest runs of one residue.
+      std::size_t best = 0, best_size = 0;
+      for (std::size_t i = 0; i < keyed.size();) {
+        std::size_t j = i;
+        while (j < keyed.size() && keyed[j].first == keyed[i].first) ++j;
+        if (j - i > best_size) {
+          best = i;
+          best_size = j - i;
+        }
+        i = j;
+      }
+      if (static_cast<double>(best_size) /
+              static_cast<double>(indices.size()) >=
+          consensus) {
+        return std::pair{step, indices[keyed[best].second]};
+      }
+    }
+    return std::pair{std::int64_t{1}, indices.front()};
+  };
+  Rng rng(28);
+  std::size_t at_step_one = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::int64_t> steps(
+        static_cast<std::size_t>(rng.uniform_int(1, 8)));
+    for (std::int64_t& s : steps) s = rng.uniform_int(1, 250);
+    const std::int64_t period = steps[rng.uniform_u64(steps.size())];
+    const std::int64_t base = rng.uniform_int(-1000, 1000);
+    const double stray = rng.uniform(0.0, 0.5);
+    std::vector<std::int64_t> indices(
+        static_cast<std::size_t>(rng.uniform_int(1, 300)));
+    for (std::int64_t& n : indices) {
+      n = rng.bernoulli(stray) ? rng.uniform_int(-2000, 2000)
+                               : base + period * rng.uniform_int(-20, 20);
+    }
+    const double consensus = rng.uniform(0.3, 1.0);
+    const std::int64_t max_step =
+        rng.bernoulli(0.25) ? rng.uniform_int(1, 250)
+                            : std::numeric_limits<std::int64_t>::max();
+    const auto expected = reference(indices, steps, consensus, max_step);
+    ASSERT_EQ(consensus_step(indices, steps, consensus, max_step), expected)
+        << "trial " << trial;
+    if (expected.first == 1) ++at_step_one;
+  }
+  EXPECT_GT(at_step_one, 100u);
+  EXPECT_LT(at_step_one, 1900u);
 }
 
 TEST(StreamDetector, EstimateStepConsensus) {

@@ -2,7 +2,9 @@
 // noise tracker, and IQ capture I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -10,6 +12,8 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "dsp/peaks.h"
+#include "dsp/stats.h"
 #include "signal/edge_detector.h"
 #include "signal/noise_tracker.h"
 #include "signal/iq_io.h"
@@ -232,6 +236,107 @@ TEST(EdgeDetector, ShortBuffers) {
       }
     }
   }
+}
+
+// Every Edge::position equals a reference built from the two-window
+// formula: at every sample, the before and after windows' sums read from
+// one prefix sum, clipped to the buffer and each divided by its own length;
+// then the global median/MAD threshold, peak picking and the parabolic
+// refinement. A large DC offset makes the prefix values large, and steps
+// sit within guard + window of both ends, where the windows clip.
+TEST(EdgeDetector, PositionsMatchTwoWindowReference) {
+  const auto reference = [](const SampleBuffer& buf,
+                            const EdgeDetectorConfig& cfg) {
+    const auto n = static_cast<SampleIndex>(buf.size());
+    std::vector<Complex> prefix(buf.size() + 1);
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      prefix[i + 1] = prefix[i] + buf[i];
+    }
+    const auto at = [&](SampleIndex i) {
+      return prefix[static_cast<std::size_t>(i)];
+    };
+    const auto w = static_cast<SampleIndex>(cfg.window);
+    const auto g = static_cast<SampleIndex>(cfg.guard);
+    std::vector<double> d(buf.size(), 0.0);
+    for (SampleIndex i = 0; i < n; ++i) {
+      const SampleIndex bl = std::clamp<SampleIndex>(i - g - w, 0, n);
+      const SampleIndex bh = std::clamp<SampleIndex>(i - g, 0, n);
+      const SampleIndex al = std::clamp<SampleIndex>(i + g, 0, n);
+      const SampleIndex ah = std::clamp<SampleIndex>(i + g + w, 0, n);
+      if (bh <= bl || ah <= al) continue;
+      d[static_cast<std::size_t>(i)] =
+          magnitude((at(ah) - at(al)) / static_cast<double>(ah - al) -
+                    (at(bh) - at(bl)) / static_cast<double>(bh - bl));
+    }
+    const dsp::MedianMad robust = dsp::median_mad(d);
+    const NoiseEstimate noise{robust.median, dsp::kMadToSigma * robust.mad};
+    const dsp::PeakOptions opts{
+        .min_value = noise.threshold(cfg.threshold_sigma, cfg.min_strength),
+        .min_distance = cfg.min_separation};
+    std::vector<double> positions;
+    for (const dsp::Peak& p : dsp::find_peaks(d, opts)) {
+      double refined = static_cast<double>(p.index);
+      if (p.index > 0 && p.index + 1 < d.size()) {
+        const double dm = d[p.index - 1];
+        const double dp = d[p.index + 1];
+        const double denom = dm - 2.0 * d[p.index] + dp;
+        if (denom < -1e-18) {
+          const double shift = 0.5 * (dm - dp) / denom;
+          if (std::abs(shift) <= 1.0) refined += shift;
+        }
+      }
+      positions.push_back(refined);
+    }
+    std::sort(positions.begin(), positions.end());
+    return positions;
+  };
+  const EdgeDetectorConfig configs[] = {
+      {},
+      {.window = 3, .guard = 1, .min_separation = 5},
+      {.window = 6, .guard = 2},
+  };
+  Rng rng(31);
+  std::size_t total = 0, near_ends = 0;
+  for (const EdgeDetectorConfig& cfg : configs) {
+    const auto reach = static_cast<SampleIndex>(cfg.guard + cfg.window);
+    for (int trial = 0; trial < 20; ++trial) {
+      const auto n = static_cast<SampleIndex>(rng.uniform_int(120, 600));
+      // Steps at one to guard + window samples from each end, and inside.
+      std::vector<SampleIndex> steps = {rng.uniform_int(1, reach),
+                                        n - rng.uniform_int(1, reach)};
+      for (SampleIndex s = 40; s + 40 < n; s += rng.uniform_int(30, 80)) {
+        steps.push_back(s);
+      }
+      std::sort(steps.begin(), steps.end());
+      const Complex dc{rng.uniform(-3e4, 3e4), rng.uniform(-3e4, 3e4)};
+      SampleBuffer buf(1e6, static_cast<std::size_t>(n));
+      Complex level{};
+      std::size_t next = 0;
+      for (SampleIndex i = 0; i < n; ++i) {
+        while (next < steps.size() && steps[next] <= i) {
+          level += std::polar(rng.uniform(0.05, 0.2), rng.uniform(0.0, 6.28));
+          ++next;
+        }
+        buf[static_cast<std::size_t>(i)] =
+            dc + level +
+            Complex{rng.gaussian(0.0, 1e-3), rng.gaussian(0.0, 1e-3)};
+      }
+      const std::vector<double> expected = reference(buf, cfg);
+      const std::vector<Edge> edges = EdgeDetector(cfg).detect(buf);
+      ASSERT_EQ(edges.size(), expected.size()) << "n " << n;
+      for (std::size_t k = 0; k < edges.size(); ++k) {
+        EXPECT_EQ(edges[k].position, expected[k]) << "n " << n << " k " << k;
+        const double p = edges[k].position;
+        if (p < static_cast<double>(reach) ||
+            p > static_cast<double>(n - reach - 1)) {
+          ++near_ends;
+        }
+      }
+      total += edges.size();
+    }
+  }
+  EXPECT_GT(total, 300u);
+  EXPECT_GT(near_ends, 40u);
 }
 
 TEST(NoiseTracker, ConstantSeriesFloorsThreshold) {

@@ -95,4 +95,9 @@ std::vector<bool> Rng::bits(std::size_t n) {
 
 Rng Rng::split() { return Rng(next_u64()); }
 
+std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t index) {
+  std::uint64_t x = seed + 0x9e3779b97f4a7c15ull * index;
+  return splitmix64(x);
+}
+
 }  // namespace lfbs

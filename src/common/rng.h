@@ -64,4 +64,10 @@ class Rng {
   bool has_cached_gaussian_ = false;
 };
 
+/// The seed of the `index`-th stream derived from `seed`: splitmix64 of
+/// seed + golden·(index + 1), so even adjacent indices get uncorrelated
+/// streams. The windowed decoder seeds each window this way, and a decode
+/// pass each stream group.
+std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t index);
+
 }  // namespace lfbs

@@ -56,10 +56,13 @@ StreamDetectorConfig stream_config(const DecoderConfig& cfg, double spb,
 /// Decodes one boundary-slot set as a single stream: a 3-cluster fit, then
 /// the 4-state Viterbi (§3.5) or hard decisions. `lattice_step` is the
 /// owning group's bit-period step (sets the reported rate); `diffs` are the
-/// slots' differentials, or cancel_interference's corrected copy.
+/// slots' differentials, or cancel_interference's corrected copy. `fit` is
+/// a k=3 fit of `diffs` already made (the collision assessment's); without
+/// one, the fit draws from `rng`.
 PendingStream decode_single(const PassContext& ctx, const BoundarySlots& slots,
                             std::size_t slots_ref, std::int64_t lattice_step,
-                            std::span<const Complex> diffs, Rng& rng) {
+                            std::span<const Complex> diffs, Rng& rng,
+                            const dsp::KMeansResult* fit = nullptr) {
   const DecoderConfig& cfg = ctx.cfg;
   PendingStream ps;
   ps.slots_ref = slots_ref;
@@ -72,8 +75,9 @@ PendingStream decode_single(const PassContext& ctx, const BoundarySlots& slots,
     ps.bits = integrate_states(classify_simple(diffs));
     return ps;
   }
-  const dsp::KMeansResult fit = dsp::kmeans(diffs, 3, rng);
-  const ThreeClusterLabels labels = label_three_clusters(diffs, fit);
+  std::optional<dsp::KMeansResult> own_fit;
+  if (fit == nullptr) fit = &own_fit.emplace(dsp::kmeans(diffs, 3, rng));
+  const ThreeClusterLabels labels = label_three_clusters(diffs, *fit);
   ps.edge_vector = 0.5 * (labels.rising - labels.falling);
   double residual2 = 0.0;
   for (std::size_t k = 0; k < diffs.size(); ++k) {
@@ -88,10 +92,10 @@ PendingStream decode_single(const PassContext& ctx, const BoundarySlots& slots,
   // Cluster separation: the closest centroid pair over the intra-cluster
   // scatter — how unambiguous the rising/falling/constant decision was.
   double min_dist2 = 1e300;
-  for (std::size_t a = 0; a < fit.centroids.size(); ++a) {
-    for (std::size_t b = a + 1; b < fit.centroids.size(); ++b) {
-      min_dist2 =
-          std::min(min_dist2, std::norm(fit.centroids[a] - fit.centroids[b]));
+  const std::vector<Complex>& centroids = fit->centroids;
+  for (std::size_t a = 0; a < centroids.size(); ++a) {
+    for (std::size_t b = a + 1; b < centroids.size(); ++b) {
+      min_dist2 = std::min(min_dist2, std::norm(centroids[a] - centroids[b]));
     }
   }
   ps.cluster_separation = std::sqrt(min_dist2 / std::max(residual2, 1e-18));
@@ -290,28 +294,25 @@ std::optional<std::pair<StreamGroup, StreamGroup>> residual_split(
   return std::make_pair(build(0, split_at), build(split_at, members.size()));
 }
 
-/// Decodes the two halves of a residual split as their own streams. Returns
-/// false, appending nothing, when there is no split or a half has no
-/// boundary slots.
+/// Decodes the two halves of a residual split as their own streams, into
+/// `out` with their slots. Returns false, adding nothing, when there is no
+/// split or a half has no boundary slots.
 bool decode_split(const PassContext& ctx, const Edges& edges,
-                  const StreamGroup& group,
-                  std::vector<BoundarySlots>& slot_store, Rng& rng,
-                  std::vector<PendingStream>& pending) {
+                  const StreamGroup& group, Rng& rng, GroupDecode& out) {
   const auto halves = residual_split(ctx, edges, group);
   if (!halves) return false;
   BoundarySlots a = extract_slots(ctx, edges, halves->first);
   BoundarySlots b = extract_slots(ctx, edges, halves->second);
   if (a.diffs.empty() || b.diffs.empty()) return false;
-  // The halves' slots stay in the store for cancel_interference.
-  const std::size_t first = slot_store.size();
-  slot_store.push_back(std::move(a));
-  slot_store.push_back(std::move(b));
+  // The halves' slots go with the streams, for cancel_interference.
+  out.split_slots.push_back(std::move(a));
+  out.split_slots.push_back(std::move(b));
   const std::int64_t steps[2] = {halves->first.step, halves->second.step};
   for (std::size_t h = 0; h < 2; ++h) {
-    const BoundarySlots& slots = slot_store[first + h];
-    pending.push_back(
-        decode_single(ctx, slots, first + h, steps[h], slots.diffs, rng));
-    pending.back().collided = true;
+    const BoundarySlots& slots = out.split_slots[h];
+    out.streams.push_back(
+        decode_single(ctx, slots, 1 + h, steps[h], slots.diffs, rng));
+    out.streams.back().collided = true;
   }
   return true;
 }
@@ -479,26 +480,26 @@ BoundarySlots extract_slots(const PassContext& ctx, const Edges& edges,
   return slots;
 }
 
-void decode_group(const PassContext& ctx, const Edges& edges,
-                  const StreamGroup& group, std::size_t slots_ref,
-                  std::vector<BoundarySlots>& slot_store, Rng& rng,
-                  std::vector<PendingStream>& pending,
-                  DecodeDiagnostics& diagnostics) {
+GroupDecode decode_group(const PassContext& ctx, const Edges& edges,
+                         const StreamGroup& group, const BoundarySlots& slots,
+                         std::uint64_t seed) {
   const DecoderConfig& cfg = ctx.cfg;
-  // The group's own differentials. decode_split grows the store only when
-  // it succeeds, and this function then returns; slot_store[slots_ref] is
-  // re-read after it all the same.
-  const std::span<const Complex> diffs = slot_store[slots_ref].diffs;
-  if (diffs.empty()) return;
+  GroupDecode out;
+  const std::span<const Complex> diffs = slots.diffs;
+  if (diffs.empty()) return out;
+  Rng rng(seed);
 
   CollisionAssessment assess;  // one collider unless assessed otherwise
   if (cfg.collision_recovery) {
     assess = ctx.collision_detector.assess(diffs, rng);
   }
   if (assess.colliders == 1) {
-    pending.push_back(decode_single(ctx, slot_store[slots_ref], slots_ref,
-                                    group.step, diffs, rng));
-    return;
+    // A single-collider assessment ends on its k=3 fit, the one
+    // decode_single would make.
+    out.streams.push_back(
+        decode_single(ctx, slots, 0, group.step, diffs, rng,
+                      cfg.collision_recovery ? &assess.fit : nullptr));
+    return out;
   }
   dsp::KMeansResult fit = std::move(assess.fit);
   if (assess.colliders >= 3) {
@@ -511,37 +512,37 @@ void decode_group(const PassContext& ctx, const Edges& edges,
       if (auto sep = ctx.separator.separate_three(diffs, fit)) {
         Components c{{sep->e1, sep->e2, sep->e3},
                      {sep->states1, sep->states2, sep->states3}};
-        if (decode_joint(ctx, slot_store[slots_ref], slots_ref, group.step,
-                         std::move(c), pending)) {
-          ++diagnostics.collision_groups;
-          return;
+        if (decode_joint(ctx, slots, 0, group.step, std::move(c),
+                         out.streams)) {
+          ++out.collision_groups;
+          return out;
         }
       }
     }
-    ++diagnostics.unresolved_groups;
-    if (diffs.size() < 9) return;
+    ++out.unresolved_groups;
+    if (diffs.size() < 9) return out;
     fit = dsp::kmeans(diffs, 9, rng);
   }
 
   const auto sep = ctx.separator.separate(diffs, fit);
   if (!sep) {
-    if (decode_split(ctx, edges, group, slot_store, rng, pending)) {
-      ++diagnostics.collision_groups;
-      return;
+    if (decode_split(ctx, edges, group, rng, out)) {
+      ++out.collision_groups;
+      return out;
     }
-    ++diagnostics.unresolved_groups;
-    pending.push_back(decode_single(ctx, slot_store[slots_ref], slots_ref,
-                                    group.step, diffs, rng));
-    return;
+    ++out.unresolved_groups;
+    out.streams.push_back(
+        decode_single(ctx, slots, 0, group.step, diffs, rng));
+    return out;
   }
-  ++diagnostics.collision_groups;
+  ++out.collision_groups;
   Components c{{sep->e1, sep->e2}, {sep->states1, sep->states2}};
-  if (!decode_joint(ctx, slot_store[slots_ref], slots_ref, group.step,
-                    std::move(c), pending)) {
-    ++diagnostics.unresolved_groups;
-    pending.push_back(decode_single(ctx, slot_store[slots_ref], slots_ref,
-                                    group.step, diffs, rng));
+  if (!decode_joint(ctx, slots, 0, group.step, std::move(c), out.streams)) {
+    ++out.unresolved_groups;
+    out.streams.push_back(
+        decode_single(ctx, slots, 0, group.step, diffs, rng));
   }
+  return out;
 }
 
 DecodedStream frame_stream(const DecoderConfig& cfg, const PendingStream& ps) {

@@ -9,9 +9,14 @@
 //   detect_edges         SampleBuffer  → Edges
 //   group_streams        Edges         → Groups
 //   extract_slots        StreamGroup   → BoundarySlots (one per group)
-//   decode_group         BoundarySlots → PendingStream(s)
+//   decode_group         BoundarySlots → GroupDecode (one per group)
 //   frame_stream         PendingStream → DecodedStream
 //   cancel_interference  PendingStreams + DecodedStreams → repaired streams
+//
+// extract_slots and decode_group read only their own group and the pass's
+// shared, read-only inputs, so decode_pass runs them for every group on the
+// process's pool (common/parallel.h) and folds the GroupDecodes back in
+// group order.
 
 #include <cstdint>
 #include <span>
@@ -50,8 +55,9 @@ struct BoundarySlots {
 /// A decoded stream before framing, kept with enough context for
 /// cancel_interference.
 struct PendingStream {
-  /// Index into the pass's slot store. An index, not a reference: the
-  /// over-merge split appends to the store while groups are decoded.
+  /// Index into the pass's slot store: the groups' own slots in group
+  /// order, then the over-merge split halves' slots in group order. Inside
+  /// a GroupDecode it is local to the group instead (see there).
   std::size_t slots_ref = 0;
   std::size_t start = 0;       ///< first slot of this stream's bit lattice
   std::size_t step = 1;        ///< slots per bit
@@ -103,17 +109,27 @@ Groups group_streams(const PassContext& ctx, const Edges& edges);
 BoundarySlots extract_slots(const PassContext& ctx, const Edges& edges,
                             const StreamGroup& group);
 
-/// Decodes the group whose boundary slots are `slot_store[slots_ref]`:
-/// collision assessment (§3.3), then either the single-stream path or the
-/// joint path shared by two- and three-tag collisions (§3.4, §3.5), with
-/// the over-merge residual split as a fallback. Appends the decoded
-/// streams to `pending`, the split halves' slots to `slot_store`, and
-/// counts into `diagnostics`. Draws from `rng`.
-void decode_group(const PassContext& ctx, const Edges& edges,
-                  const StreamGroup& group, std::size_t slots_ref,
-                  std::vector<BoundarySlots>& slot_store, Rng& rng,
-                  std::vector<PendingStream>& pending,
-                  DecodeDiagnostics& diagnostics);
+/// What decode_group decodes from one group.
+struct GroupDecode {
+  /// The decoded streams. Their slots_ref is local to the group: 0 names
+  /// the group's own slots, 1 + h the h-th entry of split_slots.
+  std::vector<PendingStream> streams;
+  /// The over-merge split halves' slots; empty unless the group split.
+  std::vector<BoundarySlots> split_slots;
+  /// Counts for DecodeDiagnostics' fields of the same names.
+  std::size_t collision_groups = 0;
+  std::size_t unresolved_groups = 0;
+};
+
+/// Decodes one group from its boundary slots: collision assessment (§3.3),
+/// then either the single-stream path or the joint path shared by two- and
+/// three-tag collisions (§3.4, §3.5), with the over-merge residual split as
+/// a fallback. Every k-means restart draws from one Rng seeded `seed`; a
+/// single-stream group's bits come from the assessment's own k=3 fit. The
+/// result depends only on these arguments, never on other groups' decodes.
+GroupDecode decode_group(const PassContext& ctx, const Edges& edges,
+                         const StreamGroup& group, const BoundarySlots& slots,
+                         std::uint64_t seed);
 
 /// Framing: trims the idle tail and parses frames, falling back to a CRC
 /// resynchronising scan when that recovers more.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/decode_stages.h"
 #include "core/tag_identity.h"
@@ -25,8 +26,9 @@ constexpr double kRelaxedFloorSigma = 2.5;
 /// "stream silently vanished" failure the ladder exists for. Partial CRC
 /// failures are left alone: re-decoding a mostly-healthy capture with
 /// degraded settings trades known-good structure (window seams, collision
-/// assignments) for noise, and chronic partial failure is the health
-/// ledger's and rate controller's job, not the demodulator's.
+/// assignments) for noise. Chronic partial failure is for the reader's §3.6
+/// rate control (protocol::RateController) and the control plane's
+/// per-tag tracking to act on, not the demodulator.
 bool needs_fallback(const DecodeResult& r) { return r.valid_frames() == 0; }
 
 }  // namespace
@@ -85,18 +87,31 @@ DecodeResult LfDecoder::decode_pass(const signal::SampleBuffer& buffer,
   const Groups groups = group_streams(ctx, edges);
   result.diagnostics.groups = groups.size();
 
-  std::vector<BoundarySlots> slot_store;
-  slot_store.reserve(groups.size());
-  for (const StreamGroup& group : groups) {
-    slot_store.push_back(extract_slots(ctx, edges, group));
-  }
+  // Each group decodes from its own slots and seed alone, so the groups fan
+  // out to the process's pool; the fold below puts slot indices, streams
+  // and counts back in group order, whatever ran where.
+  std::vector<BoundarySlots> slot_store(groups.size());
+  std::vector<GroupDecode> decoded(groups.size());
+  parallel_for(groups.size(), [&](std::size_t gi) {
+    slot_store[gi] = extract_slots(ctx, edges, groups[gi]);
+    LFBS_OBS_SPAN(group_span, "decode_group", "core");
+    decoded[gi] = decode_group(ctx, edges, groups[gi], slot_store[gi],
+                               derive_seed(cfg.seed, gi));
+  });
 
-  Rng rng(cfg.seed);
   std::vector<PendingStream> pending;
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    LFBS_OBS_SPAN(group_span, "decode_group", "core");
-    decode_group(ctx, edges, groups[gi], gi, slot_store, rng, pending,
-                 result.diagnostics);
+    GroupDecode& group = decoded[gi];
+    const std::size_t first_split = slot_store.size();
+    for (PendingStream& ps : group.streams) {
+      ps.slots_ref = ps.slots_ref == 0 ? gi : first_split + ps.slots_ref - 1;
+      pending.push_back(std::move(ps));
+    }
+    for (BoundarySlots& slots : group.split_slots) {
+      slot_store.push_back(std::move(slots));
+    }
+    result.diagnostics.collision_groups += group.collision_groups;
+    result.diagnostics.unresolved_groups += group.unresolved_groups;
   }
 
   result.streams.reserve(pending.size());

@@ -62,7 +62,10 @@ struct DecoderConfig {
 
   /// Seed for k-means restarts; decoding is fully deterministic given the
   /// input buffer and this seed — including the fallback chain, whose
-  /// perturbed seeds derive from this one.
+  /// perturbed seeds derive from this one. Stream group g of a pass draws
+  /// from its own Rng seeded derive_seed(seed, g) (common/rng.h), so the
+  /// result does not depend on the order or the threads the groups decode
+  /// on.
   std::uint64_t seed = 0x1f5eedULL;
 
   /// Degraded-mode fallback (see above).
@@ -118,8 +121,10 @@ struct DecodeResult {
 /// stage functions of core/decode_stages.h in order: detect_edges →
 /// group_streams → extract_slots → decode_group (collision assessment, then
 /// the single-stream path or the joint path with the K-tag joint Viterbi)
-/// → frame_stream → cancel_interference. decode() adds the degradation
-/// ladder when a pass frames nothing. See DESIGN.md §4.
+/// → frame_stream → cancel_interference. extract_slots and decode_group
+/// run per group on the process's pool (common/parallel.h), with the same
+/// result on any number of threads. decode() adds the degradation ladder
+/// when a pass frames nothing. See DESIGN.md §4.
 class LfDecoder {
  public:
   explicit LfDecoder(DecoderConfig config);

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "core/decode_stages.h"
 #include "core/tag_identity.h"
 #include "obs/metrics.h"
@@ -250,21 +251,10 @@ bool WindowedDecoder::is_short_capture(std::size_t total_samples,
   return static_cast<double>(total_samples) / fs <= 1.5 * config_.window;
 }
 
-std::uint64_t WindowedDecoder::window_seed(std::uint64_t seed,
-                                           std::size_t window_index) {
-  // splitmix64 over the combined word: even adjacent windows get
-  // uncorrelated k-means restart streams.
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull *
-                               (static_cast<std::uint64_t>(window_index) + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 DecodeResult WindowedDecoder::decode_window(const signal::SampleBuffer& slice,
                                             std::size_t window_index) const {
   DecoderConfig dc = config_.decoder;
-  dc.seed = window_seed(config_.decoder.seed, window_index);
+  dc.seed = derive_seed(config_.decoder.seed, window_index);
   // The degraded-mode ladder must not run per window: a fragment with zero
   // CRC-valid frames is *normal* here (seam-truncated frames, sub-multiple
   // rate repetitions) and the stitcher repairs it from timing. Re-decoding

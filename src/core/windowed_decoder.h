@@ -139,15 +139,11 @@ class WindowedDecoder {
   /// Decodes one window independently of every other window. `slice` holds
   /// the window's samples only; positions in the result are window-local.
   /// Deterministic and thread-safe: the decoder's k-means seed is mixed
-  /// with `window_index`, giving every window (and hence every runtime
-  /// worker) its own reproducible common::Rng stream regardless of which
-  /// thread decodes it or in what order.
+  /// with `window_index` by derive_seed, giving every window (and hence
+  /// every runtime worker) its own reproducible common::Rng stream
+  /// regardless of which thread decodes it or in what order.
   DecodeResult decode_window(const signal::SampleBuffer& slice,
                              std::size_t window_index) const;
-
-  /// The per-window decoder seed: splitmix64 of (seed, window_index).
-  static std::uint64_t window_seed(std::uint64_t seed,
-                                   std::size_t window_index);
 
  private:
   WindowedDecoderConfig config_;

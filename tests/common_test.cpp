@@ -1,18 +1,28 @@
-// Tests for src/common: deterministic RNG, units, check macros, and the
-// key=value spec grammar every spec flag shares.
+// Tests for src/common: deterministic RNG, units, check macros, the
+// key=value spec grammar every spec flag shares, and the process's worker
+// pool behind parallel_for.
 #include <gtest/gtest.h>
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
 #include "common/kv_spec.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "control/spec.h"
@@ -141,6 +151,23 @@ TEST(Rng, ShufflePreservesElements) {
   EXPECT_EQ(v, sorted);
 }
 
+TEST(Rng, DerivedSeedsAreSplitmixOfSeedAndIndex) {
+  // splitmix64 of seed + golden·(index + 1): the first output of an Rng
+  // state word seeded at seed + golden·index.
+  const std::uint64_t golden = 0x9e3779b97f4a7c15ull;
+  for (const std::uint64_t seed : {0ull, 7ull, 0x1f5eedull}) {
+    std::set<std::uint64_t> seen;
+    for (std::uint64_t index = 0; index < 64; ++index) {
+      std::uint64_t z = seed + golden * (index + 1);
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+      EXPECT_EQ(derive_seed(seed, index), z ^ (z >> 31));
+      seen.insert(derive_seed(seed, index));
+    }
+    EXPECT_EQ(seen.size(), 64u);
+  }
+}
+
 TEST(Units, DbConversionsRoundTrip) {
   EXPECT_NEAR(db_to_linear(0.0), 1.0, 1e-12);
   EXPECT_NEAR(db_to_linear(10.0), 10.0, 1e-9);
@@ -248,6 +275,138 @@ TEST(SpecGrammar, EveryGrammarRejectsTheSameBadInputsTyped) {
       EXPECT_EQ(code_of(g, spec), SpecError::kBadValue) << spec;
     }
   }
+}
+
+// --- parallel_for ------------------------------------------------------------
+
+TEST(ParallelFor, NoTasksRunsNothing) {
+  bool called = false;
+  parallel_for(0, [&](std::size_t) { called = true; });
+  EXPECT_FALSE(called);
+}
+
+TEST(ParallelFor, OneTaskRunsOnTheCaller) {
+  std::thread::id ran;
+  parallel_for(1, [&](std::size_t i) {
+    EXPECT_EQ(i, 0u);
+    ran = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran, std::this_thread::get_id());
+}
+
+TEST(ParallelFor, ManyTasksRunEveryIndexOnce) {
+  std::vector<std::atomic<int>> runs(1000);
+  parallel_for(runs.size(), [&](std::size_t i) { runs[i].fetch_add(1); });
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelFor, ThrowingTasksRethrowTheLowestIndexAfterEveryTaskEnds) {
+  // Tasks throw on whichever thread runs them; none may terminate the
+  // process, every other task still runs, and the caller sees index 5's.
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> ran{0};
+    try {
+      parallel_for(64, [&](std::size_t i) {
+        if (i == 40 || i == 5 || i == 17) {
+          throw std::runtime_error(std::to_string(i));
+        }
+        ran.fetch_add(1);
+      });
+      ADD_FAILURE() << "no exception reached the caller";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "5");
+    }
+    EXPECT_EQ(ran.load(), 61);
+  }
+}
+
+TEST(ParallelFor, NestedAndConcurrentCallsFinish) {
+  // Three callers at once, each of whose tasks calls parallel_for again:
+  // the shape of the runtime's window workers decoding on one pool.
+  std::atomic<int> leaves{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 3; ++t) {
+    callers.emplace_back([&] {
+      for (int r = 0; r < 20; ++r) {
+        parallel_for(8, [&](std::size_t) {
+          parallel_for(8, [&](std::size_t) { leaves.fetch_add(1); });
+        });
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  EXPECT_EQ(leaves.load(), 3 * 20 * 8 * 8);
+}
+
+/// Runs two tasks that each wait, up to `wait`, for the other to start.
+/// Returns how many threads ran them: 2 when a helper took one, 1 when the
+/// caller ran both.
+int threads_running_two_waiting_tasks(std::chrono::milliseconds wait) {
+  std::atomic<int> started{0};
+  std::thread::id ran[2];
+  parallel_for(2, [&](std::size_t i) {
+    ran[i] = std::this_thread::get_id();
+    started.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + wait;
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  return ran[0] == ran[1] ? 1 : 2;
+}
+
+/// Forks a child that runs `body` and exits with its result; returns that
+/// exit code, or -1 when the child dies or runs past 60 s.
+int exit_code_of_forked(const std::function<int()>& body) {
+  const pid_t pid = fork();
+  if (pid == 0) _exit(body());  // no gtest in the child
+  if (pid < 0) return -1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  int status = 0;
+  while (waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      kill(pid, SIGKILL);
+      waitpid(pid, &status, 0);
+      return -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(ParallelFor, AForkedChildRunsOnAPoolOfItsOwn) {
+  // The parent's helpers do not exist in a forked child. The child makes
+  // its own pool, sized from its own CPU affinity, and the parent's pool
+  // takes its helpers back after the fork.
+  cpu_set_t cpus;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(cpus), &cpus), 0);
+  const int expected = CPU_COUNT(&cpus) > 1 ? 2 : 1;
+  const auto patient = std::chrono::milliseconds(10000);
+  EXPECT_EQ(threads_running_two_waiting_tasks(patient), expected);
+
+  EXPECT_EQ(exit_code_of_forked([&] {
+              return threads_running_two_waiting_tasks(patient);
+            }),
+            expected);
+  EXPECT_EQ(exit_code_of_forked([&] {
+              // Pinned to one CPU before its pool exists: no helpers.
+              cpu_set_t one;
+              CPU_ZERO(&one);
+              for (int c = 0; c < CPU_SETSIZE; ++c) {
+                if (CPU_ISSET(c, &cpus)) {
+                  CPU_SET(c, &one);
+                  break;
+                }
+              }
+              if (sched_setaffinity(0, sizeof(one), &one) != 0) return 0;
+              return threads_running_two_waiting_tasks(
+                  std::chrono::milliseconds(200));
+            }),
+            1);
+  EXPECT_EQ(threads_running_two_waiting_tasks(patient), expected);
 }
 
 }  // namespace

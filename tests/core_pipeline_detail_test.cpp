@@ -1,16 +1,23 @@
 // Focused tests for decode-pipeline internals that the end-to-end suites
 // exercise only indirectly: weak-anchor trimming, outlier pruning, the
 // collision ladder's goodness-of-fit thresholds, Viterbi priors, the
-// decode_group branches (three-tag joint path, over-merge split),
-// cancel_interference, the fallback ladder's identity rules, and the one
-// tag identity every matcher shares.
+// decode_group branches (three-tag joint path, over-merge split, fit
+// reuse), the pass's group fan-out against a serial composition of its
+// stages, cancel_interference, the fallback ladder's identity rules, and
+// the one tag identity every matcher shares.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <csignal>
+#include <thread>
 #include <utility>
 
 #include "channel/channel_model.h"
+#include "channel/noise.h"
 #include "common/rng.h"
 #include "core/collision_detector.h"
 #include "core/decode_stages.h"
@@ -18,10 +25,13 @@
 #include "core/stream_detector.h"
 #include "core/tag_identity.h"
 #include "core/windowed_decoder.h"
+#include "obs/metrics.h"
 #include "reader/receiver.h"
 #include "signal/sample_buffer.h"
 #include "signal/waveform.h"
 #include "sim/scenario.h"
+#include "tag/tag.h"
+#include "test_support.h"
 
 namespace lfbs::core {
 namespace {
@@ -225,37 +235,311 @@ TEST(DecodeGroupDetail, ThreeTagGroupTakesTheJointPath) {
 TEST(DecodeGroupDetail, OverMergedGroupSplitsIntoTwoStreams) {
   // In this epoch one group fuses two tags whose lattice phases nearly
   // coincide and resists IQ separation; its bimodal edge-position
-  // residuals split it into two streams over two new slot sets.
+  // residuals split it into two streams over two slot sets of its own.
   const Epoch e = sixteen_tag_epoch(118);
   const PassContext ctx(e.buffer, e.decoder);
   const Edges edges = detect_edges(ctx);
   const Groups groups = group_streams(ctx, edges);
-  std::vector<BoundarySlots> store;
-  for (const StreamGroup& g : groups) {
-    store.push_back(extract_slots(ctx, edges, g));
-  }
-  Rng rng(e.decoder.seed);
-  std::vector<PendingStream> pending;
-  DecodeDiagnostics diag;
   std::size_t splits = 0;
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    const std::size_t slots_before = store.size();
-    const std::size_t pending_before = pending.size();
-    const std::size_t collisions_before = diag.collision_groups;
-    decode_group(ctx, edges, groups[gi], gi, store, rng, pending, diag);
-    if (store.size() == slots_before) continue;
+    const BoundarySlots slots = extract_slots(ctx, edges, groups[gi]);
+    const GroupDecode out = decode_group(ctx, edges, groups[gi], slots,
+                                         derive_seed(e.decoder.seed, gi));
+    if (out.split_slots.empty()) continue;
     ++splits;
-    ASSERT_EQ(store.size(), slots_before + 2);
-    ASSERT_EQ(pending.size(), pending_before + 2);
-    EXPECT_EQ(diag.collision_groups, collisions_before + 1);
+    ASSERT_EQ(out.split_slots.size(), 2u);
+    ASSERT_EQ(out.streams.size(), 2u);
+    EXPECT_EQ(out.collision_groups, 1u);
     for (std::size_t h = 0; h < 2; ++h) {
-      const PendingStream& ps = pending[pending_before + h];
+      const PendingStream& ps = out.streams[h];
       EXPECT_TRUE(ps.collided);
-      EXPECT_EQ(ps.slots_ref, slots_before + h);
-      EXPECT_FALSE(store[ps.slots_ref].diffs.empty());
+      EXPECT_EQ(ps.slots_ref, 1 + h);
+      EXPECT_FALSE(out.split_slots[h].diffs.empty());
     }
   }
   EXPECT_GE(splits, 1u);
+}
+
+TEST(DecodeGroupDetail, SingleStreamGroupFitsOnce) {
+  // A group the assessment finds single decodes its bits from the
+  // assessment's own k=3 fit; with collision recovery off, decode_single
+  // makes that one fit itself.
+  const Epoch e = sixteen_tag_epoch(3);
+  const obs::Counter& kmeans_runs = obs::metrics().counter("dsp.kmeans_runs");
+  for (const bool recovery : {true, false}) {
+    DecoderConfig cfg = e.decoder;
+    cfg.collision_recovery = recovery;
+    const PassContext ctx(e.buffer, cfg);
+    const Edges edges = detect_edges(ctx);
+    const Groups groups = group_streams(ctx, edges);
+    std::size_t singles = 0;
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+      const BoundarySlots slots = extract_slots(ctx, edges, groups[gi]);
+      if (slots.diffs.size() < 3) continue;
+      const std::uint64_t before = kmeans_runs.value();
+      const GroupDecode out = decode_group(ctx, edges, groups[gi], slots,
+                                           derive_seed(cfg.seed, gi));
+      const bool single = out.streams.size() == 1 &&
+                          !out.streams[0].collided &&
+                          out.collision_groups == 0 &&
+                          out.unresolved_groups == 0;
+      if (!single) continue;
+      ++singles;
+      EXPECT_EQ(kmeans_runs.value() - before, 1u)
+          << "group " << gi << ", collision recovery " << recovery;
+    }
+    EXPECT_GE(singles, 4u) << "collision recovery " << recovery;
+  }
+}
+
+TEST(DecodeGroupDetail, GroupDependsOnlyOnItsOwnInputs) {
+  // Every group decoded alone, last group first, from its own seed, frames
+  // exactly as its streams do inside the full (fanned-out) pass, which
+  // lists each group's streams in group order. Interference cancellation
+  // is off, so the pass's streams are the groups' streams framed.
+  for (const std::uint64_t seed : {3, 7, 118, 277}) {
+    const Epoch e = sixteen_tag_epoch(seed);
+    DecoderConfig cfg = e.decoder;
+    cfg.interference_cancellation = false;
+    const DecodeResult pass = LfDecoder(cfg).decode(e.buffer);
+
+    const PassContext ctx(e.buffer, cfg);
+    const Edges edges = detect_edges(ctx);
+    const Groups groups = group_streams(ctx, edges);
+    std::vector<GroupDecode> alone(groups.size());
+    for (std::size_t gi = groups.size(); gi-- > 0;) {
+      const BoundarySlots slots = extract_slots(ctx, edges, groups[gi]);
+      alone[gi] = decode_group(ctx, edges, groups[gi], slots,
+                               derive_seed(cfg.seed, gi));
+    }
+    std::size_t next = 0, collisions = 0, unresolved = 0;
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+      for (const PendingStream& ps : alone[gi].streams) {
+        ASSERT_LT(next, pass.streams.size()) << "seed " << seed;
+        DecodeResult one, in_pass;
+        one.streams.push_back(frame_stream(cfg, ps));
+        in_pass.streams.push_back(pass.streams[next++]);
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", group " +
+                     std::to_string(gi));
+        expect_identical(one, in_pass);
+      }
+      collisions += alone[gi].collision_groups;
+      unresolved += alone[gi].unresolved_groups;
+    }
+    EXPECT_EQ(next, pass.streams.size()) << "seed " << seed;
+    EXPECT_EQ(collisions, pass.diagnostics.collision_groups);
+    EXPECT_EQ(unresolved, pass.diagnostics.unresolved_groups);
+  }
+}
+
+// --- the pass's group fan-out -------------------------------------------------
+
+/// One LfDecoder pass composed serially from the stages: groups decoded
+/// one after another, each from its own seed, then folded in group order.
+/// Counts the groups that split into `splits`.
+DecodeResult serial_pass(const signal::SampleBuffer& buffer,
+                         const DecoderConfig& cfg, std::size_t& splits) {
+  DecodeResult result;
+  if (buffer.empty()) return result;
+  const PassContext ctx(buffer, cfg);
+  const Edges edges = detect_edges(ctx);
+  result.diagnostics.edges = edges.size();
+  if (edges.empty()) return result;
+  const Groups groups = group_streams(ctx, edges);
+  result.diagnostics.groups = groups.size();
+  std::vector<BoundarySlots> store;
+  std::vector<GroupDecode> decoded;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    store.push_back(extract_slots(ctx, edges, groups[gi]));
+    decoded.push_back(decode_group(ctx, edges, groups[gi], store.back(),
+                                   derive_seed(cfg.seed, gi)));
+  }
+  std::vector<PendingStream> pending;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    const GroupDecode& out = decoded[gi];
+    splits += out.split_slots.empty() ? 0 : 1;
+    for (PendingStream ps : out.streams) {
+      ps.slots_ref = ps.slots_ref == 0 ? gi : store.size() + ps.slots_ref - 1;
+      pending.push_back(std::move(ps));
+    }
+    store.insert(store.end(), out.split_slots.begin(), out.split_slots.end());
+    result.diagnostics.collision_groups += out.collision_groups;
+    result.diagnostics.unresolved_groups += out.unresolved_groups;
+  }
+  for (const PendingStream& ps : pending) {
+    result.streams.push_back(frame_stream(cfg, ps));
+  }
+  cancel_interference(ctx, pending, store, result.streams);
+  for (const DecodedStream& s : result.streams) {
+    result.diagnostics.erasures += s.confidence.erasures;
+  }
+  return result;
+}
+
+/// LfDecoder::decode composed serially: serial_pass, then, when it frames
+/// nothing, the degradation ladder's rungs as LfDecoder::decode sets them.
+DecodeResult serial_decode(const signal::SampleBuffer& buffer,
+                           const DecoderConfig& config, std::size_t& splits) {
+  DecodeResult result = serial_pass(buffer, config, splits);
+  if (!config.robustness.fallback || buffer.empty() ||
+      result.valid_frames() > 0) {
+    return result;
+  }
+  std::vector<std::pair<FallbackStage, DecoderConfig>> ladder;
+  DecoderConfig reseeded = config;
+  reseeded.seed = config.seed ^ 0xa5a5f00d5eedULL;
+  ladder.emplace_back(FallbackStage::kReseeded, reseeded);
+  DecoderConfig no_ec = config;
+  no_ec.error_correction = false;
+  ladder.emplace_back(FallbackStage::kNoErrorCorrection, no_ec);
+  DecoderConfig edge_only = no_ec;
+  edge_only.collision_recovery = false;
+  ladder.emplace_back(FallbackStage::kEdgeOnly, edge_only);
+  for (const double scale : {0.65, 0.45}) {
+    DecoderConfig relaxed = config;
+    relaxed.edge.adaptive_threshold = true;
+    relaxed.edge.threshold_sigma =
+        std::max(2.5, config.edge.threshold_sigma * scale);
+    ladder.emplace_back(FallbackStage::kRelaxedDetection, relaxed);
+  }
+  for (const auto& [stage, cfg] : ladder) {
+    if (result.valid_frames() > 0) break;
+    DecodeResult alt = serial_pass(buffer, cfg, splits);
+    ++result.diagnostics.fallback_passes;
+    merge_fallback(result, std::move(alt), stage, buffer.sample_rate(),
+                   config.frame);
+  }
+  std::sort(result.streams.begin(), result.streams.end(),
+            [](const DecodedStream& a, const DecodedStream& b) {
+              return a.start_sample < b.start_sample;
+            });
+  return result;
+}
+
+/// One tag at 8 dB SNR, 5 Msps: the 6-sigma threshold eats its edges, the
+/// primary pass frames nothing, and the ladder runs.
+signal::SampleBuffer ladder_capture() {
+  Rng rng(77);
+  const Complex h{0.08, 0.06};
+  reader::ReceiverConfig rc;
+  rc.sample_rate = 5.0 * kMsps;
+  rc.noise_power = channel::noise_power_for_snr(std::norm(h), 8.0);
+  channel::ChannelModel ch;
+  ch.add_tag(h);
+  const protocol::FrameConfig fc;
+  std::vector<std::vector<bool>> frames;
+  for (int f = 0; f < 8; ++f) {
+    frames.push_back(protocol::build_frame(rng.bits(fc.payload_bits), fc));
+  }
+  const tag::TagConfig tc;
+  tag::Tag tag(tc, rng);
+  const Seconds duration = 8 * 113.0 / tc.rate + 1e-3;
+  const std::vector<signal::StateTimeline> timelines{
+      tag.transmit_epoch(frames, duration, rng).timeline};
+  return reader::Receiver(rc, ch).receive_epoch(timelines, duration, rng);
+}
+
+TEST(LfDecoder, ThreadedPassEqualsStageByStageSerialPass) {
+  // 120 16-tag epochs with the ladder on, then a capture that runs it:
+  // LfDecoder::decode fans each pass's groups out to the pool, and must
+  // equal the serial composition field by field.
+  std::size_t collisions = 0, splits = 0, ladders = 0;
+  const auto check = [&](const signal::SampleBuffer& buffer,
+                         const DecoderConfig& cfg) {
+    const DecodeResult threaded = LfDecoder(cfg).decode(buffer);
+    const DecodeResult serial = serial_decode(buffer, cfg, splits);
+    expect_identical(threaded, serial);
+    collisions += serial.diagnostics.collision_groups;
+    ladders += serial.diagnostics.fallback_passes > 0 ? 1 : 0;
+  };
+  for (std::uint64_t seed = 100; seed < 220; ++seed) {
+    Epoch e = sixteen_tag_epoch(seed);
+    e.decoder.robustness.fallback = true;
+    SCOPED_TRACE("epoch " + std::to_string(seed));
+    check(e.buffer, e.decoder);
+  }
+  check(ladder_capture(), DecoderConfig{});
+  EXPECT_GT(collisions, 0u);
+  EXPECT_GE(splits, 1u);
+  EXPECT_GE(ladders, 1u);
+}
+
+TEST(LfDecoder, ConcurrentDecodesMatchTheirSerialResults) {
+  // The runtime's shape: several threads decode at once on the one pool.
+  std::vector<Epoch> epochs;
+  std::vector<DecodeResult> alone;
+  for (const std::uint64_t seed : {3, 118, 277}) {
+    epochs.push_back(sixteen_tag_epoch(seed));
+    alone.push_back(LfDecoder(epochs.back().decoder)
+                        .decode(epochs.back().buffer));
+  }
+  std::vector<std::vector<DecodeResult>> got(epochs.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < epochs.size(); ++t) {
+    threads.emplace_back([&, t] {
+      const LfDecoder decoder(epochs[t].decoder);
+      for (int r = 0; r < 8; ++r) {
+        got[t].push_back(decoder.decode(epochs[t].buffer));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t t = 0; t < epochs.size(); ++t) {
+    for (const DecodeResult& r : got[t]) {
+      SCOPED_TRACE("thread " + std::to_string(t));
+      expect_identical(r, alone[t]);
+    }
+  }
+}
+
+/// Bit-for-bit equality of two decodes, for a forked child without gtest.
+bool same_decode(const DecodeResult& a, const DecodeResult& b) {
+  if (a.streams.size() != b.streams.size()) return false;
+  for (std::size_t i = 0; i < a.streams.size(); ++i) {
+    const DecodedStream& s = a.streams[i];
+    const DecodedStream& t = b.streams[i];
+    if (s.start_sample != t.start_sample || s.rate != t.rate ||
+        s.collided != t.collided || s.bits != t.bits ||
+        s.edge_vector != t.edge_vector || s.snr_db != t.snr_db ||
+        s.frames.size() != t.frames.size()) {
+      return false;
+    }
+    for (std::size_t f = 0; f < s.frames.size(); ++f) {
+      if (s.frames[f].payload != t.frames[f].payload ||
+          s.frames[f].valid() != t.frames[f].valid()) {
+        return false;
+      }
+    }
+  }
+  return a.diagnostics.groups == b.diagnostics.groups &&
+         a.diagnostics.collision_groups == b.diagnostics.collision_groups &&
+         a.diagnostics.unresolved_groups == b.diagnostics.unresolved_groups;
+}
+
+TEST(LfDecoder, DecodesInAForkedChild) {
+  // The parent's decode made the process's pool; a forked child decodes
+  // on a pool of its own, to the same result. A hang fails the test.
+  const Epoch e = sixteen_tag_epoch(118);
+  const LfDecoder decoder(e.decoder);
+  const DecodeResult parent = decoder.decode(e.buffer);
+  const pid_t pid = fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) _exit(same_decode(decoder.decode(e.buffer), parent) ? 0 : 1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  int status = 0;
+  while (waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      kill(pid, SIGKILL);
+      waitpid(pid, &status, 0);
+      FAIL() << "the forked child's decode did not finish in 60 s";
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  // The parent's pool takes its helpers back after the fork.
+  expect_identical(decoder.decode(e.buffer), parent);
 }
 
 TEST(ExtractSlotsDetail, OneSlotPerLatticeIndex) {

@@ -98,9 +98,11 @@ BENCHMARK(BM_FullDecode16Tags)
 
 // The stages of one decode pass over a 16-tag epoch, each with the stage
 // objects LfDecoder builds (PassContext): at 25 Msps, edge detection runs
-// the auto-scaled detector (window 3, guard 1, min_separation 5).
-void BM_EdgeDetection(benchmark::State& state) {
-  const auto buffer = make_epoch(16, 12);
+// the auto-scaled detector (window 3, guard 1, min_separation 5). Edge
+// detection splits its buffer into chunks on the process's pool, so it is
+// timed like the full decode.
+void edge_detection(benchmark::State& state,
+                    const signal::SampleBuffer& buffer) {
   const core::DecoderConfig cfg;
   const core::PassContext ctx(buffer, cfg);
   for (auto _ : state) {
@@ -111,7 +113,24 @@ void BM_EdgeDetection(benchmark::State& state) {
           static_cast<double>(buffer.size()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EdgeDetection)->Unit(benchmark::kMillisecond);
+
+void BM_EdgeDetection(benchmark::State& state) {
+  edge_detection(state, make_epoch(16, 12));
+}
+BENCHMARK(BM_EdgeDetection)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
+
+// One stream3 window (20 ms at 5 Msps, 100,000 samples), the window size
+// the runtime decodes.
+void BM_EdgeDetectionCapture3(benchmark::State& state) {
+  edge_detection(state, make_capture3(20e-3, 16));
+}
+BENCHMARK(BM_EdgeDetectionCapture3)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GroupStreams(benchmark::State& state) {
   const auto buffer = make_epoch(16, 12);
@@ -191,7 +210,13 @@ void BM_MedianMad(benchmark::State& state) {
     benchmark::DoNotOptimize(dsp::median_mad(xs));
   }
 }
-BENCHMARK(BM_MedianMad)->Arg(1024)->Arg(37500)->Unit(benchmark::kMicrosecond);
+// Inputs of 8,192 values or more select per chunk on the process's pool.
+BENCHMARK(BM_MedianMad)
+    ->Arg(1024)
+    ->Arg(37500)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_FindPeaks(benchmark::State& state) {
   // Peak picking over the |dS| series of one stream3 window (20 ms at
@@ -200,7 +225,7 @@ void BM_FindPeaks(benchmark::State& state) {
   const signal::EdgeDetectorConfig cfg;
   std::vector<double> ds(buffer.size());
   for (std::size_t i = 0; i < ds.size(); ++i) {
-    ds[i] = std::abs(signal::EdgeDetector::differential_at(
+    ds[i] = magnitude(signal::EdgeDetector::differential_at(
         buffer.span(), static_cast<SampleIndex>(i), cfg.window, cfg.guard));
   }
   const dsp::MedianMad robust = dsp::median_mad(ds);

@@ -23,9 +23,10 @@ The gate fails when
   - stream3's or shard2's frame_recovery or frame_precision, averaged over
     the gate's seeds, is below the parent's.
 stream3 gets the wider throughput bound because its own A/A pairs spread
-about 10%; epoch16, one thread and no queues, is the check that catches a
-slowdown in the decoder itself. shard2 runs stream3's captures through
-forked ShardWorker processes; it has no speed bound, and runs so that a
+about 10%; epoch16, the decoder alone with no runtime queues, is the
+check that catches a slowdown in the decoder itself. shard2 runs stream3's
+captures through forked ShardWorker processes; it has no speed bound, and
+runs so that a
 wrong decode or a change in decode quality on that path fails the gate.
 stream3's and shard2's recovery and precision score the serial reference
 decode of their 12 captures, so each is deterministic per seed: a change

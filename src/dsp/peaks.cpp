@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+
+#include "common/check.h"
 
 namespace lfbs::dsp {
 
 std::vector<Peak> find_peaks(std::span<const double> xs,
                              const PeakOptions& opts) {
-  constexpr double kOffEdge = -1e300;  // off the edge counts as -inf
+  constexpr double kOffEdge = -std::numeric_limits<double>::infinity();
   const std::size_t n = xs.size();
   std::vector<Peak> candidates;
   for (std::size_t i = 0; i < n; ++i) {
@@ -43,6 +46,31 @@ std::vector<Peak> find_peaks(std::span<const double> xs,
     accepted.push_back(c);
   }
   return accepted;
+}
+
+std::vector<std::size_t> peak_pieces(std::span<const double> xs,
+                                     const PeakOptions& opts,
+                                     std::size_t chunk) {
+  LFBS_CHECK(chunk > 0);
+  const std::size_t n = xs.size();
+  const std::size_t gap = std::max<std::size_t>(opts.min_distance, 1);
+  std::vector<std::size_t> bounds = {0};
+  std::size_t i = 0;    // next sample to read
+  std::size_t run = 0;  // samples below the floor just before i
+  for (std::size_t at = chunk; at < n; at += chunk) {
+    if (i + gap < at) {
+      i = at - gap;
+      run = 0;
+    }
+    while (i < n && (i < at || run < gap)) {
+      run = xs[i] < opts.min_value ? run + 1 : 0;
+      ++i;
+    }
+    if (i == n) break;
+    if (i > bounds.back()) bounds.push_back(i);
+  }
+  if (n > bounds.back()) bounds.push_back(n);
+  return bounds;
 }
 
 }  // namespace lfbs::dsp

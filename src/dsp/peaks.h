@@ -30,4 +30,18 @@ struct PeakOptions {
 std::vector<Peak> find_peaks(std::span<const double> xs,
                              const PeakOptions& opts);
 
+/// Cuts xs into pieces that find_peaks can pick one at a time: bounds
+/// 0 = b_0 < b_1 < ... < b_k = xs.size() of the pieces [b_i, b_(i+1)).
+/// Each cut is the first index j at or after a multiple of `chunk` whose
+/// min_distance samples before it are all below min_value; where no such j
+/// comes before the next multiple, the piece runs on past it. So every
+/// candidate lies more than min_distance - 1 samples from the other
+/// pieces' candidates, and next to each cut is a sample below the floor,
+/// as off the edge is: find_peaks over each piece, indices offset by b_i,
+/// gives find_peaks over xs, in piece order instead of value order. The
+/// cuts depend only on xs, the options and `chunk`.
+std::vector<std::size_t> peak_pieces(std::span<const double> xs,
+                                     const PeakOptions& opts,
+                                     std::size_t chunk);
+
 }  // namespace lfbs::dsp

@@ -22,8 +22,9 @@ Complex mean(std::span<const Complex> xs);
 double median(std::span<const double> xs);
 
 /// Median and median absolute deviation of a non-empty span of finite
-/// values, both by selection in one scratch copy. The MAD is unscaled:
-/// multiply by kMadToSigma for a robust Gaussian sigma.
+/// values, both by percentile's selection, the MAD's over |x - median|
+/// computed as the selection reads xs. The MAD is unscaled: multiply by
+/// kMadToSigma for a robust Gaussian sigma.
 struct MedianMad {
   double median = 0.0;
   double mad = 0.0;
@@ -34,11 +35,14 @@ MedianMad median_mad(std::span<const double> xs);
 inline constexpr double kMadToSigma = 1.4826;
 
 /// Linear-interpolated percentile, p in [0, 100]. Selects the two order
-/// statistics it interpolates from a copy, in linear time, and equals the
-/// full sort's result: inputs of 8,192 values or more first narrow to the
-/// one bucket of an order-preserving key histogram that holds them, then
-/// nth_element and min_element run inside it. Requires non-empty input of
-/// finite values: ordering NaN keys is undefined.
+/// statistics it interpolates, in linear time, and equals the full sort's
+/// result. Inputs under 8,192 values select in a copy. Larger ones narrow
+/// to the one bucket of an order-preserving key histogram that holds them,
+/// counting and then gathering per fixed 4,096-value chunk on the
+/// process's pool (lfbs::parallel_for), so the result never depends on the
+/// thread count; nth_element and min_element then run inside the bucket.
+/// Requires non-empty input of finite values: ordering NaN keys is
+/// undefined.
 double percentile(std::span<const double> xs, double p);
 
 /// min and max of a non-empty span.

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "dsp/peaks.h"
 #include "dsp/stats.h"
 #include "obs/metrics.h"
@@ -13,63 +15,57 @@ namespace lfbs::signal {
 
 namespace {
 
-/// |after - before| of the two windowed means, from their sums and sample
-/// counts: the |dS| formula of the border samples, whose windows clip. One
-/// value per sample, so it takes lfbs::magnitude, not std::abs.
-double step_magnitude(Complex before_sum, double nb, Complex after_sum,
-                      double na) {
-  return magnitude(after_sum / na - before_sum / nb);
-}
+/// Samples per pool task. Chunk bounds come from sample indices alone, so
+/// the edges depend only on the buffer, never on how many threads ran.
+constexpr std::size_t kChunk = 4096;
 
-/// Differential magnitude series |S(t+) - S(t-)| for every sample.
-std::vector<double> differential_magnitude(std::span<const Complex> xs,
-                                           const EdgeDetectorConfig& config) {
+/// |dS| of samples [begin, end) into out[begin, end): at each sample i,
+/// magnitude(EdgeDetector::differential_at(xs, i, window, guard)), both
+/// windows summed directly from their own samples, so a value depends only
+/// on the samples within guard + window of i; 0 where a window clipped to
+/// the buffer is empty. One value per sample, so it takes lfbs::magnitude,
+/// not std::abs.
+void differential_magnitude(std::span<const Complex> xs,
+                            const EdgeDetectorConfig& config,
+                            std::size_t begin, std::size_t end,
+                            std::span<double> out) {
   const auto n = static_cast<SampleIndex>(xs.size());
-  std::vector<double> out(xs.size(), 0.0);
-  if (n == 0) return out;
-
-  // Prefix sums for O(1) windowed means.
-  std::vector<Complex> prefix(xs.size() + 1);
-  for (std::size_t i = 0; i < xs.size(); ++i) prefix[i + 1] = prefix[i] + xs[i];
-  const auto at = [&](SampleIndex i) {
-    return prefix[static_cast<std::size_t>(i)];
-  };
-
   const auto w = static_cast<SampleIndex>(config.window);
   const auto g = static_cast<SampleIndex>(config.guard);
-  // Border samples: windows clipped to the buffer, skipped when empty.
-  const auto border = [&](SampleIndex i) {
-    const SampleIndex before_lo = std::clamp<SampleIndex>(i - g - w, 0, n);
-    const SampleIndex before_hi = std::clamp<SampleIndex>(i - g, 0, n);
-    const SampleIndex after_lo = std::clamp<SampleIndex>(i + g, 0, n);
-    const SampleIndex after_hi = std::clamp<SampleIndex>(i + g + w, 0, n);
-    if (before_hi <= before_lo || after_hi <= after_lo) return;
-    out[static_cast<std::size_t>(i)] = step_magnitude(
-        at(before_hi) - at(before_lo),
-        static_cast<double>(before_hi - before_lo),
-        at(after_hi) - at(after_lo), static_cast<double>(after_hi - after_lo));
-  };
-  // Interior samples [mid_lo, mid_hi): both windows hold exactly w samples.
-  const SampleIndex mid_lo = std::min(g + w, n);
-  const SampleIndex mid_hi = std::max(mid_lo, n - g - w + 1);
-  for (SampleIndex i = 0; i < mid_lo; ++i) border(i);
-  for (SampleIndex i = mid_hi; i < n; ++i) border(i);
+  const auto b = static_cast<SampleIndex>(begin);
+  const auto e = static_cast<SampleIndex>(end);
+  // The interior [lo, hi) of this chunk: both windows hold exactly w
+  // samples. Outside it the windows clip to the buffer.
+  const SampleIndex lo = std::clamp(g + w, b, e);
+  const SampleIndex hi = std::clamp(n - g - w + 1, lo, e);
+  for (const auto& [from, to] : {std::pair{b, lo}, std::pair{hi, e}}) {
+    for (SampleIndex i = from; i < to; ++i) {
+      out[static_cast<std::size_t>(i)] =
+          i <= g || i + g >= n
+              ? 0.0
+              : magnitude(EdgeDetector::differential_at(xs, i, config.window,
+                                                        config.guard));
+    }
+  }
+  if (lo == hi) return;
 
   // The full-window mean M[s] of samples [s, s + w) is sample s + g + w's
-  // before-mean and sample s - g's after-mean, the same expression on the
-  // same operands either way, so each is divided once. M[s] overwrites
-  // prefix[s]: prefix[s + w] is read before anything overwrites it.
-  std::vector<Complex>& mean = prefix;
-  const auto full = static_cast<double>(w);
-  for (SampleIndex s = 0; s + w <= n; ++s) {
-    mean[static_cast<std::size_t>(s)] = (at(s + w) - at(s)) / full;
+  // before-mean and sample s - g's after-mean, the same sum and division
+  // either way, so each is computed once for the two.
+  const SampleIndex first = lo - g - w;
+  std::vector<Complex> mean(static_cast<std::size_t>(hi + g - first));
+  for (std::size_t s = 0; s < mean.size(); ++s) {
+    const std::span<const Complex> window =
+        xs.subspan(static_cast<std::size_t>(first) + s, config.window);
+    Complex sum{};
+    for (const Complex& x : window) sum += x;
+    mean[s] = sum / static_cast<double>(w);
   }
-  for (SampleIndex i = mid_lo; i < mid_hi; ++i) {
+  for (SampleIndex i = lo; i < hi; ++i) {
     out[static_cast<std::size_t>(i)] =
-        magnitude(mean[static_cast<std::size_t>(i + g)] -
-                  mean[static_cast<std::size_t>(i - g - w)]);
+        magnitude(mean[static_cast<std::size_t>(i + g - first)] -
+                  mean[static_cast<std::size_t>(i - g - w - first)]);
   }
-  return out;
 }
 
 }  // namespace
@@ -94,8 +90,14 @@ std::vector<Edge> EdgeDetector::detect(const SampleBuffer& buffer) const {
   static obs::Counter& detected =
       obs::metrics().counter("signal.edges_detected");
   runs.add();
-  const std::vector<double> d = differential_magnitude(buffer.span(), config_);
-  if (d.empty()) return {};
+  const std::span<const Complex> xs = buffer.span();
+  const std::size_t n = xs.size();
+  if (n == 0) return {};
+  std::vector<double> d(n);
+  parallel_for((n + kChunk - 1) / kChunk, [&](std::size_t c) {
+    differential_magnitude(xs, config_, c * kChunk,
+                           std::min(n, (c + 1) * kChunk), d);
+  });
 
   // Robust threshold: edges are temporally sparse, so the median of |dS|
   // tracks the noise floor even with many tags transmitting. The global
@@ -127,44 +129,57 @@ std::vector<Edge> EdgeDetector::detect(const SampleBuffer& buffer) const {
     return blocks[std::min(index / block, blocks.size() - 1)];
   };
 
+  // Peaks and their refinement, one piece at a time: pieces split only at
+  // a run of sub-threshold samples, so their peaks are find_peaks' over
+  // the whole series, and in position order once each piece is sorted.
   dsp::PeakOptions opts;
   opts.min_value = pick_threshold;
   opts.min_distance = config_.min_separation;
-  std::vector<dsp::Peak> peaks = dsp::find_peaks(d, opts);
-
-  std::vector<Edge> edges;
-  edges.reserve(peaks.size());
-  for (const dsp::Peak& p : peaks) {
-    const NoiseEstimate& est = local_estimate(p.index);
-    if (config_.adaptive_threshold &&
-        d[p.index] <
-            est.threshold(config_.threshold_sigma, config_.min_strength)) {
-      continue;
-    }
-    Edge e;
-    // Parabolic sub-sample refinement of the |dS| peak.
-    double refined = static_cast<double>(p.index);
-    if (p.index > 0 && p.index + 1 < d.size()) {
-      const double dm = d[p.index - 1];
-      const double d0 = d[p.index];
-      const double dp = d[p.index + 1];
-      const double denom = dm - 2.0 * d0 + dp;
-      if (denom < -1e-18) {
-        const double shift = 0.5 * (dm - dp) / denom;
-        if (std::abs(shift) <= 1.0) refined += shift;
+  const std::vector<std::size_t> bounds = dsp::peak_pieces(d, opts, kChunk);
+  std::vector<std::vector<Edge>> pieces(bounds.size() - 1);
+  parallel_for(pieces.size(), [&](std::size_t k) {
+    const std::size_t offset = bounds[k];
+    std::vector<Edge>& edges = pieces[k];
+    for (const dsp::Peak& peak : dsp::find_peaks(
+             std::span<const double>(d).subspan(offset, bounds[k + 1] - offset),
+             opts)) {
+      const std::size_t index = offset + peak.index;
+      const NoiseEstimate& est = local_estimate(index);
+      if (config_.adaptive_threshold &&
+          d[index] <
+              est.threshold(config_.threshold_sigma, config_.min_strength)) {
+        continue;
       }
+      Edge e;
+      // Parabolic sub-sample refinement of the |dS| peak.
+      double refined = static_cast<double>(index);
+      if (index > 0 && index + 1 < n) {
+        const double dm = d[index - 1];
+        const double d0 = d[index];
+        const double dp = d[index + 1];
+        const double denom = dm - 2.0 * d0 + dp;
+        if (denom < -1e-18) {
+          const double shift = 0.5 * (dm - dp) / denom;
+          if (std::abs(shift) <= 1.0) refined += shift;
+        }
+      }
+      e.position = refined;
+      e.differential = differential_at(
+          xs, static_cast<SampleIndex>(std::llround(refined)), config_.window,
+          config_.guard);
+      e.strength = std::abs(e.differential);
+      e.snr_db = est.snr_db(e.strength);
+      e.confidence = edge_confidence(e.snr_db);
+      edges.push_back(e);
     }
-    e.position = refined;
-    e.differential =
-        differential_at(buffer.span(), static_cast<SampleIndex>(std::llround(refined)),
-                        config_.window, config_.guard);
-    e.strength = std::abs(e.differential);
-    e.snr_db = est.snr_db(e.strength);
-    e.confidence = edge_confidence(e.snr_db);
-    edges.push_back(e);
+    std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+      return a.position < b.position;
+    });
+  });
+  std::vector<Edge> edges;
+  for (const std::vector<Edge>& piece : pieces) {
+    edges.insert(edges.end(), piece.begin(), piece.end());
   }
-  std::sort(edges.begin(), edges.end(),
-            [](const Edge& a, const Edge& b) { return a.position < b.position; });
   detected.add(edges.size());
   span.attr("edges", static_cast<double>(edges.size()));
   return edges;

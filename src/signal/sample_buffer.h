@@ -46,8 +46,9 @@ class SampleBuffer {
 };
 
 /// Zeroes every sample whose I or Q value is not finite and returns how many
-/// it zeroed. The decoder needs finite samples: one NaN would reach every
-/// later |dS| through edge detection's prefix sums.
+/// it zeroed. The decoder needs finite samples: one NaN reaches only the
+/// |dS| values within guard + window samples of it, but it leaves edge
+/// detection's median/MAD selection undefined.
 std::size_t scrub_non_finite(std::span<Complex> samples);
 
 /// Windowed mean of samples [center - length, center) — the "before" half of

@@ -264,10 +264,19 @@ std::vector<Peak> pairwise_peaks(const std::vector<double>& xs,
 }
 
 TEST(Peaks, MatchesPairwiseReference) {
+  // Trials 200 and up span several of detection's 4,096-sample chunks, and
+  // are also picked piece by piece. Most multiples of 4,096 get a peak
+  // min_distance + 1 samples before them, min_distance samples of 0 and a
+  // peak on them, so pieces are cut next to peaks; a floor of 0 leaves no
+  // sample below it, so the whole series is one piece.
+  constexpr std::size_t kChunk = 4096;
   Rng rng(1801);
-  for (int trial = 0; trial < 200; ++trial) {
+  std::size_t multi_piece = 0, one_piece = 0, near_cuts = 0;
+  for (int trial = 0; trial < 220; ++trial) {
+    const bool long_series = trial >= 200;
     const std::size_t n = trial < 3 ? static_cast<std::size_t>(trial)
-                                    : rng.uniform_u64(5001);
+                          : long_series ? 8192 + rng.uniform_u64(24000)
+                                        : rng.uniform_u64(5001);
     const int kind = trial % 4;
     std::vector<double> xs(n);
     for (double& x : xs) {
@@ -288,6 +297,14 @@ TEST(Peaks, MatchesPairwiseReference) {
     const PeakOptions opts{
         .min_value = trial % 5 == 0 ? 0.0 : rng.uniform(0.0, 1.5),
         .min_distance = 1 + rng.uniform_u64(12)};
+    if (long_series) {
+      for (std::size_t b = kChunk; b < n; b += kChunk) {
+        if (rng.bernoulli(0.25)) continue;  // no run here: the cut moves on
+        xs[b - opts.min_distance - 1] = 2.5 + rng.uniform(0.0, 1.0);
+        for (std::size_t i = b - opts.min_distance; i < b; ++i) xs[i] = 0.0;
+        xs[b] = 2.5 + rng.uniform(0.0, 1.0);
+      }
+    }
     const auto got = find_peaks(xs, opts);
     const auto want = pairwise_peaks(xs, opts);
     ASSERT_EQ(got.size(), want.size())
@@ -296,7 +313,37 @@ TEST(Peaks, MatchesPairwiseReference) {
       EXPECT_EQ(got[k].index, want[k].index) << "trial " << trial;
       EXPECT_EQ(got[k].value, want[k].value) << "trial " << trial;
     }
+
+    // Piece by piece, the same peaks.
+    const std::vector<std::size_t> bounds = peak_pieces(xs, opts, kChunk);
+    ASSERT_FALSE(bounds.empty());
+    EXPECT_EQ(bounds.front(), 0u);
+    EXPECT_EQ(bounds.back(), n);
+    std::vector<std::size_t> pieced;
+    for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+      ASSERT_LT(bounds[k], bounds[k + 1]) << "trial " << trial;
+      const auto piece = std::span<const double>(xs).subspan(
+          bounds[k], bounds[k + 1] - bounds[k]);
+      for (const Peak& p : find_peaks(piece, opts)) {
+        const std::size_t at = bounds[k] + p.index;
+        pieced.push_back(at);
+        for (const std::size_t cut : {bounds[k], bounds[k + 1]}) {
+          const std::size_t d = cut > at ? cut - at : at - cut;
+          if (cut > 0 && cut < n && d <= opts.min_distance + 1) ++near_cuts;
+        }
+      }
+    }
+    std::vector<std::size_t> whole;
+    for (const Peak& p : want) whole.push_back(p.index);
+    std::sort(pieced.begin(), pieced.end());
+    std::sort(whole.begin(), whole.end());
+    EXPECT_EQ(pieced, whole) << "trial " << trial << " n " << n;
+    if (long_series && bounds.size() > 2) ++multi_piece;
+    if (long_series && bounds.size() == 2) ++one_piece;
   }
+  EXPECT_GT(multi_piece, 10u);
+  EXPECT_GT(one_piece, 0u);
+  EXPECT_GT(near_cuts, 50u);
 }
 
 TEST(Resample, IdentityWhenRatesEqual) {

@@ -239,21 +239,22 @@ TEST(EdgeDetector, ShortBuffers) {
 }
 
 // Every Edge::position equals a reference built from the two-window
-// formula: at every sample, the before and after windows' sums read from
-// one prefix sum, clipped to the buffer and each divided by its own length;
-// then the global median/MAD threshold, peak picking and the parabolic
-// refinement. A large DC offset makes the prefix values large, and steps
-// sit within guard + window of both ends, where the windows clip.
+// formula: at every sample, the before and after windows clipped to the
+// buffer, each summed directly from its own samples and divided by its own
+// length (|dS| is 0 where a clipped window is empty); then the global
+// median/MAD threshold, peak picking and the parabolic refinement. A large
+// DC offset makes every window sum large against the steps, and steps sit
+// within guard + window of both ends, where the windows clip.
 TEST(EdgeDetector, PositionsMatchTwoWindowReference) {
   const auto reference = [](const SampleBuffer& buf,
                             const EdgeDetectorConfig& cfg) {
     const auto n = static_cast<SampleIndex>(buf.size());
-    std::vector<Complex> prefix(buf.size() + 1);
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      prefix[i + 1] = prefix[i] + buf[i];
-    }
-    const auto at = [&](SampleIndex i) {
-      return prefix[static_cast<std::size_t>(i)];
+    const auto window_mean = [&](SampleIndex lo, SampleIndex hi) {
+      Complex sum{};
+      for (SampleIndex k = lo; k < hi; ++k) {
+        sum += buf[static_cast<std::size_t>(k)];
+      }
+      return sum / static_cast<double>(hi - lo);
     };
     const auto w = static_cast<SampleIndex>(cfg.window);
     const auto g = static_cast<SampleIndex>(cfg.guard);
@@ -265,8 +266,7 @@ TEST(EdgeDetector, PositionsMatchTwoWindowReference) {
       const SampleIndex ah = std::clamp<SampleIndex>(i + g + w, 0, n);
       if (bh <= bl || ah <= al) continue;
       d[static_cast<std::size_t>(i)] =
-          magnitude((at(ah) - at(al)) / static_cast<double>(ah - al) -
-                    (at(bh) - at(bl)) / static_cast<double>(bh - bl));
+          magnitude(window_mean(al, ah) - window_mean(bl, bh));
     }
     const dsp::MedianMad robust = dsp::median_mad(d);
     const NoiseEstimate noise{robust.median, dsp::kMadToSigma * robust.mad};
@@ -295,17 +295,28 @@ TEST(EdgeDetector, PositionsMatchTwoWindowReference) {
       {.window = 3, .guard = 1, .min_separation = 5},
       {.window = 6, .guard = 2},
   };
+  // Detection splits its work at multiples of 4,096 samples; the long
+  // buffers put steps just before, on and just after those bounds.
+  constexpr SampleIndex kChunk = 4096;
   Rng rng(31);
-  std::size_t total = 0, near_ends = 0;
+  std::size_t total = 0, near_ends = 0, near_chunk_bounds = 0;
   for (const EdgeDetectorConfig& cfg : configs) {
     const auto reach = static_cast<SampleIndex>(cfg.guard + cfg.window);
-    for (int trial = 0; trial < 20; ++trial) {
-      const auto n = static_cast<SampleIndex>(rng.uniform_int(120, 600));
+    for (int trial = 0; trial < 24; ++trial) {
+      const bool long_buffer = trial >= 20;
+      const auto n = static_cast<SampleIndex>(
+          long_buffer ? rng.uniform_int(20000, 100000)
+                      : rng.uniform_int(120, 600));
       // Steps at one to guard + window samples from each end, and inside.
       std::vector<SampleIndex> steps = {rng.uniform_int(1, reach),
                                         n - rng.uniform_int(1, reach)};
       for (SampleIndex s = 40; s + 40 < n; s += rng.uniform_int(30, 80)) {
         steps.push_back(s);
+      }
+      if (long_buffer) {
+        for (SampleIndex b = kChunk; b + 40 < n; b += kChunk) {
+          steps.push_back(b + rng.uniform_int(-reach - 2, reach + 2));
+        }
       }
       std::sort(steps.begin(), steps.end());
       const Complex dc{rng.uniform(-3e4, 3e4), rng.uniform(-3e4, 3e4)};
@@ -331,12 +342,18 @@ TEST(EdgeDetector, PositionsMatchTwoWindowReference) {
             p > static_cast<double>(n - reach - 1)) {
           ++near_ends;
         }
+        const double from_bound = std::remainder(p, static_cast<double>(kChunk));
+        if (p > static_cast<double>(kChunk / 2) &&
+            std::abs(from_bound) <= static_cast<double>(reach)) {
+          ++near_chunk_bounds;
+        }
       }
       total += edges.size();
     }
   }
   EXPECT_GT(total, 300u);
   EXPECT_GT(near_ends, 40u);
+  EXPECT_GT(near_chunk_bounds, 40u);
 }
 
 TEST(NoiseTracker, ConstantSeriesFloorsThreshold) {
